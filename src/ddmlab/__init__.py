@@ -7,8 +7,9 @@ The package is organized bottom-up:
 - ``discretize``: model problems (1D/2D finite-difference Poisson, P1 finite
   element diffusion with retained element matrices, 2D Helmholtz with
   optional absorption and impedance boundary).
-- ``decompose``: partitions, overlap growth, restriction operators,
-  partitions of unity, subdomain geometry statistics and coloring.
+- ``decompose``: partitions, overlap growth, the stacked restriction
+  operator, partitions of unity, subdomain geometry statistics and
+  coloring.
 - ``schwarz``: one-level preconditioners (ASM, RAS, ORAS, SORAS), the
   Richardson driver, and the classical 1D alternating method.
 - ``coarse``: Nicolaides, spectral (GenEO style) and grid coarse spaces plus

@@ -11,7 +11,7 @@ bound/measured/satisfied triple so reports can be serialized.
 import numpy as np
 import scipy.sparse as sp
 
-from . import krylov, linalg
+from . import krylov, linalg, schwarz
 
 DENSE_LIMIT = 2000
 
@@ -170,12 +170,13 @@ def fsl_constants(A, decomposition, neumann_matrices, local_blocks):
     """
     tau1 = np.inf
     gamma1 = 0.0
-    for s, D, (Nmat, dofs), B in zip(decomposition.sets,
-                                     decomposition.weights,
-                                     neumann_matrices, local_blocks):
+    A_blocks = schwarz.local_matrices(A, decomposition)
+    for s, D, (Nmat, dofs), B, Aii in zip(decomposition.sets,
+                                          decomposition.weights,
+                                          neumann_matrices, local_blocks,
+                                          A_blocks):
         if len(s) == 0:
             continue
-        Aii = A[np.ix_(s, s)].toarray()
         dad = (D[:, None] * Aii) * D[None, :]
         Nloc = np.zeros_like(Aii)
         pos = np.searchsorted(s, dofs)

@@ -40,9 +40,7 @@ _TIMING_BUCKETS = (
     "krylov", "matvec", "preconditioner", "coarse_solve",
 )
 
-_SCHWARZ_VARIANTS = ("asm", "ras", "oras", "soras", "none")
 _COARSE_KINDS = ("none", "nicolaides", "grid", "geneo")
-_COMBINATORS = ("ad", "bnn", "adef1", "adef2", "rbnn1", "rbnn2", "none")
 _KSP = ("cg", "pcg", "gmres")
 _SIDES = ("left", "right", "none")
 
@@ -171,7 +169,7 @@ def resolve_scenario(config):
 
     sch = dict(config.get("schwarz", {}))
     _check_keys(sch, {"variant", "robin_p"}, "schwarz")
-    variant = _enum(sch.get("variant", "ras"), _SCHWARZ_VARIANTS,
+    variant = _enum(sch.get("variant", "ras"), schwarz.VARIANTS,
                     "schwarz.variant")
     robin_p = _resolve_robin_p(sch.get("robin_p"))
     if robin_p is not None and variant not in ("oras", "soras"):
@@ -196,7 +194,7 @@ def resolve_scenario(config):
                 raise ValueError("geneo threshold tau must be positive")
         coarse_cfg["tau"] = tau
 
-    combinator = _enum(config.get("combinator", "adef1"), _COMBINATORS,
+    combinator = _enum(config.get("combinator", "adef1"), coarse.COMBINATORS,
                        "combinator")
 
     sol = dict(config.get("solver", {}))
@@ -706,12 +704,12 @@ def _add_scenario_flags(sub):
     sub.add_argument("--partitioner", help="cartesian:PX[xPY] or graph:N[:seed]")
     sub.add_argument("--overlap", type=int)
     sub.add_argument("--pu", choices=("multiplicity", "boolean"))
-    sub.add_argument("--schwarz-method", choices=_SCHWARZ_VARIANTS)
+    sub.add_argument("--schwarz-method", choices=schwarz.VARIANTS)
     sub.add_argument("--coarse",
                      help="none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo")
     sub.add_argument("--geneo-threshold",
                      help="spectral threshold tau, or 'auto'")
-    sub.add_argument("--coarse-correction", choices=_COMBINATORS)
+    sub.add_argument("--coarse-correction", choices=coarse.COMBINATORS)
     sub.add_argument("--ksp", choices=_KSP)
     sub.add_argument("--ksp-rtol", type=float)
     sub.add_argument("--ksp-maxit", type=int)

@@ -16,10 +16,10 @@ eigenproblems (:func:`geneo_space`).
 
 import numpy as np
 
-from . import discretize, linalg
+from . import discretize, linalg, schwarz
 from .krylov import as_operator, as_preconditioner
 
-_COMBINATORS = ("ad", "bnn", "adef1", "adef2", "rbnn1", "rbnn2", "none")
+COMBINATORS = ("ad", "bnn", "adef1", "adef2", "rbnn1", "rbnn2", "none")
 
 
 class EmptyCoarseSpaceError(RuntimeError):
@@ -72,11 +72,6 @@ class CoarseSpace:
     def apply_Q(self, r):
         """Coarse correction ``Z (Z^H A Z)^(-1) Z^H r``."""
         return self.Z @ self.solve_coefficients(r)
-
-
-def coarse_solve(coarse_space, r):
-    """Apply the coarse correction operator Q to a vector."""
-    return coarse_space.apply_Q(r)
 
 
 def _independent_columns(Z, rel_tol):
@@ -217,10 +212,12 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
 
     ``tau="auto"`` picks the reciprocal of the worst subdomain aspect
     ratio (diameter over overlap width), which needs the decomposition's
-    geometry fields.
+    geometry fields: a decomposition built without ``coords`` or ``h``
+    raises ValueError.
     """
     if tau == "auto":
-        if decomposition.H is None or decomposition.overlap_width is None:
+        if (np.isnan(decomposition.overlap_width)
+                or np.isnan(decomposition.H).any()):
             raise ValueError(
                 "tau='auto' needs a decomposition with coordinates and mesh width"
             )
@@ -235,6 +232,7 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
 
     columns, owners, eigenvalues = [], [], []
     n = decomposition.n_dofs
+    blocks = schwarz.local_matrices(A, decomposition)
     for j, (N, dofs) in enumerate(neumann_matrices):
         s = decomposition.sets[j]
         if len(dofs) == 0:
@@ -242,7 +240,7 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
         pos = np.searchsorted(s, dofs)
         Nloc = np.zeros((len(s), len(s)), dtype=np.asarray(N).dtype)
         Nloc[np.ix_(pos, pos)] = N
-        Aj = A[np.ix_(s, s)].toarray()
+        Aj = blocks[j]
         D = decomposition.weights[j]
         B = (D[:, None] * Aj) * D[None, :]
         pairs = linalg.sym_gen_eig(Nloc, B)
@@ -292,9 +290,9 @@ class TwoLevelPreconditioner:
     """
 
     def __init__(self, M1, coarse_space, A, combinator="adef1"):
-        if combinator not in _COMBINATORS:
+        if combinator not in COMBINATORS:
             raise ValueError(
-                f"unknown combinator {combinator!r}; expected one of {_COMBINATORS}"
+                f"unknown combinator {combinator!r}; expected one of {COMBINATORS}"
             )
         self.combinator = combinator
         self.coarse = coarse_space

@@ -2,10 +2,13 @@
 
 A Partition holds disjoint core sets covering all DoFs. expand_overlap grows
 each core by adjacency layers of the (symmetrized) matrix graph and returns
-a Decomposition carrying restriction index sets, partition-of-unity weights,
-multiplicities, subdomain geometry statistics, the subdomain adjacency
-graph, and a greedy coloring. Decompositions are treated as immutable; the
-partition-of-unity builders return updated copies.
+a Decomposition whose restrictions are stored once, as a single stacked
+Boolean matrix ``R`` (one row per local DoF, subdomain after subdomain)
+with row ``offsets`` per subdomain and one stacked partition-of-unity
+weight vector ``w``. It also carries multiplicities, subdomain geometry
+statistics, the subdomain adjacency graph, and a greedy coloring.
+Decompositions are immutable: their index and weight arrays are read-only,
+and the partition-of-unity builders return updated copies.
 """
 
 import json
@@ -43,19 +46,29 @@ class Partition:
 
 
 class Decomposition:
-    """Overlapped subdomain sets with restrictions, PU weights, and stats.
+    """Overlapped subdomain sets with one stacked restriction, PU weights, and stats.
 
-    ``sets[i]`` holds the ascending global indices of subdomain i; the
-    restriction R_i is plain index selection and ``weights[i]`` is the
-    diagonal of D_i on those local DoFs.
+    ``R`` is a ``csr_array`` of shape (sum_i n_i, n_dofs) with one unit
+    entry per row. Its column indices are the ascending DoF sets of the
+    subdomains concatenated in subdomain order, and rows
+    ``offsets[i]:offsets[i + 1]`` form the restriction R_i. ``w`` stacks
+    the diagonals of the partition-of-unity matrices D_i in the same row
+    order, so ``R.T @ (w * (R @ x))`` reproduces ``x``. ``sets[i]`` and
+    ``weights[i]`` are read-only views of subdomain i's slices of
+    ``R.indices`` and ``w``.
     """
 
-    def __init__(self, n_dofs, core_sets, sets, weights, multiplicity, delta,
+    def __init__(self, n_dofs, core_sets, R, offsets, w, multiplicity, delta,
                  adjacency, colors, n_colors, H, overlap_width, pu_kind):
+        for a in (R.data, R.indices, R.indptr, offsets, w):
+            a.flags.writeable = False
         self.n_dofs = n_dofs
         self.core_sets = core_sets
-        self.sets = sets
-        self.weights = weights
+        self.R = R
+        self.offsets = offsets
+        self.w = w
+        self.sets = np.split(R.indices, offsets[1:-1])
+        self.weights = np.split(w, offsets[1:-1])
         self.multiplicity = multiplicity
         self.delta = delta
         self.adjacency = adjacency
@@ -73,19 +86,11 @@ class Decomposition:
     def max_multiplicity(self):
         return int(self.multiplicity.max())
 
-    def restrict(self, i, x):
-        return x[self.sets[i]]
-
-    def prolong(self, i, x_local):
-        out = np.zeros(self.n_dofs, dtype=np.asarray(x_local).dtype)
-        out[self.sets[i]] = x_local
-        return out
-
-    def _with_weights(self, weights, pu_kind):
+    def _with_weights(self, w, pu_kind):
         return Decomposition(
-            self.n_dofs, self.core_sets, self.sets, weights, self.multiplicity,
-            self.delta, self.adjacency, self.colors, self.n_colors, self.H,
-            self.overlap_width, pu_kind,
+            self.n_dofs, self.core_sets, self.R, self.offsets, w,
+            self.multiplicity, self.delta, self.adjacency, self.colors,
+            self.n_colors, self.H, self.overlap_width, pu_kind,
         )
 
 
@@ -334,44 +339,23 @@ def expand_overlap(A, partition, delta, coords=None, h=None):
     total = np.concatenate(partition.sets)
     if len(total) != n or len(np.unique(total)) != n:
         raise ValueError("partition must cover all DoFs disjointly")
-    adj = _symmetric_adjacency(A)
+    # membership S (N x n) grows one layer per product with the pattern
+    # of I + |A|; subdomains are adjacent iff S (I + |A|) S^T links them,
+    # i.e. they share a DoF or an A-edge connects them
+    graph = (_symmetric_adjacency(A) + sp.identity(n, format="csr")).astype(bool)
+    rows = np.repeat(np.arange(partition.N), [len(c) for c in partition.sets])
+    S = sp.csr_array((np.ones(n, dtype=bool), (rows, total)),
+                     shape=(partition.N, n))
+    for _ in range(delta):
+        S = S @ graph
+    S.sort_indices()
+    multiplicity = np.bincount(S.indices, minlength=n)
 
-    sets = []
-    for core in partition.sets:
-        mask = np.zeros(n, dtype=bool)
-        mask[core] = True
-        for _ in range(delta):
-            current = np.flatnonzero(mask)
-            nbrs = np.unique(
-                np.concatenate(
-                    [adj.indices[adj.indptr[u]:adj.indptr[u + 1]] for u in current]
-                )
-            ) if len(current) else np.empty(0, dtype=int)
-            mask[nbrs] = True
-        sets.append(np.flatnonzero(mask))
-
-    multiplicity = np.zeros(n, dtype=int)
-    for s in sets:
-        multiplicity[s] += 1
-
-    # subdomain adjacency: edge iff R_l A R_k^T is structurally nonzero,
-    # i.e. the sets share a DoF or an A-edge connects them
-    owners = [[] for _ in range(n)]
-    for i, s in enumerate(sets):
-        for u in s:
-            owners[u].append(i)
-    adjacency = [set() for _ in range(partition.N)]
-    for u in range(n):
-        for a in owners[u]:
-            for b in owners[u]:
-                if a != b:
-                    adjacency[a].add(b)
-        for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]:
-            for a in owners[u]:
-                for b in owners[int(v)]:
-                    if a != b:
-                        adjacency[a].add(b)
-    adjacency = [sorted(s) for s in adjacency]
+    links = sp.csr_array(S @ graph @ S.T)
+    links.setdiag(False)
+    links.eliminate_zeros()
+    links.sort_indices()
+    adjacency = [a.tolist() for a in np.split(links.indices, links.indptr[1:-1])]
 
     # greedy first-fit coloring, ascending (degree, index) order
     order = sorted(range(partition.N), key=lambda i: (len(adjacency[i]), i))
@@ -387,34 +371,35 @@ def expand_overlap(A, partition, delta, coords=None, h=None):
     if coords is not None:
         coords = np.asarray(coords)
         H = np.array(
-            [np.linalg.norm(coords[s].max(axis=0) - coords[s].min(axis=0)) for s in sets]
+            [np.linalg.norm(c.max(axis=0) - c.min(axis=0))
+             for c in np.split(coords[S.indices], S.indptr[1:-1])]
         )
     else:
         H = np.full(partition.N, np.nan)
     overlap_width = delta * h if h is not None else np.nan
 
-    weights = [1.0 / multiplicity[s] for s in sets]
+    R = sp.csr_array((np.ones(S.nnz), S.indices, np.arange(S.nnz + 1)),
+                     shape=(S.nnz, n))
     return Decomposition(
-        n, partition.sets, sets, weights, multiplicity, delta,
-        adjacency, colors, n_colors, H, overlap_width, pu_kind="multiplicity",
+        n, partition.sets, R, S.indptr, 1.0 / multiplicity[S.indices],
+        multiplicity, delta, adjacency, colors, n_colors, H, overlap_width,
+        pu_kind="multiplicity",
     )
 
 
 def multiplicity_pu(dec):
     """Partition of unity with weights 1/m_j, m_j the DoF multiplicity."""
-    weights = [1.0 / dec.multiplicity[s] for s in dec.sets]
-    return dec._with_weights(weights, "multiplicity")
+    return dec._with_weights(1.0 / dec.multiplicity[dec.R.indices], "multiplicity")
 
 
 def boolean_pu(dec):
     """Partition of unity assigning each DoF to the lowest-index subdomain holding it."""
-    claimed = np.zeros(dec.n_dofs, dtype=bool)
-    weights = []
-    for s in dec.sets:  # ascending subdomain index: lowest owner wins
-        w = np.where(claimed[s], 0.0, 1.0)
-        claimed[s] = True
-        weights.append(w)
-    return dec._with_weights(weights, "boolean")
+    # stacked rows run in ascending subdomain order, so a DoF's first
+    # occurrence belongs to its lowest-index owner
+    _, first = np.unique(dec.R.indices, return_index=True)
+    w = np.zeros(dec.R.shape[0])
+    w[first] = 1.0
+    return dec._with_weights(w, "boolean")
 
 
 def decomposition_to_json(dec):

@@ -25,7 +25,6 @@ __all__ = [
     "Factorization",
     "csr_from_triplets",
     "compress",
-    "spmv",
     "dense_lu_factor",
     "dense_cholesky_factor",
     "factor_solve",
@@ -122,21 +121,6 @@ def compress(A):
     A.eliminate_zeros()
     A.sort_indices()
     return A
-
-
-def spmv(A, x):
-    """Sparse matrix-vector product with a fixed (ascending column) summation order.
-
-    Parameters
-    ----------
-    A : scipy.sparse matrix
-    x : array of length A.shape[1]
-    """
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] != A.shape[1]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x has length {x.shape}")
-    _require_finite(x, "input vector")
-    return A @ x
 
 
 def dense_lu_factor(A):

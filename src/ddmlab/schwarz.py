@@ -1,13 +1,16 @@
 """One-level overlapping Schwarz preconditioners.
 
-Variants share the same additive skeleton: restrict the residual to each
-overlapping subdomain, solve a local problem there, and scatter the
-result back, optionally damping through the partition-of-unity weights.
+Every variant is one product ``R^T W_L B^(-1) W_R R`` over the
+decomposition's stacked restriction ``R``: restrict the residual to all
+overlapping subdomains at once, solve the block-diagonal local problem
+``B = blockdiag(B_i)`` one ``offsets`` slice at a time, and scatter the
+result back. The weights ``W_L``, ``W_R`` are either the identity or the
+stacked partition-of-unity weights ``w``:
 
-* ``asm``    sum_i R_i^T B_i^(-1) R_i            (symmetric, ignores weights)
-* ``ras``    sum_i R_i^T D_i B_i^(-1) R_i        (restricted)
+* ``asm``    sum_i R_i^T B_i^(-1) R_i            (W_L = W_R = I)
+* ``ras``    sum_i R_i^T D_i B_i^(-1) R_i        (W_L = D, restricted)
 * ``oras``   same formula as ras with Robin local blocks
-* ``soras``  sum_i R_i^T D_i B_i^(-1) D_i R_i    (symmetrized, Robin blocks)
+* ``soras``  sum_i R_i^T D_i B_i^(-1) D_i R_i    (W_L = W_R = D, Robin blocks)
 * ``none``   identity
 
 Local blocks B_i are either principal submatrices of A (Dirichlet kind)
@@ -20,7 +23,7 @@ from . import discretize, linalg
 from .decompose import _symmetric_adjacency
 from .krylov import SolveReport, as_operator, as_preconditioner
 
-_VARIANTS = ("asm", "ras", "oras", "soras", "none")
+VARIANTS = ("asm", "ras", "oras", "soras", "none")
 
 
 def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
@@ -74,10 +77,14 @@ def build_local_operators(A, decomposition, kind="dirichlet", p=None,
 
 
 class OneLevelPreconditioner:
-    """Additive Schwarz preconditioner assembled from local factorizations."""
+    """Additive Schwarz preconditioner ``R^T W_L B^(-1) W_R R``.
+
+    ``operators[i]`` factorizes B_i; the variant fixes which of the
+    weights W_L, W_R are the stacked partition-of-unity weights.
+    """
 
     def __init__(self, variant, decomposition, operators):
-        if variant not in _VARIANTS:
+        if variant not in VARIANTS:
             raise ValueError(f"unknown Schwarz variant {variant!r}")
         self.variant = variant
         self.decomposition = decomposition
@@ -86,6 +93,9 @@ class OneLevelPreconditioner:
         self.applies = 0
         dtypes = [op.dtype for op in operators] or [np.float64]
         self.dtype = np.result_type(*dtypes)
+        w = decomposition.w
+        self._w_left = w if variant in ("ras", "oras", "soras") else None
+        self._w_right = w if variant == "soras" else None
 
     def apply(self, r):
         """Apply the preconditioner to a residual vector."""
@@ -96,16 +106,15 @@ class OneLevelPreconditioner:
         if self.variant == "none":
             return r.copy()
         dec = self.decomposition
-        out = np.zeros(self.n, dtype=np.result_type(self.dtype, r.dtype))
-        for i, s in enumerate(dec.sets):
-            loc = r[s]
-            if self.variant == "soras":
-                loc = dec.weights[i] * loc
-            loc = self.operators[i].solve(loc)
-            if self.variant in ("ras", "oras", "soras"):
-                loc = dec.weights[i] * loc
-            out[s] += loc
-        return out
+        y = dec.R @ r
+        if self._w_right is not None:
+            y = self._w_right * y
+        z = np.empty(len(y), dtype=np.result_type(self.dtype, r.dtype))
+        for op, a, b in zip(self.operators, dec.offsets[:-1], dec.offsets[1:]):
+            z[a:b] = op.solve(y[a:b])
+        if self._w_left is not None:
+            z = self._w_left * z
+        return dec.R.T @ z
 
 
 def one_level(A, decomposition, variant, kind=None, p=None, h=None, dim=None):
@@ -115,7 +124,7 @@ def one_level(A, decomposition, variant, kind=None, p=None, h=None, dim=None):
     variants (oras, soras) and Dirichlet blocks otherwise; pass ``kind``
     to override.
     """
-    if variant not in _VARIANTS:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown Schwarz variant {variant!r}")
     if variant == "none":
         return OneLevelPreconditioner("none", decomposition, [])

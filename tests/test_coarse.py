@@ -131,13 +131,13 @@ class TestCoarseSpaceMechanics:
         Ad = sys.A.toarray()
         Qd = cs.Z @ np.linalg.solve(cs.Z.T @ Ad @ cs.Z, cs.Z.T)
         r = np.random.default_rng(7).standard_normal(9)
-        np.testing.assert_allclose(coarse.coarse_solve(cs, r), Qd @ r, atol=1e-11)
+        np.testing.assert_allclose(cs.apply_Q(r), Qd @ r, atol=1e-11)
 
     def test_projection_identities(self):
         sys, dec = poisson_setup(12, 3, 1)
         cs = coarse.nicolaides_space(sys.A, dec)
         Ad = sys.A.toarray()
-        Qd = np.column_stack([coarse.coarse_solve(cs, col) for col in np.eye(12)])
+        Qd = np.column_stack([cs.apply_Q(col) for col in np.eye(12)])
         P0 = Qd @ Ad
         scale = np.max(np.abs(P0))
         assert np.max(np.abs(P0 @ P0 - P0)) <= 1e-10 * scale
@@ -276,7 +276,7 @@ class TestGeneo:
         assert cs.Z.shape[1] == sys.n
         r = np.random.default_rng(2).standard_normal(sys.n)
         np.testing.assert_allclose(
-            coarse.coarse_solve(cs, r),
+            cs.apply_Q(r),
             np.linalg.solve(sys.A.toarray(), r),
             atol=1e-7,
         )
@@ -325,6 +325,17 @@ class TestGeneo:
         cs = coarse.geneo_space(sys.A, dec, nm, tau="auto")
         expected = 1.0 / max(dec.H[j] / dec.overlap_width for j in range(dec.N))
         assert cs.tau == pytest.approx(expected)
+
+    def test_auto_threshold_without_geometry_rejected(self):
+        # Without coords or h the geometry statistics are NaN; the
+        # threshold must not silently become NaN.
+        sys, geo = fem_setup(12, 3, 3, 1)
+        part = decompose.Partition(geo.core_sets, source="manual")
+        for kwargs in ({}, {"coords": sys.coords}, {"h": sys.h}):
+            dec = decompose.expand_overlap(sys.A, part, 1, **kwargs)
+            nm = coarse.subdomain_neumann_matrices(sys, dec)
+            with pytest.raises(ValueError, match="tau='auto'"):
+                coarse.geneo_space(sys.A, dec, nm, tau="auto")
 
     def test_element_sets_cover_mesh(self):
         sys, dec = fem_setup(8, 2, 2, 2)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,56 @@ def path_graph(n):
         if i + 1 < n:
             trips.append((i, i + 1, -1.0))
     return linalg.csr_from_triplets(n, n, trips)
+
+
+def brute_force_decomposition(A, core_sets, delta):
+    """Reference definitions evaluated DoF by DoF.
+
+    Returns the overlapped sets grown layer by layer, the multiplicities,
+    the subdomain adjacency ("share a DoF or an A-edge connects them")
+    and the Boolean weights (each DoF owned by its lowest-index subdomain).
+    """
+    Ad = A.toarray()
+    n, N = Ad.shape[0], len(core_sets)
+    nbrs = [{v for v in range(n) if v != u and (Ad[u, v] != 0 or Ad[v, u] != 0)}
+            for u in range(n)]
+    sets = []
+    for core in core_sets:
+        grown = set(core.tolist())
+        for _ in range(delta):
+            grown |= {v for u in grown for v in nbrs[u]}
+        sets.append(sorted(grown))
+    mult = [sum(u in s for s in sets) for u in range(n)]
+    adjacency = [
+        [b for b in range(N)
+         if b != a and any(u in sets[b] or nbrs[u] & set(sets[b]) for u in sets[a])]
+        for a in range(N)
+    ]
+    owner = [min(i for i, s in enumerate(sets) if u in s) for u in range(n)]
+    boolean = [[1.0 if owner[u] == i else 0.0 for u in s] for i, s in enumerate(sets)]
+    return sets, mult, adjacency, boolean
+
+
+@st.composite
+def graph_partitions(draw):
+    """A random, possibly nonsymmetric and disconnected matrix graph with a
+    random partition into N nonempty (not necessarily connected) parts."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    N = n - draw(st.integers(min_value=0, max_value=n - 1))  # shrinks to N = n
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    rows = np.array([u for u, _ in edges] + list(range(n)), dtype=int)
+    cols = np.array([v for _, v in edges] + list(range(n)), dtype=int)
+    A = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    perm = draw(st.permutations(range(n)))
+    rest = draw(st.lists(st.integers(0, N - 1), min_size=n - N, max_size=n - N))
+    owner = np.empty(n, dtype=int)
+    owner[perm[:N]] = np.arange(N)
+    owner[perm[N:]] = rest
+    part = decompose.Partition([np.flatnonzero(owner == i) for i in range(N)],
+                               source="manual")
+    delta = draw(st.integers(min_value=0, max_value=3))
+    return A, part, delta
 
 
 def pu_identity_gap(dec):
@@ -221,6 +272,29 @@ class TestPartitionsOfUnity:
         assert gap == 0.0 if boolean else gap <= 1e-14
 
 
+class TestBruteForceOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(graph_partitions())
+    def test_matches_dof_by_dof_definitions(self, case):
+        A, part, delta = case
+        n = A.shape[0]
+        sets, mult, adjacency, boolean = brute_force_decomposition(A, part.sets, delta)
+        dec = decompose.expand_overlap(A, part, delta)
+        assert [s.tolist() for s in dec.sets] == sets
+        assert dec.multiplicity.tolist() == mult
+        assert dec.adjacency == adjacency
+        stacked = np.concatenate(sets)
+        np.testing.assert_array_equal(dec.R.toarray(), np.eye(n)[stacked])
+        np.testing.assert_array_equal(dec.offsets,
+                                      np.cumsum([0] + [len(s) for s in sets]))
+        assert [w.tolist() for w in decompose.boolean_pu(dec).weights] == boolean
+        expect = [[1.0 / mult[u] for u in s] for s in sets]
+        assert [w.tolist() for w in dec.weights] == expect
+        assert [w.tolist() for w in decompose.multiplicity_pu(dec).weights] == expect
+        for i in range(dec.N):
+            assert all(dec.colors[i] != dec.colors[j] for j in dec.adjacency[i])
+
+
 class TestDecompositionUtilities:
     def test_restrict_prolong_roundtrip(self):
         sys = discretize.poisson_2d_fd(5, 5)
@@ -228,10 +302,18 @@ class TestDecompositionUtilities:
         dec = decompose.multiplicity_pu(decompose.expand_overlap(sys.A, part, 1))
         x = np.arange(25, dtype=float)
         # sum_i R_i^T D_i R_i x = x
-        acc = np.zeros(25)
-        for i in range(dec.N):
-            acc += dec.prolong(i, dec.weights[i] * dec.restrict(i, x))
+        acc = dec.R.T @ (dec.w * (dec.R @ x))
         np.testing.assert_allclose(acc, x, atol=1e-14 * 25)
+
+    def test_index_and_weight_arrays_read_only(self):
+        sys = discretize.poisson_2d_fd(6, 6)
+        part = decompose.cartesian_partition(sys.grid, 2, 2)
+        dec = decompose.expand_overlap(sys.A, part, 1)
+        for d in (dec, decompose.multiplicity_pu(dec), decompose.boolean_pu(dec)):
+            for arr in (d.weights[0], d.sets[0], d.w, d.offsets,
+                        d.R.indices, d.R.indptr, d.R.data):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
 
     def test_json_dump(self, tmp_path):
         import json

@@ -7,8 +7,6 @@ independent whitening oracle built inside the test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ddmlab import linalg
 
@@ -61,57 +59,18 @@ class TestCsrFromTriplets:
         assert np.all(np.diff(A.indices) > 0)
 
 
-class TestSpmv:
-    def test_identity(self):
-        I = linalg.csr_from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
-        x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(linalg.spmv(I, x), x)
-
-    def test_fd_tridiagonal_product(self):
-        # hand product of tridiag(-16, 32, -16) with (1,1,1)
-        A = tridiag_fd(3)
-        y = linalg.spmv(A, np.ones(3))
-        np.testing.assert_allclose(y, 16.0 * np.array([1.0, 0.0, 1.0]))
-
-    def test_zero_matrix(self):
-        Z = linalg.csr_from_triplets(3, 3, [])
-        np.testing.assert_array_equal(linalg.spmv(Z, np.ones(3)), np.zeros(3))
-
-    def test_dim_mismatch(self):
-        A = tridiag_fd(3)
-        with pytest.raises(ValueError):
-            linalg.spmv(A, np.ones(4))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
-    def test_linearity(self, n, rnd):
-        rng = np.random.default_rng(rnd.getrandbits(32))
-        trips = [
-            (int(i), int(j), float(v))
-            for i, j, v in zip(
-                rng.integers(0, n, 3 * n),
-                rng.integers(0, n, 3 * n),
-                rng.normal(size=3 * n),
-            )
-        ]
-        A = linalg.csr_from_triplets(n, n, trips)
-        x, y = rng.normal(size=n), rng.normal(size=n)
-        a, b = 0.7, -1.3
-        lhs = linalg.spmv(A, a * x + b * y)
-        rhs = a * linalg.spmv(A, x) + b * linalg.spmv(A, y)
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-        assert np.linalg.norm(lhs - rhs) <= 1e-13 * scale
-
-
 class TestFactorizations:
     def test_diagonal_solve(self):
         F = linalg.dense_lu_factor(np.diag([2.0, 3.0]))
         np.testing.assert_allclose(linalg.factor_solve(F, np.array([2.0, 3.0])), [1.0, 1.0])
 
     def test_fd_solve_inverts_spmv(self):
-        A = tridiag_fd(3).toarray()
-        F = linalg.dense_cholesky_factor(A)
-        x = linalg.factor_solve(F, 16.0 * np.array([1.0, 0.0, 1.0]))
+        # hand product of tridiag(-16, 32, -16) with (1, 1, 1)
+        A = tridiag_fd(3)
+        b = A @ np.ones(3)
+        np.testing.assert_allclose(b, 16.0 * np.array([1.0, 0.0, 1.0]))
+        F = linalg.dense_cholesky_factor(A.toarray())
+        x = linalg.factor_solve(F, b)
         np.testing.assert_allclose(x, np.ones(3), atol=1e-12)
 
     def test_hilbert_residual_bound(self):
