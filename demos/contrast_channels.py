@@ -39,7 +39,7 @@ def main():
         x, one = krylov.pcg(system.A, system.F, M1, tol=1e-6, maxit=500)
         neumann = coarse.subdomain_neumann_matrices(system, dec)
         cs = coarse.geneo_space(system.A, dec, neumann, tau=TAU)
-        M2 = coarse.two_level(M1, cs, system.A, "ad")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs, system.A, "ad")
         x, two = krylov.pcg(system.A, system.F, M2, tol=1e-6, maxit=500)
         k1 = analysis.preconditioned_spectrum(system.A, M1).kappa
         k2 = analysis.preconditioned_spectrum(system.A, M2).kappa

@@ -11,7 +11,7 @@ bound/measured/satisfied triple so reports can be serialized.
 import numpy as np
 import scipy.sparse as sp
 
-from . import krylov, linalg, schwarz
+from . import coarse, krylov, linalg
 
 DENSE_LIMIT = 2000
 
@@ -166,22 +166,15 @@ def fsl_constants(A, decomposition, neumann_matrices, local_blocks):
     the overlapping set. gamma_1 is the best (largest) finite eigenvalue
     of the pencil (D_j A_jj D_j, B_j) with B_j the local solver blocks
     actually used by the preconditioner. M_c is the partition-of-unity
-    multiplicity and N_c the color count.
+    multiplicity and N_c the color count. Both ``neumann_matrices`` and
+    ``local_blocks`` need one entry per subdomain, else ValueError.
     """
     tau1 = np.inf
     gamma1 = 0.0
-    A_blocks = schwarz.local_matrices(A, decomposition)
-    for s, D, (Nmat, dofs), B, Aii in zip(decomposition.sets,
-                                          decomposition.weights,
-                                          neumann_matrices, local_blocks,
-                                          A_blocks):
+    pencils = coarse.geneo_pencils(A, decomposition, neumann_matrices)
+    for (s, D, Nloc, dad), B in zip(pencils, local_blocks, strict=True):
         if len(s) == 0:
             continue
-        dad = (D[:, None] * Aii) * D[None, :]
-        Nloc = np.zeros_like(Aii)
-        pos = np.searchsorted(s, dofs)
-        Nloc[np.ix_(pos, pos)] = Nmat
-
         low = linalg.sym_gen_eig(Nloc, dad)
         if len(low.values):
             tau1 = min(tau1, float(low.values[0]))

@@ -302,8 +302,7 @@ def _build_coarse(cfg, system, dec):
     if spec["kind"] == "grid":
         H = spec["H"] if spec["H"] is not None else spec["ratio"] * system.h
         return coarse.grid_space(system.A, system.grid, H)
-    element_sets = coarse.subdomain_element_sets(system, dec)
-    neumann = [discretize.neumann_matrix(system, es) for es in element_sets]
+    neumann = coarse.subdomain_neumann_matrices(system, dec)
     return coarse.geneo_space(system.A, dec, neumann, tau=spec["tau"])
 
 

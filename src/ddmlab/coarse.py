@@ -11,10 +11,12 @@ correction formulas (see :class:`TwoLevelPreconditioner`).
 Three constructions are provided: the weighted indicator space
 (:func:`nicolaides_space`), interpolation from a coarser structured grid
 (:func:`grid_space`), and the spectral space built from local generalized
-eigenproblems (:func:`geneo_space`).
+eigenproblems (:func:`geneo_space` over :func:`geneo_pencils`). In each,
+:class:`CoarseSpace` drops dependent columns by QR with column pivoting.
 """
 
 import numpy as np
+import scipy.linalg
 
 from . import discretize, linalg, schwarz
 from .krylov import as_operator, as_preconditioner
@@ -29,8 +31,8 @@ class EmptyCoarseSpaceError(RuntimeError):
 class CoarseSpace:
     """Span of coarse basis columns plus the factorized coarse operator.
 
-    Columns that are numerically dependent on earlier ones are dropped by
-    a pivoted Gram-Schmidt filter (relative tolerance ``rank_tol``); the
+    Columns that are numerically dependent on the others are dropped by
+    QR with column pivoting (relative tolerance ``rank_tol``); the
     surviving columns keep their original values and order. Per-column
     metadata (owning subdomain, generalized eigenvalue) is filtered
     alongside.
@@ -77,42 +79,28 @@ class CoarseSpace:
 def _independent_columns(Z, rel_tol):
     """Indices of a maximal independent column subset, original order.
 
-    Pivoted modified Gram-Schmidt: repeatedly select the column with the
-    largest residual norm, re-orthogonalize it against the accepted
-    directions, and deflate the rest. Columns whose residual falls below
-    ``rel_tol`` times the largest initial norm are dropped.
+    QR with column pivoting (LAPACK geqp3) takes, step by step, the column
+    with the largest norm orthogonal to the columns already taken. The
+    leading pivots whose ``|R_kk|`` exceeds ``rel_tol`` times the largest
+    column norm are kept, up to the first one that does not. Of equal
+    columns the lowest index is kept.
     """
     Z = np.asarray(Z)
-    m = Z.shape[1]
-    if m == 0:
+    if Z.size == 0:
         return np.empty(0, dtype=int)
-    work = Z.astype(np.result_type(Z.dtype, float), copy=True)
-    scale = float(np.max(np.linalg.norm(work, axis=0), initial=0.0))
-    if scale == 0.0:
-        return np.empty(0, dtype=int)
-    alive = np.ones(m, dtype=bool)
-    basis = []
-    kept = []
-    for _ in range(m):
-        norms = np.where(alive, np.linalg.norm(work, axis=0), -1.0)
-        pick = int(np.argmax(norms))
-        if norms[pick] <= rel_tol * scale:
-            break
-        q = work[:, pick].copy()
-        for prev in basis:
-            q -= (prev.conj() @ q) * prev
-        nq = np.linalg.norm(q)
-        if nq <= rel_tol * scale:
-            alive[pick] = False
-            continue
-        q /= nq
-        basis.append(q)
-        kept.append(pick)
-        alive[pick] = False
-        if alive.any():
-            coeffs = q.conj() @ work[:, alive]
-            work[:, alive] -= np.outer(q, coeffs)
-    return np.array(sorted(kept), dtype=int)
+    norms = np.linalg.norm(Z, axis=0)
+    R, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    strong = np.abs(R.diagonal()) > rel_tol * norms.max()
+    keep = piv[:np.logical_and.accumulate(strong).sum()]
+    # geqp3's column swaps can move a copy ahead of its original: map each
+    # column to its first exact copy (equal norm, all but one dropped).
+    same = np.flatnonzero(np.isin(norms, norms[piv[len(keep):]]))
+    raw = np.ascontiguousarray(Z[:, same].T)
+    raw = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1])))[:, 0]
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rep = np.arange(Z.shape[1])
+    rep[same] = same[first[inverse]]
+    return np.sort(rep[keep])
 
 
 def nicolaides_space(A, decomposition):
@@ -199,6 +187,32 @@ def subdomain_neumann_matrices(system, decomposition):
     ]
 
 
+def geneo_pencils(A, decomposition, neumann_matrices):
+    """Local GenEO pencils ``(N_j, D_j A_j D_j)``, one subdomain at a time.
+
+    Yields ``(s_j, D_j, N_j, D_j A_j D_j)`` for every subdomain j in
+    order: the overlapping dof set, its partition-of-unity weights,
+    ``neumann_matrices[j]`` zero-extended from its own dofs to ``s_j``,
+    and the weighted principal submatrix ``A_j`` of A on ``s_j``. Raises
+    ValueError unless there is one Neumann matrix per subdomain.
+    """
+    if len(neumann_matrices) != decomposition.N:
+        raise ValueError(
+            f"got {len(neumann_matrices)} Neumann matrices for "
+            f"{decomposition.N} subdomains"
+        )
+    return map(_pencil, decomposition.sets, decomposition.weights,
+               neumann_matrices, schwarz.local_matrices(A, decomposition))
+
+
+def _pencil(s, D, neumann, Aj):
+    N, dofs = neumann
+    pos = np.searchsorted(s, dofs)
+    Nloc = np.zeros(Aj.shape, dtype=np.asarray(N).dtype)
+    Nloc[np.ix_(pos, pos)] = N
+    return s, D, Nloc, (D[:, None] * Aj) * D[None, :]
+
+
 def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
     """Spectral coarse space from local generalized eigenproblems.
 
@@ -232,17 +246,10 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
 
     columns, owners, eigenvalues = [], [], []
     n = decomposition.n_dofs
-    blocks = schwarz.local_matrices(A, decomposition)
-    for j, (N, dofs) in enumerate(neumann_matrices):
-        s = decomposition.sets[j]
-        if len(dofs) == 0:
+    pencils = geneo_pencils(A, decomposition, neumann_matrices)
+    for j, (s, D, Nloc, B) in enumerate(pencils):
+        if len(neumann_matrices[j][1]) == 0:
             continue
-        pos = np.searchsorted(s, dofs)
-        Nloc = np.zeros((len(s), len(s)), dtype=np.asarray(N).dtype)
-        Nloc[np.ix_(pos, pos)] = N
-        Aj = blocks[j]
-        D = decomposition.weights[j]
-        B = (D[:, None] * Aj) * D[None, :]
         pairs = linalg.sym_gen_eig(Nloc, B)
 
         selected = []
@@ -325,11 +332,6 @@ class TwoLevelPreconditioner:
         # rbnn2
         u = M1(r)
         return u - Q(mv(u))
-
-
-def two_level(M1, coarse_space, A, combinator="adef1"):
-    """Convenience constructor for :class:`TwoLevelPreconditioner`."""
-    return TwoLevelPreconditioner(M1, coarse_space, A, combinator=combinator)
 
 
 def deflated_initial_guess(coarse_space, b):

@@ -386,16 +386,13 @@ def neumann_matrix(system, element_set):
     verts = np.unique(mesh.triangles[element_set])
     dofs = np.unique(system.dof_of_vertex[verts])
     dofs = dofs[dofs >= 0]  # original-boundary vertices stay eliminated
-    pos = {d: p for p, d in enumerate(dofs)}
+    dof = system.dof_of_vertex[mesh.triangles[element_set]]
+    loc = np.where(dof >= 0, np.searchsorted(dofs, dof), -1)
+    kept = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
+    rows = np.broadcast_to(loc[:, :, None], kept.shape)[kept]
+    cols = np.broadcast_to(loc[:, None, :], kept.shape)[kept]
     N = np.zeros((len(dofs), len(dofs)))
-    for e in element_set:
-        tri = mesh.triangles[e]
-        loc = [pos.get(system.dof_of_vertex[v], -1) for v in tri]
-        K = system.element_matrices[e]
-        for a in range(3):
-            if loc[a] < 0:
-                continue
-            for b in range(3):
-                if loc[b] >= 0:
-                    N[loc[a], loc[b]] += K[a, b]
+    # Unbuffered scatter in (element, a, b) order: the same sums in the
+    # same order as adding the element matrices one entry at a time.
+    np.add.at(N, (rows, cols), system.element_matrices[element_set][kept])
     return N, dofs

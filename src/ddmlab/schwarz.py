@@ -28,7 +28,9 @@ VARIANTS = ("asm", "ras", "oras", "soras", "none")
 
 def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
                    dim=None):
-    """Dense local subdomain blocks of ``A``.
+    """Dense local subdomain blocks of ``A``, built one at a time.
+
+    Returns an iterator in subdomain order; arguments are checked at the call.
 
     With ``kind="dirichlet"`` each block is the principal submatrix of A
     on the subdomain's dof set. With ``kind="robin"`` a diagonal term
@@ -49,8 +51,7 @@ def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
         scale = float(h) ** (dim - 2)
         graph = _symmetric_adjacency(A)
 
-    blocks = []
-    for s in decomposition.sets:
+    def block(s):
         B = A[np.ix_(s, s)].toarray()
         if kind == "robin":
             outside = np.ones(n)
@@ -59,8 +60,9 @@ def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
             shift = np.where(on_interface, p_dof[s] * scale, 0.0)
             B = B.astype(np.result_type(B.dtype, shift.dtype))
             B[np.diag_indices_from(B)] += shift
-        blocks.append(B)
-    return blocks
+        return B
+
+    return map(block, decomposition.sets)
 
 
 def build_local_operators(A, decomposition, kind="dirichlet", p=None,

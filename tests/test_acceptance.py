@@ -63,7 +63,7 @@ def geneo_two_level(system, dec, tau=0.5, combinator="ad"):
     neumann = coarse.subdomain_neumann_matrices(system, dec)
     M1 = schwarz.one_level(system.A, dec, "asm")
     cs = coarse.geneo_space(system.A, dec, neumann, tau=tau)
-    return M1, cs, coarse.two_level(M1, cs, system.A, combinator)
+    return M1, cs, coarse.TwoLevelPreconditioner(M1, cs, system.A, combinator)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,8 @@ def test_exact_solve_degeneracies():
 
     part1 = decompose.cartesian_partition(15, 2)
     dec1 = overlapped(sys1, part1, 1)
-    M2 = coarse.two_level(schwarz.one_level(sys1.A, dec1, "asm"), cs,
-                          sys1.A, "adef1")
+    M2 = coarse.TwoLevelPreconditioner(schwarz.one_level(sys1.A, dec1, "asm"),
+                                       cs, sys1.A, "adef1")
     x, rep2 = krylov.pcg(sys1.A, sys1.F, M2, tol=1e-12, maxit=5)
     assert rep2.converged and rep2.iterations == 1, rep2
     print(f"PASS exact-solve degeneracies: N=1 PCG 1 iteration, "
@@ -265,7 +265,7 @@ def test_weak_scaling_two_level():
         M1 = schwarz.one_level(system.A, dec, "asm")
         x, rep1 = krylov.pcg(system.A, system.F, M1, tol=1e-6, maxit=1000)
         cs = coarse.nicolaides_space(system.A, dec)
-        M2 = coarse.two_level(M1, cs, system.A, "ad")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs, system.A, "ad")
         x, rep2 = krylov.pcg(system.A, system.F, M2, tol=1e-6, maxit=1000)
         assert rep1.converged and rep2.converged
         one.append(rep1.iterations)
@@ -354,7 +354,7 @@ def test_pcg_energy_envelope():
     sys96 = discretize.poisson_1d(96)
     dec96 = overlapped(sys96, decompose.cartesian_partition(96, 16), 1)
     M1 = schwarz.one_level(sys96.A, dec96, "asm")
-    scenarios.append(("nicolaides-N16", sys96, coarse.two_level(
+    scenarios.append(("nicolaides-N16", sys96, coarse.TwoLevelPreconditioner(
         M1, coarse.nicolaides_space(sys96.A, dec96), sys96.A, "ad")))
 
     sysc = channel_system(24, 1e6, 6)
@@ -419,7 +419,7 @@ def test_combinator_dense_equivalence():
             "none": M1,
         }
         for comb in combinators:
-            M = coarse.two_level(M1, cs, A, comb)
+            M = coarse.TwoLevelPreconditioner(M1, cs, A, comb)
             got = M.apply(r)
             want = formulas[comb] @ r
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -460,7 +460,7 @@ def test_deflation_unit_eigenvalues():
     lines = []
     for label, system, dec, cs in cases:
         M1 = schwarz.one_level(system.A, dec, "asm")
-        M = coarse.two_level(M1, cs, system.A, "adef1")
+        M = coarse.TwoLevelPreconditioner(M1, cs, system.A, "adef1")
         spec = analysis.preconditioned_spectrum(system.A, M)
         near_one = int(np.sum(np.abs(spec.eigenvalues - 1.0) <= 1e-8))
         assert near_one >= cs.m0, (label, near_one, cs.m0)

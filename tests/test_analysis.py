@@ -194,6 +194,17 @@ class TestFslConstants:
         assert soras.lambda_max <= nc * gamma1 + 1e-8
 
 
+    def test_counts_must_match_subdomains(self):
+        # Shorter lists used to be truncated to the shortest by zip.
+        sys, dec = fem_setup(8, 2, 2, 1)
+        neumann = coarse.subdomain_neumann_matrices(sys, dec)
+        blocks = list(schwarz.local_matrices(sys.A, dec))
+        with pytest.raises(ValueError, match="got 3 Neumann matrices for 4"):
+            analysis.fsl_constants(sys.A, dec, neumann[:-1], blocks)
+        with pytest.raises(ValueError):
+            analysis.fsl_constants(sys.A, dec, neumann, blocks[:-1])
+
+
 class TestGeneoBound:
     def test_closed_form_value(self):
         rep = analysis.SpectrumReport(

@@ -120,6 +120,45 @@ class TestCoarseSpaceMechanics:
         np.testing.assert_allclose(cs.Z[:, 0], c1, atol=0)
         np.testing.assert_allclose(cs.Z[:, 1], c2, atol=0)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rank_filter_on_random_low_rank_bases(self, dtype):
+        # Rank-r columns plus exact duplicates, scaled copies, and two
+        # copies moved off range(Z) by 10x and 1/10x the tolerance.
+        # np.linalg.matrix_rank at the same tolerance is the oracle.
+        rank_tol = 1e-10
+        rng = np.random.default_rng(11)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+        for _ in range(40):
+            n, r = 40, int(rng.integers(1, 8))
+            Q, _ = np.linalg.qr(draw(n, r + 2))
+            cols = list((Q[:, :r] @ draw(r, r + int(rng.integers(0, 4)))).T)
+            for _ in range(int(rng.integers(1, 4))):
+                cols.append(cols[rng.integers(len(cols))].copy())
+                c = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+                cols.append(c * cols[rng.integers(len(cols))])
+            eps = rank_tol * max(np.linalg.norm(c) for c in cols)
+            cols.append(cols[rng.integers(len(cols))] + 10 * eps * Q[:, r])
+            cols.append(cols[rng.integers(len(cols))] + eps / 10 * Q[:, r + 1])
+            Z = np.column_stack([cols[i] for i in rng.permutation(len(cols))])
+
+            keep = coarse._independent_columns(Z, rank_tol)
+            assert np.all(np.diff(keep) > 0)
+            tol = rank_tol * np.linalg.norm(Z, axis=0).max()
+            rank = np.linalg.matrix_rank(Z, tol=tol)
+            assert rank == r + 1
+            assert len(keep) == rank
+            assert np.linalg.matrix_rank(Z[:, keep], tol=tol) == rank
+            assert np.linalg.matrix_rank(np.column_stack([Z[:, keep], Z]),
+                                         tol=tol) == rank
+            # Of equal columns only the lowest index may be kept.
+            for j in range(Z.shape[1]):
+                if (Z[:, :j] == Z[:, [j]]).all(axis=0).any():
+                    assert j not in keep
+
     def test_all_zero_columns_rejected(self):
         sys, dec = poisson_setup(5, 2, 1)
         with pytest.raises(coarse.EmptyCoarseSpaceError):
@@ -179,13 +218,13 @@ class TestCombinators:
         }
         r = np.random.default_rng(11).standard_normal(9)
         for name, ref in expected.items():
-            M2 = coarse.two_level(M1, cs, sys.A, combinator=name)
+            M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=name)
             np.testing.assert_allclose(M2.apply(r), ref @ r, atol=1e-10,
                                        err_msg=name)
 
     def test_default_combinator_is_adef1(self):
         sys, dec, M1, cs, Ad, M1d, Qd = self.dense_pieces()
-        M2 = coarse.two_level(M1, cs, sys.A)
+        M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A)
         r = np.ones(9)
         ref = M1d @ (np.eye(9) - Ad @ Qd) @ r + Qd @ r
         np.testing.assert_allclose(M2.apply(r), ref, atol=1e-10)
@@ -193,7 +232,7 @@ class TestCombinators:
     def test_unknown_combinator_rejected(self):
         sys, dec, M1, cs, *_ = self.dense_pieces()
         with pytest.raises(ValueError):
-            coarse.two_level(M1, cs, sys.A, combinator="extra")
+            coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="extra")
 
     def test_full_coarse_space_degenerates_to_direct_solve(self):
         sys, dec = poisson_setup(8, 2, 1)
@@ -201,10 +240,10 @@ class TestCombinators:
         cs = coarse.grid_space(sys.A, sys.grid, sys.h)
         x_ref = np.linalg.solve(sys.A.toarray(), sys.F)
         for name in ("adef1", "bnn", "adef2"):
-            M2 = coarse.two_level(M1, cs, sys.A, combinator=name)
+            M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=name)
             np.testing.assert_allclose(M2.apply(sys.F), x_ref, atol=1e-9,
                                        err_msg=name)
-        M2 = coarse.two_level(M1, cs, sys.A, combinator="rbnn2")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="rbnn2")
         assert np.linalg.norm(M2.apply(sys.F)) <= 1e-9 * np.linalg.norm(x_ref)
 
     @staticmethod
@@ -216,7 +255,7 @@ class TestCombinators:
         M = schwarz.one_level(sys.A, dec, "asm")
         if with_coarse:
             cs = coarse.nicolaides_space(sys.A, dec)
-            M = coarse.two_level(M, cs, sys.A, combinator="ad")
+            M = coarse.TwoLevelPreconditioner(M, cs, sys.A, combinator="ad")
         _, rep = krylov.pcg(sys.A, sys.F, M, tol=1e-6, maxit=2000)
         assert rep.converged
         return rep.iterations
@@ -241,13 +280,13 @@ class TestCombinators:
         cs = coarse.nicolaides_space(sys.A, dec)
         x_ref = np.linalg.solve(sys.A.toarray(), sys.F)
         _, rep_bnn = krylov.pcg(
-            sys.A, sys.F, coarse.two_level(M1, cs, sys.A, "bnn"),
+            sys.A, sys.F, coarse.TwoLevelPreconditioner(M1, cs, sys.A, "bnn"),
             tol=1e-8, maxit=400,
         )
         assert rep_bnn.converged
         x0 = coarse.deflated_initial_guess(cs, sys.F)
         for name in ("adef2", "rbnn1", "rbnn2"):
-            M2 = coarse.two_level(M1, cs, sys.A, combinator=name)
+            M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=name)
             x, rep = krylov.pcg(sys.A, sys.F, M2, x0=x0, tol=1e-8, maxit=400)
             assert rep.converged, name
             assert rep.iterations <= rep_bnn.iterations + 2, name
@@ -260,7 +299,7 @@ class TestCombinators:
         dec = decompose.expand_overlap(sys.A, part, 1)
         M1 = schwarz.one_level(sys.A, dec, "asm")
         cs = coarse.nicolaides_space(sys.A, dec)
-        M2 = coarse.two_level(M1, cs, sys.A, combinator="adef1")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="adef1")
         _, rep2 = krylov.gmres(sys.A, sys.F, M2, side="right", tol=1e-8)
         _, rep1 = krylov.gmres(sys.A, sys.F, M1, side="right", tol=1e-8)
         assert rep2.converged
@@ -336,6 +375,15 @@ class TestGeneo:
             nm = coarse.subdomain_neumann_matrices(sys, dec)
             with pytest.raises(ValueError, match="tau='auto'"):
                 coarse.geneo_space(sys.A, dec, nm, tau="auto")
+
+    def test_neumann_count_must_match_subdomains(self):
+        # A shorter list used to drop the last subdomain's columns silently.
+        sys, dec = fem_setup(8, 2, 2, 1)
+        nm = coarse.subdomain_neumann_matrices(sys, dec)
+        for bad in (nm[:-1], nm + nm[:1]):
+            with pytest.raises(ValueError, match=(
+                    f"got {len(bad)} Neumann matrices for 4 subdomains")):
+                coarse.geneo_space(sys.A, dec, bad, tau=0.5)
 
     def test_element_sets_cover_mesh(self):
         sys, dec = fem_setup(8, 2, 2, 2)

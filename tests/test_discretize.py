@@ -285,6 +285,25 @@ class TestNeumannMatrix:
             hand[np.ix_(loc, loc)] += p1_stiffness(mesh.vertices[mesh.triangles[e]])
         np.testing.assert_allclose(N, hand, atol=1e-13)
 
+    def test_matches_entrywise_loop_bitwise(self):
+        # Reference: add each retained element entry in (element, a, b) order.
+        mesh = discretize.unit_square_mesh(8, 8)
+        rng = np.random.default_rng(3)
+        alpha = np.exp(rng.standard_normal(len(mesh.triangles)))
+        sys = discretize.diffusion_fem_2d(mesh, alpha)
+        for es in (rng.choice(len(mesh.triangles), 40, replace=False),
+                   np.array([5, 0, 5, 17]), np.arange(len(mesh.triangles))):
+            N, dofs = discretize.neumann_matrix(sys, es)
+            pos = {d: p for p, d in enumerate(dofs)}
+            ref = np.zeros_like(N)
+            for e in es:
+                loc = [pos.get(sys.dof_of_vertex[v], -1) for v in mesh.triangles[e]]
+                for a in range(3):
+                    for b in range(3):
+                        if loc[a] >= 0 and loc[b] >= 0:
+                            ref[loc[a], loc[b]] += sys.element_matrices[e][a, b]
+            assert N.tobytes() == ref.tobytes()
+
     def test_boundary_elements_drop_dirichlet_rows(self):
         mesh = discretize.unit_square_mesh(2, 2)
         sys = discretize.diffusion_fem_2d(mesh, lambda x: 1.0)

@@ -43,6 +43,20 @@ class TestLocalOperators:
             ops[0].solve(rhs), np.linalg.solve(sys.A.toarray(), rhs), atol=1e-10
         )
 
+    def test_local_matrices_are_lazy_and_checked_at_the_call(self):
+        sys, dec = poisson_setup(7, 2, 1)
+        with pytest.raises(ValueError):
+            schwarz.local_matrices(sys.A, dec, kind="neumann")
+        with pytest.raises(ValueError):
+            schwarz.local_matrices(sys.A, dec, kind="robin")
+        blocks = schwarz.local_matrices(sys.A, dec)
+        assert not isinstance(blocks, list)
+        Ad = sys.A.toarray()
+        got = list(blocks)
+        assert len(got) == dec.N
+        for s, B in zip(dec.sets, got):
+            np.testing.assert_array_equal(B, Ad[np.ix_(s, s)])
+
     def test_dirichlet_blocks_are_principal_submatrices(self):
         sys, dec = poisson_setup(5, 2, 1)
         assert [list(s) for s in dec.sets] == [[0, 1, 2, 3], [2, 3, 4]]
