@@ -212,6 +212,11 @@ def resolve_scenario(config):
                          "Schwarz variant or coarse space")
     if solver["x0"] == "deflated" and ckind == "none":
         raise ValueError("deflated initial guess needs a coarse space")
+    if ksp == "pcg" and combinator == "adef1" and ckind != "none":
+        raise ValueError("pcg with combinator 'adef1' is not supported: adef1 is "
+                         "nonsymmetric and CG does not converge with it, even "
+                         "from a deflated start; use ksp 'gmres', or combinator "
+                         "'ad', 'adef2' or 'bnn' with pcg")
 
     ana = dict(config.get("analysis", {}))
     _check_keys(ana, {"spectrum", "bounds"}, "analysis")
@@ -400,6 +405,11 @@ def _execute(cfg):
         if cfg["analysis"]["bounds"]:
             spectrum.records.extend(
                 _bound_records(cfg, system, dec, M1, cs, spectrum))
+    if cs is not None:
+        # the timing wrapper holds cs through its bound method; dropping it
+        # lets reference counting free the coarse space (and its dense
+        # basis) when the run ends instead of leaving a cycle for the GC
+        del cs.apply_Q
 
     solve_dict = report.to_dict()
     # wall-clock noise lives in the record-level timing table only

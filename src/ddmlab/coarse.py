@@ -337,9 +337,10 @@ class TwoLevelPreconditioner:
 def deflated_initial_guess(coarse_space, b):
     """Starting vector ``Q b`` for deflation-style corrections.
 
-    The projection combinators (adef1, adef2, rbnn1, rbnn2) build
-    nonsymmetric operators; conjugate gradients stays reliable with them
-    only when the initial residual is already free of coarse components,
-    which this starting vector guarantees. GMRES does not need it.
+    The projection combinators adef2, rbnn1 and rbnn2 build nonsymmetric
+    operators; conjugate gradients stays reliable with them only when the
+    initial residual is already free of coarse components, which this
+    starting vector guarantees. GMRES does not need it. adef1 is not made
+    CG-safe by this start (CG need not converge with it); pair it with GMRES.
     """
     return coarse_space.apply_Q(b)

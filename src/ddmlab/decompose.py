@@ -15,6 +15,7 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 __all__ = [
     "Partition",
@@ -137,24 +138,6 @@ def _symmetric_adjacency(A):
     return P
 
 
-def _bfs_distances(adj, sources, n):
-    dist = np.full(n, -1, dtype=int)
-    frontier = list(sources)
-    for s in frontier:
-        dist[s] = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]:
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(int(v))
-        frontier = nxt
-    return dist
-
-
 def greedy_graph_partition(A, N, seed=0):
     """Balanced breadth-first region growing on the matrix graph.
 
@@ -170,12 +153,16 @@ def greedy_graph_partition(A, N, seed=0):
     if N > n:
         raise ValueError(f"cannot grow {N} regions on {n} DoFs")
     adj = _symmetric_adjacency(A)
+    # edge k of the graph runs from tail[k] to adj.indices[k]
+    tail = np.repeat(np.arange(n), np.diff(adj.indptr))
+    head = adj.indices
     rng = np.random.default_rng(seed)
 
     seeds = [int(rng.integers(n))]
     while len(seeds) < N:
-        dist = _bfs_distances(adj, seeds, n)
-        dist[dist < 0] = n + 1  # disconnected nodes are farthest
+        # hop distance to the nearest seed, one multi-source BFS
+        dist = csgraph.dijkstra(adj, unweighted=True, indices=seeds, min_only=True)
+        dist[np.isinf(dist)] = n + 1  # disconnected nodes are farthest
         nxt = int(np.argmax(dist))  # lowest index wins ties
         seeds.append(nxt)
 
@@ -209,6 +196,18 @@ def greedy_graph_partition(A, N, seed=0):
                 q.append(v)
             unclaimed -= 1
 
+    def induced(members, u=-1):
+        # subgraph induced by the ascending members, without node u's edges,
+        # and the members' local indices; the kept edges are already in CSR
+        # order, since ``tail`` ascends and so does ``loc`` over the members
+        loc = np.full(n, -1)
+        loc[members] = np.arange(len(members))
+        keep = (loc[tail] >= 0) & (loc[head] >= 0) & (tail != u) & (head != u)
+        counts = np.bincount(loc[tail[keep]], minlength=len(members))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        sub = sp.csr_array((np.ones(keep.sum()), loc[head[keep]], indptr), shape=(len(members),) * 2)
+        return sub, loc
+
     def repair():
         moved = True
         rounds = 0
@@ -219,60 +218,42 @@ def greedy_graph_partition(A, N, seed=0):
                 members = np.flatnonzero(owner == r)
                 if len(members) == 0:
                     continue
-                inside = set(members.tolist())
-                reach = {seeds[r]} if owner[seeds[r]] == r else set()
-                stack = list(reach)
-                while stack:
-                    u = stack.pop()
-                    for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]:
-                        v = int(v)
-                        if v in inside and v not in reach:
-                            reach.add(v)
-                            stack.append(v)
-                for u in sorted(inside - reach):
-                    targets = {
-                        int(owner[v])
-                        for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
-                        if owner[v] != r
-                    }
-                    if targets:
-                        owner[u] = min(targets)
+                reach = members[:0]
+                if owner[seeds[r]] == r:
+                    sub, loc = induced(members)
+                    order = csgraph.breadth_first_order(sub, loc[seeds[r]], return_predecessors=False)
+                    reach = members[order]
+                for u in np.setdiff1d(members, reach):
+                    targets = owner[adj.indices[adj.indptr[u]:adj.indptr[u + 1]]]
+                    targets = targets[targets != r]
+                    if len(targets):
+                        owner[u] = targets.min()
                         moved = True
 
-    def region_neighbors(r):
-        out = set()
-        for u in np.flatnonzero(owner == r):
-            for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]:
-                if owner[v] != r:
-                    out.add(int(owner[v]))
-        return sorted(out)
+    def region_graph():
+        # sorted neighbor regions of every region, from the edges that
+        # cross a region boundary
+        src, dst = owner[tail], owner[head]
+        crossing = src != dst
+        pairs = np.unique(src[crossing] * N + dst[crossing])
+        starts = np.searchsorted(pairs // N, np.arange(N + 1))
+        return [(pairs[starts[r]:starts[r + 1]] % N).tolist() for r in range(N)]
 
     def shift_one(src, dst):
         # move one src node adjacent to dst, preferring one whose removal
-        # keeps src connected
-        cands = [
-            int(u)
-            for u in np.flatnonzero(owner == src)
-            if any(owner[v] == dst for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]])
-        ]
-        for u in cands:
-            rest = set(np.flatnonzero(owner == src).tolist()) - {u}
-            if not rest:
-                break
-            start = next(iter(sorted(rest)))
-            reach = {start}
-            stack = [start]
-            while stack:
-                w = stack.pop()
-                for v in adj.indices[adj.indptr[w]:adj.indptr[w + 1]]:
-                    v = int(v)
-                    if v in rest and v not in reach:
-                        reach.add(v)
-                        stack.append(v)
-            if reach == rest:
-                owner[u] = dst
-                return True
-        if cands:
+        # keeps src connected; candidates are tried in ascending order
+        members = np.flatnonzero(owner == src)
+        cands = np.unique(tail[(owner[tail] == src) & (owner[head] == dst)])
+        if len(members) > 1:
+            for u in cands:
+                # u is left isolated, so the other members stay connected
+                # iff there are two components (the graph is symmetric, so
+                # its strong components are its components)
+                sub, _ = induced(members, u)
+                if csgraph.connected_components(sub, connection="strong")[0] == 2:
+                    owner[u] = dst
+                    return True
+        if len(cands):
             owner[cands[0]] = dst
             return True
         return False
@@ -285,13 +266,14 @@ def greedy_graph_partition(A, N, seed=0):
             if sizes.max() - sizes.min() <= 1:
                 return
             small = int(np.argmin(sizes))
+            neighbors = region_graph()
             parent = {small: None}
             frontier = [small]
             target = None
             while frontier and target is None:
                 nxt = []
                 for r in frontier:
-                    for q in region_neighbors(r):
+                    for q in neighbors[r]:
                         if q not in parent:
                             parent[q] = r
                             if sizes[q] >= sizes[small] + 2:

@@ -129,6 +129,23 @@ class AssembledSystem:
         return self.coords.shape[1]
 
 
+def _stencil_neighbors(ncx, ncy):
+    """Nodes of an ncx-by-ncy grid and their four 5-point-stencil neighbors.
+
+    Returns ``i``, the node indices ``ix + ncx * iy``, and for the
+    directions +x, -x, +y, -y (in that order) a pair ``(j, on)``: the
+    neighbor's index and whether that neighbor lies on the grid.
+    """
+    ix, iy = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="xy")
+    ix, iy = ix.ravel(), iy.ravel()
+    neighbors = []
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        jx, jy = ix + dx, iy + dy
+        on = (jx >= 0) & (jx < ncx) & (jy >= 0) & (jy < ncy)
+        neighbors.append((jx + ncx * jy, on))
+    return ix + ncx * iy, neighbors
+
+
 def _eval_rhs(f, coords):
     if f is None:
         return np.ones(len(coords))
@@ -152,14 +169,13 @@ def poisson_1d(m, f=None):
         raise ValueError("m must be >= 1")
     grid = StructuredGrid(1, m)
     s = 1.0 / grid.hx**2
-    trips = []
-    for i in range(m):
-        trips.append((i, i, 2.0 * s))
-        if i > 0:
-            trips.append((i, i - 1, -s))
-        if i + 1 < m:
-            trips.append((i, i + 1, -s))
-    A = linalg.csr_from_triplets(m, m, trips)
+    i, neighbors = _stencil_neighbors(m, 1)
+    rows, cols, vals = [i], [i], [np.full(m, 2.0 * s)]
+    for j, on in neighbors[:2]:
+        rows.append(i[on])
+        cols.append(j[on])
+        vals.append(np.full(on.sum(), -s))
+    A = linalg.csr_from_triplets(m, m, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
     coords = grid.interior_coords()
     return AssembledSystem("poisson_fd_1d", A, _eval_rhs(f, coords), coords, grid.hx, grid=grid)
 
@@ -168,20 +184,15 @@ def poisson_2d_fd(nx, ny, f=None):
     """2D Poisson, 5-point stencil, homogeneous Dirichlet boundary eliminated."""
     grid = StructuredGrid(2, nx, ny)
     sx, sy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    trips = []
-    for iy in range(ny):
-        for ix in range(nx):
-            i = ix + nx * iy
-            trips.append((i, i, 2.0 * sx + 2.0 * sy))
-            if ix > 0:
-                trips.append((i, i - 1, -sx))
-            if ix + 1 < nx:
-                trips.append((i, i + 1, -sx))
-            if iy > 0:
-                trips.append((i, i - nx, -sy))
-            if iy + 1 < ny:
-                trips.append((i, i + nx, -sy))
-    A = linalg.csr_from_triplets(grid.n_interior, grid.n_interior, trips)
+    i, neighbors = _stencil_neighbors(nx, ny)
+    rows, cols, vals = [i], [i], [np.full(len(i), 2.0 * sx + 2.0 * sy)]
+    for (j, on), s in zip(neighbors, (sx, sx, sy, sy)):
+        rows.append(i[on])
+        cols.append(j[on])
+        vals.append(np.full(on.sum(), -s))
+    A = linalg.csr_from_triplets(
+        grid.n_interior, grid.n_interior, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
     coords = grid.interior_coords()
     h = min(grid.hx, grid.hy)
     return AssembledSystem("poisson_fd_2d", A, _eval_rhs(f, coords), coords, h, grid=grid)
@@ -194,34 +205,20 @@ def unit_square_mesh(nx_cells, ny_cells):
     nvx, nvy = nx_cells + 1, ny_cells + 1
     ix, iy = np.meshgrid(np.arange(nvx), np.arange(nvy), indexing="xy")
     vertices = np.column_stack([ix.ravel() / nx_cells, iy.ravel() / ny_cells])
-    tris = []
-    for j in range(ny_cells):
-        for i in range(nx_cells):
-            v00 = i + nvx * j
-            v10 = v00 + 1
-            v01 = v00 + nvx
-            v11 = v01 + 1
-            # both positively oriented
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
+    i, j = np.meshgrid(np.arange(nx_cells), np.arange(ny_cells), indexing="xy")
+    v00 = (i + nvx * j).ravel()
+    v10 = v00 + 1
+    v01 = v00 + nvx
+    v11 = v01 + 1
+    # two positively oriented triangles per cell, cell after cell
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     boundary = (
         (vertices[:, 0] == 0.0)
         | (vertices[:, 0] == 1.0)
         | (vertices[:, 1] == 0.0)
         | (vertices[:, 1] == 1.0)
     )
-    return TriMesh(vertices, np.array(tris), boundary)
-
-
-def _element_stiffness(coords, alpha_e):
-    p0, p1, p2 = coords
-    J = np.column_stack([p1 - p0, p2 - p0])
-    detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    area = abs(detJ) / 2.0
-    if area < 1e-14:
-        raise ValueError("degenerate triangle (area below 1e-14)")
-    G = _REF_GRADS @ np.linalg.inv(J)
-    return alpha_e * area * (G @ G.T), area
+    return TriMesh(vertices, tris, boundary)
 
 
 def diffusion_fem_2d(mesh, alpha, f=None):
@@ -255,24 +252,26 @@ def diffusion_fem_2d(mesh, alpha, f=None):
     if np.any(alpha_e <= 0):
         raise ValueError("alpha must be positive everywhere")
 
-    element_matrices = np.empty((nt, 3, 3))
-    areas = np.empty(nt)
-    for e, tri in enumerate(mesh.triangles):
-        element_matrices[e], areas[e] = _element_stiffness(mesh.vertices[tri], alpha_e[e])
+    # all element stiffness blocks at once; J[e] has columns p1 - p0 and p2 - p0
+    corners = mesh.vertices[mesh.triangles]
+    J = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2)
+    areas = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]) / 2.0
+    if np.any(areas < 1e-14):
+        raise ValueError("degenerate triangle (area below 1e-14)")
+    G = _REF_GRADS @ np.linalg.inv(J)
+    element_matrices = (alpha_e * areas)[:, None, None] * (G @ G.swapaxes(1, 2))
 
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    full = linalg.csr_from_triplets(
-        nv, nv, zip(rows.tolist(), cols.tolist(), element_matrices.ravel().tolist())
-    )
+    full = linalg.csr_from_triplets(nv, nv, rows, cols, element_matrices.ravel())
 
     if f is None:
         f_e = np.ones(nt)
     else:
         f_e = np.array([float(f(c)) for c in centroids])
     load = np.zeros(nv)
-    for e, tri in enumerate(mesh.triangles):
-        load[tri] += f_e[e] * areas[e] / 3.0
+    # unbuffered scatter in (element, vertex) order
+    np.add.at(load, mesh.triangles.ravel(), np.repeat(f_e * areas / 3.0, 3))
 
     # symmetric Dirichlet elimination: boundary rows and columns removed
     interior = np.flatnonzero(~mesh.boundary)
@@ -322,42 +321,40 @@ def helmholtz_2d(grid, omega, n=None, xi=0.0, boundary="dirichlet", f=None):
 
     if boundary == "dirichlet":
         coords = grid.interior_coords()
+        ncx, ncy = grid.nx, grid.ny
     else:
         coords = grid.closed_coords()
+        ncx, ncy = grid.nx + 2, grid.ny + 2
     k = omega * (np.ones(len(coords)) if n is None else np.asarray(n(coords), dtype=float))
 
     complex_path = boundary == "impedance" or xi > 0
     dtype = complex if complex_path else float
     sx, sy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
 
-    if boundary == "dirichlet":
-        ncx, ncy = grid.nx, grid.ny
-        interior_only = True
-    else:
-        ncx, ncy = grid.nx + 2, grid.ny + 2
-        interior_only = False
-
-    trips = []
-    for iy in range(ncy):
-        for ix in range(ncx):
-            i = ix + ncx * iy
-            diag = 2.0 * sx + 2.0 * sy - (k[i] ** 2 + (1j * xi if complex_path else 0.0))
-            for d, (dx, dy, s, hstep) in enumerate(
-                ((1, 0, sx, grid.hx), (-1, 0, sx, grid.hx), (0, 1, sy, grid.hy), (0, -1, sy, grid.hy))
-            ):
-                jx, jy = ix + dx, iy + dy
-                if 0 <= jx < ncx and 0 <= jy < ncy:
-                    trips.append((i, jx + ncx * jy, -s))
-                elif not interior_only:
-                    # ghost elimination with du/dn = i k u: the opposite
-                    # neighbor coefficient doubles and the diagonal picks up
-                    # -2ik/h per eliminated side
-                    ox, oy = ix - dx, iy - dy
-                    trips.append((i, ox + ncx * oy, -s))
-                    diag = diag - 2j * k[i] / hstep
-            trips.append((i, i, diag))
+    i, neighbors = _stencil_neighbors(ncx, ncy)
+    # float_power squares through libm pow, as scalar ``**`` does; the array
+    # ``k**2`` multiplies and can differ from pow in the last bit
+    diag = 2.0 * sx + 2.0 * sy - (np.float_power(k, 2) + (1j * xi if complex_path else 0.0))
+    rows, cols, vals = [], [], []
+    steps = ((sx, grid.hx), (sx, grid.hx), (sy, grid.hy), (sy, grid.hy))
+    for d, ((j, on), (s, hstep)) in enumerate(zip(neighbors, steps)):
+        rows.append(i[on])
+        cols.append(j[on])
+        vals.append(np.full(on.sum(), -s))
+        if boundary == "impedance":
+            # ghost elimination with du/dn = i k u: the opposite neighbor
+            # coefficient doubles and the diagonal picks up -2ik/h per
+            # eliminated side, subtracted in direction order (the term is
+            # purely imaginary, so only the imaginary part changes)
+            off = ~on
+            rows.append(i[off])
+            cols.append(neighbors[d ^ 1][0][off])
+            vals.append(np.full(off.sum(), -s))
+            diag.imag[off] -= 2.0 * k[off] / hstep
     ndof = ncx * ncy
-    A = linalg.csr_from_triplets(ndof, ndof, trips)
+    A = linalg.csr_from_triplets(
+        ndof, ndof, np.concatenate(rows + [i]), np.concatenate(cols + [i]), np.concatenate(vals + [diag])
+    )
     if not complex_path:
         A = linalg.compress(A.astype(float))
     h = min(grid.hx, grid.hy)

@@ -1,8 +1,10 @@
 """Shared dense and sparse linear algebra kernels.
 
 Sparse matrices are ``scipy.sparse.csr_array`` instances in canonical form
-(sorted column indices, summed duplicates, no explicit zeros); this module
-owns their construction so downstream modules never touch raw index arrays.
+(sorted column indices, summed duplicates, no explicit zeros). This module
+owns their construction: assemblers hand ``csr_from_triplets`` coordinate
+arrays ``(rows, cols, vals)`` and get canonical CSR back, so no caller
+builds CSR index arrays itself.
 Dense factorizations and the symmetric eigensolver wrap LAPACK through
 scipy. The generalized symmetric eigensolver handles positive
 *semi*-definite right-hand sides by whitening on range(B), which the
@@ -81,32 +83,29 @@ def _require_hermitian(A, what, tol=1e-12):
         raise ValueError(f"{what} is not Hermitian (asymmetry {gap:.3e})")
 
 
-def csr_from_triplets(nrows, ncols, triplets):
-    """Build a canonical CSR matrix from (row, col, value) triplets.
+def csr_from_triplets(nrows, ncols, rows, cols, vals):
+    """Build a canonical CSR matrix from coordinate (COO) arrays.
 
-    Duplicate entries are summed, column indices are sorted within each row,
-    and entries that cancel to exact zero are dropped.
+    Entry ``k`` is ``(rows[k], cols[k], vals[k])``. Duplicate entries are
+    summed, column indices are sorted within each row, and entries that
+    cancel to exact zero are dropped.
 
     Parameters
     ----------
     nrows, ncols : int
         Matrix dimensions.
-    triplets : iterable of (int, int, scalar)
-        Entries; indices must lie in range.
+    rows, cols : array_like of int, shape (nnz,)
+        Entry indices; they must lie in range.
+    vals : array_like, shape (nnz,)
+        Entry values; they must be finite.
 
     Returns
     -------
     scipy.sparse.csr_array
     """
-    triplets = list(triplets)
-    if triplets:
-        rows = np.fromiter((t[0] for t in triplets), dtype=np.int64, count=len(triplets))
-        cols = np.fromiter((t[1] for t in triplets), dtype=np.int64, count=len(triplets))
-        vals = np.asarray([t[2] for t in triplets])
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals)
     if rows.size and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
         raise ValueError("triplet index out of range")
     _require_finite(vals, "triplet values")

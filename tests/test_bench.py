@@ -6,12 +6,13 @@ the bundled configurations.
 """
 
 import copy
+import gc
 import json
 
 import numpy as np
 import pytest
 
-from ddmlab import bench
+from ddmlab import bench, coarse
 
 
 def tiny_scenario(**overrides):
@@ -79,6 +80,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="deflated"):
             bench.resolve_scenario(cfg)
 
+    def test_pcg_with_adef1_and_coarse_space_rejected(self):
+        for x0 in ("zero", "deflated"):
+            cfg = tiny_scenario(schwarz={"variant": "asm"},
+                                coarse={"kind": "nicolaides"},
+                                combinator="adef1",
+                                solver={"ksp": "pcg", "x0": x0})
+            with pytest.raises(ValueError, match="pcg.*adef1") as err:
+                bench.resolve_scenario(cfg)
+            for alternative in ("gmres", "'ad'", "'adef2'", "'bnn'"):
+                assert alternative in str(err.value)
+
+    def test_adef1_accepted_with_gmres_or_without_coarse_space(self):
+        gmres = tiny_scenario(schwarz={"variant": "asm"},
+                              coarse={"kind": "nicolaides"},
+                              combinator="adef1", solver={"ksp": "gmres"})
+        assert bench.resolve_scenario(gmres)["combinator"] == "adef1"
+        one_level = tiny_scenario(schwarz={"variant": "asm"},
+                                  solver={"ksp": "pcg"})
+        assert bench.resolve_scenario(one_level)["combinator"] == "adef1"
+        for combinator in ("ad", "adef2", "bnn"):
+            cfg = tiny_scenario(schwarz={"variant": "asm"},
+                                coarse={"kind": "nicolaides"},
+                                combinator=combinator, solver={"ksp": "pcg"})
+            assert bench.resolve_scenario(cfg)["combinator"] == combinator
+
     def test_round_trip_is_identity(self):
         resolved = bench.resolve_scenario(tiny_scenario())
         again = bench.resolve_scenario(
@@ -117,6 +143,25 @@ class TestRunScenario:
         for rec in (a, b):
             rec.pop("timings")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_coarse_space_freed_without_cycle_collector(self):
+        # the coarse basis is dense (n x m0); it must go when the run ends,
+        # not when the cyclic garbage collector next happens to run
+        cfg = tiny_scenario(schwarz={"variant": "asm"},
+                            coarse={"kind": "nicolaides"}, combinator="ad",
+                            solver={"ksp": "pcg"})
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            bench.run_scenario(cfg)
+            gc.collect()
+            cyclic = [o for o in gc.garbage if isinstance(o, coarse.CoarseSpace)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []
 
     def test_two_level_with_spectrum(self):
         cfg = tiny_scenario(
@@ -295,6 +340,7 @@ class TestSuite:
             "problem": {"kind": "poisson_2d_fd", "nx": 6, "ny": 6},
             "partition": {"kind": "cartesian", "p": [2, 2]},
             "coarse": {"kind": "geneo", "tau": 0.5},
+            "combinator": "ad",
         })
         del cfg["reference"]
         suite_path = tmp_path / "suite.json"

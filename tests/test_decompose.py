@@ -10,14 +10,11 @@ from ddmlab import decompose, discretize, linalg
 
 
 def path_graph(n):
-    trips = []
-    for i in range(n):
-        trips.append((i, i, 2.0))
-        if i > 0:
-            trips.append((i, i - 1, -1.0))
-        if i + 1 < n:
-            trips.append((i, i + 1, -1.0))
-    return linalg.csr_from_triplets(n, n, trips)
+    i = np.arange(n)
+    rows = np.concatenate([i, i[1:], i[:-1]])
+    cols = np.concatenate([i, i[1:] - 1, i[:-1] + 1])
+    vals = np.concatenate([np.full(n, 2.0), np.full(2 * (n - 1), -1.0)])
+    return linalg.csr_from_triplets(n, n, rows, cols, vals)
 
 
 def brute_force_decomposition(A, core_sets, delta):
@@ -46,6 +43,175 @@ def brute_force_decomposition(A, core_sets, delta):
     owner = [min(i for i, s in enumerate(sets) if u in s) for u in range(n)]
     boolean = [[1.0 if owner[u] == i else 0.0 for u in s] for i, s in enumerate(sets)]
     return sets, mult, adjacency, boolean
+
+
+def loop_greedy_graph_partition(A, N, seed):
+    """Entry-by-entry greedy partition: the reference for the array version.
+
+    Set-based BFS for seeds, region neighbors and the connectivity test,
+    with the same seed choice, claim order, repair and rebalance rules.
+    Returns the sets in region order.
+    """
+    n = A.shape[0]
+    adj = sp.csr_array(abs(A) + abs(A).T)
+    adj.setdiag(0)
+    adj.eliminate_zeros()
+
+    def nbrs(u):
+        return adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
+
+    def bfs_distances(sources):
+        dist = np.full(n, -1, dtype=int)
+        frontier = list(sources)
+        for s in frontier:
+            dist[s] = 0
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v in nbrs(u):
+                    if dist[v] < 0:
+                        dist[v] = d
+                        nxt.append(int(v))
+            frontier = nxt
+        return dist
+
+    rng = np.random.default_rng(seed)
+    seeds = [int(rng.integers(n))]
+    while len(seeds) < N:
+        dist = bfs_distances(seeds)
+        dist[dist < 0] = n + 1
+        seeds.append(int(np.argmax(dist)))
+
+    owner = np.full(n, -1, dtype=int)
+    queues = []
+    for r, s in enumerate(seeds):
+        owner[s] = r
+        queues.append([s])
+    unclaimed = n - N
+    heads = [0] * N
+    while unclaimed > 0:
+        for r in range(N):
+            if unclaimed == 0:
+                break
+            claimed = False
+            q = queues[r]
+            while heads[r] < len(q):
+                for v in nbrs(q[heads[r]]):
+                    if owner[v] < 0:
+                        owner[v] = r
+                        q.append(int(v))
+                        claimed = True
+                        break
+                if claimed:
+                    break
+                heads[r] += 1
+            if not claimed:
+                v = int(np.argmin(owner))
+                owner[v] = r
+                q.append(v)
+            unclaimed -= 1
+
+    def connected_from(start, inside):
+        reach = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in nbrs(u):
+                v = int(v)
+                if v in inside and v not in reach:
+                    reach.add(v)
+                    stack.append(v)
+        return reach
+
+    moved, rounds = True, 0
+    while moved and rounds < n:
+        moved = False
+        rounds += 1
+        for r in range(N):
+            inside = set(np.flatnonzero(owner == r).tolist())
+            if not inside:
+                continue
+            reach = connected_from(seeds[r], inside) if owner[seeds[r]] == r else set()
+            for u in sorted(inside - reach):
+                targets = {int(owner[v]) for v in nbrs(u) if owner[v] != r}
+                if targets:
+                    owner[u] = min(targets)
+                    moved = True
+
+    def shift_one(src, dst):
+        members = np.flatnonzero(owner == src)
+        cands = [int(u) for u in members if any(owner[v] == dst for v in nbrs(u))]
+        for u in cands:
+            rest = set(members.tolist()) - {u}
+            if not rest:
+                break
+            if connected_from(min(rest), rest) == rest:
+                owner[u] = dst
+                return True
+        if cands:
+            owner[cands[0]] = dst
+            return True
+        return False
+
+    for _ in range(n * N):
+        sizes = np.bincount(owner, minlength=N)
+        if sizes.max() - sizes.min() <= 1:
+            break
+        small = int(np.argmin(sizes))
+        parent = {small: None}
+        frontier = [small]
+        target = None
+        while frontier and target is None:
+            nxt = []
+            for r in frontier:
+                region_nbrs = sorted({int(owner[v]) for u in np.flatnonzero(owner == r)
+                                      for v in nbrs(u) if owner[v] != r})
+                for q in region_nbrs:
+                    if q not in parent:
+                        parent[q] = r
+                        if sizes[q] >= sizes[small] + 2:
+                            target = q
+                            break
+                        nxt.append(q)
+                if target is not None:
+                    break
+            frontier = nxt
+        if target is None:
+            break
+        r = target
+        shifted = True
+        while shifted and parent[r] is not None:
+            shifted = shift_one(r, parent[r])
+            r = parent[r]
+        if not shifted:
+            break
+    return [np.flatnonzero(owner == r) for r in range(N)]
+
+
+@st.composite
+def partition_graphs(draw):
+    """A random matrix graph for the greedy partitioner: possibly nonsymmetric
+    and disconnected, either sparse random edges or a grid with edges cut
+    out, with N anywhere in 1..n and a random seed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=30))
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+    else:
+        nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        n = nx * ny
+        grid = [(u, u + 1) for u in range(n) if (u + 1) % nx]
+        grid += [(u, u + nx) for u in range(n - nx)]
+        cut = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+        edges = [e for e, c in zip(grid, cut) if not c]
+    rows = np.array([u for u, _ in edges] + list(range(n)), dtype=int)
+    cols = np.array([v for _, v in edges] + list(range(n)), dtype=int)
+    A = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    N = draw(st.integers(min_value=1, max_value=n))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return A, N, seed
 
 
 @st.composite
@@ -150,6 +316,22 @@ class TestGreedyGraphPartition:
     def test_too_many_regions_rejected(self):
         with pytest.raises(ValueError):
             decompose.greedy_graph_partition(path_graph(3), 4, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partition_graphs())
+    def test_matches_entry_by_entry_reference(self, case):
+        A, N, seed = case
+        part = decompose.greedy_graph_partition(A, N, seed=seed)
+        expect = loop_greedy_graph_partition(A, N, seed)
+        assert [s.tolist() for s in part.sets] == [s.tolist() for s in expect]
+
+    def test_fem_mesh_matches_entry_by_entry_reference(self):
+        mesh = discretize.unit_square_mesh(14, 14)
+        A = discretize.diffusion_fem_2d(mesh, np.ones(len(mesh.triangles))).A
+        for N, seed in ((4, 0), (6, 1), (8, 2), (8, 3)):
+            part = decompose.greedy_graph_partition(A, N, seed=seed)
+            expect = loop_greedy_graph_partition(A, N, seed)
+            assert [s.tolist() for s in part.sets] == [s.tolist() for s in expect]
 
 
 class TestExpandOverlap:

@@ -158,7 +158,7 @@ class TestDiffusionFem2d:
         verts = mesh.vertices.copy()
         verts[4] = verts[0]  # collapse the center vertex onto a corner
         bad = discretize.TriMesh(verts, mesh.triangles, mesh.boundary)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degenerate triangle"):
             discretize.diffusion_fem_2d(bad, lambda x: 1.0)
 
     def test_per_element_alpha_array(self):
@@ -316,3 +316,175 @@ class TestNeumannMatrix:
         sys = discretize.poisson_2d_fd(3, 3)
         with pytest.raises(discretize.UnsupportedProblemError):
             discretize.neumann_matrix(sys, [0])
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry references: the array assembly must reproduce them bit for bit
+
+
+def triplet_csr(nrows, ncols, trips):
+    rows = np.fromiter((t[0] for t in trips), dtype=np.int64, count=len(trips))
+    cols = np.fromiter((t[1] for t in trips), dtype=np.int64, count=len(trips))
+    vals = np.asarray([t[2] for t in trips])
+    return linalg.csr_from_triplets(nrows, ncols, rows, cols, vals)
+
+
+def loop_poisson_1d(m):
+    s = 1.0 / (1.0 / (m + 1)) ** 2
+    trips = []
+    for i in range(m):
+        trips.append((i, i, 2.0 * s))
+        if i > 0:
+            trips.append((i, i - 1, -s))
+        if i + 1 < m:
+            trips.append((i, i + 1, -s))
+    return triplet_csr(m, m, trips)
+
+
+def loop_poisson_2d_fd(nx, ny):
+    sx, sy = 1.0 / (1.0 / (nx + 1)) ** 2, 1.0 / (1.0 / (ny + 1)) ** 2
+    trips = []
+    for iy in range(ny):
+        for ix in range(nx):
+            i = ix + nx * iy
+            trips.append((i, i, 2.0 * sx + 2.0 * sy))
+            if ix > 0:
+                trips.append((i, i - 1, -sx))
+            if ix + 1 < nx:
+                trips.append((i, i + 1, -sx))
+            if iy > 0:
+                trips.append((i, i - nx, -sy))
+            if iy + 1 < ny:
+                trips.append((i, i + nx, -sy))
+    return triplet_csr(nx * ny, nx * ny, trips)
+
+
+def loop_helmholtz_2d(grid, omega, n, xi, boundary):
+    impedance = boundary == "impedance"
+    coords = grid.closed_coords() if impedance else grid.interior_coords()
+    k = omega * (np.ones(len(coords)) if n is None else np.asarray(n(coords), dtype=float))
+    complex_path = impedance or xi > 0
+    sx, sy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    ncx, ncy = (grid.nx + 2, grid.ny + 2) if impedance else (grid.nx, grid.ny)
+    steps = ((1, 0, sx, grid.hx), (-1, 0, sx, grid.hx), (0, 1, sy, grid.hy), (0, -1, sy, grid.hy))
+    trips = []
+    for iy in range(ncy):
+        for ix in range(ncx):
+            i = ix + ncx * iy
+            diag = 2.0 * sx + 2.0 * sy - (k[i] ** 2 + (1j * xi if complex_path else 0.0))
+            for dx, dy, s, hstep in steps:
+                jx, jy = ix + dx, iy + dy
+                if 0 <= jx < ncx and 0 <= jy < ncy:
+                    trips.append((i, jx + ncx * jy, -s))
+                elif impedance:
+                    trips.append((i, ix - dx + ncx * (iy - dy), -s))
+                    diag = diag - 2j * k[i] / hstep
+            trips.append((i, i, diag))
+    A = triplet_csr(ncx * ncy, ncx * ncy, trips)
+    if not complex_path:
+        A = linalg.compress(A.astype(float))
+    return A
+
+
+def loop_unit_square_mesh(nx_cells, ny_cells):
+    nvx = nx_cells + 1
+    tris = []
+    for j in range(ny_cells):
+        for i in range(nx_cells):
+            v00 = i + nvx * j
+            tris.append((v00, v00 + 1, v00 + nvx + 1))
+            tris.append((v00, v00 + nvx + 1, v00 + nvx))
+    return np.array(tris)
+
+
+def loop_diffusion_fem_2d(mesh, alpha, f=None):
+    """Element by element: stiffness blocks, CSR from triplets, load vector."""
+    nt, nv = len(mesh.triangles), len(mesh.vertices)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    if callable(alpha):
+        alpha_e = np.array([float(alpha(c)) for c in centroids])
+    else:
+        alpha_e = np.asarray(alpha, dtype=float)
+    grads_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    element_matrices = np.empty((nt, 3, 3))
+    areas = np.empty(nt)
+    for e, tri in enumerate(mesh.triangles):
+        p0, p1, p2 = mesh.vertices[tri]
+        J = np.column_stack([p1 - p0, p2 - p0])
+        areas[e] = abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]) / 2.0
+        G = grads_ref @ np.linalg.inv(J)
+        element_matrices[e] = alpha_e[e] * areas[e] * (G @ G.T)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    full = triplet_csr(nv, nv, list(zip(rows.tolist(), cols.tolist(),
+                                        element_matrices.ravel().tolist())))
+    f_e = np.ones(nt) if f is None else np.array([float(f(c)) for c in centroids])
+    load = np.zeros(nv)
+    for e, tri in enumerate(mesh.triangles):
+        load[tri] += f_e[e] * areas[e] / 3.0
+    interior = np.flatnonzero(~mesh.boundary)
+    return linalg.compress(full[np.ix_(interior, interior)]), load[interior], element_matrices
+
+
+def assert_same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+def assert_same_csr(A, B):
+    for attr in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(A, attr), getattr(B, attr))
+
+
+def refractive_index(c):
+    return 1.0 + 0.5 * np.sin(3.0 * c[:, 0]) * c[:, 1]
+
+
+class TestMatchesEntryLoopsBitwise:
+    @pytest.mark.parametrize("m", [1, 2, 7, 50])
+    def test_poisson_1d(self, m):
+        assert_same_csr(discretize.poisson_1d(m).A, loop_poisson_1d(m))
+
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (5, 1), (6, 9), (20, 20)])
+    def test_poisson_2d_fd(self, nx, ny):
+        assert_same_csr(discretize.poisson_2d_fd(nx, ny).A, loop_poisson_2d_fd(nx, ny))
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "impedance"])
+    @pytest.mark.parametrize("xi", [0.0, 2.5])
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 5), (7, 9), (15, 15)])
+    def test_helmholtz_2d(self, boundary, xi, nx, ny):
+        grid = discretize.StructuredGrid(2, nx, ny)
+        for omega in (0.0, 7.3, 23.0, 31.0):
+            for n in (None, refractive_index):
+                sys = discretize.helmholtz_2d(grid, omega, n=n, xi=xi, boundary=boundary)
+                assert_same_csr(sys.A, loop_helmholtz_2d(grid, omega, n, xi, boundary))
+
+    @pytest.mark.parametrize("cells", [(1, 1), (3, 2), (13, 7), (16, 16)])
+    def test_unit_square_mesh(self, cells):
+        assert_same_bits(discretize.unit_square_mesh(*cells).triangles,
+                         loop_unit_square_mesh(*cells))
+
+    @pytest.mark.parametrize("cells", [(1, 1), (3, 2), (16, 16)])
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_diffusion_fem_2d(self, cells, jitter):
+        mesh = discretize.unit_square_mesh(*cells)
+        rng = np.random.default_rng(11)
+        if jitter:
+            # move interior vertices to get irregular, differently sized elements
+            step = 0.2 / max(cells)
+            mesh.vertices[~mesh.boundary] += rng.uniform(-step, step, (int((~mesh.boundary).sum()), 2))
+        nt = len(mesh.triangles)
+        alphas = {
+            "constant": lambda c: 1.0,
+            "array": np.exp(rng.standard_normal(nt)),
+            "callable": lambda c: 1.0 + c[0] * c[1] ** 2,
+            "channels": lambda c: 1e6 if abs(c[1] - 0.5) < 0.1 or abs(c[0] - 0.3) < 0.05 else 1.0,
+        }
+        for name, alpha in alphas.items():
+            for f in (None, lambda c: np.cos(3.0 * c[0]) + c[1]):
+                sys = discretize.diffusion_fem_2d(mesh, alpha, f)
+                A, F, element_matrices = loop_diffusion_fem_2d(mesh, alpha, f)
+                assert_same_bits(sys.element_matrices, element_matrices)
+                assert_same_csr(sys.A, A)
+                assert_same_bits(sys.F, F)

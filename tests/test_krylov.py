@@ -11,7 +11,7 @@ from ddmlab import discretize, krylov, linalg
 
 
 def identity_csr(n):
-    return linalg.csr_from_triplets(n, n, [(i, i, 1.0) for i in range(n)])
+    return linalg.csr_from_triplets(n, n, np.arange(n), np.arange(n), np.ones(n))
 
 
 def energy_envelope(kappa, k):
@@ -28,7 +28,7 @@ class TestCg:
         np.testing.assert_allclose(x, b, atol=1e-12)
 
     def test_two_distinct_eigenvalues_finite_termination(self):
-        A = linalg.csr_from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 2.0)])
+        A = linalg.csr_from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
         b = np.array([1.0, 1.0])
         x, rep = krylov.cg(A, b, tol=1e-12)
         assert rep.iterations <= 2
@@ -56,7 +56,7 @@ class TestCg:
         assert rep.final_relres <= 1e-8
 
     def test_breakdown_on_indefinite(self):
-        A = linalg.csr_from_triplets(2, 2, [(0, 0, 1.0), (1, 1, -1.0)])
+        A = linalg.csr_from_triplets(2, 2, [0, 1], [0, 1], [1.0, -1.0])
         with pytest.raises(krylov.KrylovBreakdownError):
             krylov.cg(A, np.array([0.0, 1.0]))
 
@@ -108,7 +108,7 @@ class TestGmres:
         np.testing.assert_allclose(x, b, atol=1e-12)
 
     def test_permutation_two_iterations(self):
-        A = linalg.csr_from_triplets(2, 2, [(0, 1, 1.0), (1, 0, 1.0)])
+        A = linalg.csr_from_triplets(2, 2, [0, 1], [1, 0], [1.0, 1.0])
         b = np.array([1.0, 0.0])
         x, rep = krylov.gmres(A, b, tol=1e-12)
         assert rep.iterations == 2

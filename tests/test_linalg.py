@@ -14,19 +14,16 @@ from ddmlab import linalg
 def tridiag_fd(m):
     # 1D Poisson stencil triplets, h = 1/(m+1), entries (1/h^2)*(-1, 2, -1)
     h = 1.0 / (m + 1)
-    trips = []
-    for i in range(m):
-        trips.append((i, i, 2.0 / h**2))
-        if i > 0:
-            trips.append((i, i - 1, -1.0 / h**2))
-        if i + 1 < m:
-            trips.append((i, i + 1, -1.0 / h**2))
-    return linalg.csr_from_triplets(m, m, trips)
+    i = np.arange(m)
+    rows = np.concatenate([i, i[1:], i[:-1]])
+    cols = np.concatenate([i, i[1:] - 1, i[:-1] + 1])
+    vals = np.concatenate([np.full(m, 2.0 / h**2), np.full(2 * (m - 1), -1.0 / h**2)])
+    return linalg.csr_from_triplets(m, m, rows, cols, vals)
 
 
 class TestCsrFromTriplets:
     def test_duplicates_summed(self):
-        A = linalg.csr_from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+        A = linalg.csr_from_triplets(2, 2, [0, 0], [0, 0], [1.0, 2.0])
         assert A.nnz == 1
         assert A[0, 0] == 3.0
 
@@ -39,23 +36,36 @@ class TestCsrFromTriplets:
         np.testing.assert_allclose(A.toarray(), expect)
 
     def test_single_entry_layout(self):
-        A = linalg.csr_from_triplets(2, 3, [(1, 2, 5.0)])
+        A = linalg.csr_from_triplets(2, 3, [1], [2], [5.0])
         np.testing.assert_array_equal(A.indptr, [0, 0, 1])
         np.testing.assert_array_equal(A.indices, [2])
         np.testing.assert_array_equal(A.data, [5.0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            linalg.csr_from_triplets(2, 2, [(2, 0, 1.0)])
+            linalg.csr_from_triplets(2, 2, [2], [0], [1.0])
         with pytest.raises(ValueError):
-            linalg.csr_from_triplets(2, 2, [(0, -1, 1.0)])
+            linalg.csr_from_triplets(2, 2, [0], [-1], [1.0])
+
+    def test_non_finite_values_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                linalg.csr_from_triplets(2, 2, [0, 1], [0, 1], [1.0, bad])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.csr_from_triplets(2, 2, [0, 1], [0], [1.0, 2.0])
+
+    def test_empty_arrays_give_zero_matrix(self):
+        A = linalg.csr_from_triplets(2, 3, [], [], [])
+        assert A.shape == (2, 3) and A.nnz == 0
 
     def test_explicit_zeros_compressed(self):
-        A = linalg.csr_from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (0, 1, -1.0)])
+        A = linalg.csr_from_triplets(2, 2, [0, 0, 0], [0, 1, 1], [1.0, 1.0, -1.0])
         assert A.nnz == 1
 
     def test_column_indices_sorted_within_rows(self):
-        A = linalg.csr_from_triplets(1, 4, [(0, 3, 1.0), (0, 1, 2.0), (0, 2, 3.0)])
+        A = linalg.csr_from_triplets(1, 4, [0, 0, 0], [3, 1, 2], [1.0, 2.0, 3.0])
         assert np.all(np.diff(A.indices) > 0)
 
 
@@ -215,7 +225,7 @@ class TestMatrixMarket:
         np.testing.assert_allclose(B.toarray(), A.toarray())
 
     def test_complex_roundtrip(self, tmp_path):
-        A = linalg.csr_from_triplets(2, 2, [(0, 0, 1 + 2j), (1, 0, -3j)])
+        A = linalg.csr_from_triplets(2, 2, [0, 1], [0, 0], [1 + 2j, -3j])
         path = tmp_path / "c.mtx"
         linalg.write_matrix_market(path, A)
         B = linalg.read_matrix_market(path)

@@ -156,10 +156,10 @@ class TestOneLevel:
 
     def test_block_diagonal_matrix_recovered_exactly(self):
         # Two decoupled diagonal blocks, partition aligned with them.
-        trip = [(i, i, 2.0) for i in range(6)]
-        trip += [(0, 1, -1.0), (1, 0, -1.0), (1, 2, -1.0), (2, 1, -1.0)]
-        trip += [(3, 4, -1.0), (4, 3, -1.0), (4, 5, -1.0), (5, 4, -1.0)]
-        A = linalg.csr_from_triplets(6, 6, trip)
+        rows = [0, 1, 2, 3, 4, 5, 0, 1, 1, 2, 3, 4, 4, 5]
+        cols = [0, 1, 2, 3, 4, 5, 1, 0, 2, 1, 4, 3, 5, 4]
+        vals = [2.0] * 6 + [-1.0] * 8
+        A = linalg.csr_from_triplets(6, 6, rows, cols, vals)
         part = decompose.Partition([np.arange(3), np.arange(3, 6)], source="manual")
         dec = decompose.expand_overlap(A, part, 0)
         M = schwarz.one_level(A, dec, "asm")
