@@ -163,10 +163,13 @@ def fsl_constants(A, decomposition, neumann_matrices, local_blocks):
     tau_1 is the worst (smallest) finite eigenvalue over subdomains of
     the pencil (A_j^Neu, D_j A_jj D_j), where A_j^Neu is the subdomain
     assembly without artificial boundary conditions, zero-extended to
-    the overlapping set. gamma_1 is the best (largest) finite eigenvalue
-    of the pencil (D_j A_jj D_j, B_j) with B_j the local solver blocks
-    actually used by the preconditioner. M_c is the partition-of-unity
-    multiplicity and N_c the color count. Both ``neumann_matrices`` and
+    the overlapping set. As in the GenEO coarse space, that pencil is
+    solved on the dofs of nonzero weight (``coarse.weighted_pencil``),
+    where D_j A_jj D_j is definite; the zero-weight dofs carry only its
+    infinite eigenvalues. gamma_1 is the best (largest) eigenvalue of the
+    pencil (D_j A_jj D_j, B_j) with B_j the local solver blocks actually
+    used by the preconditioner, which must be Hermitian positive definite.
+    M_c is the partition-of-unity multiplicity and N_c the color count. Both ``neumann_matrices`` and
     ``local_blocks`` need one entry per subdomain, else ValueError.
     """
     tau1 = np.inf
@@ -175,7 +178,8 @@ def fsl_constants(A, decomposition, neumann_matrices, local_blocks):
     for (s, D, Nloc, dad), B in zip(pencils, local_blocks, strict=True):
         if len(s) == 0:
             continue
-        low = linalg.sym_gen_eig(Nloc, dad)
+        _, Nw, dad_w = coarse.weighted_pencil(D, Nloc, dad)
+        low = linalg.sym_gen_eig(Nw, dad_w)
         if len(low.values):
             tau1 = min(tau1, float(low.values[0]))
         high = linalg.sym_gen_eig(dad, B)

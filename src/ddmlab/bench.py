@@ -421,6 +421,10 @@ def _execute(cfg):
         "n_dofs": int(A.shape[0]),
         "n_subdomains": int(dec.N),
         "coarse_dim": 0 if cs is None else int(cs.m0),
+        "coarse_raw_columns": 0 if cs is None else int(cs.raw_columns),
+        "coarse_per_subdomain": (
+            None if cs is None or cs.owners is None
+            else np.bincount(cs.owners, minlength=dec.N).tolist()),
         "solve": solve_dict,
         "spectrum": None if spectrum is None else spectrum.to_dict(),
         "timings": {k: timers[k] for k in _TIMING_BUCKETS},

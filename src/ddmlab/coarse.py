@@ -13,10 +13,19 @@ Three constructions are provided: the weighted indicator space
 (:func:`grid_space`), and the spectral space built from local generalized
 eigenproblems (:func:`geneo_space` over :func:`geneo_pencils`). In each,
 :class:`CoarseSpace` drops dependent columns by QR with column pivoting.
+
+The GenEO pencil's right-hand matrix ``D_j A_j D_j`` is only
+semidefinite when some partition-of-unity weights are zero (Boolean
+weights). Its kernel is split off here, not in the eigensolver:
+:func:`weighted_pencil` restricts the pencil to the dofs of nonzero
+weight, where it is definite, for both GenEO and
+``analysis.fsl_constants``, and ``linalg.sym_gen_eig`` computes only the
+eigenpairs up to the threshold.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from . import discretize, linalg, schwarz
 from .krylov import as_operator, as_preconditioner
@@ -107,19 +116,26 @@ def nicolaides_space(A, decomposition):
     """One weighted indicator column per subdomain.
 
     Column i extends the subdomain's partition-of-unity weights by zero;
-    together the columns reproduce the constant vector exactly.
+    together the columns reproduce the constant vector exactly. The basis
+    is one scatter of the stacked weights ``w`` to the rows ``R.indices``.
     """
-    n = decomposition.n_dofs
-    Z = np.zeros((n, decomposition.N))
-    for i, s in enumerate(decomposition.sets):
-        Z[s, i] = decomposition.weights[i]
-        if not np.any(Z[s, i]):
-            raise ValueError(
-                f"subdomain {i} carries no partition-of-unity weight; "
-                "its indicator column would vanish"
-            )
-    return CoarseSpace(Z, A, tag="nicolaides",
-                       owners=np.arange(decomposition.N))
+    dec = decomposition
+    owner = _row_owners(dec)
+    weighted = np.bincount(owner, weights=dec.w != 0, minlength=dec.N)
+    if not weighted.all():
+        i = int(np.argmin(weighted))
+        raise ValueError(
+            f"subdomain {i} carries no partition-of-unity weight; "
+            "its indicator column would vanish"
+        )
+    Z = np.zeros((dec.n_dofs, dec.N))
+    Z[dec.R.indices, owner] = dec.w
+    return CoarseSpace(Z, A, tag="nicolaides", owners=np.arange(dec.N))
+
+
+def _row_owners(decomposition):
+    """Subdomain index of each row of the stacked restriction ``R``."""
+    return np.repeat(np.arange(decomposition.N), np.diff(decomposition.offsets))
 
 
 def _hat_matrix(m, h, H):
@@ -163,20 +179,35 @@ def subdomain_element_sets(system, decomposition):
     """Mesh elements whose vertices all lie inside each subdomain.
 
     A vertex counts as inside when it is an eliminated original-boundary
-    vertex or its DoF belongs to the subdomain's set.
+    vertex or its DoF belongs to the subdomain's set. Returns one
+    ascending array of element indices per subdomain, read off one sparse
+    product: element-to-dof incidence times the dof-to-subdomain
+    membership ``R^T S``, with S mapping each row of R to its subdomain.
     """
     if system.mesh is None:
         raise discretize.UnsupportedProblemError(
             f"kind '{system.kind}' has no mesh; element sets need the FEM path"
         )
+    dec = decomposition
     dmap = system.dof_of_vertex[system.mesh.triangles]
-    sets = []
-    for s in decomposition.sets:
-        inset = np.zeros(system.n, dtype=bool)
-        inset[s] = True
-        ok = np.where(dmap >= 0, inset[np.clip(dmap, 0, None)], True)
-        sets.append(np.flatnonzero(ok.all(axis=1)))
-    return sets
+    nt = dmap.shape[0]
+    elem, corner = np.nonzero(dmap >= 0)
+    E = sp.csr_array((np.ones(elem.size), (elem, dmap[elem, corner])),
+                     shape=(nt, system.n))
+    rows = dec.R.shape[0]
+    S = sp.csr_array((np.ones(rows), (np.arange(rows), _row_owners(dec))),
+                     shape=(rows, dec.N))
+    # inside[t, j]: number of element t's dofs that lie in subdomain j
+    inside = (E @ (dec.R.T @ S)).tocoo()
+    dofs_per_element = np.bincount(elem, minlength=nt)
+    full = inside.data == dofs_per_element[inside.row]
+    # elements with no dof (all vertices on the boundary) lie in every subdomain
+    bare = np.flatnonzero(dofs_per_element == 0)
+    t = np.concatenate([inside.row[full], np.tile(bare, dec.N)]).astype(np.intp)
+    j = np.concatenate([inside.col[full], np.repeat(np.arange(dec.N), bare.size)])
+    order = np.lexsort((t, j))
+    counts = np.bincount(j, minlength=dec.N)
+    return np.split(t[order], np.cumsum(counts)[:-1])
 
 
 def subdomain_neumann_matrices(system, decomposition):
@@ -213,16 +244,32 @@ def _pencil(s, D, neumann, Aj):
     return s, D, Nloc, (D[:, None] * Aj) * D[None, :]
 
 
+def weighted_pencil(D, Nloc, B):
+    """Restrict a GenEO pencil ``(N_j, D_j A_j D_j)`` to the weighted dofs.
+
+    ``B = D_j A_j D_j`` vanishes exactly on the rows and columns of zero
+    weight and is positive definite on the others, so the restricted
+    pencil suits ``linalg.sym_gen_eig``. The directions dropped are
+    infinite eigenvalues or vectors whose basis column ``D_j phi`` is zero.
+    Returns the positions ``wd`` of the nonzero weights in ``D`` and the
+    two restricted matrices.
+    """
+    wd = np.flatnonzero(D)
+    sub = np.ix_(wd, wd)
+    return wd, Nloc[sub], B[sub]
+
+
 def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
     """Spectral coarse space from local generalized eigenproblems.
 
     For each subdomain solve the pencil ``N_j phi = lambda (D_j A_j D_j) phi``
     with ``N_j`` the local Neumann matrix and ``A_j`` the principal
     submatrix of A, then keep the eigenvectors with ``lambda <= tau``.
-    Kernel vectors of the weighted matrix count as selected only when
-    they are also (numerically) energy-free for ``N_j``; otherwise they
-    represent infinite eigenvalues. Selected vectors enter the basis as
-    ``R_j^T D_j phi``, grouped by subdomain in ascending index order.
+    The pencil is solved on the dofs of nonzero weight
+    (:func:`weighted_pencil`), where it is definite, by one subset
+    eigensolve that computes just the eigenpairs up to ``tau``. Selected
+    vectors enter the basis as ``R_j^T D_j phi``, grouped by subdomain in
+    ascending index and eigenvalue order.
 
     ``tau="auto"`` picks the reciprocal of the worst subdomain aspect
     ratio (diameter over overlap width), which needs the decomposition's
@@ -244,39 +291,28 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau}")
 
-    columns, owners, eigenvalues = [], [], []
-    n = decomposition.n_dofs
+    kept = []
     pencils = geneo_pencils(A, decomposition, neumann_matrices)
     for j, (s, D, Nloc, B) in enumerate(pencils):
         if len(neumann_matrices[j][1]) == 0:
             continue
-        pairs = linalg.sym_gen_eig(Nloc, B)
+        wd, Nw, Bw = weighted_pencil(D, Nloc, B)
+        pairs = linalg.sym_gen_eig(Nw, Bw, upper=tau)
+        if len(pairs):
+            kept.append((j, s[wd], D[wd, None] * pairs.vectors, pairs.values))
 
-        selected = []
-        if pairs.null_basis is not None:
-            # Kernel of the weighted matrix: energy-free vectors are the
-            # lambda = 0 modes, the rest are infinite and excluded.
-            energy_tol = 1e-12 * max(abs(np.trace(Nloc)), np.finfo(float).tiny)
-            for phi in pairs.null_basis.T:
-                if abs(np.vdot(phi, Nloc @ phi)) <= energy_tol:
-                    selected.append((0.0, phi))
-        for lam, phi in zip(pairs.values, pairs.vectors.T):
-            if lam <= tau:
-                selected.append((float(lam), phi))
-        for lam, phi in selected:
-            col = np.zeros(n, dtype=np.result_type(phi.dtype, float))
-            col[s] = D * phi
-            columns.append(col)
-            owners.append(j)
-            eigenvalues.append(lam)
-
-    if not columns:
+    if not kept:
         raise EmptyCoarseSpaceError(
             f"no generalized eigenvalue fell below tau = {tau:.3e}"
         )
-    Z = np.column_stack(columns)
-    return CoarseSpace(Z, A, tag="geneo", owners=owners,
-                       eigenvalues=eigenvalues, tau=tau)
+    subdomains, rows, blocks, values = zip(*kept)
+    counts = [len(v) for v in values]
+    Z = np.zeros((decomposition.n_dofs, sum(counts)),
+                 dtype=np.result_type(float, *blocks))
+    for r, V, end in zip(rows, blocks, np.cumsum(counts)):
+        Z[r, end - V.shape[1]:end] = V
+    return CoarseSpace(Z, A, tag="geneo", owners=np.repeat(subdomains, counts),
+                       eigenvalues=np.concatenate(values), tau=tau)
 
 
 class TwoLevelPreconditioner:

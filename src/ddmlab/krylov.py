@@ -1,9 +1,16 @@
 """Krylov solvers: conjugate gradients, preconditioned CG, and GMRES.
 
-All drivers return ``(x, SolveReport)``. The residual history always
-holds true residual norms ``||b - A x_k||_2`` with the initial residual
-at index 0, and convergence is declared on the relative criterion
-``||r_k|| <= rtol * ||b||``.
+All drivers return ``(x, SolveReport)``. The residual history holds one
+norm per iterate with the initial residual at index 0, and convergence
+is declared on the relative criterion ``||r_k|| <= rtol * ||b||`` applied
+to the recorded norms. GMRES records true residual norms
+``||b - A x_k||_2``. CG and PCG record the recursive residual
+``r_k = r_{k-1} - alpha A p``, which drifts from the true one in finite
+precision (on 1D Poisson with 1024 dofs and 32 subdomains, a recursive
+relative residual of 2.3e-13 against a true one of 4.7e-11). Every
+report therefore carries ``true_final_relres``, the true relative
+residual of the returned iterate, which costs CG and PCG one extra
+matvec at exit.
 """
 
 import time
@@ -28,10 +35,14 @@ class SolveReport:
         Set by stationary drivers when the residual grows a factor 1e6
         above its initial value.
     residual_history : ndarray
-        True residual norms, entry 0 is ``||b - A x0||``.
+        Residual norms, entry 0 is ``||b - A x0||``. True residual norms
+        for GMRES and stationary drivers, recursive ones for CG and PCG.
     rtol : float
     bnorm : float
         Norm of the right-hand side used in the stopping test.
+    true_residual : float
+        ``||b - A x||`` of the returned iterate; defaults to the last
+        history entry, which is exact when the history holds true norms.
     energy_errors : ndarray or None
         ``sqrt((x_k - x*)^H A (x_k - x*))`` per iterate when a reference
         solution was supplied.
@@ -43,9 +54,11 @@ class SolveReport:
 
     def __init__(self, method, residual_history, rtol, bnorm, converged,
                  diverged=False, energy_errors=None, iterates=None,
-                 timings=None):
+                 timings=None, true_residual=None):
         self.method = method
         self.residual_history = np.asarray(residual_history, dtype=float)
+        self.true_residual = float(
+            self.residual_history[-1] if true_residual is None else true_residual)
         self.rtol = float(rtol)
         self.bnorm = float(bnorm)
         self.converged = bool(converged)
@@ -64,6 +77,10 @@ class SolveReport:
     def final_relres(self):
         return float(self.residual_history[-1]) / self.bnorm
 
+    @property
+    def true_final_relres(self):
+        return self.true_residual / self.bnorm
+
     def to_dict(self):
         d = {
             "method": self.method,
@@ -72,6 +89,7 @@ class SolveReport:
             "diverged": self.diverged,
             "rtol": self.rtol,
             "final_relres": self.final_relres,
+            "true_final_relres": self.true_final_relres,
             "residual_history": self.residual_history.tolist(),
             "timings": self.timings,
         }
@@ -183,7 +201,8 @@ def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
 
     report = SolveReport(method, history, tol, bnorm, converged,
                          energy_errors=energy, iterates=iterates,
-                         timings={"total": time.perf_counter() - t0})
+                         timings={"total": time.perf_counter() - t0},
+                         true_residual=_norm(b - matvec(x)))
     return x, report
 
 

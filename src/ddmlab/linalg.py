@@ -5,10 +5,12 @@ Sparse matrices are ``scipy.sparse.csr_array`` instances in canonical form
 owns their construction: assemblers hand ``csr_from_triplets`` coordinate
 arrays ``(rows, cols, vals)`` and get canonical CSR back, so no caller
 builds CSR index arrays itself.
-Dense factorizations and the symmetric eigensolver wrap LAPACK through
-scipy. The generalized symmetric eigensolver handles positive
-*semi*-definite right-hand sides by whitening on range(B), which the
-spectral coarse space construction relies on.
+Dense factorizations and the symmetric eigensolvers wrap LAPACK through
+scipy. The generalized symmetric eigensolver takes a positive definite
+right-hand side, certified by its Cholesky factorization, and can compute
+only the eigenpairs up to a threshold. A semidefinite right-hand side is
+the caller's to split: the spectral coarse space restricts its pencils to
+the dofs of nonzero partition-of-unity weight, where they are definite.
 
 Real and complex double precision are both supported; real inputs never
 produce complex output.
@@ -44,16 +46,12 @@ class SingularMatrixError(np.linalg.LinAlgError):
 class EigenPairs:
     """Eigenvalues in ascending order with matching eigenvector columns.
 
-    ``values[k]`` pairs with ``vectors[:, k]``. For generalized problems with
-    a semidefinite right-hand side, ``null_basis`` holds an orthonormal basis
-    of ker(B); those directions carry the conventional eigenvalue +inf and are
-    excluded from ``values``.
+    ``values[k]`` pairs with ``vectors[:, k]``.
     """
 
-    def __init__(self, values, vectors, null_basis=None):
+    def __init__(self, values, vectors):
         self.values = np.asarray(values)
         self.vectors = np.asarray(vectors)
-        self.null_basis = null_basis
 
     def __len__(self):
         return len(self.values)
@@ -201,19 +199,22 @@ def sym_eig(A):
     return EigenPairs(values, vectors)
 
 
-def sym_gen_eig(A, B, null_tol=1e-10):
-    """Solve the Hermitian pencil ``A v = lambda B v`` with B positive semidefinite.
+def sym_gen_eig(A, B, upper=None):
+    """Solve the Hermitian pencil ``A v = lambda B v`` with B positive definite.
 
-    The pencil is restricted to range(B): eigendirections of B below
-    ``null_tol`` (relative to its largest eigenvalue) are split off and
-    returned as ``null_basis``; the remainder is whitened and solved as a
-    standard Hermitian problem. Finite eigenvalues come back ascending with
-    B-orthonormal eigenvectors.
+    One LAPACK call (``[sy|he]gvx``, or ``[sy|he]gvd`` for the full
+    spectrum) factorizes B by Cholesky, reduces the pencil to a standard
+    Hermitian problem and solves it. With ``upper`` set, only the
+    eigenpairs with ``lambda <= upper`` are computed. Eigenvalues come back
+    ascending with B-orthonormal eigenvectors.
 
     Raises
     ------
-    ValueError
-        If B has an eigenvalue below ``-null_tol * lambda_max(B)``.
+    SingularMatrixError
+        If LAPACK fails, which on Hermitian input means that its Cholesky
+        factorization found B not positive definite (the message says
+        which leading minor). A B that is singular only up to rounding can
+        pass; its near-kernel then shows up as very large eigenvalues.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -221,20 +222,13 @@ def sym_gen_eig(A, B, null_tol=1e-10):
         raise ValueError("pencil matrices must be square and of equal shape")
     _require_hermitian(A, "left matrix")
     _require_hermitian(B, "right matrix")
-    w, U = scipy.linalg.eigh((B + B.conj().T) / 2.0, check_finite=False)
-    wmax = max(w.max(initial=0.0), 0.0)
-    if wmax > 0 and w.min() < -null_tol * wmax:
-        raise ValueError(f"right matrix is indefinite (eigenvalue {w.min():.3e})")
-    keep = w > null_tol * wmax if wmax > 0 else np.zeros(len(w), dtype=bool)
-    null_basis = U[:, ~keep]
-    if not keep.any():
-        n = A.shape[0]
-        empty = np.empty((n, 0), dtype=A.dtype)
-        return EigenPairs(np.empty(0), empty, null_basis)
-    S = U[:, keep] / np.sqrt(w[keep])
-    C = S.conj().T @ A @ S
-    values, Y = scipy.linalg.eigh((C + C.conj().T) / 2.0, check_finite=False)
-    return EigenPairs(values, S @ Y, null_basis)
+    subset = {} if upper is None else {
+        "subset_by_value": (-np.inf, float(upper)), "driver": "gvx"}
+    try:
+        values, vectors = scipy.linalg.eigh(A, B, check_finite=False, **subset)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"generalized eigensolve failed: {exc}") from exc
+    return EigenPairs(values, vectors)
 
 
 def read_matrix_market(path):

@@ -177,6 +177,8 @@ class TestRunScenario:
         rec = bench.run_scenario(cfg)
         assert rec["solve"]["converged"]
         assert rec["coarse_dim"] == 6
+        assert rec["coarse_raw_columns"] == 6
+        assert rec["coarse_per_subdomain"] == [1] * 6
         spec = rec["spectrum"]
         assert spec["path"] == "spd"
         assert spec["kappa"] >= 1.0
@@ -202,11 +204,40 @@ class TestRunScenario:
         assert rec["solve"]["converged"]
         # subdomains pinned by the outer boundary may select no modes
         assert rec["coarse_dim"] >= 1
+        per = rec["coarse_per_subdomain"]
+        assert len(per) == 4 and sum(per) == rec["coarse_dim"]
+        assert rec["coarse_raw_columns"] >= rec["coarse_dim"]
         names = {r["name"] for r in rec["spectrum"]["records"]}
         assert "geneo" in names
         geneo_rec = next(r for r in rec["spectrum"]["records"]
                          if r["name"] == "geneo")
         assert geneo_rec["satisfied"]
+
+    def test_coarse_decisions_recorded(self):
+        one = bench.run_scenario(tiny_scenario(schwarz={"variant": "asm"},
+                                               solver={"ksp": "pcg"}))
+        assert one["coarse_dim"] == one["coarse_raw_columns"] == 0
+        assert one["coarse_per_subdomain"] is None
+        grid = bench.run_scenario(tiny_scenario(
+            problem={"kind": "poisson_1d", "m": 23},
+            schwarz={"variant": "asm"}, coarse={"kind": "grid", "ratio": 4},
+            combinator="ad", solver={"ksp": "pcg"}))
+        assert grid["coarse_dim"] == grid["coarse_raw_columns"] == 5
+        assert grid["coarse_per_subdomain"] is None
+        keys = list(grid)
+        assert keys[keys.index("coarse_dim") + 1:][:2] == [
+            "coarse_raw_columns", "coarse_per_subdomain"]
+        assert grid["solve"]["true_final_relres"] <= 1e-6
+        # GenEO, where only the first subdomain keeps a column: one count
+        # per subdomain, trailing zeros included
+        geneo = bench.run_scenario({
+            "schema": 1, "name": "geneo-sparse",
+            "problem": {"kind": "fem_2d", "cells_x": 8, "cells_y": 8},
+            "partition": {"kind": "graph", "N": 6, "seed": 1}, "overlap": 1,
+            "schwarz": {"variant": "asm"}, "coarse": {"kind": "geneo", "tau": 0.2},
+            "solver": {"ksp": "gmres"}})
+        assert geneo["coarse_per_subdomain"] == [1, 0, 0, 0, 0, 0]
+        assert geneo["coarse_raw_columns"] == geneo["coarse_dim"] == 1
 
     def test_error_carries_scenario_context(self):
         cfg = tiny_scenario(name="doomed",

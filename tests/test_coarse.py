@@ -7,6 +7,7 @@ correction combinator are frozen here.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddmlab import coarse, decompose, discretize, krylov, linalg, schwarz
 
@@ -30,6 +31,170 @@ def fem_setup(cells, parts_x, parts_y, delta, alpha=None):
     part = decompose.Partition(sets, source="manual")
     dec = decompose.expand_overlap(sys.A, part, delta, coords=xy, h=sys.h)
     return sys, dec
+
+
+def graph_setup(cells, N, seed, delta, pu="multiplicity", contrast=None):
+    # P1 FEM on the unit square, greedy graph partition; contrast puts
+    # three horizontal high-coefficient channels into the domain.
+    mesh = discretize.unit_square_mesh(cells, cells)
+    if contrast is None:
+        alpha = lambda xy: 1.0
+    else:
+        alpha = lambda xy: contrast if int(xy[1] * 6) % 2 else 1.0
+    sys = discretize.diffusion_fem_2d(mesh, alpha)
+    part = decompose.greedy_graph_partition(sys.A, N, seed=seed)
+    dec = decompose.expand_overlap(sys.A, part, delta, coords=sys.coords, h=sys.h)
+    if pu == "boolean":
+        dec = decompose.boolean_pu(dec)
+    return sys, dec
+
+
+def nicolaides_loop(dec):
+    # the per-subdomain loop that nicolaides_space replaced
+    Z = np.zeros((dec.n_dofs, dec.N))
+    for i, s in enumerate(dec.sets):
+        Z[s, i] = dec.weights[i]
+    return Z
+
+
+def element_sets_loop(system, dec):
+    # the per-subdomain loop that subdomain_element_sets replaced
+    dmap = system.dof_of_vertex[system.mesh.triangles]
+    sets = []
+    for s in dec.sets:
+        inset = np.zeros(system.n, dtype=bool)
+        inset[s] = True
+        ok = np.where(dmap >= 0, inset[np.clip(dmap, 0, None)], True)
+        sets.append(np.flatnonzero(ok.all(axis=1)))
+    return sets
+
+
+def whitening_geneo(A, dec, neumann, tau):
+    """GenEO through full-size pencils whitened on range(D_j A_j D_j).
+
+    Independent of the subset eigensolve: each weighted matrix is split
+    by a full eigendecomposition, kernel vectors enter at lambda = 0 when
+    they carry no Neumann energy, and the whitened pencil is solved in
+    full. Returns the coarse space and every finite eigenvalue computed.
+    """
+    columns, owners, eigenvalues, spectrum = [], [], [], []
+    for j, (s, D, Nloc, B) in enumerate(coarse.geneo_pencils(A, dec, neumann)):
+        if len(neumann[j][1]) == 0:
+            continue
+        w, U = np.linalg.eigh(B)
+        keep = w > 1e-10 * w.max()
+        S = U[:, keep] / np.sqrt(w[keep])
+        C = S.T @ Nloc @ S
+        values, Y = np.linalg.eigh((C + C.T) / 2.0)
+        spectrum.extend(values)
+        energy_tol = 1e-12 * abs(np.trace(Nloc))
+        selected = [(0.0, phi) for phi in U[:, ~keep].T
+                    if abs(phi @ Nloc @ phi) <= energy_tol]
+        selected += [(lam, phi) for lam, phi in zip(values, (S @ Y).T)
+                     if lam <= tau]
+        for lam, phi in selected:
+            col = np.zeros(dec.n_dofs)
+            col[s] = D * phi
+            columns.append(col)
+            owners.append(j)
+            eigenvalues.append(lam)
+    cs = coarse.CoarseSpace(np.column_stack(columns), A, tag="oracle",
+                            owners=owners, eigenvalues=eigenvalues, tau=tau)
+    return cs, np.array(spectrum)
+
+
+class TestStackedArrayOracles:
+    # nicolaides_space and subdomain_element_sets read R, offsets and w;
+    # the per-subdomain loops they replaced are the bitwise oracles.
+    CASES = [(12, 4, 0, 0, "multiplicity"), (16, 6, 1, 1, "multiplicity"),
+             (16, 6, 2, 2, "boolean"), (20, 8, 3, 2, "multiplicity"),
+             (20, 8, 4, 3, "boolean")]
+
+    @pytest.mark.parametrize("cells,N,seed,delta,pu", CASES)
+    def test_nicolaides_matches_loop_bitwise(self, cells, N, seed, delta, pu):
+        sys, dec = graph_setup(cells, N, seed, delta, pu)
+        cs = coarse.nicolaides_space(sys.A, dec)
+        assert cs.m0 == cs.raw_columns == N
+        np.testing.assert_array_equal(cs.Z, nicolaides_loop(dec))
+
+    @pytest.mark.parametrize("cells,N,seed,delta,pu", CASES)
+    def test_element_sets_match_loop_bitwise(self, cells, N, seed, delta, pu):
+        sys, dec = graph_setup(cells, N, seed, delta, pu)
+        got = coarse.subdomain_element_sets(sys, dec)
+        ref = element_sets_loop(sys, dec)
+        assert len(got) == len(ref) == N
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            np.testing.assert_array_equal(g, r)
+
+    def test_zero_weight_error_names_the_subdomain(self):
+        sys = discretize.poisson_1d(4)
+        part = decompose.Partition([np.array([0]), np.array([1, 2]), np.array([3])],
+                                   source="manual")
+        dec = decompose.boolean_pu(decompose.expand_overlap(sys.A, part, 2))
+        empty = [i for i, w in enumerate(dec.weights) if not np.any(w)]
+        assert empty, "the setup must leave a subdomain without weight"
+        with pytest.raises(ValueError, match=f"subdomain {empty[0]} carries no"):
+            coarse.nicolaides_space(sys.A, dec)
+
+
+def scaled_pencil_eigenvalues(A, dec, neumann, j):
+    # Full spectrum of subdomain j's pencil on its weighted dofs after
+    # symmetric Jacobi scaling, which keeps the right-hand matrix well
+    # conditioned under high contrast.
+    s, D, Nloc, B = list(coarse.geneo_pencils(A, dec, neumann))[j]
+    wd = np.flatnonzero(D)
+    Nw, Bw = Nloc[np.ix_(wd, wd)], B[np.ix_(wd, wd)]
+    d = 1.0 / np.sqrt(np.diag(Bw))
+    return scipy.linalg.eigh(d[:, None] * Nw * d, d[:, None] * Bw * d,
+                             eigvals_only=True)
+
+
+class TestGeneoAgainstWhitening:
+    # The subset eigensolve on the weighted dofs against the full-size
+    # whitening oracle: same kept columns and owners and the same kept
+    # subspace per subdomain. Eigenvalues agree to 1e-12 (relative, or
+    # absolute below 1) with a Jacobi-scaled full solve, and with the
+    # whitening oracle too at unit coefficients. At contrast 1e6 the
+    # weighted matrix has condition numbers near 7e6, and the whitening
+    # oracle loses digits (errors up to 7e-11 against 1e-15 for the
+    # Cholesky-based solve), so there it is held to 1e-9.
+    # Boolean weights give eigenvalues of exactly 1/2 and 1, which rounding
+    # puts on either side of a threshold at those values in either solver,
+    # so their cases use tau = 0.4; every case asserts that no eigenvalue
+    # lies within 1e-9 of tau, so the selection is well defined.
+    CASES = [(20, 6, 0, "multiplicity", None, 0.5),
+             (20, 6, 1, "multiplicity", None, 0.5),
+             (20, 6, 2, "multiplicity", None, 0.5),
+             (20, 6, 3, "boolean", None, 0.4),
+             (20, 6, 4, "boolean", None, 0.4),
+             (20, 6, 5, "multiplicity", 1e6, 0.5),
+             (20, 6, 6, "boolean", 1e6, 0.4)]
+
+    @pytest.mark.parametrize("cells,N,seed,pu,contrast,tau", CASES)
+    def test_matches_whitening_oracle(self, cells, N, seed, pu, contrast, tau):
+        sys, dec = graph_setup(cells, N, seed, 2, pu, contrast)
+        nm = coarse.subdomain_neumann_matrices(sys, dec)
+        cs = coarse.geneo_space(sys.A, dec, nm, tau=tau)
+        ref, spectrum = whitening_geneo(sys.A, dec, nm, tau)
+        assert np.min(np.abs(spectrum - tau)) > 1e-9
+        np.testing.assert_array_equal(cs.owners, ref.owners)
+        assert cs.m0 == ref.m0
+        scale = np.maximum(np.abs(ref.eigenvalues), 1.0)
+        oracle_tol = 1e-12 if contrast is None else 1e-9
+        assert np.all(np.abs(cs.eigenvalues - ref.eigenvalues) <= oracle_tol * scale)
+        for j in np.unique(ref.owners):
+            mine = cs.eigenvalues[cs.owners == j]
+            scaled = scaled_pencil_eigenvalues(sys.A, dec, nm, j)[:len(mine)]
+            np.testing.assert_allclose(mine, scaled, rtol=0,
+                                       atol=1e-12 * max(np.abs(mine).max(), 1.0))
+            Qa, _ = np.linalg.qr(cs.Z[:, cs.owners == j])
+            Qb, _ = np.linalg.qr(ref.Z[:, ref.owners == j])
+            cosines = np.linalg.svd(Qa.T @ Qb, compute_uv=False)
+            assert 1.0 - cosines.min() <= 1e-9, j
+        if contrast is not None:
+            # channels crossing subdomains give near-zero eigenvalues
+            assert np.sum(ref.eigenvalues < 1e-3) > 0
 
 
 class TestNicolaides:

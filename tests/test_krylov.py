@@ -7,7 +7,7 @@ with numpy eigensolvers inside the tests.
 import numpy as np
 import pytest
 
-from ddmlab import discretize, krylov, linalg
+from ddmlab import decompose, discretize, krylov, linalg, schwarz
 
 
 def identity_csr(n):
@@ -97,6 +97,29 @@ class TestPcg:
         M = lambda r: -r
         with pytest.raises(krylov.KrylovBreakdownError):
             krylov.pcg(sys.A, sys.F, M)
+
+    def test_true_final_relres_recomputed(self):
+        # 1D Poisson, 1024 dofs, 32 subdomains, one-level ASM (the N32-one
+        # suite point): the recorded history is recursive and ends about
+        # two orders of magnitude below the true relative residual.
+        sys = discretize.poisson_1d(1024)
+        dec = decompose.expand_overlap(
+            sys.A, decompose.cartesian_partition(1024, 32), 1)
+        M = schwarz.one_level(sys.A, dec, "asm")
+        x, rep = krylov.pcg(sys.A, sys.F, M, tol=1e-6, maxit=1000)
+        assert rep.converged and rep.final_relres <= 1e-6
+        true = np.linalg.norm(sys.F - sys.A @ x) / np.linalg.norm(sys.F)
+        assert rep.true_final_relres == pytest.approx(true, rel=1e-12)
+        assert rep.to_dict()["true_final_relres"] == rep.true_final_relres
+        assert 1e-11 < true < 1e-10
+        assert rep.final_relres < true / 10
+
+    def test_true_final_relres_equals_history_for_gmres(self):
+        sys = discretize.poisson_2d_fd(8, 8)
+        x, rep = krylov.gmres(sys.A, sys.F, tol=1e-10)
+        true = np.linalg.norm(sys.F - sys.A @ x) / np.linalg.norm(sys.F)
+        assert rep.true_final_relres == rep.final_relres
+        assert rep.final_relres == pytest.approx(true, rel=1e-12)
 
 
 class TestGmres:

@@ -159,17 +159,35 @@ class TestSymEig:
             linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def whitening_gen_eig(A, B, null_tol=1e-10):
+    """Independent oracle for the pencil ``A v = lambda B v`` on range(B).
+
+    Whitens with an explicit pseudo-inverse square root of B and solves
+    the standard problem with full eigendecompositions.
+    """
+    w, U = np.linalg.eigh(B)
+    keep = w > null_tol * w.max()
+    S = U[:, keep] / np.sqrt(w[keep])
+    C = S.conj().T @ A @ S
+    values, Y = np.linalg.eigh((C + C.conj().T) / 2.0)
+    return values, S @ Y
+
+
 class TestSymGenEig:
     def test_identity_mass(self):
         pairs = linalg.sym_gen_eig(np.diag([2.0, 3.0]), np.eye(2))
         np.testing.assert_allclose(pairs.values, [2.0, 3.0])
-        assert pairs.null_basis.shape[1] == 0
+        assert pairs.vectors.shape == (2, 2)
 
     def test_semidefinite_mass_splits_kernel(self):
-        pairs = linalg.sym_gen_eig(np.eye(2), np.diag([1.0, 0.0]))
+        # A semidefinite B is rejected; the caller splits off its kernel
+        # and solves the pencil on range(B), where B is definite.
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.sym_gen_eig(np.eye(2), np.diag([1.0, 0.0]))
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.sym_gen_eig(np.eye(2), np.ones((2, 2)))
+        pairs = linalg.sym_gen_eig(np.eye(2)[:1, :1], np.diag([1.0, 0.0])[:1, :1])
         np.testing.assert_allclose(pairs.values, [1.0])
-        assert pairs.null_basis.shape == (2, 1)
-        np.testing.assert_allclose(np.abs(pairs.null_basis[:, 0]), [0.0, 1.0], atol=1e-14)
 
     def test_matches_sym_eig_for_identity(self):
         rng = np.random.default_rng(5)
@@ -180,26 +198,30 @@ class TestSymGenEig:
         np.testing.assert_allclose(gen.values, ref.values, atol=1e-9 * np.linalg.norm(A, "fro"))
 
     def test_rank2_mass_against_whitening_oracle(self):
-        # independent oracle: explicit pseudo-inverse square root of B
+        # B of rank 2 is rejected whole; on an orthonormal basis U of
+        # range(B) the definite pencil (U^T A U, U^T B U) has the finite
+        # eigenvalues that whitening on range(B) finds.
         rng = np.random.default_rng(11)
         M = rng.normal(size=(4, 4))
         A = M @ M.T + 4.0 * np.eye(4)
         L = rng.normal(size=(4, 2))
         B = L @ L.T
-        pairs = linalg.sym_gen_eig(A, B)
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.sym_gen_eig(A, B)
 
-        w, U = np.linalg.eigh(B)
-        keep = w > 1e-10 * w.max()
-        S = U[:, keep] / np.sqrt(w[keep])
-        oracle = np.sort(np.linalg.eigvalsh(S.T @ A @ S))
+        oracle, _ = whitening_gen_eig(A, B)
+        U, _ = np.linalg.qr(L)
+        Bu = U.T @ B @ U
+        pairs = linalg.sym_gen_eig(U.T @ A @ U, (Bu + Bu.T) / 2.0)
         np.testing.assert_allclose(pairs.values, oracle, rtol=1e-10)
-        assert pairs.null_basis.shape == (4, 2)
-        # B-orthonormal finite eigenvectors
-        G = pairs.vectors.T @ B @ pairs.vectors
-        np.testing.assert_allclose(G, np.eye(2), atol=1e-10)
+        # B-orthonormal eigenvectors, lifted back to the full space
+        V = U @ pairs.vectors
+        np.testing.assert_allclose(V.T @ B @ V, np.eye(2), atol=1e-10)
 
     def test_indefinite_mass_rejected(self):
         with pytest.raises(ValueError):
+            linalg.sym_gen_eig(np.eye(2), np.diag([1.0, -1.0]))
+        with pytest.raises(linalg.SingularMatrixError):
             linalg.sym_gen_eig(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_eigvec_residuals(self):
@@ -213,6 +235,45 @@ class TestSymGenEig:
             v = pairs.vectors[:, k]
             r = A @ v - lam * (B @ v)
             assert np.linalg.norm(r) <= 1e-8 * (np.linalg.norm(A, "fro") + abs(lam) * np.linalg.norm(B, "fro"))
+
+    def test_eigenvalue_at_upper_is_kept(self):
+        A = np.diag([3.0, 1.0, 2.0, 4.0])
+        pairs = linalg.sym_gen_eig(A, np.eye(4), upper=2.0)
+        np.testing.assert_array_equal(pairs.values, [1.0, 2.0])
+        np.testing.assert_array_equal(np.abs(pairs.vectors), np.eye(4)[:, [1, 2]])
+        below = linalg.sym_gen_eig(A, np.eye(4), upper=np.nextafter(1.0, 0.0))
+        assert below.values.shape == (0,) and below.vectors.shape == (4, 0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_subset_against_whitening_oracle(self, dtype):
+        rng = np.random.default_rng(13)
+        n = 12
+
+        def random(size):
+            X = rng.normal(size=size)
+            return X + 1j * rng.normal(size=size) if dtype is complex else X
+
+        M, N = random((n, n)), random((n, n))
+        A = M @ M.conj().T
+        B = N @ N.conj().T + n * np.eye(n)
+        oracle, W = whitening_gen_eig(A, B)
+        upper = (oracle[4] + oracle[5]) / 2.0
+        pairs = linalg.sym_gen_eig(A, B, upper=upper)
+        assert pairs.vectors.dtype == np.result_type(dtype, float)
+        np.testing.assert_allclose(pairs.values, oracle[:5], rtol=1e-12)
+        V = pairs.vectors
+        np.testing.assert_allclose(V.conj().T @ B @ V, np.eye(5), atol=1e-12)
+        resid = A @ V - (B @ V) * pairs.values
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(V)
+        # same B-orthonormal subspace: |<w_k, B v_k>| = 1 for simple eigenvalues
+        overlap = np.abs(np.sum(W[:, :5].conj() * (B @ V), axis=0))
+        np.testing.assert_allclose(overlap, np.ones(5), atol=1e-10)
+
+    def test_empty_pencil(self):
+        empty = np.zeros((0, 0))
+        for upper in (None, 1.0):
+            pairs = linalg.sym_gen_eig(empty, empty, upper=upper)
+            assert len(pairs) == 0 and pairs.vectors.shape == (0, 0)
 
 
 class TestMatrixMarket:
