@@ -6,6 +6,10 @@ central object is the spectrum of M^-1 A together with a list of bound
 checks (coloring, stable-splitting constants, coarse-space threshold,
 conjugate gradient error envelope), each recorded as a named
 bound/measured/satisfied triple so reports can be serialized.
+
+M^-1 is assembled densely by one block apply of the identity, so a
+preconditioner handed to this module must map an (n, k) block column by
+column (the contract of ``krylov.as_preconditioner``).
 """
 
 import numpy as np
@@ -91,11 +95,8 @@ def _dense(A):
 
 
 def _apply_inverse(M, n, dtype):
-    """Assemble M^-1 as a dense matrix from preconditioner applies."""
-    prec = krylov.as_preconditioner(M)
-    eye = np.eye(n, dtype=dtype)
-    cols = [np.asarray(prec(eye[:, j])) for j in range(n)]
-    return np.column_stack(cols)
+    """Assemble M^-1 as a dense matrix: one block apply of the identity."""
+    return np.asarray(krylov.as_preconditioner(M)(np.eye(n, dtype=dtype)))
 
 
 def _is_hermitian(B, rel_tol):
@@ -104,7 +105,7 @@ def _is_hermitian(B, rel_tol):
 
 
 def preconditioned_spectrum(A, M=None):
-    """Spectrum of M^-1 A, assembled densely one apply per column.
+    """Spectrum of M^-1 A, with M^-1 assembled by one block apply of the identity.
 
     When A is Hermitian positive definite and M^-1 is Hermitian the
     similar matrix L^H M^-1 L (L the Cholesky factor of A) is solved as
@@ -134,7 +135,10 @@ def preconditioned_spectrum(A, M=None):
 
 
 def richardson_spectral_radius(A, M):
-    """Spectral radius of the stationary iteration matrix I - M^-1 A."""
+    """Spectral radius of the stationary iteration matrix I - M^-1 A.
+
+    M^-1 is assembled by one block apply of the identity.
+    """
     Ad = _dense(A)
     n = Ad.shape[0]
     Minv = _apply_inverse(M, n, Ad.dtype)

@@ -42,7 +42,6 @@ _TIMING_BUCKETS = (
 
 _COARSE_KINDS = ("none", "nicolaides", "grid", "geneo")
 _KSP = ("cg", "pcg", "gmres")
-_SIDES = ("left", "right", "none")
 
 
 class ScenarioError(RuntimeError):
@@ -109,7 +108,7 @@ def _resolve_problem(problem):
             "omega": float(_require(problem, "omega", "problem")),
             "xi": float(problem.get("xi", 0.0)),
             "boundary": _enum(problem.get("boundary", "dirichlet"),
-                              ("dirichlet", "impedance"), "problem.boundary")}
+                              discretize.BOUNDARIES, "problem.boundary")}
 
 
 def _problem_dim(problem):
@@ -164,8 +163,7 @@ def resolve_scenario(config):
     overlap = int(config.get("overlap", 1))
     if overlap < 0:
         raise ValueError("overlap must be >= 0")
-    pu = _enum(config.get("pu", "multiplicity"),
-               ("multiplicity", "boolean"), "pu")
+    pu = _enum(config.get("pu", "multiplicity"), decompose.PU_KINDS, "pu")
 
     sch = dict(config.get("schwarz", {}))
     _check_keys(sch, {"variant", "robin_p"}, "schwarz")
@@ -204,7 +202,7 @@ def resolve_scenario(config):
         "ksp": ksp,
         "tol": float(sol.get("tol", 1e-6)),
         "maxit": int(sol.get("maxit", 200)),
-        "side": _enum(sol.get("side", "right"), _SIDES, "solver.side"),
+        "side": _enum(sol.get("side", "right"), krylov.SIDES, "solver.side"),
         "x0": _enum(sol.get("x0", "zero"), ("zero", "deflated"), "solver.x0"),
     }
     if ksp == "cg" and (variant != "none" or ckind != "none"):
@@ -371,7 +369,6 @@ def _execute(cfg):
     t0 = time.perf_counter()
     if cfg["coarse"]["kind"] != "none":
         cs = _build_coarse(cfg, system, dec)
-        cs.apply_Q = _timed(timers, "coarse_solve", cs.apply_Q)
         M = coarse.TwoLevelPreconditioner(M1, cs, A,
                                           combinator=cfg["combinator"])
     timers["coarse_setup"] = time.perf_counter() - t0
@@ -385,19 +382,30 @@ def _execute(cfg):
     prec = None if plain else _timed(timers, "preconditioner",
                                      krylov.as_preconditioner(M))
 
+    if cs is not None:
+        # time the coarse solves of the Krylov call only: neither the
+        # deflated start above nor the analysis below
+        cs.apply_Q = _timed(timers, "coarse_solve", cs.apply_Q)
     t0 = time.perf_counter()
-    if sol["ksp"] == "cg":
-        x, report = krylov.cg(matvec, b, x0=x0, tol=sol["tol"],
-                              maxit=sol["maxit"])
-    elif sol["ksp"] == "pcg":
-        ident = lambda r: r.copy()
-        x, report = krylov.pcg(matvec, b, prec or ident, x0=x0,
-                               tol=sol["tol"], maxit=sol["maxit"])
-    else:
-        side = sol["side"] if prec is not None else "none"
-        x, report = krylov.gmres(matvec, b, M=prec, side=side, x0=x0,
-                                 tol=sol["tol"], maxit=sol["maxit"])
-    timers["krylov"] = time.perf_counter() - t0
+    try:
+        if sol["ksp"] == "cg":
+            x, report = krylov.cg(matvec, b, x0=x0, tol=sol["tol"],
+                                  maxit=sol["maxit"])
+        elif sol["ksp"] == "pcg":
+            ident = lambda r: r.copy()
+            x, report = krylov.pcg(matvec, b, prec or ident, x0=x0,
+                                   tol=sol["tol"], maxit=sol["maxit"])
+        else:
+            side = sol["side"] if prec is not None else "none"
+            x, report = krylov.gmres(matvec, b, M=prec, side=side, x0=x0,
+                                     tol=sol["tol"], maxit=sol["maxit"])
+        timers["krylov"] = time.perf_counter() - t0
+    finally:
+        if cs is not None:
+            # dropping the wrapper also breaks the cycle through its bound
+            # method, so reference counting frees the coarse space (and its
+            # dense basis) when the run ends, also when the solve fails
+            del cs.apply_Q
 
     spectrum = None
     if cfg["analysis"]["spectrum"]:
@@ -405,15 +413,7 @@ def _execute(cfg):
         if cfg["analysis"]["bounds"]:
             spectrum.records.extend(
                 _bound_records(cfg, system, dec, M1, cs, spectrum))
-    if cs is not None:
-        # the timing wrapper holds cs through its bound method; dropping it
-        # lets reference counting free the coarse space (and its dense
-        # basis) when the run ends instead of leaving a cycle for the GC
-        del cs.apply_Q
 
-    solve_dict = report.to_dict()
-    # wall-clock noise lives in the record-level timing table only
-    solve_dict.pop("timings", None)
     return {
         "schema": SCHEMA_VERSION,
         "scenario_hash": scenario_hash(cfg),
@@ -425,7 +425,7 @@ def _execute(cfg):
         "coarse_per_subdomain": (
             None if cs is None or cs.owners is None
             else np.bincount(cs.owners, minlength=dec.N).tolist()),
-        "solve": solve_dict,
+        "solve": report.to_dict(),
         "spectrum": None if spectrum is None else spectrum.to_dict(),
         "timings": {k: timers[k] for k in _TIMING_BUCKETS},
         "machine": {
@@ -716,7 +716,7 @@ def _apply_overrides(config, args):
 def _add_scenario_flags(sub):
     sub.add_argument("--partitioner", help="cartesian:PX[xPY] or graph:N[:seed]")
     sub.add_argument("--overlap", type=int)
-    sub.add_argument("--pu", choices=("multiplicity", "boolean"))
+    sub.add_argument("--pu", choices=decompose.PU_KINDS)
     sub.add_argument("--schwarz-method", choices=schwarz.VARIANTS)
     sub.add_argument("--coarse",
                      help="none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo")
@@ -726,7 +726,7 @@ def _add_scenario_flags(sub):
     sub.add_argument("--ksp", choices=_KSP)
     sub.add_argument("--ksp-rtol", type=float)
     sub.add_argument("--ksp-maxit", type=int)
-    sub.add_argument("--pc-side", choices=_SIDES)
+    sub.add_argument("--pc-side", choices=krylov.SIDES)
 
 
 def main(argv=None):

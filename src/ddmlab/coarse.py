@@ -77,11 +77,15 @@ class CoarseSpace:
         return self.Z.shape[1]
 
     def solve_coefficients(self, r):
-        """Coarse coefficients ``(Z^H A Z)^(-1) Z^H r``."""
+        """Coarse coefficients ``(Z^H A Z)^(-1) Z^H r`` of a vector or (n, k) block."""
+        r = np.asarray(r)
+        if r.ndim not in (1, 2) or r.shape[0] != self.n:
+            raise ValueError(
+                f"expected a vector or block with {self.n} rows, got {r.shape}")
         return self.A0.solve(self.Z.conj().T @ r)
 
     def apply_Q(self, r):
-        """Coarse correction ``Z (Z^H A Z)^(-1) Z^H r``."""
+        """Coarse correction ``Z (Z^H A Z)^(-1) Z^H r`` of a vector or (n, k) block."""
         return self.Z @ self.solve_coefficients(r)
 
 
@@ -342,11 +346,13 @@ class TwoLevelPreconditioner:
         self.M1 = M1
         self._prec = as_preconditioner(M1)
         self._matvec = as_operator(A)
-        self.applies = 0
 
     def apply(self, r):
-        """Apply the two-level preconditioner to a residual vector."""
-        self.applies += 1
+        """Apply the two-level preconditioner to a vector or an (n, k) block.
+
+        The formulas are products, so a block is mapped column by column
+        when ``M1`` and the matvec map blocks (as sparse ``A`` does).
+        """
         c = self.combinator
         M1, mv, Q = self._prec, self._matvec, self.coarse.apply_Q
         if c == "none":

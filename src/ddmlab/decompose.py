@@ -11,8 +11,6 @@ Decompositions are immutable: their index and weight arrays are read-only,
 and the partition-of-unity builders return updated copies.
 """
 
-import json
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
@@ -25,8 +23,11 @@ __all__ = [
     "expand_overlap",
     "multiplicity_pu",
     "boolean_pu",
-    "decomposition_to_json",
+    "PU_KINDS",
 ]
+
+# partition-of-unity kinds, as ``Decomposition.pu_kind`` names them
+PU_KINDS = ("multiplicity", "boolean")
 
 
 class Partition:
@@ -382,22 +383,3 @@ def boolean_pu(dec):
     w = np.zeros(dec.R.shape[0])
     w[first] = 1.0
     return dec._with_weights(w, "boolean")
-
-
-def decomposition_to_json(dec):
-    """Serialize the decomposition's index data for debugging."""
-    return json.dumps(
-        {
-            "N": dec.N,
-            "n_dofs": dec.n_dofs,
-            "delta": dec.delta,
-            "pu": dec.pu_kind,
-            "sets": [s.tolist() for s in dec.sets],
-            "weights": [w.tolist() for w in dec.weights],
-            "multiplicity": dec.multiplicity.tolist(),
-            "adjacency": dec.adjacency,
-            "colors": dec.colors.tolist(),
-            "n_colors": dec.n_colors,
-        },
-        indent=2,
-    )

@@ -29,7 +29,11 @@ __all__ = [
     "diffusion_fem_2d",
     "helmholtz_2d",
     "neumann_matrix",
+    "BOUNDARIES",
 ]
+
+# boundary conditions of helmholtz_2d
+BOUNDARIES = ("dirichlet", "impedance")
 
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -314,8 +318,8 @@ def helmholtz_2d(grid, omega, n=None, xi=0.0, boundary="dirichlet", f=None):
     """
     if omega < 0 or xi < 0:
         raise ValueError("omega and xi must be nonnegative")
-    if boundary not in ("dirichlet", "impedance"):
-        raise ValueError("boundary must be 'dirichlet' or 'impedance'")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     if grid.dim != 2:
         raise ValueError("helmholtz_2d needs a 2D grid")
 

@@ -13,9 +13,9 @@ residual of the returned iterate, which costs CG and PCG one extra
 matvec at exit.
 """
 
-import time
-
 import numpy as np
+
+SIDES = ("left", "right", "none")
 
 
 class KrylovBreakdownError(RuntimeError):
@@ -48,13 +48,11 @@ class SolveReport:
         solution was supplied.
     iterates : list of ndarray or None
         Solution iterates (excluding x0) when requested.
-    timings : dict
-        Wall-clock buckets filled in by the caller; ``total`` is set here.
     """
 
     def __init__(self, method, residual_history, rtol, bnorm, converged,
                  diverged=False, energy_errors=None, iterates=None,
-                 timings=None, true_residual=None):
+                 true_residual=None):
         self.method = method
         self.residual_history = np.asarray(residual_history, dtype=float)
         self.true_residual = float(
@@ -67,7 +65,6 @@ class SolveReport:
             None if energy_errors is None else np.asarray(energy_errors, dtype=float)
         )
         self.iterates = iterates
-        self.timings = dict(timings or {})
 
     @property
     def iterations(self):
@@ -91,7 +88,6 @@ class SolveReport:
             "final_relres": self.final_relres,
             "true_final_relres": self.true_final_relres,
             "residual_history": self.residual_history.tolist(),
-            "timings": self.timings,
         }
         if self.energy_errors is not None:
             d["energy_errors"] = self.energy_errors.tolist()
@@ -115,11 +111,17 @@ def as_operator(A):
 
 
 def as_preconditioner(M):
-    """Wrap a preconditioner as a closure applying its action to a vector.
+    """Wrap a preconditioner as a closure applying its action.
 
     Accepts None (identity), objects with an ``apply`` method, matrix
     factorizations with a ``solve`` method, plain callables, and
     matrix-likes applied via ``@``.
+
+    A preconditioner maps a vector of length n to a vector, and an
+    ``(n, k)`` block column by column to an ``(n, k)`` block. The solvers
+    here pass vectors only; ``analysis`` assembles M^-1 from one block
+    apply of the identity, so a plain callable given there must honour
+    the block form too (scale rows with ``(d * r.T).T``, not ``d * r``).
     """
     if M is None:
         return lambda r: r
@@ -155,7 +157,6 @@ def pcg(A, b, M, x0=None, tol=1e-6, maxit=200, x_star=None, keep_iterates=False)
 
 
 def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
-    t0 = time.perf_counter()
     matvec = as_operator(A)
     prec = as_preconditioner(M)
     b = np.asarray(b, dtype=np.result_type(b, float))
@@ -201,7 +202,6 @@ def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
 
     report = SolveReport(method, history, tol, bnorm, converged,
                          energy_errors=energy, iterates=iterates,
-                         timings={"total": time.perf_counter() - t0},
                          true_residual=_norm(b - matvec(x)))
     return x, report
 
@@ -216,9 +216,8 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     reported history always contains true residual norms; convergence is
     tested on the true relative residual for every side.
     """
-    if side not in ("left", "right", "none"):
+    if side not in SIDES:
         raise ValueError(f"unknown preconditioning side {side!r}")
-    t0 = time.perf_counter()
     matvec = as_operator(A)
     if M is None:
         side = "none"
@@ -237,8 +236,7 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     iterates = [] if keep_iterates else None
     if history[0] <= tol * bnorm:
         report = SolveReport("gmres", history, tol, bnorm, True,
-                             iterates=iterates,
-                             timings={"total": time.perf_counter() - t0})
+                             iterates=iterates)
         return x0.copy(), report
 
     t = prec(r0) if side == "left" else r0
@@ -305,8 +303,7 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
             break
 
     report = SolveReport("gmres", history, tol, bnorm, converged,
-                         iterates=iterates,
-                         timings={"total": time.perf_counter() - t0})
+                         iterates=iterates)
     return x, report
 
 

@@ -5,8 +5,8 @@ Sparse matrices are ``scipy.sparse.csr_array`` instances in canonical form
 owns their construction: assemblers hand ``csr_from_triplets`` coordinate
 arrays ``(rows, cols, vals)`` and get canonical CSR back, so no caller
 builds CSR index arrays itself.
-Dense factorizations and the symmetric eigensolvers wrap LAPACK through
-scipy. The generalized symmetric eigensolver takes a positive definite
+Dense factorizations and the generalized symmetric eigensolver wrap
+LAPACK through scipy. The eigensolver takes a positive definite
 right-hand side, certified by its Cholesky factorization, and can compute
 only the eigenpairs up to a threshold. A semidefinite right-hand side is
 the caller's to split: the spectral coarse space restricts its pencils to
@@ -19,7 +19,6 @@ produce complex output.
 import warnings
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -31,11 +30,8 @@ __all__ = [
     "compress",
     "dense_lu_factor",
     "dense_cholesky_factor",
-    "factor_solve",
-    "sym_eig",
+    "auto_factor",
     "sym_gen_eig",
-    "read_matrix_market",
-    "write_matrix_market",
 ]
 
 
@@ -67,7 +63,15 @@ class Factorization:
         self.dtype = dtype
 
     def solve(self, b):
-        return factor_solve(self, b)
+        """Solve ``A x = b`` for a vector or an (n, k) block of right-hand sides."""
+        b = np.asarray(b)
+        if b.shape[0] != self.n:
+            raise ValueError(
+                f"right-hand side length {b.shape[0]} does not match order {self.n}")
+        _require_finite(b, "right-hand side")
+        if self.kind == "lu":
+            return scipy.linalg.lu_solve(self._data, b, check_finite=False)
+        return scipy.linalg.cho_solve(self._data, b, check_finite=False)
 
 
 def _require_finite(x, what):
@@ -174,31 +178,6 @@ def auto_factor(A):
         return dense_lu_factor(A)
 
 
-def factor_solve(F, b):
-    """Solve ``A x = b`` given a :class:`Factorization` of ``A``."""
-    b = np.asarray(b)
-    if b.shape[0] != F.n:
-        raise ValueError(f"right-hand side length {b.shape[0]} does not match order {F.n}")
-    _require_finite(b, "right-hand side")
-    if F.kind == "lu":
-        return scipy.linalg.lu_solve(F._data, b, check_finite=False)
-    return scipy.linalg.cho_solve(F._data, b, check_finite=False)
-
-
-def sym_eig(A):
-    """Full eigendecomposition of a Hermitian dense matrix.
-
-    Returns
-    -------
-    EigenPairs
-        Ascending real eigenvalues and orthonormal eigenvector columns.
-    """
-    A = np.asarray(A)
-    _require_hermitian(A, "matrix")
-    values, vectors = scipy.linalg.eigh((A + A.conj().T) / 2.0, check_finite=False)
-    return EigenPairs(values, vectors)
-
-
 def sym_gen_eig(A, B, upper=None):
     """Solve the Hermitian pencil ``A v = lambda B v`` with B positive definite.
 
@@ -229,13 +208,3 @@ def sym_gen_eig(A, B, upper=None):
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"generalized eigensolve failed: {exc}") from exc
     return EigenPairs(values, vectors)
-
-
-def read_matrix_market(path):
-    """Read a MatrixMarket coordinate file into canonical CSR form."""
-    return compress(sp.csr_array(scipy.io.mmread(path)))
-
-
-def write_matrix_market(path, A):
-    """Write a sparse matrix as MatrixMarket coordinate data."""
-    scipy.io.mmwrite(path, sp.coo_array(A))

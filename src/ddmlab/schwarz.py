@@ -92,7 +92,6 @@ class OneLevelPreconditioner:
         self.decomposition = decomposition
         self.operators = operators
         self.n = decomposition.n_dofs
-        self.applies = 0
         dtypes = [op.dtype for op in operators] or [np.float64]
         self.dtype = np.result_type(*dtypes)
         w = decomposition.w
@@ -100,22 +99,26 @@ class OneLevelPreconditioner:
         self._w_right = w if variant == "soras" else None
 
     def apply(self, r):
-        """Apply the preconditioner to a residual vector."""
+        """Apply the preconditioner to a vector or, column by column, an (n, k) block.
+
+        Both go through the same sparse products and multi-right-hand-side
+        local solves.
+        """
         r = np.asarray(r)
-        if r.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}, got {r.shape}")
-        self.applies += 1
+        if r.ndim not in (1, 2) or r.shape[0] != self.n:
+            raise ValueError(
+                f"expected a vector or block with {self.n} rows, got {r.shape}")
         if self.variant == "none":
             return r.copy()
         dec = self.decomposition
         y = dec.R @ r
         if self._w_right is not None:
-            y = self._w_right * y
-        z = np.empty(len(y), dtype=np.result_type(self.dtype, r.dtype))
+            y = (self._w_right * y.T).T
+        z = np.empty(y.shape, dtype=np.result_type(self.dtype, r.dtype))
         for op, a, b in zip(self.operators, dec.offsets[:-1], dec.offsets[1:]):
             z[a:b] = op.solve(y[a:b])
         if self._w_left is not None:
-            z = self._w_left * z
+            z = (self._w_left * z.T).T
         return dec.R.T @ z
 
 

@@ -337,7 +337,7 @@ def test_pcg_energy_envelope():
 
     system = discretize.poisson_1d(40)
     d = system.A.diagonal()
-    scenarios.append(("jacobi-1d", system, lambda r, d=d: r / d))
+    scenarios.append(("jacobi-1d", system, lambda r, d=d: (r.T / d).T))
 
     scenarios.append(("plain-2d", discretize.poisson_2d_fd(10, 10), None))
 

@@ -235,7 +235,7 @@ class TestPcgEnvelope:
     def test_jacobi_run_respects_envelope(self):
         sys = discretize.poisson_1d(40)
         d = sys.A.diagonal()
-        M = lambda r: r / d
+        M = lambda r: (r.T / d).T  # scales rows of a block too
         x_star = np.linalg.solve(sys.A.toarray(), sys.F)
         x, rep = krylov.pcg(sys.A, sys.F, M, tol=1e-10, maxit=200, x_star=x_star)
         assert rep.converged
@@ -271,14 +271,14 @@ class TestRichardson:
         m = 10
         sys = discretize.poisson_1d(m)
         d = sys.A.diagonal()
-        M = lambda r: r / d
+        M = lambda r: (r.T / d).T  # scales rows of a block too
         rho = analysis.richardson_spectral_radius(sys.A, M)
         assert abs(rho - np.cos(np.pi / (m + 1))) <= 1e-12
 
     def test_radius_below_one_iteration_converges(self):
         sys = discretize.poisson_1d(5)
         d = sys.A.diagonal()
-        M = lambda r: r / d
+        M = lambda r: (r.T / d).T  # scales rows of a block too
         rho = analysis.richardson_spectral_radius(sys.A, M)
         assert rho < 0.95
         x, rep = schwarz.richardson(sys.A, sys.F, M, tol=1e-8, maxit=2000)
@@ -287,7 +287,7 @@ class TestRichardson:
     def test_radius_above_one_iteration_diverges(self):
         sys = discretize.poisson_1d(10)
         d = sys.A.diagonal()
-        M = lambda r: -0.5 * r / d
+        M = lambda r: -0.5 * (r.T / d).T
         rho = analysis.richardson_spectral_radius(sys.A, M)
         assert rho > 1.05
         x, rep = schwarz.richardson(sys.A, sys.F, M, tol=1e-8, maxit=2000)

@@ -144,24 +144,57 @@ class TestRunScenario:
             rec.pop("timings")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @staticmethod
+    def cyclic_coarse_spaces(cfg):
+        """Coarse spaces a run leaves for the cyclic garbage collector."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            try:
+                bench.run_scenario(cfg)
+            except bench.ScenarioError:
+                pass
+            gc.collect()
+            return [o for o in gc.garbage if isinstance(o, coarse.CoarseSpace)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
     def test_coarse_space_freed_without_cycle_collector(self):
         # the coarse basis is dense (n x m0); it must go when the run ends,
         # not when the cyclic garbage collector next happens to run
         cfg = tiny_scenario(schwarz={"variant": "asm"},
                             coarse={"kind": "nicolaides"}, combinator="ad",
                             solver={"ksp": "pcg"})
-        gc.collect()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
+        assert self.cyclic_coarse_spaces(cfg) == []
+
+    def test_coarse_space_freed_when_the_solve_fails(self):
+        # indefinite Helmholtz breaks PCG down inside the timed solve
+        cfg = tiny_scenario(
+            problem={"kind": "helmholtz_2d", "nx": 10, "ny": 10, "omega": 20.0},
+            partition={"kind": "cartesian", "p": [2, 2]},
+            schwarz={"variant": "asm"}, coarse={"kind": "nicolaides"},
+            combinator="ad", solver={"ksp": "pcg"})
+        with pytest.raises(bench.ScenarioError, match="not positive"):
             bench.run_scenario(cfg)
-            gc.collect()
-            cyclic = [o for o in gc.garbage if isinstance(o, coarse.CoarseSpace)]
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert cyclic == []
+        assert self.cyclic_coarse_spaces(cfg) == []
+
+    def test_coarse_solve_timed_inside_the_solve(self):
+        # the deflated start and the spectrum's coarse solves lie outside
+        # the Krylov call, so they must not reach the coarse_solve bucket
+        cfg = tiny_scenario(
+            problem={"kind": "poisson_2d_fd", "nx": 20, "ny": 20},
+            partition={"kind": "cartesian", "p": [4, 4]},
+            schwarz={"variant": "asm"},
+            coarse={"kind": "nicolaides"},
+            combinator="ad",
+            solver={"ksp": "pcg", "x0": "deflated"},
+            analysis={"spectrum": True},
+        )
+        t = bench.run_scenario(cfg)["timings"]
+        assert 0.0 < t["coarse_solve"] <= t["preconditioner"] <= t["krylov"]
 
     def test_two_level_with_spectrum(self):
         cfg = tiny_scenario(

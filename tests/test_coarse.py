@@ -49,6 +49,18 @@ def graph_setup(cells, N, seed, delta, pu="multiplicity", contrast=None):
     return sys, dec
 
 
+def column_loop(prec, V):
+    """Oracle: a block apply done one column at a time."""
+    return np.column_stack([prec(v) for v in V.T])
+
+
+def assert_block_matches_columns(prec, V, rtol=1e-14):
+    block = prec(V)
+    ref = column_loop(prec, V)
+    assert block.shape == ref.shape and block.dtype == ref.dtype
+    assert np.abs(block - ref).max() <= rtol * np.abs(ref).max()
+
+
 def nicolaides_loop(dec):
     # the per-subdomain loop that nicolaides_space replaced
     Z = np.zeros((dec.n_dofs, dec.N))
@@ -469,6 +481,49 @@ class TestCombinators:
         _, rep1 = krylov.gmres(sys.A, sys.F, M1, side="right", tol=1e-8)
         assert rep2.converged
         assert rep2.iterations <= rep1.iterations
+
+
+class TestBlockApply:
+    """Coarse solves and two-level applies map an (n, k) block by columns."""
+
+    @pytest.fixture(scope="class", params=["nicolaides", "geneo"])
+    def two_level_pieces(self, request):
+        sys, dec = graph_setup(10, 5, 3, 1)
+        if request.param == "nicolaides":
+            cs = coarse.nicolaides_space(sys.A, dec)
+        else:
+            nm = coarse.subdomain_neumann_matrices(sys, dec)
+            cs = coarse.geneo_space(sys.A, dec, nm, tau=0.5)
+        M1 = schwarz.one_level(sys.A, dec, "ras")
+        V = np.random.default_rng(6).standard_normal((sys.n, 7))
+        return sys, cs, M1, V
+
+    @pytest.mark.parametrize("combinator", coarse.COMBINATORS)
+    def test_combinators_match_column_loop(self, two_level_pieces, combinator):
+        sys, cs, M1, V = two_level_pieces
+        M = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=combinator)
+        assert_block_matches_columns(M.apply, V)
+        assert_block_matches_columns(M.apply, np.eye(sys.n))
+
+    def test_apply_Q_matches_column_loop(self, two_level_pieces):
+        sys, cs, M1, V = two_level_pieces
+        assert cs.m0 > 1
+        assert_block_matches_columns(cs.apply_Q, V)
+        assert_block_matches_columns(cs.solve_coefficients, V)
+        assert_block_matches_columns(cs.apply_Q, V + 1j * V[::-1])
+
+    def test_bad_shapes_rejected(self, two_level_pieces):
+        sys, cs, M1, V = two_level_pieces
+        n = sys.n
+        for combinator in coarse.COMBINATORS:
+            M = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=combinator)
+            for shape in [(n - 1,), (n + 1, 2), (n, 2, 2)]:
+                with pytest.raises(ValueError):
+                    M.apply(np.ones(shape))
+        # (m0, n, 2) would broadcast through Z^H @ r as a stack of blocks
+        for shape in [(n - 1,), (n + 1, 2), (n, 2, 2), (cs.m0, n, 2)]:
+            with pytest.raises(ValueError):
+                cs.apply_Q(np.ones(shape))
 
 
 class TestGeneo:

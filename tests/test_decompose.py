@@ -496,17 +496,3 @@ class TestDecompositionUtilities:
                         d.R.indices, d.R.indptr, d.R.data):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
-
-    def test_json_dump(self, tmp_path):
-        import json
-
-        sys = discretize.poisson_1d(6)
-        part = decompose.cartesian_partition(6, 2)
-        dec = decompose.multiplicity_pu(decompose.expand_overlap(sys.A, part, 1))
-        blob = decompose.decomposition_to_json(dec)
-        data = json.loads(blob)
-        assert data["N"] == 2
-        assert data["delta"] == 1
-        assert data["sets"][0] == dec.sets[0].tolist()
-        assert data["multiplicity"] == dec.multiplicity.tolist()
-        (tmp_path / "dec.json").write_text(blob)

@@ -34,6 +34,28 @@ def dense_apply(A, dec, r, weighted_left, weighted_right):
     return out
 
 
+def column_loop(prec, V):
+    """Oracle: a block apply done one column at a time."""
+    return np.column_stack([prec(v) for v in V.T])
+
+
+def assert_block_matches_columns(prec, V, rtol=1e-14):
+    block = prec(V)
+    ref = column_loop(prec, V)
+    assert block.shape == ref.shape and block.dtype == ref.dtype
+    assert np.abs(block - ref).max() <= rtol * np.abs(ref).max()
+
+
+def fem_graph_setup(cells, N, seed, delta, pu="multiplicity"):
+    mesh = discretize.unit_square_mesh(cells, cells)
+    sys = discretize.diffusion_fem_2d(mesh, lambda xy: 1.0)
+    part = decompose.greedy_graph_partition(sys.A, N, seed=seed)
+    dec = decompose.expand_overlap(sys.A, part, delta, coords=sys.coords, h=sys.h)
+    if pu == "boolean":
+        dec = decompose.boolean_pu(dec)
+    return sys, dec
+
+
 class TestLocalOperators:
     def test_single_subdomain_is_global_matrix(self):
         sys, dec = poisson_setup(6, 1, 0)
@@ -193,6 +215,43 @@ class TestOneLevel:
         sys, dec = poisson_setup(5, 2, 1)
         with pytest.raises(ValueError):
             schwarz.one_level(sys.A, dec, "msm")
+
+
+class TestBlockApply:
+    """An (n, k) block goes through the vector path, column by column."""
+
+    @pytest.mark.parametrize("pu", ["multiplicity", "boolean"])
+    @pytest.mark.parametrize("variant", schwarz.VARIANTS)
+    def test_fem_graph_partition_matches_column_loop(self, variant, pu):
+        sys, dec = fem_graph_setup(10, 5, 3, 1, pu=pu)
+        M = schwarz.one_level(sys.A, dec, variant, h=sys.h, dim=2)
+        n = sys.A.shape[0]
+        rng = np.random.default_rng(4)
+        assert_block_matches_columns(M.apply, rng.standard_normal((n, 7)))
+        assert_block_matches_columns(M.apply, np.eye(n))
+
+    @pytest.mark.parametrize("p", [None, 3.0 - 2.0j])
+    @pytest.mark.parametrize("variant", ["oras", "soras"])
+    def test_complex_helmholtz_matches_column_loop(self, variant, p):
+        grid = discretize.StructuredGrid(2, nx=9, ny=9)
+        sys = discretize.helmholtz_2d(grid, omega=7.0, boundary="impedance")
+        part = decompose.greedy_graph_partition(sys.A, 4, seed=0)
+        dec = decompose.expand_overlap(sys.A, part, 1)
+        M = schwarz.one_level(sys.A, dec, variant, p=p, h=sys.h, dim=2)
+        n = sys.A.shape[0]
+        rng = np.random.default_rng(5)
+        V = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+        assert_block_matches_columns(M.apply, V)
+        assert_block_matches_columns(M.apply, np.eye(n))
+        assert M.apply(np.eye(n)).dtype.kind == "c"
+
+    @pytest.mark.parametrize("variant", schwarz.VARIANTS)
+    def test_bad_shapes_rejected(self, variant):
+        sys, dec = poisson_setup(9, 3, 1)
+        M = schwarz.one_level(sys.A, dec, variant, h=sys.h, dim=1)
+        for shape in [(8,), (10,), (8, 2), (10, 2), (9, 2, 2), ()]:
+            with pytest.raises(ValueError):
+                M.apply(np.ones(shape))
 
 
 class TestRichardson:
