@@ -183,12 +183,12 @@ def fsl_constants(A, decomposition, neumann_matrices, local_blocks):
         if len(s) == 0:
             continue
         _, Nw, dad_w = coarse.weighted_pencil(D, Nloc, dad)
-        low = linalg.sym_gen_eig(Nw, dad_w)
-        if len(low.values):
-            tau1 = min(tau1, float(low.values[0]))
-        high = linalg.sym_gen_eig(dad, B)
-        if len(high.values):
-            gamma1 = max(gamma1, float(high.values[-1]))
+        low, _ = linalg.sym_gen_eig(Nw, dad_w)
+        if len(low):
+            tau1 = min(tau1, float(low[0]))
+        high, _ = linalg.sym_gen_eig(dad, B)
+        if len(high):
+            gamma1 = max(gamma1, float(high[-1]))
     return tau1, gamma1, decomposition.max_multiplicity, decomposition.n_colors
 
 

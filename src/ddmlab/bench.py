@@ -215,6 +215,12 @@ def resolve_scenario(config):
                          "nonsymmetric and CG does not converge with it, even "
                          "from a deflated start; use ksp 'gmres', or combinator "
                          "'ad', 'adef2' or 'bnn' with pcg")
+    if (ckind != "none" and solver["x0"] == "zero"
+            and (combinator in ("rbnn1", "rbnn2")
+                 or (ksp == "pcg" and combinator == "adef2"))):
+        raise ValueError(f"{ksp} with combinator {combinator!r} needs solver.x0 "
+                         "'deflated' (the start Q b): rbnn1 and rbnn2 have no "
+                         "+Q term, and CG converges with adef2 only from Q b")
 
     ana = dict(config.get("analysis", {}))
     _check_keys(ana, {"spectrum", "bounds"}, "analysis")
@@ -363,6 +369,8 @@ def _execute(cfg):
     M1 = schwarz.one_level(A, dec, cfg["schwarz"]["variant"],
                            p=robin_p, h=system.h, dim=dim)
     timers["local_factorization"] = time.perf_counter() - t0
+    # a complex Robin p on a real system needs a complex solve
+    b = b.astype(np.result_type(b, M1.dtype))
 
     cs = None
     M = M1

@@ -301,9 +301,9 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
         if len(neumann_matrices[j][1]) == 0:
             continue
         wd, Nw, Bw = weighted_pencil(D, Nloc, B)
-        pairs = linalg.sym_gen_eig(Nw, Bw, upper=tau)
-        if len(pairs):
-            kept.append((j, s[wd], D[wd, None] * pairs.vectors, pairs.values))
+        values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
+        if len(values):
+            kept.append((j, s[wd], D[wd, None] * vectors, values))
 
     if not kept:
         raise EmptyCoarseSpaceError(
@@ -379,10 +379,10 @@ class TwoLevelPreconditioner:
 def deflated_initial_guess(coarse_space, b):
     """Starting vector ``Q b`` for deflation-style corrections.
 
-    The projection combinators adef2, rbnn1 and rbnn2 build nonsymmetric
-    operators; conjugate gradients stays reliable with them only when the
-    initial residual is already free of coarse components, which this
-    starting vector guarantees. GMRES does not need it. adef1 is not made
-    CG-safe by this start (CG need not converge with it); pair it with GMRES.
+    The initial residual then has no coarse component (``Z^H r0 = 0``).
+    rbnn1 (Hermitian semidefinite) and rbnn2 (nonsymmetric) have no ``+Q``
+    term, so neither CG nor GMRES converges with them from another start.
+    adef2 is nonsymmetric; CG needs this start with it, GMRES does not.
+    adef1 is not made CG-safe by this start; pair it with GMRES.
     """
     return coarse_space.apply_Q(b)

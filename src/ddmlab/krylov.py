@@ -11,9 +11,14 @@ relative residual of 2.3e-13 against a true one of 4.7e-11). Every
 report therefore carries ``true_final_relres``, the true relative
 residual of the returned iterate, which costs CG and PCG one extra
 matvec at exit.
+
+Right-preconditioned GMRES keeps ``Z = M V`` beside its Arnoldi basis V,
+as flexible GMRES does: one apply of M per iteration, iterates
+``x0 + Z y``. A complex M needs a complex system (a complex ``b``).
 """
 
 import numpy as np
+import scipy.linalg
 
 SIDES = ("left", "right", "none")
 
@@ -101,8 +106,6 @@ class SolveReport:
 
 def as_operator(A):
     """Wrap a matrix-like or callable as a matvec closure."""
-    if callable(A) and not hasattr(A, "__matmul__"):
-        return A
     if hasattr(A, "__matmul__"):
         return lambda v: A @ v
     if callable(A):
@@ -134,6 +137,11 @@ def as_preconditioner(M):
     if hasattr(M, "__matmul__"):
         return lambda r: M @ r
     raise TypeError(f"cannot interpret {type(M).__name__} as a preconditioner")
+
+
+def _cast(v, dtype):
+    """Copy ``v`` to ``dtype``; TypeError rather than drop an imaginary part."""
+    return np.asarray(v).astype(dtype, casting="same_kind")
 
 
 def _norm(v):
@@ -215,6 +223,8 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     Krylov space on preconditioned residuals, "none" ignores M. The
     reported history always contains true residual norms; convergence is
     tested on the true relative residual for every side.
+    Right preconditioning applies M once per iteration (``Z = M V``).
+    Raises TypeError if M returns complex values for a real system.
     """
     if side not in SIDES:
         raise ValueError(f"unknown preconditioning side {side!r}")
@@ -242,8 +252,10 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     t = prec(r0) if side == "left" else r0
     beta = _norm(t)
     steps = min(maxit, n)
-    V = np.zeros((n, steps + 1), dtype=dtype)
-    V[:, 0] = t / beta
+    # bases grow one vector per iteration, so memory follows the
+    # iterations run, not maxit
+    V = [_cast(t / beta, dtype)]
+    Z = [] if side == "right" else V
     H = np.zeros((steps + 1, steps), dtype=dtype)
     cs = np.zeros(steps, dtype=dtype)
     sn = np.zeros(steps, dtype=dtype)
@@ -253,21 +265,22 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     x = x0.copy()
     converged = False
     for k in range(steps):
-        v = V[:, k]
+        v = V[k]
         if side == "right":
-            w = matvec(prec(v))
+            Z.append(_cast(prec(v), dtype))
+            w = matvec(Z[k])
         elif side == "left":
             w = prec(matvec(v))
         else:
             w = matvec(v)
-        w = np.asarray(w, dtype=dtype).copy()
-        for j in range(k + 1):
-            H[j, k] = np.vdot(V[:, j], w)
-            w -= H[j, k] * V[:, j]
+        w = _cast(w, dtype)
+        for j, vj in enumerate(V):
+            H[j, k] = np.vdot(vj, w)
+            w -= H[j, k] * vj
         H[k + 1, k] = _norm(w)
         lucky = abs(H[k + 1, k]) <= 1e-14 * beta
         if not lucky:
-            V[:, k + 1] = w / H[k + 1, k]
+            V.append(w / H[k + 1, k])
 
         # Apply the accumulated Givens rotations, then create a new one.
         for j in range(k):
@@ -286,9 +299,8 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
         g[k] = cs[k] * g[k]
 
         # Form the candidate solution and measure the true residual.
-        y = _solve_upper(H[: k + 1, : k + 1], g[: k + 1])
-        u = V[:, : k + 1] @ y
-        xk = x0 + (prec(u) if side == "right" else u)
+        y = scipy.linalg.solve_triangular(H[: k + 1, : k + 1], g[: k + 1])
+        xk = x0 + np.asarray(Z[: k + 1]).T @ y
         true_res = _norm(b - matvec(xk))
         history.append(true_res)
         if iterates is not None:
@@ -299,18 +311,9 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
             break
         if lucky:
             # The Krylov space is invariant; nothing further can improve.
-            converged = true_res <= tol * bnorm
             break
 
     report = SolveReport("gmres", history, tol, bnorm, converged,
                          iterates=iterates)
     return x, report
 
-
-def _solve_upper(R, rhs):
-    """Back substitution on a small upper-triangular system."""
-    k = R.shape[0]
-    y = np.zeros(k, dtype=np.result_type(R.dtype, rhs.dtype))
-    for i in range(k - 1, -1, -1):
-        y[i] = (rhs[i] - R[i, i + 1:] @ y[i + 1:]) / R[i, i]
-    return y

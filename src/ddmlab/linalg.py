@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "SingularMatrixError",
-    "EigenPairs",
     "Factorization",
     "csr_from_triplets",
     "compress",
@@ -37,20 +36,6 @@ __all__ = [
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a factorization meets a pivot below the singularity tolerance."""
-
-
-class EigenPairs:
-    """Eigenvalues in ascending order with matching eigenvector columns.
-
-    ``values[k]`` pairs with ``vectors[:, k]``.
-    """
-
-    def __init__(self, values, vectors):
-        self.values = np.asarray(values)
-        self.vectors = np.asarray(vectors)
-
-    def __len__(self):
-        return len(self.values)
 
 
 class Factorization:
@@ -184,8 +169,10 @@ def sym_gen_eig(A, B, upper=None):
     One LAPACK call (``[sy|he]gvx``, or ``[sy|he]gvd`` for the full
     spectrum) factorizes B by Cholesky, reduces the pencil to a standard
     Hermitian problem and solves it. With ``upper`` set, only the
-    eigenpairs with ``lambda <= upper`` are computed. Eigenvalues come back
-    ascending with B-orthonormal eigenvectors.
+    eigenpairs with ``lambda <= upper`` are computed. Returns
+    ``(values, vectors)`` as ``scipy.linalg.eigh`` does: eigenvalues
+    ascending, ``values[k]`` paired with the B-orthonormal column
+    ``vectors[:, k]``.
 
     Raises
     ------
@@ -204,7 +191,6 @@ def sym_gen_eig(A, B, upper=None):
     subset = {} if upper is None else {
         "subset_by_value": (-np.inf, float(upper)), "driver": "gvx"}
     try:
-        values, vectors = scipy.linalg.eigh(A, B, check_finite=False, **subset)
+        return scipy.linalg.eigh(A, B, check_finite=False, **subset)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"generalized eigensolve failed: {exc}") from exc
-    return EigenPairs(values, vectors)

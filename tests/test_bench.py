@@ -96,14 +96,38 @@ class TestConfig:
                               coarse={"kind": "nicolaides"},
                               combinator="adef1", solver={"ksp": "gmres"})
         assert bench.resolve_scenario(gmres)["combinator"] == "adef1"
+        gmres["combinator"] = "adef2"
+        assert bench.resolve_scenario(gmres)["solver"]["x0"] == "zero"
         one_level = tiny_scenario(schwarz={"variant": "asm"},
                                   solver={"ksp": "pcg"})
         assert bench.resolve_scenario(one_level)["combinator"] == "adef1"
-        for combinator in ("ad", "adef2", "bnn"):
+        for combinator in ("ad", "bnn"):
             cfg = tiny_scenario(schwarz={"variant": "asm"},
                                 coarse={"kind": "nicolaides"},
                                 combinator=combinator, solver={"ksp": "pcg"})
             assert bench.resolve_scenario(cfg)["combinator"] == combinator
+        # adef2 with pcg needs the deflated start
+        cfg = tiny_scenario(schwarz={"variant": "asm"},
+                            coarse={"kind": "nicolaides"}, combinator="adef2",
+                            solver={"ksp": "pcg", "x0": "deflated"})
+        assert bench.resolve_scenario(cfg)["combinator"] == "adef2"
+
+    @pytest.mark.parametrize("combinator, ksp", [
+        ("rbnn1", "pcg"), ("rbnn1", "gmres"), ("rbnn2", "pcg"),
+        ("rbnn2", "gmres"), ("adef2", "pcg")])
+    def test_projection_combinators_need_deflated_start(self, combinator, ksp):
+        cfg = tiny_scenario(schwarz={"variant": "asm"},
+                            coarse={"kind": "nicolaides"},
+                            combinator=combinator, solver={"ksp": ksp})
+        with pytest.raises(ValueError, match=f"{ksp}.*{combinator}") as err:
+            bench.resolve_scenario(cfg)
+        assert "'deflated'" in str(err.value)
+        cfg["solver"]["x0"] = "deflated"
+        assert bench.resolve_scenario(cfg)["solver"]["x0"] == "deflated"
+        # without a coarse space the combinator is unused
+        del cfg["coarse"]
+        cfg["solver"]["x0"] = "zero"
+        assert bench.resolve_scenario(cfg)["combinator"] == combinator
 
     def test_round_trip_is_identity(self):
         resolved = bench.resolve_scenario(tiny_scenario())
@@ -293,6 +317,20 @@ class TestRunScenario:
         }
         rec = bench.run_scenario(cfg)
         assert rec["solve"]["converged"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_complex_robin_on_real_system_solved_in_complex(self, side):
+        # ORAS with an imaginary Robin parameter is a complex preconditioner
+        # for the real FD Poisson system, so the solve must run complex
+        cfg = tiny_scenario(
+            problem={"kind": "poisson_2d_fd", "nx": 20, "ny": 20},
+            partition={"kind": "cartesian", "p": [4, 4]},
+            schwarz={"variant": "oras", "robin_p": [0.0, 10.0]},
+            solver={"ksp": "gmres", "side": side, "tol": 1e-8})
+        solve = bench.run_scenario(cfg)["solve"]
+        assert solve["converged"] and solve["iterations"] <= 20
+        assert solve["true_final_relres"] <= 1e-8
 
 
 class TestArtifacts:

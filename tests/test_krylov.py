@@ -189,3 +189,44 @@ class TestGmres:
         A = identity_csr(3)
         with pytest.raises(ValueError):
             krylov.gmres(A, np.ones(3), side="middle")
+
+    @pytest.mark.parametrize("side, extra", [("right", 0), ("left", 1),
+                                             ("none", None)])
+    def test_preconditioner_applies_per_iteration(self, side, extra):
+        # right: one apply per iteration (Z = M V); left: one per
+        # iteration plus one for the initial residual; none: no apply.
+        # Every history entry is the true residual of its iterate.
+        sys = discretize.poisson_2d_fd(12, 12)
+        part = decompose.cartesian_partition(sys.grid, 3, 3)
+        M1 = schwarz.one_level(sys.A, decompose.expand_overlap(sys.A, part, 1), "asm")
+        calls = []
+
+        def counting(r):
+            calls.append(r.shape)
+            return M1.apply(r)
+
+        x0 = np.linspace(0.0, 1.0, sys.F.shape[0])
+        x, rep = krylov.gmres(sys.A, sys.F, counting, side=side, x0=x0,
+                              tol=1e-8, keep_iterates=True)
+        assert rep.converged and rep.iterations > 5
+        assert len(calls) == (0 if extra is None else rep.iterations + extra)
+        assert all(shape == sys.F.shape for shape in calls)
+        h = rep.residual_history
+        assert h[0] == np.linalg.norm(sys.F - sys.A @ x0)
+        for k, xk in enumerate(rep.iterates):
+            assert abs(np.linalg.norm(sys.F - sys.A @ xk) - h[k + 1]) <= 1e-13 * h[0]
+        np.testing.assert_array_equal(x, rep.iterates[-1])
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_complex_preconditioner_on_real_system_raises(self, side):
+        # casting M's output to the real basis would drop its imaginary
+        # part; a complex right-hand side makes the solve complex instead
+        sys = discretize.poisson_2d_fd(6, 6)
+        d = sys.A.diagonal()
+        M = lambda r: (1.0 + 0.5j) * r / d
+        with pytest.raises(TypeError):
+            krylov.gmres(sys.A, sys.F, M, side=side)
+        b = sys.F.astype(complex)
+        x, rep = krylov.gmres(sys.A, b, M, side=side, tol=1e-10)
+        assert rep.converged and x.dtype == complex
+        assert np.linalg.norm(sys.F - sys.A @ x) <= 1e-9 * np.linalg.norm(sys.F)

@@ -134,9 +134,9 @@ def whitening_gen_eig(A, B, null_tol=1e-10):
 
 class TestSymGenEig:
     def test_identity_mass(self):
-        pairs = linalg.sym_gen_eig(np.diag([2.0, 3.0]), np.eye(2))
-        np.testing.assert_allclose(pairs.values, [2.0, 3.0])
-        assert pairs.vectors.shape == (2, 2)
+        values, vectors = linalg.sym_gen_eig(np.diag([2.0, 3.0]), np.eye(2))
+        np.testing.assert_allclose(values, [2.0, 3.0])
+        assert vectors.shape == (2, 2)
 
     def test_semidefinite_mass_splits_kernel(self):
         # A semidefinite B is rejected; the caller splits off its kernel
@@ -145,16 +145,16 @@ class TestSymGenEig:
             linalg.sym_gen_eig(np.eye(2), np.diag([1.0, 0.0]))
         with pytest.raises(linalg.SingularMatrixError):
             linalg.sym_gen_eig(np.eye(2), np.ones((2, 2)))
-        pairs = linalg.sym_gen_eig(np.eye(2)[:1, :1], np.diag([1.0, 0.0])[:1, :1])
-        np.testing.assert_allclose(pairs.values, [1.0])
+        values, _ = linalg.sym_gen_eig(np.eye(2)[:1, :1], np.diag([1.0, 0.0])[:1, :1])
+        np.testing.assert_allclose(values, [1.0])
 
     def test_matches_sym_eig_for_identity(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(9, 9))
         A = A + A.T
         ref = np.linalg.eigvalsh(A)
-        gen = linalg.sym_gen_eig(A, np.eye(9))
-        np.testing.assert_allclose(gen.values, ref, atol=1e-9 * np.linalg.norm(A, "fro"))
+        values, _ = linalg.sym_gen_eig(A, np.eye(9))
+        np.testing.assert_allclose(values, ref, atol=1e-9 * np.linalg.norm(A, "fro"))
 
     def test_rank2_mass_against_whitening_oracle(self):
         # B of rank 2 is rejected whole; on an orthonormal basis U of
@@ -171,10 +171,10 @@ class TestSymGenEig:
         oracle, _ = whitening_gen_eig(A, B)
         U, _ = np.linalg.qr(L)
         Bu = U.T @ B @ U
-        pairs = linalg.sym_gen_eig(U.T @ A @ U, (Bu + Bu.T) / 2.0)
-        np.testing.assert_allclose(pairs.values, oracle, rtol=1e-10)
+        values, vectors = linalg.sym_gen_eig(U.T @ A @ U, (Bu + Bu.T) / 2.0)
+        np.testing.assert_allclose(values, oracle, rtol=1e-10)
         # B-orthonormal eigenvectors, lifted back to the full space
-        V = U @ pairs.vectors
+        V = U @ vectors
         np.testing.assert_allclose(V.T @ B @ V, np.eye(2), atol=1e-10)
 
     def test_indefinite_mass_rejected(self):
@@ -189,19 +189,19 @@ class TestSymGenEig:
         A = M @ M.T + np.eye(6)
         N = rng.normal(size=(6, 6))
         B = N @ N.T
-        pairs = linalg.sym_gen_eig(A, B)
-        for k, lam in enumerate(pairs.values):
-            v = pairs.vectors[:, k]
+        values, vectors = linalg.sym_gen_eig(A, B)
+        for k, lam in enumerate(values):
+            v = vectors[:, k]
             r = A @ v - lam * (B @ v)
             assert np.linalg.norm(r) <= 1e-8 * (np.linalg.norm(A, "fro") + abs(lam) * np.linalg.norm(B, "fro"))
 
     def test_eigenvalue_at_upper_is_kept(self):
         A = np.diag([3.0, 1.0, 2.0, 4.0])
-        pairs = linalg.sym_gen_eig(A, np.eye(4), upper=2.0)
-        np.testing.assert_array_equal(pairs.values, [1.0, 2.0])
-        np.testing.assert_array_equal(np.abs(pairs.vectors), np.eye(4)[:, [1, 2]])
-        below = linalg.sym_gen_eig(A, np.eye(4), upper=np.nextafter(1.0, 0.0))
-        assert below.values.shape == (0,) and below.vectors.shape == (4, 0)
+        values, vectors = linalg.sym_gen_eig(A, np.eye(4), upper=2.0)
+        np.testing.assert_array_equal(values, [1.0, 2.0])
+        np.testing.assert_array_equal(np.abs(vectors), np.eye(4)[:, [1, 2]])
+        values, vectors = linalg.sym_gen_eig(A, np.eye(4), upper=np.nextafter(1.0, 0.0))
+        assert values.shape == (0,) and vectors.shape == (4, 0)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_subset_against_whitening_oracle(self, dtype):
@@ -217,12 +217,11 @@ class TestSymGenEig:
         B = N @ N.conj().T + n * np.eye(n)
         oracle, W = whitening_gen_eig(A, B)
         upper = (oracle[4] + oracle[5]) / 2.0
-        pairs = linalg.sym_gen_eig(A, B, upper=upper)
-        assert pairs.vectors.dtype == np.result_type(dtype, float)
-        np.testing.assert_allclose(pairs.values, oracle[:5], rtol=1e-12)
-        V = pairs.vectors
+        values, V = linalg.sym_gen_eig(A, B, upper=upper)
+        assert V.dtype == np.result_type(dtype, float)
+        np.testing.assert_allclose(values, oracle[:5], rtol=1e-12)
         np.testing.assert_allclose(V.conj().T @ B @ V, np.eye(5), atol=1e-12)
-        resid = A @ V - (B @ V) * pairs.values
+        resid = A @ V - (B @ V) * values
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(V)
         # same B-orthonormal subspace: |<w_k, B v_k>| = 1 for simple eigenvalues
         overlap = np.abs(np.sum(W[:, :5].conj() * (B @ V), axis=0))
@@ -231,5 +230,5 @@ class TestSymGenEig:
     def test_empty_pencil(self):
         empty = np.zeros((0, 0))
         for upper in (None, 1.0):
-            pairs = linalg.sym_gen_eig(empty, empty, upper=upper)
-            assert len(pairs) == 0 and pairs.vectors.shape == (0, 0)
+            values, vectors = linalg.sym_gen_eig(empty, empty, upper=upper)
+            assert len(values) == 0 and vectors.shape == (0, 0)
