@@ -2,8 +2,8 @@
 
 The package is organized bottom-up:
 
-- ``linalg``: CSR construction, dense factorizations, and the
-  generalized symmetric eigensolver.
+- ``linalg``: CSR construction, dense LAPACK and sparse SuperLU
+  factorizations, and the generalized symmetric eigensolver.
 - ``discretize``: model problems (1D/2D finite-difference Poisson, P1 finite
   element diffusion with retained element matrices, 2D Helmholtz with
   optional absorption and impedance boundary).

@@ -210,6 +210,11 @@ def resolve_scenario(config):
                          "Schwarz variant or coarse space")
     if solver["x0"] == "deflated" and ckind == "none":
         raise ValueError("deflated initial guess needs a coarse space")
+    if ksp == "pcg" and variant in ("ras", "oras"):
+        raise ValueError(f"pcg with schwarz variant {variant!r} is not supported: "
+                         f"{variant} is nonsymmetric and CG does not converge "
+                         "with it; use ksp 'gmres', or variant 'asm' or 'soras' "
+                         "with pcg")
     if ksp == "pcg" and combinator == "adef1" and ckind != "none":
         raise ValueError("pcg with combinator 'adef1' is not supported: adef1 is "
                          "nonsymmetric and CG does not converge with it, even "
@@ -428,6 +433,9 @@ def _execute(cfg):
         "scenario": cfg,
         "n_dofs": int(A.shape[0]),
         "n_subdomains": int(dec.N),
+        "local_factor": None if M1.factor is None else {
+            "kind": M1.factor.kind, "order": M1.factor.n,
+            "nnz": M1.factor.nnz},
         "coarse_dim": 0 if cs is None else int(cs.m0),
         "coarse_raw_columns": 0 if cs is None else int(cs.raw_columns),
         "coarse_per_subdomain": (

@@ -24,7 +24,12 @@ SIDES = ("left", "right", "none")
 
 
 class KrylovBreakdownError(RuntimeError):
-    """Raised when a short recurrence produces a non-positive inner product."""
+    """Raised when a Krylov solver cannot continue.
+
+    CG and PCG raise it on a non-positive inner product, GMRES on a
+    preconditioner output holding NaN or Inf and on an exactly singular
+    reduced Hessenberg matrix.
+    """
 
 
 class SolveReport:
@@ -224,14 +229,22 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     reported history always contains true residual norms; convergence is
     tested on the true relative residual for every side.
     Right preconditioning applies M once per iteration (``Z = M V``).
-    Raises TypeError if M returns complex values for a real system.
+    Raises TypeError if M returns complex values for a real system, and
+    KrylovBreakdownError if M returns NaN or Inf or the reduced
+    Hessenberg matrix is exactly singular.
     """
     if side not in SIDES:
         raise ValueError(f"unknown preconditioning side {side!r}")
     matvec = as_operator(A)
     if M is None:
         side = "none"
-    prec = as_preconditioner(M)
+    apply_M = as_preconditioner(M)
+
+    def prec(v):
+        z = apply_M(v)
+        if not np.all(np.isfinite(z)):
+            raise KrylovBreakdownError("gmres: preconditioner returned NaN or Inf")
+        return z
 
     b = np.asarray(b)
     x0 = np.zeros_like(b) if x0 is None else np.asarray(x0)
@@ -299,7 +312,11 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
         g[k] = cs[k] * g[k]
 
         # Form the candidate solution and measure the true residual.
-        y = scipy.linalg.solve_triangular(H[: k + 1, : k + 1], g[: k + 1])
+        try:
+            y = scipy.linalg.solve_triangular(H[: k + 1, : k + 1], g[: k + 1])
+        except np.linalg.LinAlgError as exc:
+            raise KrylovBreakdownError(
+                f"gmres: reduced Hessenberg matrix is singular ({exc})") from exc
         xk = x0 + np.asarray(Z[: k + 1]).T @ y
         true_res = _norm(b - matvec(xk))
         history.append(true_res)

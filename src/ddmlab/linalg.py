@@ -6,7 +6,10 @@ owns their construction: assemblers hand ``csr_from_triplets`` coordinate
 arrays ``(rows, cols, vals)`` and get canonical CSR back, so no caller
 builds CSR index arrays itself.
 Dense factorizations and the generalized symmetric eigensolver wrap
-LAPACK through scipy. The eigensolver takes a positive definite
+LAPACK through scipy. A sparse matrix is factorized by SuperLU
+(``scipy.sparse.linalg.splu``) in one call, also when it is a stack of
+independent diagonal blocks; singular pivots are then reported per
+block. The eigensolver takes a positive definite
 right-hand side, certified by its Cholesky factorization, and can compute
 only the eigenpairs up to a threshold. A semidefinite right-hand side is
 the caller's to split: the spectral coarse space restricts its pencils to
@@ -21,10 +24,12 @@ import warnings
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 __all__ = [
     "SingularMatrixError",
     "Factorization",
+    "SparseFactorization",
     "csr_from_triplets",
     "compress",
     "dense_lu_factor",
@@ -35,7 +40,15 @@ __all__ = [
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a factorization meets a pivot below the singularity tolerance."""
+    """Raised when a factorization meets a pivot below the singularity tolerance.
+
+    ``block`` is the index of the singular diagonal block when the
+    factorized matrix was given as a stack of blocks, else None.
+    """
+
+    def __init__(self, message, block=None):
+        super().__init__(message)
+        self.block = block
 
 
 class Factorization:
@@ -57,6 +70,34 @@ class Factorization:
         if self.kind == "lu":
             return scipy.linalg.lu_solve(self._data, b, check_finite=False)
         return scipy.linalg.cho_solve(self._data, b, check_finite=False)
+
+
+class SparseFactorization:
+    """Opaque handle for a SuperLU factorization ``Pr A Pc = L U``.
+
+    ``kind`` is "cholesky" when the factorization is a symmetric
+    ``L D L^H`` with positive pivots (a certificate that ``A`` is
+    Hermitian positive definite) and "lu" otherwise; ``nnz`` counts the
+    stored entries of L and U.
+    """
+
+    def __init__(self, kind, lu, dtype):
+        self.kind = kind
+        self._lu = lu
+        self.n = lu.shape[0]
+        self.dtype = dtype
+        self.nnz = int(lu.nnz)
+
+    def solve(self, b):
+        """Solve ``A x = b`` for a vector or an (n, k) block of right-hand sides."""
+        b = np.asarray(b)
+        if b.shape[0] != self.n:
+            raise ValueError(
+                f"right-hand side length {b.shape[0]} does not match order {self.n}")
+        _require_finite(b, "right-hand side")
+        if np.iscomplexobj(b) and self.dtype.kind != "c":
+            return self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
+        return self._lu.solve(b)
 
 
 def _require_finite(x, what):
@@ -151,16 +192,110 @@ def dense_cholesky_factor(A):
     return Factorization("cholesky", (c, lower), A.shape[0], A.dtype)
 
 
-def auto_factor(A):
-    """Factorize a dense matrix, preferring Cholesky.
+def auto_factor(A, blocks=None):
+    """Factorize a dense or sparse matrix, preferring Cholesky.
 
-    Falls back to LU when the matrix is not Hermitian positive definite;
-    a genuinely singular matrix still raises :class:`SingularMatrixError`.
+    A dense matrix gets a LAPACK Cholesky factorization and falls back to
+    LU when it is not Hermitian positive definite.
+
+    A ``scipy.sparse`` matrix gets one SuperLU factorization
+    (:class:`SparseFactorization`). ``blocks`` are the row offsets of
+    diagonal blocks that hold every entry of it (default: one block); a
+    stack of independent blocks is factorized in the one call. A
+    Hermitian matrix is factorized with a symmetric ordering and diagonal
+    pivots (``L D L^H``), labelled "cholesky" when the row and column
+    permutations agree and every pivot is real and positive. Otherwise,
+    and for every non-Hermitian matrix, the factorization is
+    partial-pivoting LU, labelled "lu".
+
+    Raises
+    ------
+    SingularMatrixError
+        If a pivot falls to ``1e-14`` times the Frobenius norm of its
+        matrix (of its diagonal block, which ``block`` then names) or
+        below, or if SuperLU meets an exactly zero pivot.
     """
+    if sp.issparse(A):
+        return _sparse_factor(A, blocks)
+    if blocks is not None:
+        raise ValueError("diagonal blocks are only taken with a sparse matrix")
     try:
         return dense_cholesky_factor(A)
     except (ValueError, SingularMatrixError):
         return dense_lu_factor(A)
+
+
+def _sparse_factor(A, blocks):
+    A = sp.csc_array(A)
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError("auto_factor expects a square matrix")
+    _require_finite(A.data, "matrix")
+    offsets = np.array([0, n]) if blocks is None else np.asarray(blocks)
+    sizes = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != n or np.any(sizes < 0):
+        raise ValueError("block offsets must rise from 0 to the matrix order")
+    block = np.repeat(np.arange(sizes.size), sizes)
+    col = np.repeat(np.arange(n), np.diff(A.indptr))
+    if np.any(block[A.indices] != block[col]):
+        raise ValueError("matrix has entries outside its diagonal blocks")
+    tol = 1e-14 * np.sqrt(np.bincount(block[col], weights=np.abs(A.data) ** 2,
+                                      minlength=sizes.size))
+
+    if np.linalg.norm((A - A.conj().T).data) <= 1e-12 * np.linalg.norm(A.data):
+        lu = _superlu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
+        if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+            d = lu.U.diagonal()
+            # every pivot positive and, to rounding, real
+            if (np.all(np.abs(d.imag) < 1e-12 * d.real)
+                    and _small_pivot_block(d, lu.perm_c, block, tol) is None):
+                return SparseFactorization("cholesky", lu, A.dtype)
+    lu = _superlu(A)
+    bad = (_first_singular_block(A, offsets, block, tol) if lu is None
+           else _small_pivot_block(lu.U.diagonal(), lu.perm_c, block, tol))
+    if bad is not None:
+        raise SingularMatrixError(
+            f"singular pivot in LU factorization of diagonal block {bad}",
+            block=int(bad))
+    return SparseFactorization("lu", lu, A.dtype)
+
+
+def _superlu(A, **options):
+    """SuperLU of a csc matrix, or None when it meets an exactly zero pivot."""
+    try:
+        return scipy.sparse.linalg.splu(A, **options)
+    except RuntimeError as exc:  # "Factor is exactly singular", with no position
+        if "singular" not in str(exc):
+            raise
+        return None
+
+
+def _small_pivot_block(pivots, perm_c, block, tol):
+    """First block with a pivot at or below its tolerance, or None.
+
+    Pivot k (the diagonal of U) eliminates column j of A where
+    ``perm_c[j] == k``.
+    """
+    pivot_block = np.empty_like(block)
+    pivot_block[perm_c] = block
+    small = np.abs(pivots) <= tol[pivot_block]
+    return pivot_block[small].min() if small.any() else None
+
+
+def _first_singular_block(A, offsets, block, tol):
+    """Bisect the diagonal blocks for the first one that fails to factorize."""
+    lo, hi = 0, len(offsets) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        a, b = offsets[lo], offsets[mid]
+        lu = _superlu(A[a:b, a:b])
+        if lu is None or _small_pivot_block(lu.U.diagonal(), lu.perm_c,
+                                            block[a:b], tol) is not None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def sym_gen_eig(A, B, upper=None):

@@ -3,9 +3,10 @@
 Every variant is one product ``R^T W_L B^(-1) W_R R`` over the
 decomposition's stacked restriction ``R``: restrict the residual to all
 overlapping subdomains at once, solve the block-diagonal local problem
-``B = blockdiag(B_i)`` one ``offsets`` slice at a time, and scatter the
-result back. The weights ``W_L``, ``W_R`` are either the identity or the
-stacked partition-of-unity weights ``w``:
+``B = blockdiag(B_i)`` with one sparse factorization of the whole
+stacked operator, and scatter the result back. The weights ``W_L``,
+``W_R`` are either the identity or the stacked partition-of-unity
+weights ``w``:
 
 * ``asm``    sum_i R_i^T B_i^(-1) R_i            (W_L = W_R = I)
 * ``ras``    sum_i R_i^T D_i B_i^(-1) R_i        (W_L = D, restricted)
@@ -26,74 +27,80 @@ from .krylov import SolveReport, as_operator, as_preconditioner
 VARIANTS = ("asm", "ras", "oras", "soras", "none")
 
 
-def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
+def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
                    dim=None):
-    """Dense local subdomain blocks of ``A``, built one at a time.
+    """The stacked local operator ``B = blockdiag(B_i)`` as a sparse CSR matrix.
 
-    Returns an iterator in subdomain order; arguments are checked at the call.
-
-    With ``kind="dirichlet"`` each block is the principal submatrix of A
-    on the subdomain's dof set. With ``kind="robin"`` a diagonal term
-    ``p * h**(dim - 2)`` is added at the artificial-interface dofs, the
-    local dofs whose matrix row couples to a dof outside the subdomain;
-    ``p`` defaults to ``1/h`` and may be a scalar or a per-dof array
-    (complex values are allowed).
+    Rows and columns follow the rows of the decomposition's stacked
+    restriction ``R``, so block i spans ``offsets[i]:offsets[i + 1]``.
+    ``B`` is the block-diagonal part of ``R A R^T``: the entries whose row
+    and column belong to the same subdomain, so that with
+    ``kind="dirichlet"`` each B_i is the principal submatrix of A on the
+    subdomain's dof set. With ``kind="robin"`` a diagonal term
+    ``p * h**(dim - 2)`` is added at the artificial-interface rows, the
+    stacked rows whose dof couples in the matrix graph to a dof outside
+    its subdomain; ``p`` defaults to ``1/h`` and may be a scalar or a
+    per-dof array (complex values are allowed).
     """
     if kind not in ("dirichlet", "robin"):
         raise ValueError(f"unknown local operator kind {kind!r}")
-    n = A.shape[0]
+    if kind == "robin" and (h is None or dim is None):
+        raise ValueError("robin local operators need the mesh width h and dim")
+    R = decomposition.R
+    block = np.repeat(np.arange(decomposition.N), np.diff(decomposition.offsets))
+    rows, cols, vals = _same_block(R @ A @ R.T, block)
     if kind == "robin":
-        if h is None or dim is None:
-            raise ValueError("robin local operators need the mesh width h and dim")
         if p is None:
             p = 1.0 / h
-        p_dof = np.broadcast_to(np.asarray(p), (n,))
-        scale = float(h) ** (dim - 2)
         graph = _symmetric_adjacency(A)
-
-    def block(s):
-        B = A[np.ix_(s, s)].toarray()
-        if kind == "robin":
-            outside = np.ones(n)
-            outside[s] = 0.0
-            on_interface = (graph[s] @ outside) > 0
-            shift = np.where(on_interface, p_dof[s] * scale, 0.0)
-            B = B.astype(np.result_type(B.dtype, shift.dtype))
-            B[np.diag_indices_from(B)] += shift
-        return B
-
-    return map(block, decomposition.sets)
+        # a row is on the interface when its own subdomain holds fewer of
+        # its dof's graph neighbours than the whole graph does
+        inside = np.bincount(_same_block(R @ graph @ R.T, block)[0],
+                             minlength=R.shape[0])
+        interface = np.flatnonzero(inside < np.diff(graph.indptr)[R.indices])
+        p_dof = np.broadcast_to(np.asarray(p), (A.shape[0],))
+        shift = p_dof[R.indices[interface]] * float(h) ** (dim - 2)
+        rows = np.concatenate([rows, interface])
+        cols = np.concatenate([cols, interface])
+        vals = np.concatenate([vals, shift])
+    return linalg.csr_from_triplets(R.shape[0], R.shape[0], rows, cols, vals)
 
 
-def build_local_operators(A, decomposition, kind="dirichlet", p=None,
-                          h=None, dim=None):
-    """Factorize the local subdomain blocks (see :func:`local_matrices`).
+def _same_block(C, block):
+    """Coordinates ``(rows, cols, vals)`` of the entries of C within one block."""
+    C = C.tocoo()
+    keep = block[C.row] == block[C.col]
+    return C.row[keep], C.col[keep], C.data[keep]
 
-    Each block is factorized by Cholesky when it is Hermitian positive
-    definite and by LU otherwise.
+
+def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
+                   dim=None):
+    """Dense local subdomain blocks B_i, sliced one at a time from :func:`local_operator`.
+
+    Returns an iterator in subdomain order; arguments are checked at the call.
     """
-    return [
-        linalg.auto_factor(B)
-        for B in local_matrices(A, decomposition, kind=kind, p=p, h=h, dim=dim)
-    ]
+    B = local_operator(A, decomposition, kind=kind, p=p, h=h, dim=dim)
+    offsets = decomposition.offsets
+    return (B[a:b, a:b].toarray() for a, b in zip(offsets[:-1], offsets[1:]))
 
 
 class OneLevelPreconditioner:
     """Additive Schwarz preconditioner ``R^T W_L B^(-1) W_R R``.
 
-    ``operators[i]`` factorizes B_i; the variant fixes which of the
-    weights W_L, W_R are the stacked partition-of-unity weights.
+    ``factor`` factorizes the stacked local operator B (see
+    :func:`local_operator`), None for the identity variant "none"; the
+    variant fixes which of the weights W_L, W_R are the stacked
+    partition-of-unity weights.
     """
 
-    def __init__(self, variant, decomposition, operators):
+    def __init__(self, variant, decomposition, factor):
         if variant not in VARIANTS:
             raise ValueError(f"unknown Schwarz variant {variant!r}")
         self.variant = variant
         self.decomposition = decomposition
-        self.operators = operators
+        self.factor = factor
         self.n = decomposition.n_dofs
-        dtypes = [op.dtype for op in operators] or [np.float64]
-        self.dtype = np.result_type(*dtypes)
+        self.dtype = np.dtype(np.float64) if factor is None else factor.dtype
         w = decomposition.w
         self._w_left = w if variant in ("ras", "oras", "soras") else None
         self._w_right = w if variant == "soras" else None
@@ -101,8 +108,8 @@ class OneLevelPreconditioner:
     def apply(self, r):
         """Apply the preconditioner to a vector or, column by column, an (n, k) block.
 
-        Both go through the same sparse products and multi-right-hand-side
-        local solves.
+        Both go through the same sparse products and one multi-right-hand-side
+        solve with the factorization of B.
         """
         r = np.asarray(r)
         if r.ndim not in (1, 2) or r.shape[0] != self.n:
@@ -110,16 +117,14 @@ class OneLevelPreconditioner:
                 f"expected a vector or block with {self.n} rows, got {r.shape}")
         if self.variant == "none":
             return r.copy()
-        dec = self.decomposition
-        y = dec.R @ r
+        R = self.decomposition.R
+        y = R @ r
         if self._w_right is not None:
             y = (self._w_right * y.T).T
-        z = np.empty(y.shape, dtype=np.result_type(self.dtype, r.dtype))
-        for op, a, b in zip(self.operators, dec.offsets[:-1], dec.offsets[1:]):
-            z[a:b] = op.solve(y[a:b])
+        z = self.factor.solve(y)
         if self._w_left is not None:
             z = (self._w_left * z.T).T
-        return dec.R.T @ z
+        return R.T @ z
 
 
 def one_level(A, decomposition, variant, kind=None, p=None, h=None, dim=None):
@@ -132,11 +137,19 @@ def one_level(A, decomposition, variant, kind=None, p=None, h=None, dim=None):
     if variant not in VARIANTS:
         raise ValueError(f"unknown Schwarz variant {variant!r}")
     if variant == "none":
-        return OneLevelPreconditioner("none", decomposition, [])
+        return OneLevelPreconditioner("none", decomposition, None)
     if kind is None:
         kind = "robin" if variant in ("oras", "soras") else "dirichlet"
-    ops = build_local_operators(A, decomposition, kind=kind, p=p, h=h, dim=dim)
-    return OneLevelPreconditioner(variant, decomposition, ops)
+    B = local_operator(A, decomposition, kind=kind, p=p, h=h, dim=dim)
+    try:
+        factor = linalg.auto_factor(B, blocks=decomposition.offsets)
+    except linalg.SingularMatrixError as err:
+        if err.block is None:
+            raise
+        raise linalg.SingularMatrixError(
+            f"local operator of subdomain {err.block} is singular: {err}",
+            block=err.block) from err
+    return OneLevelPreconditioner(variant, decomposition, factor)
 
 
 def richardson(A, b, M, x0=None, tol=1e-6, maxit=200):

@@ -91,6 +91,21 @@ class TestConfig:
             for alternative in ("gmres", "'ad'", "'adef2'", "'bnn'"):
                 assert alternative in str(err.value)
 
+    @pytest.mark.parametrize("schwarz", [{}, {"variant": "ras"},
+                                         {"variant": "oras"},
+                                         {"variant": "oras", "robin_p": 10.0}])
+    def test_pcg_with_nonsymmetric_variant_rejected(self, schwarz):
+        cfg = tiny_scenario(schwarz=schwarz, solver={"ksp": "pcg"})
+        with pytest.raises(ValueError, match="pcg.*ras") as err:
+            bench.resolve_scenario(cfg)
+        for alternative in ("gmres", "'asm'", "'soras'"):
+            assert alternative in str(err.value)
+        cfg["solver"]["ksp"] = "gmres"
+        assert bench.resolve_scenario(cfg)["solver"]["ksp"] == "gmres"
+        for variant in ("asm", "soras", "none"):
+            cfg = tiny_scenario(schwarz={"variant": variant}, solver={"ksp": "pcg"})
+            assert bench.resolve_scenario(cfg)["schwarz"]["variant"] == variant
+
     def test_adef1_accepted_with_gmres_or_without_coarse_space(self):
         gmres = tiny_scenario(schwarz={"variant": "asm"},
                               coarse={"kind": "nicolaides"},
@@ -317,6 +332,23 @@ class TestRunScenario:
         }
         rec = bench.run_scenario(cfg)
         assert rec["solve"]["converged"]
+
+    def test_local_factor_recorded(self):
+        one = bench.run_scenario(tiny_scenario(schwarz={"variant": "asm"},
+                                               solver={"ksp": "pcg"}))
+        # 3 subdomains of 8 dofs grown by one layer toward their
+        # neighbours: 9 + 10 + 9 stacked rows
+        assert one["local_factor"]["kind"] == "cholesky"
+        assert one["local_factor"]["order"] == 28
+        assert one["local_factor"]["nnz"] >= 29
+        keys = list(one)
+        assert keys[keys.index("local_factor") + 1] == "coarse_dim"
+        robin = bench.run_scenario(tiny_scenario(
+            schwarz={"variant": "oras", "robin_p": [0.0, 10.0]}))
+        assert robin["local_factor"]["kind"] == "lu"
+        assert robin["local_factor"]["order"] == 28
+        plain = bench.run_scenario(tiny_scenario(schwarz={"variant": "none"}))
+        assert plain["local_factor"] is None
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("side", ["right", "left"])

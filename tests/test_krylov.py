@@ -217,6 +217,28 @@ class TestGmres:
             assert abs(np.linalg.norm(sys.F - sys.A @ xk) - h[k + 1]) <= 1e-13 * h[0]
         np.testing.assert_array_equal(x, rep.iterates[-1])
 
+    def test_singular_hessenberg_raises_breakdown(self):
+        # A e1 = 0: the first Arnoldi step leaves H = [[0], [0]]
+        A = linalg.csr_from_triplets(2, 2, [0], [1], [1.0])
+        with pytest.raises(krylov.KrylovBreakdownError, match="singular"):
+            krylov.gmres(A, np.array([1.0, 0.0]), side="none")
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_preconditioner_raises_breakdown(self, side, bad):
+        sys = discretize.poisson_1d(10)
+        calls = []
+
+        def M(r):
+            calls.append(1)
+            z = r.copy()
+            if len(calls) == 3:
+                z[4] = bad
+            return z
+
+        with pytest.raises(krylov.KrylovBreakdownError, match="NaN or Inf"):
+            krylov.gmres(sys.A, sys.F, M, side=side, tol=1e-12)
+
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_complex_preconditioner_on_real_system_raises(self, side):
         # casting M's output to the real basis would drop its imaginary

@@ -7,6 +7,7 @@ independent whitening oracle built inside the test.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddmlab import linalg
 
@@ -116,6 +117,166 @@ class TestFactorizations:
             b = rng.normal(size=12)
             x = linalg.dense_lu_factor(A).solve(b)
             assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b) * np.linalg.norm(A, "fro")
+
+
+def laplacian_2d(m):
+    """Dense 5-point Laplacian on an m x m grid (unit spacing)."""
+    T = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    return np.kron(T, np.eye(m)) + np.kron(np.eye(m), T)
+
+
+def stacked(blocks):
+    """Block-diagonal csc matrix of dense blocks, with its row offsets."""
+    offsets = np.concatenate([[0], np.cumsum([len(B) for B in blocks])])
+    return sp.csc_array(sp.block_diag(blocks, format="csc")), offsets
+
+
+def spd_blocks():
+    return [laplacian_2d(m) for m in (3, 5, 4, 6)]
+
+
+def robin_blocks():
+    # a complex diagonal term on the last row of each block: complex symmetric
+    out = []
+    for B in spd_blocks():
+        B = B.astype(complex)
+        B[-1, -1] += 3.0 - 2.0j
+        out.append(B)
+    return out
+
+
+def helmholtz_blocks():
+    # -Laplace - k^2 with k^2 inside each block's spectrum: real symmetric indefinite
+    return [B - 3.1 * np.eye(len(B)) for B in spd_blocks()]
+
+
+def hermitian_blocks():
+    rng = np.random.default_rng(2)
+    out = []
+    for B in spd_blocks():
+        S = 0.1 * rng.standard_normal(B.shape)
+        out.append(B + 1j * (S - S.T))
+    return out
+
+
+class TestSparseFactor:
+    """One SuperLU factorization of a block stack against dense LAPACK factors."""
+
+    @pytest.mark.parametrize("blocks, kind", [
+        (spd_blocks, "cholesky"), (robin_blocks, "lu"),
+        (helmholtz_blocks, "lu"), (hermitian_blocks, "cholesky")])
+    def test_matches_dense_factor(self, blocks, kind):
+        B, offsets = stacked(blocks())
+        F = linalg.auto_factor(B, blocks=offsets)
+        oracle = linalg.auto_factor(B.toarray())
+        assert isinstance(F, linalg.SparseFactorization)
+        assert F.kind == oracle.kind == kind
+        assert F.n == B.shape[0] and F.dtype == B.dtype
+        assert F.nnz >= B.nnz
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal(F.n)
+        x = F.solve(b)
+        assert x.dtype == np.result_type(B.dtype, b)
+        ref = oracle.solve(b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_block_right_hand_side(self):
+        B, offsets = stacked(spd_blocks())
+        F = linalg.auto_factor(B, blocks=offsets)
+        V = np.random.default_rng(1).standard_normal((F.n, 5))
+        X = F.solve(V)
+        assert X.shape == V.shape
+        ref = linalg.dense_cholesky_factor(B.toarray()).solve(V)
+        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_complex_right_hand_side_on_real_factor(self):
+        B, offsets = stacked(spd_blocks())
+        F = linalg.auto_factor(B, blocks=offsets)
+        assert F.dtype.kind == "f"
+        rng = np.random.default_rng(3)
+        for shape in [(F.n,), (F.n, 3)]:
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x = F.solve(b)
+            assert x.dtype.kind == "c"
+            ref = linalg.dense_cholesky_factor(B.toarray()).solve(b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_block_by_default(self):
+        B = sp.csc_array(laplacian_2d(4))
+        F = linalg.auto_factor(B)
+        assert F.kind == "cholesky"
+        b = np.arange(16.0)
+        np.testing.assert_allclose(B @ F.solve(b), b, atol=1e-12)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("singular", ["rank one", "neumann"])
+    def test_singular_block_named(self, position, singular):
+        blocks = spd_blocks()
+        m = len(blocks[position])
+        if singular == "rank one":
+            # SuperLU meets an exactly zero pivot and stops
+            blocks[position] = np.ones((m, m))
+        else:
+            # pure Neumann Laplacian: a pivot at rounding level
+            N = laplacian_2d(int(np.sqrt(m)))
+            blocks[position] = N - np.diag(N.sum(axis=1)) + 1e-16 * np.eye(m)
+        B, offsets = stacked(blocks)
+        with pytest.raises(linalg.SingularMatrixError,
+                           match=f"block {position}") as err:
+            linalg.auto_factor(B, blocks=offsets)
+        assert err.value.block == position
+
+    def test_tiny_pivot_named_through_column_permutation(self):
+        # sparse blocks in shuffled order: SuperLU's column ordering moves
+        # pivots away from their blocks' rows, perm_c maps them back
+        rng = np.random.default_rng(4)
+        for trial in range(10):
+            blocks = []
+            for m in (2, 3, 2, 3, 2):
+                q = rng.permutation(m * m)
+                blocks.append(laplacian_2d(m)[np.ix_(q, q)])
+            target = trial % 5
+            blocks[target][:, rng.integers(len(blocks[target]))] *= 1e-25
+            B, offsets = stacked(blocks)
+            with pytest.raises(linalg.SingularMatrixError) as err:
+                linalg.auto_factor(B, blocks=offsets)
+            assert err.value.block == target
+
+    def test_pivot_rule_is_per_block(self):
+        # a well-conditioned block at a tiny scale is not singular, even
+        # though its pivots lie far below 1e-14 times the norm of the stack
+        blocks = [1e-14 * laplacian_2d(3), laplacian_2d(4)]
+        B, offsets = stacked(blocks)
+        F = linalg.auto_factor(B, blocks=offsets)
+        assert F.kind == "cholesky"
+        x = np.random.default_rng(5).standard_normal(F.n)
+        np.testing.assert_allclose(F.solve(B @ x), x, rtol=1e-10)
+
+    def test_zero_diagonal_hermitian_block_is_not_cholesky(self):
+        # symmetric mode meets a zero diagonal and pivots off it: the
+        # pivots (+1, +1) are positive, but the block is indefinite
+        B, offsets = stacked([laplacian_2d(3), np.array([[0.0, 1.0], [1.0, 0.0]])])
+        F = linalg.auto_factor(B, blocks=offsets)
+        assert F.kind == linalg.auto_factor(B.toarray()).kind == "lu"
+        b = np.arange(1.0, F.n + 1)
+        np.testing.assert_allclose(B @ F.solve(b), b, atol=1e-12)
+
+    def test_exact_zero_pivot_becomes_singular_matrix_error(self):
+        B, offsets = stacked([np.ones((2, 2)), 2.0 * np.eye(3)])
+        with pytest.raises(linalg.SingularMatrixError) as err:
+            linalg.auto_factor(B, blocks=offsets)
+        assert err.value.block == 0
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.auto_factor(sp.csc_array(np.ones((2, 2))))
+
+    def test_entries_outside_the_blocks_rejected(self):
+        B = sp.csc_array(laplacian_2d(3))
+        with pytest.raises(ValueError, match="outside"):
+            linalg.auto_factor(B, blocks=[0, 4, 9])
+        with pytest.raises(ValueError, match="offsets"):
+            linalg.auto_factor(B, blocks=[0, 4])
+        with pytest.raises(ValueError):
+            linalg.auto_factor(laplacian_2d(3), blocks=[0, 9])
 
 
 def whitening_gen_eig(A, B, null_tol=1e-10):

@@ -56,13 +56,58 @@ def fem_graph_setup(cells, N, seed, delta, pu="multiplicity"):
     return sys, dec
 
 
+def local_solve(B, dec, i, rhs):
+    """Solve with block i of the stacked operator B through its one factorization.
+
+    The right-hand side is zero outside block i, and so must the solution be.
+    """
+    a, b = dec.offsets[i], dec.offsets[i + 1]
+    y = np.zeros(B.shape[0], dtype=np.result_type(B.dtype, rhs))
+    y[a:b] = rhs
+    x = linalg.auto_factor(B, blocks=dec.offsets).solve(y)
+    assert not np.any(x[:a]) and not np.any(x[b:])
+    return x[a:b]
+
+
+def robin_blocks(A, dec, p, scale):
+    """Oracle: dense blocks with ``p[g] * scale`` added where dof g touches the outside."""
+    Ad = A.toarray()
+    p = np.broadcast_to(np.asarray(p), (A.shape[0],))
+    blocks = []
+    for s in dec.sets:
+        B = Ad[np.ix_(s, s)].astype(np.result_type(Ad, p))
+        outside = np.setdiff1d(np.arange(A.shape[0]), s)
+        for li, g in enumerate(s):
+            if np.any(Ad[g, outside] != 0) or np.any(Ad[outside, g] != 0):
+                B[li, li] += p[g] * scale
+        blocks.append(B)
+    return blocks
+
+
+def loop_apply(blocks, dec, variant, r):
+    """Oracle: the one-level apply as a dense loop over subdomains."""
+    if variant == "none":
+        return r.copy()
+    out = np.zeros(r.shape, dtype=np.result_type(r, *blocks))
+    for s, d, B in zip(dec.sets, dec.weights, blocks):
+        loc = r[s]
+        if variant == "soras":
+            loc = (d * loc.T).T
+        loc = np.linalg.solve(B, loc)
+        if variant in ("ras", "oras", "soras"):
+            loc = (d * loc.T).T
+        out[s] += loc
+    return out
+
+
 class TestLocalOperators:
     def test_single_subdomain_is_global_matrix(self):
         sys, dec = poisson_setup(6, 1, 0)
-        ops = schwarz.build_local_operators(sys.A, dec)
+        B = schwarz.local_operator(sys.A, dec)
         rhs = np.arange(1.0, 7.0)
         np.testing.assert_allclose(
-            ops[0].solve(rhs), np.linalg.solve(sys.A.toarray(), rhs), atol=1e-10
+            local_solve(B, dec, 0, rhs), np.linalg.solve(sys.A.toarray(), rhs),
+            atol=1e-10
         )
 
     def test_local_matrices_are_lazy_and_checked_at_the_call(self):
@@ -82,41 +127,38 @@ class TestLocalOperators:
     def test_dirichlet_blocks_are_principal_submatrices(self):
         sys, dec = poisson_setup(5, 2, 1)
         assert [list(s) for s in dec.sets] == [[0, 1, 2, 3], [2, 3, 4]]
-        ops = schwarz.build_local_operators(sys.A, dec)
+        B = schwarz.local_operator(sys.A, dec)
         A1 = sys.A.toarray()[:4, :4]
         e = np.eye(4)
-        got = np.column_stack([ops[0].solve(e[:, j]) for j in range(4)])
+        got = np.column_stack([local_solve(B, dec, 0, e[:, j]) for j in range(4)])
         np.testing.assert_allclose(got, np.linalg.inv(A1), atol=1e-9)
 
     def test_robin_zero_parameter_matches_dirichlet(self):
         sys, dec = poisson_setup(7, 2, 1)
-        dops = schwarz.build_local_operators(sys.A, dec)
-        rops = schwarz.build_local_operators(
-            sys.A, dec, kind="robin", p=0.0, h=sys.h, dim=1
-        )
+        D = schwarz.local_operator(sys.A, dec)
+        R = schwarz.local_operator(sys.A, dec, kind="robin", p=0.0, h=sys.h, dim=1)
         rhs = np.ones(len(dec.sets[0]))
-        np.testing.assert_allclose(rops[0].solve(rhs), dops[0].solve(rhs), atol=1e-10)
+        np.testing.assert_allclose(local_solve(R, dec, 0, rhs),
+                                   local_solve(D, dec, 0, rhs), atol=1e-10)
 
     def test_robin_diagonal_shift_on_interface_only(self):
         sys, dec = poisson_setup(5, 2, 1)
         p = 3.0
-        ops = schwarz.build_local_operators(
-            sys.A, dec, kind="robin", p=p, h=sys.h, dim=1
-        )
+        B = schwarz.local_operator(sys.A, dec, kind="robin", p=p, h=sys.h, dim=1)
         Ad = sys.A.toarray()
         # Subdomain 0 owns dofs 0..3; only dof 3 touches the outside.
         B0 = Ad[:4, :4].copy()
         B0[3, 3] += p / sys.h
         rhs = np.linspace(1, 2, 4)
         np.testing.assert_allclose(
-            ops[0].solve(rhs), np.linalg.solve(B0, rhs), atol=1e-10
+            local_solve(B, dec, 0, rhs), np.linalg.solve(B0, rhs), atol=1e-10
         )
         # Subdomain 1 owns dofs 2..4; only dof 2 touches the outside.
         B1 = Ad[2:, 2:].copy()
         B1[0, 0] += p / sys.h
         rhs = np.array([0.5, -1.0, 2.0])
         np.testing.assert_allclose(
-            ops[1].solve(rhs), np.linalg.solve(B1, rhs), atol=1e-10
+            local_solve(B, dec, 1, rhs), np.linalg.solve(B1, rhs), atol=1e-10
         )
 
     def test_robin_two_dimensional_scaling_is_unscaled(self):
@@ -124,9 +166,7 @@ class TestLocalOperators:
         part = decompose.cartesian_partition(sys.grid, 2, 1)
         dec = decompose.expand_overlap(sys.A, part, 1)
         p = 5.0
-        ops = schwarz.build_local_operators(
-            sys.A, dec, kind="robin", p=p, h=sys.h, dim=2
-        )
+        stacked = schwarz.local_operator(sys.A, dec, kind="robin", p=p, h=sys.h, dim=2)
         s = dec.sets[0]
         Ad = sys.A.toarray()
         B = Ad[np.ix_(s, s)].copy()
@@ -135,7 +175,23 @@ class TestLocalOperators:
             if np.any(Ad[g, outside] != 0):
                 B[li, li] += p
         rhs = np.random.default_rng(3).standard_normal(len(s))
-        np.testing.assert_allclose(ops[0].solve(rhs), np.linalg.solve(B, rhs), atol=1e-9)
+        np.testing.assert_allclose(local_solve(stacked, dec, 0, rhs),
+                                   np.linalg.solve(B, rhs), atol=1e-9)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0 - 2.0j, "per-dof"])
+    def test_stacked_operator_holds_the_dense_blocks(self, p):
+        sys, dec = fem_graph_setup(8, 5, 2, 2)
+        if p == "per-dof":
+            p = np.linspace(1.0, 2.0, sys.A.shape[0])
+        B = schwarz.local_operator(sys.A, dec, kind="robin", p=p, h=sys.h, dim=2)
+        dense = schwarz.local_matrices(sys.A, dec, kind="robin", p=p, h=sys.h, dim=2)
+        oracle = robin_blocks(sys.A, dec, p, 1.0)
+        for i, got in enumerate(dense):
+            a, b = dec.offsets[i], dec.offsets[i + 1]
+            np.testing.assert_array_equal(got, oracle[i])
+            np.testing.assert_array_equal(B[a:b, a:b].toarray(), got)
+            # nothing couples two subdomains
+            assert B[a:b].nnz == B[a:b, a:b].nnz
 
 
 class TestOneLevel:
@@ -215,6 +271,70 @@ class TestOneLevel:
         sys, dec = poisson_setup(5, 2, 1)
         with pytest.raises(ValueError):
             schwarz.one_level(sys.A, dec, "msm")
+
+
+class TestStackedApply:
+    """The apply with one factorization of B against a dense loop over subdomains."""
+
+    @staticmethod
+    def assert_matches_loop(A, dec, variant, p, h, dim, r):
+        M = schwarz.one_level(A, dec, variant, p=p, h=h, dim=dim)
+        if variant in ("oras", "soras"):
+            blocks = robin_blocks(A, dec, 1.0 / h if p is None else p, h ** (dim - 2))
+        else:
+            Ad = A.toarray()
+            blocks = [Ad[np.ix_(s, s)] for s in dec.sets]
+        got = M.apply(r)
+        ref = loop_apply(blocks, dec, variant, r)
+        assert got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("pu", ["multiplicity", "boolean"])
+    @pytest.mark.parametrize("variant", schwarz.VARIANTS)
+    def test_fem_graph_partition(self, variant, pu):
+        sys, dec = fem_graph_setup(10, 5, 1, 2, pu=pu)
+        r = np.random.default_rng(6).standard_normal((sys.A.shape[0], 3))
+        self.assert_matches_loop(sys.A, dec, variant, None, sys.h, 2, r)
+        self.assert_matches_loop(sys.A, dec, variant, None, sys.h, 2, r[:, 0])
+
+    @pytest.mark.parametrize("variant", schwarz.VARIANTS)
+    def test_one_dimensional_fd(self, variant):
+        sys, dec = poisson_setup(40, 5, 2)
+        r = np.cos(np.arange(40.0))
+        self.assert_matches_loop(sys.A, dec, variant, None, sys.h, 1, r)
+
+    @pytest.mark.parametrize("p", [None, 3.0 - 2.0j])
+    @pytest.mark.parametrize("variant", schwarz.VARIANTS)
+    def test_helmholtz(self, variant, p):
+        grid = discretize.StructuredGrid(2, nx=9, ny=9)
+        sys = discretize.helmholtz_2d(grid, omega=7.0, boundary="impedance")
+        part = decompose.greedy_graph_partition(sys.A, 4, seed=0)
+        dec = decompose.expand_overlap(sys.A, part, 1)
+        rng = np.random.default_rng(7)
+        r = rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
+        p = p if variant in ("oras", "soras") else None
+        self.assert_matches_loop(sys.A, dec, variant, p, sys.h, 2, r)
+
+    def test_factor_kind_follows_the_blocks(self):
+        sys, dec = fem_graph_setup(10, 5, 1, 2)
+        assert schwarz.one_level(sys.A, dec, "asm").factor.kind == "cholesky"
+        assert schwarz.one_level(sys.A, dec, "soras", h=sys.h, dim=2).factor.kind == "cholesky"
+        M = schwarz.one_level(sys.A, dec, "oras", p=3.0 - 2.0j, h=sys.h, dim=2)
+        assert M.factor.kind == "lu" and M.dtype.kind == "c"
+        assert M.factor.n == dec.offsets[-1]
+        assert schwarz.one_level(sys.A, dec, "none").factor is None
+
+    def test_singular_subdomain_named(self):
+        # subdomain 1 holds a pure Neumann block: its local problem is singular
+        rows = [0, 1, 2, 3, 4, 5, 0, 1, 1, 2, 3, 4, 4, 5]
+        cols = [0, 1, 2, 3, 4, 5, 1, 0, 2, 1, 4, 3, 5, 4]
+        vals = [2.0, 2.0, 2.0, 1.0, 2.0, 1.0] + [-1.0] * 8
+        A = linalg.csr_from_triplets(6, 6, rows, cols, vals)
+        part = decompose.Partition([np.arange(3), np.arange(3, 6)], source="manual")
+        dec = decompose.expand_overlap(A, part, 0)
+        with pytest.raises(linalg.SingularMatrixError, match="subdomain 1") as err:
+            schwarz.one_level(A, dec, "asm")
+        assert err.value.block == 1
 
 
 class TestBlockApply:
