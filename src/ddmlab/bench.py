@@ -215,6 +215,13 @@ def resolve_scenario(config):
                          f"{variant} is nonsymmetric and CG does not converge "
                          "with it; use ksp 'gmres', or variant 'asm' or 'soras' "
                          "with pcg")
+    if (ksp == "pcg" and variant == "soras" and isinstance(robin_p, list)
+            and robin_p[1] != 0):
+        raise ValueError("pcg with schwarz variant 'soras' and a complex robin_p "
+                         "is not supported: complex Robin blocks make soras "
+                         "complex symmetric, not Hermitian, and CG theory does "
+                         "not cover it; use ksp 'gmres', or a real robin_p "
+                         "with pcg")
     if ksp == "pcg" and combinator == "adef1" and ckind != "none":
         raise ValueError("pcg with combinator 'adef1' is not supported: adef1 is "
                          "nonsymmetric and CG does not converge with it, even "
@@ -416,8 +423,9 @@ def _execute(cfg):
     finally:
         if cs is not None:
             # dropping the wrapper also breaks the cycle through its bound
-            # method, so reference counting frees the coarse space (and its
-            # dense basis) when the run ends, also when the solve fails
+            # method, so reference counting frees the coarse space (its
+            # basis and factorized coarse operator) when the run ends, also
+            # when the solve fails
             del cs.apply_Q
 
     spectrum = None

@@ -11,8 +11,13 @@ correction formulas (see :class:`TwoLevelPreconditioner`).
 Three constructions are provided: the weighted indicator space
 (:func:`nicolaides_space`), interpolation from a coarser structured grid
 (:func:`grid_space`), and the spectral space built from local generalized
-eigenproblems (:func:`geneo_space` over :func:`geneo_pencils`). In each,
-:class:`CoarseSpace` drops dependent columns by QR with column pivoting.
+eigenproblems (:func:`geneo_space` over :func:`geneo_pencils`). Each
+assembles its columns of local support as one sparse array, and
+:class:`CoarseSpace` keeps Z as a ``scipy.sparse.csc_array``: ``Z^H A Z``
+and every coarse solve are sparse products. Dependent columns are dropped
+by QR with column pivoting (LAPACK geqp3), the one step that needs Z
+dense; it runs on a transient copy that is freed before ``Z^H A Z`` is
+formed.
 
 The GenEO pencil's right-hand matrix ``D_j A_j D_j`` is only
 semidefinite when some partition-of-unity weights are zero (Boolean
@@ -26,6 +31,7 @@ eigenpairs up to the threshold.
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from . import discretize, linalg, schwarz
 from .krylov import as_operator, as_preconditioner
@@ -40,18 +46,27 @@ class EmptyCoarseSpaceError(RuntimeError):
 class CoarseSpace:
     """Span of coarse basis columns plus the factorized coarse operator.
 
-    Columns that are numerically dependent on the others are dropped by
-    QR with column pivoting (relative tolerance ``rank_tol``); the
-    surviving columns keep their original values and order. Per-column
+    ``Z`` is kept as a ``scipy.sparse.csc_array`` (a dense basis is
+    converted), so the coarse operator ``Z^H A Z`` and every coarse solve
+    are sparse products; ``Z^H A Z`` itself is small and factorized dense,
+    by Cholesky when it is positive definite. Columns that are numerically
+    dependent on the others are dropped by QR with column pivoting
+    (relative tolerance ``rank_tol``); the surviving columns keep their
+    original values and order. This rank filter is the only step that
+    densifies Z, into one transient array for LAPACK geqp3. Per-column
     metadata (owning subdomain, generalized eigenvalue) is filtered
     alongside.
+
+    Raises :class:`EmptyCoarseSpaceError` when no column survives, and
+    ``linalg.SingularMatrixError`` naming ``tag`` and the candidate column
+    where elimination breaks down when ``Z^H A Z`` is singular.
     """
 
     def __init__(self, Z, A, tag, owners=None, eigenvalues=None, tau=None,
                  rank_tol=1e-10):
-        Z = np.asarray(Z)
-        if Z.ndim != 2:
+        if np.ndim(Z) != 2:
             raise ValueError("coarse basis must be a 2d array")
+        Z = sp.csc_array(Z)
         self.raw_columns = Z.shape[1]
         keep = _independent_columns(Z, rank_tol)
         if keep.size == 0:
@@ -59,14 +74,22 @@ class CoarseSpace:
                 f"{tag}: no independent coarse columns ({self.raw_columns} candidates)"
             )
         self.Z = Z[:, keep]
+        self._ZH = self.Z.conj(copy=False).T
         self.tag = tag
         self.tau = tau
         self.owners = None if owners is None else np.asarray(owners)[keep]
         self.eigenvalues = (
             None if eigenvalues is None else np.asarray(eigenvalues)[keep]
         )
-        A0 = self.Z.conj().T @ (A @ self.Z)
-        self.A0 = linalg.auto_factor(A0)
+        A0 = self._ZH @ (A @ self.Z)
+        try:
+            self.A0 = linalg.auto_factor(A0.toarray() if sp.issparse(A0) else A0)
+        except linalg.SingularMatrixError as exc:
+            raise linalg.SingularMatrixError(
+                f"{tag}: coarse operator Z^H A Z is singular; elimination breaks "
+                f"down at candidate column {keep[exc.column]} of "
+                f"{self.raw_columns} candidates ({keep.size} kept)"
+            ) from exc
 
     @property
     def n(self):
@@ -82,7 +105,7 @@ class CoarseSpace:
         if r.ndim not in (1, 2) or r.shape[0] != self.n:
             raise ValueError(
                 f"expected a vector or block with {self.n} rows, got {r.shape}")
-        return self.A0.solve(self.Z.conj().T @ r)
+        return self.A0.solve(self._ZH @ r)
 
     def apply_Q(self, r):
         """Coarse correction ``Z (Z^H A Z)^(-1) Z^H r`` of a vector or (n, k) block."""
@@ -90,25 +113,30 @@ class CoarseSpace:
 
 
 def _independent_columns(Z, rel_tol):
-    """Indices of a maximal independent column subset, original order.
+    """Indices of a maximal independent column subset of a csc_array, original order.
 
     QR with column pivoting (LAPACK geqp3) takes, step by step, the column
     with the largest norm orthogonal to the columns already taken. The
     leading pivots whose ``|R_kk|`` exceeds ``rel_tol`` times the largest
     column norm are kept, up to the first one that does not. Of equal
     columns the lowest index is kept.
+
+    geqp3 is a dense kernel: it runs on one transient Fortran-order copy
+    of ``Z``, overwritten in place and freed on return.
     """
-    Z = np.asarray(Z)
-    if Z.size == 0:
+    if 0 in Z.shape:
         return np.empty(0, dtype=int)
-    norms = np.linalg.norm(Z, axis=0)
-    R, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    if not np.isfinite(Z.data).all():
+        raise ValueError("coarse basis contains NaN or Inf")
+    norms = scipy.sparse.linalg.norm(Z, axis=0)
+    R, piv = scipy.linalg.qr(Z.toarray(order="F"), mode="raw", pivoting=True,
+                             overwrite_a=True, check_finite=False)[1:]
     strong = np.abs(R.diagonal()) > rel_tol * norms.max()
     keep = piv[:np.logical_and.accumulate(strong).sum()]
     # geqp3's column swaps can move a copy ahead of its original: map each
     # column to its first exact copy (equal norm, all but one dropped).
     same = np.flatnonzero(np.isin(norms, norms[piv[len(keep):]]))
-    raw = np.ascontiguousarray(Z[:, same].T)
+    raw = Z[:, same].T.toarray()
     raw = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1])))[:, 0]
     _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
     rep = np.arange(Z.shape[1])
@@ -121,7 +149,8 @@ def nicolaides_space(A, decomposition):
 
     Column i extends the subdomain's partition-of-unity weights by zero;
     together the columns reproduce the constant vector exactly. The basis
-    is one scatter of the stacked weights ``w`` to the rows ``R.indices``.
+    is one sparse array holding the stacked weights ``w`` at the rows
+    ``R.indices``.
     """
     dec = decomposition
     owner = _row_owners(dec)
@@ -132,8 +161,7 @@ def nicolaides_space(A, decomposition):
             f"subdomain {i} carries no partition-of-unity weight; "
             "its indicator column would vanish"
         )
-    Z = np.zeros((dec.n_dofs, dec.N))
-    Z[dec.R.indices, owner] = dec.w
+    Z = sp.csc_array((dec.w, (dec.R.indices, owner)), shape=(dec.n_dofs, dec.N))
     return CoarseSpace(Z, A, tag="nicolaides", owners=np.arange(dec.N))
 
 
@@ -155,11 +183,13 @@ def _hat_matrix(m, h, H):
     m0 = (m + 1) // r - 1
     if m0 < 1:
         raise ValueError("coarse grid has no interior nodes")
-    # Integer index arithmetic keeps the weights exact (0 stays 0, 1 stays 1).
-    i = np.arange(1, m + 1)
-    J = np.arange(1, m0 + 1) * r
-    Z = np.maximum(0.0, 1.0 - np.abs(i[:, None] - J[None, :]) / r)
-    return Z
+    # Coarse node J (fine index J * r) has weight 1 - |d| / r at fine node
+    # J * r + d for |d| < r. Integer offsets keep the weights exact (1 stays 1).
+    d = np.arange(1 - r, r)[:, None]
+    J = np.arange(1, m0 + 1)[None, :]
+    rows, cols = np.broadcast_arrays(J * r + d - 1, J - 1)
+    vals = np.broadcast_to(1.0 - np.abs(d) / r, rows.shape)
+    return sp.csc_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m0))
 
 
 def grid_space(A, fine_grid, H_coarse):
@@ -175,7 +205,7 @@ def grid_space(A, fine_grid, H_coarse):
     else:
         Zx = _hat_matrix(fine_grid.nx, fine_grid.hx, H_coarse)
         Zy = _hat_matrix(fine_grid.ny, fine_grid.hy, H_coarse)
-        Z = np.kron(Zy, Zx)
+        Z = sp.kron(Zy, Zx, format="csc")
     return CoarseSpace(Z, A, tag="grid")
 
 
@@ -311,10 +341,12 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
         )
     subdomains, rows, blocks, values = zip(*kept)
     counts = [len(v) for v in values]
-    Z = np.zeros((decomposition.n_dofs, sum(counts)),
-                 dtype=np.result_type(float, *blocks))
-    for r, V, end in zip(rows, blocks, np.cumsum(counts)):
-        Z[r, end - V.shape[1]:end] = V
+    # column b of block V holds V[:, b] at the block's ascending rows
+    Z = sp.csc_array((
+        np.concatenate([V.T.ravel() for V in blocks]),
+        np.concatenate([np.tile(r, c) for r, c in zip(rows, counts)]),
+        np.concatenate([[0], np.cumsum(np.repeat([len(r) for r in rows], counts))])),
+        shape=(decomposition.n_dofs, sum(counts)))
     return CoarseSpace(Z, A, tag="geneo", owners=np.repeat(subdomains, counts),
                        eigenvalues=np.concatenate(values), tau=tau)
 

@@ -44,11 +44,14 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
     ``block`` is the index of the singular diagonal block when the
     factorized matrix was given as a stack of blocks, else None.
+    ``column`` is the column of a dense LU's smallest pivot, where
+    elimination breaks down, else None.
     """
 
-    def __init__(self, message, block=None):
+    def __init__(self, message, block=None, column=None):
         super().__init__(message)
         self.block = block
+        self.column = column
 
 
 class Factorization:
@@ -156,7 +159,8 @@ def dense_lu_factor(A):
     Raises
     ------
     SingularMatrixError
-        If a pivot falls below 1e-14 times the Frobenius norm of ``A``.
+        If a pivot falls below 1e-14 times the Frobenius norm of ``A``;
+        its ``column`` is the column of the smallest pivot.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -168,7 +172,10 @@ def dense_lu_factor(A):
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if A.shape[0] and pivots.min() <= 1e-14 * np.linalg.norm(A, "fro"):
-        raise SingularMatrixError("singular pivot in LU factorization")
+        # row pivoting only: pivot k eliminates column k of A
+        column = int(np.argmin(pivots))
+        raise SingularMatrixError(
+            f"singular pivot in LU factorization (column {column})", column=column)
     return Factorization("lu", (lu, piv), A.shape[0], A.dtype)
 
 

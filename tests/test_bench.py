@@ -106,6 +106,21 @@ class TestConfig:
             cfg = tiny_scenario(schwarz={"variant": variant}, solver={"ksp": "pcg"})
             assert bench.resolve_scenario(cfg)["schwarz"]["variant"] == variant
 
+    def test_pcg_with_soras_and_complex_robin_p_rejected(self):
+        for robin_p in ([0.0, 10.0], [10.0, 10.0], [10.0, -1.0]):
+            cfg = tiny_scenario(schwarz={"variant": "soras", "robin_p": robin_p},
+                                solver={"ksp": "pcg"})
+            with pytest.raises(ValueError, match="pcg.*'soras'.*complex") as err:
+                bench.resolve_scenario(cfg)
+            for alternative in ("gmres", "real robin_p"):
+                assert alternative in str(err.value)
+            cfg["solver"]["ksp"] = "gmres"
+            assert bench.resolve_scenario(cfg)["schwarz"]["robin_p"] == robin_p
+        for robin_p in (10.0, [10.0, 0.0], None):
+            cfg = tiny_scenario(schwarz={"variant": "soras", "robin_p": robin_p},
+                                solver={"ksp": "pcg"})
+            assert bench.resolve_scenario(cfg)["solver"]["ksp"] == "pcg"
+
     def test_adef1_accepted_with_gmres_or_without_coarse_space(self):
         gmres = tiny_scenario(schwarz={"variant": "asm"},
                               coarse={"kind": "nicolaides"},

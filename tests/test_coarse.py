@@ -5,9 +5,13 @@ coarsening identity, and dense reference formulas for every coarse
 correction combinator are frozen here.
 """
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from ddmlab import coarse, decompose, discretize, krylov, linalg, schwarz
 
@@ -69,6 +73,21 @@ def nicolaides_loop(dec):
     return Z
 
 
+def dense_rank_filter(Z, rel_tol):
+    # the dense geqp3 filter that the sparse-basis _independent_columns replaced
+    norms = np.linalg.norm(Z, axis=0)
+    R, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    strong = np.abs(R.diagonal()) > rel_tol * norms.max()
+    keep = piv[:np.logical_and.accumulate(strong).sum()]
+    same = np.flatnonzero(np.isin(norms, norms[piv[len(keep):]]))
+    raw = np.ascontiguousarray(Z[:, same].T)
+    raw = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1])))[:, 0]
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rep = np.arange(Z.shape[1])
+    rep[same] = same[first[inverse]]
+    return np.sort(rep[keep])
+
+
 def element_sets_loop(system, dec):
     # the per-subdomain loop that subdomain_element_sets replaced
     dmap = system.dof_of_vertex[system.mesh.triangles]
@@ -127,7 +146,9 @@ class TestStackedArrayOracles:
         sys, dec = graph_setup(cells, N, seed, delta, pu)
         cs = coarse.nicolaides_space(sys.A, dec)
         assert cs.m0 == cs.raw_columns == N
-        np.testing.assert_array_equal(cs.Z, nicolaides_loop(dec))
+        assert sp.issparse(cs.Z) and cs.Z.format == "csc"
+        assert cs.Z.nnz == dec.R.nnz
+        np.testing.assert_array_equal(cs.Z.toarray(), nicolaides_loop(dec))
 
     @pytest.mark.parametrize("cells,N,seed,delta,pu", CASES)
     def test_element_sets_match_loop_bitwise(self, cells, N, seed, delta, pu):
@@ -200,8 +221,8 @@ class TestGeneoAgainstWhitening:
             scaled = scaled_pencil_eigenvalues(sys.A, dec, nm, j)[:len(mine)]
             np.testing.assert_allclose(mine, scaled, rtol=0,
                                        atol=1e-12 * max(np.abs(mine).max(), 1.0))
-            Qa, _ = np.linalg.qr(cs.Z[:, cs.owners == j])
-            Qb, _ = np.linalg.qr(ref.Z[:, ref.owners == j])
+            Qa, _ = np.linalg.qr(cs.Z.toarray()[:, cs.owners == j])
+            Qb, _ = np.linalg.qr(ref.Z.toarray()[:, ref.owners == j])
             cosines = np.linalg.svd(Qa.T @ Qb, compute_uv=False)
             assert 1.0 - cosines.min() <= 1e-9, j
         if contrast is not None:
@@ -209,13 +230,103 @@ class TestGeneoAgainstWhitening:
             assert np.sum(ref.eigenvalues < 1e-3) > 0
 
 
+def dense_hat_matrix(m, r):
+    # the dense 1d hat matrix that the sparse grid basis replaced
+    i = np.arange(1, m + 1)
+    J = np.arange(1, (m + 1) // r) * r
+    return np.maximum(0.0, 1.0 - np.abs(i[:, None] - J[None, :]) / r)
+
+
+def dense_geneo_basis(A, dec, neumann, tau):
+    # the dense scatter of the kept D_j phi blocks that the sparse GenEO
+    # basis replaced, from the same pencils and eigensolver
+    columns = []
+    for j, (s, D, Nloc, B) in enumerate(coarse.geneo_pencils(A, dec, neumann)):
+        wd, Nw, Bw = coarse.weighted_pencil(D, Nloc, B)
+        values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
+        block = np.zeros((dec.n_dofs, len(values)))
+        block[s[wd]] = D[wd, None] * vectors
+        columns.append(block)
+    return np.hstack(columns)
+
+
+class TestSparseBasis:
+    """Every builder hands CoarseSpace a sparse basis equal to the dense one."""
+
+    @pytest.mark.parametrize("m,ratio", [(7, 2), (15, 4), (11, 3), (6, 1)])
+    def test_grid_basis_matches_dense_bitwise(self, m, ratio):
+        for sys in (discretize.poisson_1d(m), discretize.poisson_2d_fd(m, m)):
+            cs = coarse.grid_space(sys.A, sys.grid, ratio * sys.h)
+            hat = dense_hat_matrix(m, ratio)
+            ref = hat if sys.grid.dim == 1 else np.kron(hat, hat)
+            assert sp.issparse(cs.Z) and cs.Z.format == "csc"
+            assert cs.Z.nnz == np.count_nonzero(ref)
+            np.testing.assert_array_equal(cs.Z.toarray(), ref)
+
+    @pytest.mark.parametrize("cells,N,seed,pu,tau", [
+        (16, 6, 1, "multiplicity", 0.5), (16, 6, 2, "boolean", 0.4)])
+    def test_geneo_basis_matches_dense_bitwise(self, cells, N, seed, pu, tau):
+        sys, dec = graph_setup(cells, N, seed, 2, pu)
+        nm = coarse.subdomain_neumann_matrices(sys, dec)
+        cs = coarse.geneo_space(sys.A, dec, nm, tau=tau)
+        ref = dense_geneo_basis(sys.A, dec, nm, tau)
+        assert sp.issparse(cs.Z) and cs.Z.format == "csc"
+        assert cs.m0 == cs.raw_columns == ref.shape[1]
+        np.testing.assert_array_equal(cs.Z.toarray(), ref)
+
+    @staticmethod
+    def spaces():
+        sys, dec = graph_setup(12, 5, 3, 1)
+        nm = coarse.subdomain_neumann_matrices(sys, dec)
+        rng = np.random.default_rng(4)
+        Zc = rng.standard_normal((sys.n, 6)) + 1j * rng.standard_normal((sys.n, 6))
+        fd = discretize.poisson_2d_fd(11, 11)
+        yield sys.n, coarse.nicolaides_space(sys.A, dec)
+        yield sys.n, coarse.geneo_space(sys.A, dec, nm, tau=0.5)
+        yield sys.n, coarse.CoarseSpace(Zc, sys.A, tag="complex")
+        yield fd.n, coarse.grid_space(fd.A, fd.grid, 3 * fd.h)
+
+    def test_solves_match_dense_basis(self):
+        # the sparse products against dense ones through the same factor
+        rng = np.random.default_rng(9)
+        for n, cs in self.spaces():
+            Zd = cs.Z.toarray()
+            v = rng.standard_normal(n)
+            V = rng.standard_normal((n, 5))
+            for r in (v, V, V + 1j * V[::-1]):
+                coef = cs.A0.solve(Zd.conj().T @ r)
+                for got, ref in ((cs.solve_coefficients(r), coef),
+                                 (cs.apply_Q(r), Zd @ coef)):
+                    assert got.shape == ref.shape and got.dtype == ref.dtype
+                    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), cs.tag
+
+    def test_nicolaides_setup_keeps_no_dense_basis(self):
+        # The rank filter's transient dense copy is the only n x m array:
+        # peak below 1.5x one such float64 array, and below 0.1x of it left
+        # allocated once the space is built.
+        sys = discretize.poisson_2d_fd(120, 120)
+        part = decompose.cartesian_partition(sys.grid, 6, 6)
+        dec = decompose.expand_overlap(sys.A, part, 2)
+        dense = dec.n_dofs * dec.N * 8
+        tracemalloc.start()
+        try:
+            cs = coarse.nicolaides_space(sys.A, dec)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs.m0 == dec.N
+        assert peak < 1.5 * dense
+        assert retained < 0.1 * dense
+
+
 class TestNicolaides:
     def test_hand_columns(self):
         sys, dec = poisson_setup(5, 2, 1)
         cs = coarse.nicolaides_space(sys.A, dec)
         assert cs.tag == "nicolaides"
-        np.testing.assert_allclose(cs.Z[:, 0], [1, 1, 0.5, 0.5, 0], atol=1e-15)
-        np.testing.assert_allclose(cs.Z[:, 1], [0, 0, 0.5, 0.5, 1], atol=1e-15)
+        Z = cs.Z.toarray()
+        np.testing.assert_allclose(Z[:, 0], [1, 1, 0.5, 0.5, 0], atol=1e-15)
+        np.testing.assert_allclose(Z[:, 1], [0, 0, 0.5, 0.5, 1], atol=1e-15)
 
     def test_columns_sum_to_one(self):
         sys = discretize.poisson_2d_fd(9, 9)
@@ -241,9 +352,10 @@ class TestGridSpace:
         H = 2 * sys.h
         cs = coarse.grid_space(sys.A, sys.grid, H)
         assert cs.Z.shape == (7, 3)
-        np.testing.assert_allclose(cs.Z[:, 0], [0.5, 1, 0.5, 0, 0, 0, 0], atol=1e-14)
-        np.testing.assert_allclose(cs.Z[:, 1], [0, 0, 0.5, 1, 0.5, 0, 0], atol=1e-14)
-        np.testing.assert_allclose(cs.Z[:, 2], [0, 0, 0, 0, 0.5, 1, 0.5], atol=1e-14)
+        Z = cs.Z.toarray()
+        np.testing.assert_allclose(Z[:, 0], [0.5, 1, 0.5, 0, 0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(Z[:, 1], [0, 0, 0.5, 1, 0.5, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(Z[:, 2], [0, 0, 0, 0, 0.5, 1, 0.5], atol=1e-14)
 
     @pytest.mark.parametrize("m,ratio", [(15, 2), (15, 4), (11, 3)])
     def test_galerkin_coarsening_identity_1d(self, m, ratio):
@@ -260,7 +372,7 @@ class TestGridSpace:
     def test_identity_when_same_spacing(self):
         sys = discretize.poisson_1d(6)
         cs = coarse.grid_space(sys.A, sys.grid, sys.h)
-        np.testing.assert_allclose(cs.Z, np.eye(6), atol=0)
+        np.testing.assert_allclose(cs.Z.toarray(), np.eye(6), atol=0)
 
     def test_bilinear_2d(self):
         sys = discretize.poisson_2d_fd(7, 7)
@@ -294,8 +406,9 @@ class TestCoarseSpaceMechanics:
         cs = coarse.CoarseSpace(Z, sys.A, tag="manual")
         assert cs.raw_columns == 3
         assert cs.Z.shape == (5, 2)
-        np.testing.assert_allclose(cs.Z[:, 0], c1, atol=0)
-        np.testing.assert_allclose(cs.Z[:, 1], c2, atol=0)
+        Z = cs.Z.toarray()
+        np.testing.assert_allclose(Z[:, 0], c1, atol=0)
+        np.testing.assert_allclose(Z[:, 1], c2, atol=0)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_rank_filter_on_random_low_rank_bases(self, dtype):
@@ -322,7 +435,8 @@ class TestCoarseSpaceMechanics:
             cols.append(cols[rng.integers(len(cols))] + eps / 10 * Q[:, r + 1])
             Z = np.column_stack([cols[i] for i in rng.permutation(len(cols))])
 
-            keep = coarse._independent_columns(Z, rank_tol)
+            keep = coarse._independent_columns(sp.csc_array(Z), rank_tol)
+            np.testing.assert_array_equal(keep, dense_rank_filter(Z, rank_tol))
             assert np.all(np.diff(keep) > 0)
             tol = rank_tol * np.linalg.norm(Z, axis=0).max()
             rank = np.linalg.matrix_rank(Z, tol=tol)
@@ -336,6 +450,31 @@ class TestCoarseSpaceMechanics:
                 if (Z[:, :j] == Z[:, [j]]).all(axis=0).any():
                     assert j not in keep
 
+    def test_singular_coarse_operator_names_the_column(self):
+        # A column 10x the tolerance off the span of the others passes the
+        # rank filter, but Z^H Z then has a relative eigenvalue near 1e-18
+        # and fails Cholesky and LU. The error names the candidate column
+        # of the smallest LU pivot.
+        rank_tol = 1e-10
+        rng = np.random.default_rng(5)
+        n, r = 40, 4
+        Q, _ = np.linalg.qr(rng.standard_normal((n, r + 1)))
+        Z = Q[:, :r] @ rng.standard_normal((r, r + 2))
+        eps = rank_tol * np.linalg.norm(Z, axis=0).max()
+        Z = np.column_stack([Z, Z[:, 1] + 10 * eps * Q[:, r]])
+        Z = Z[:, rng.permutation(r + 3)]
+        with pytest.raises(linalg.SingularMatrixError,
+                           match=r"^random: .* candidate column (\d+) of 7 "
+                                 r"candidates \(5 kept\)") as err:
+            coarse.CoarseSpace(Z, np.eye(n), tag="random", rank_tol=rank_tol)
+        column = int(re.search(r"candidate column (\d+)", str(err.value))[1])
+        keep = coarse._independent_columns(sp.csc_array(Z), rank_tol)
+        assert column == keep[err.value.__cause__.column]
+        # without that column the coarse operator factorizes
+        cs = coarse.CoarseSpace(np.delete(Z, column, axis=1), np.eye(n),
+                                tag="random", rank_tol=rank_tol)
+        assert cs.m0 == r and cs.A0.kind == "cholesky"
+
     def test_all_zero_columns_rejected(self):
         sys, dec = poisson_setup(5, 2, 1)
         with pytest.raises(coarse.EmptyCoarseSpaceError):
@@ -345,7 +484,8 @@ class TestCoarseSpaceMechanics:
         sys, dec = poisson_setup(9, 3, 1)
         cs = coarse.nicolaides_space(sys.A, dec)
         Ad = sys.A.toarray()
-        Qd = cs.Z @ np.linalg.solve(cs.Z.T @ Ad @ cs.Z, cs.Z.T)
+        Z = cs.Z.toarray()
+        Qd = Z @ np.linalg.solve(Z.T @ Ad @ Z, Z.T)
         r = np.random.default_rng(7).standard_normal(9)
         np.testing.assert_allclose(cs.apply_Q(r), Qd @ r, atol=1e-11)
 
@@ -378,7 +518,8 @@ class TestCombinators:
         cs = coarse.nicolaides_space(sys.A, dec)
         Ad = sys.A.toarray()
         M1d = np.column_stack([M1.apply(col) for col in np.eye(9)])
-        Qd = cs.Z @ np.linalg.solve(cs.Z.T @ Ad @ cs.Z, cs.Z.T)
+        Z = cs.Z.toarray()
+        Qd = Z @ np.linalg.solve(Z.T @ Ad @ Z, Z.T)
         return sys, dec, M1, cs, Ad, M1d, Qd
 
     def test_all_formulas_match_dense(self):
@@ -527,12 +668,25 @@ class TestBlockApply:
 
 
 class TestGeneo:
-    def test_select_all_spans_everything(self):
+    def test_select_all_spans_everything(self, monkeypatch):
+        # raw > n: the pivot order decides the kept set, which must be the
+        # dense filter's on the same candidates
+        calls = []
+
+        def recorded(Z, rel_tol, real=coarse._independent_columns):
+            calls.append((Z.toarray(), rel_tol, real(Z, rel_tol)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(coarse, "_independent_columns", recorded)
         sys, dec = fem_setup(6, 2, 2, 1)
         nm = coarse.subdomain_neumann_matrices(sys, dec)
         cs = coarse.geneo_space(sys.A, dec, nm, tau=1e12)
         assert cs.raw_columns == sum(len(s) for s in dec.sets)
         assert cs.Z.shape[1] == sys.n
+        (Z, rel_tol, keep), = calls
+        assert Z.shape[1] > Z.shape[0]
+        np.testing.assert_array_equal(keep, dense_rank_filter(Z, rel_tol))
+        np.testing.assert_array_equal(cs.Z.toarray(), Z[:, keep])
         r = np.random.default_rng(2).standard_normal(sys.n)
         np.testing.assert_allclose(
             cs.apply_Q(r),
@@ -557,7 +711,8 @@ class TestGeneo:
         assert 4 in owners
         cols = np.flatnonzero(owners == 4)
         assert len(cols) == 1
-        got = cs.Z[:, cols[0]]
+        Z = cs.Z.toarray()
+        got = Z[:, cols[0]]
         ref = np.zeros(sys.n)
         ref[dec.sets[4]] = dec.weights[4]
         got = got / np.linalg.norm(got)
@@ -566,7 +721,7 @@ class TestGeneo:
             got = -got
         np.testing.assert_allclose(got, ref, atol=1e-8)
         outside = np.setdiff1d(np.arange(sys.n), dec.sets[4])
-        assert np.all(cs.Z[outside, cols[0]] == 0)
+        assert np.all(Z[outside, cols[0]] == 0)
 
     def test_selected_eigenvalues_respect_threshold(self):
         sys, dec = fem_setup(8, 2, 2, 1)

@@ -98,6 +98,13 @@ class TestFactorizations:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.dense_lu_factor(A)
 
+    def test_singular_error_names_the_column(self):
+        # column 1 is twice column 0 on the rows that column 2 leaves free
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 3.0]])
+        with pytest.raises(linalg.SingularMatrixError, match=r"\(column 1\)") as err:
+            linalg.dense_lu_factor(A)
+        assert err.value.column == 1 and err.value.block is None
+
     def test_cholesky_rejects_indefinite(self):
         A = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises((linalg.SingularMatrixError, ValueError)):
