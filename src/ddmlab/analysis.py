@@ -15,7 +15,7 @@ column (the contract of ``krylov.as_preconditioner``).
 import numpy as np
 import scipy.sparse as sp
 
-from . import coarse, krylov, linalg
+from . import coarse, krylov, linalg, schwarz
 
 DENSE_LIMIT = 2000
 
@@ -168,24 +168,25 @@ def fsl_constants(A, decomposition, neumann_matrices, local_blocks):
     the pencil (A_j^Neu, D_j A_jj D_j), where A_j^Neu is the subdomain
     assembly without artificial boundary conditions, zero-extended to
     the overlapping set. As in the GenEO coarse space, that pencil is
-    solved on the dofs of nonzero weight (``coarse.weighted_pencil``),
+    solved on the dofs of nonzero weight (``coarse.geneo_pencils``),
     where D_j A_jj D_j is definite; the zero-weight dofs carry only its
     infinite eigenvalues. gamma_1 is the best (largest) eigenvalue of the
-    pencil (D_j A_jj D_j, B_j) with B_j the local solver blocks actually
-    used by the preconditioner, which must be Hermitian positive definite.
-    M_c is the partition-of-unity multiplicity and N_c the color count. Both ``neumann_matrices`` and
-    ``local_blocks`` need one entry per subdomain, else ValueError.
+    full-size pencil (D_j A_jj D_j, B_j) with B_j the local solver blocks
+    actually used by the preconditioner, which must be Hermitian positive
+    definite. M_c is the partition-of-unity multiplicity and N_c the color
+    count. Both ``neumann_matrices`` and ``local_blocks`` need one entry
+    per subdomain, else ValueError.
     """
     tau1 = np.inf
     gamma1 = 0.0
     pencils = coarse.geneo_pencils(A, decomposition, neumann_matrices)
-    for (s, D, Nloc, dad), B in zip(pencils, local_blocks, strict=True):
-        if len(s) == 0:
-            continue
-        _, Nw, dad_w = coarse.weighted_pencil(D, Nloc, dad)
+    dirichlet = schwarz.local_matrices(A, decomposition)
+    for (_, _, Nw, dad_w), D, Ajj, B in zip(
+            pencils, decomposition.weights, dirichlet, local_blocks, strict=True):
         low, _ = linalg.sym_gen_eig(Nw, dad_w)
         if len(low):
             tau1 = min(tau1, float(low[0]))
+        dad = (D[:, None] * Ajj) * D[None, :]
         high, _ = linalg.sym_gen_eig(dad, B)
         if len(high):
             gamma1 = max(gamma1, float(high[-1]))

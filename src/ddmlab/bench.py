@@ -441,6 +441,7 @@ def _execute(cfg):
         "scenario": cfg,
         "n_dofs": int(A.shape[0]),
         "n_subdomains": int(dec.N),
+        "subdomain_dofs": np.diff(dec.offsets).tolist(),
         "local_factor": None if M1.factor is None else {
             "kind": M1.factor.kind, "order": M1.factor.n,
             "nnz": M1.factor.nnz},
@@ -449,6 +450,9 @@ def _execute(cfg):
         "coarse_per_subdomain": (
             None if cs is None or cs.owners is None
             else np.bincount(cs.owners, minlength=dec.N).tolist()),
+        "coarse_eigenvalues": (
+            None if cs is None or cs.eigenvalues is None
+            else cs.eigenvalues.tolist()),
         "solve": report.to_dict(),
         "spectrum": None if spectrum is None else spectrum.to_dict(),
         "timings": {k: timers[k] for k in _TIMING_BUCKETS},

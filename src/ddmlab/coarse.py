@@ -22,7 +22,7 @@ formed.
 The GenEO pencil's right-hand matrix ``D_j A_j D_j`` is only
 semidefinite when some partition-of-unity weights are zero (Boolean
 weights). Its kernel is split off here, not in the eigensolver:
-:func:`weighted_pencil` restricts the pencil to the dofs of nonzero
+:func:`geneo_pencils` builds each pencil directly on the dofs of nonzero
 weight, where it is definite, for both GenEO and
 ``analysis.fsl_constants``, and ``linalg.sym_gen_eig`` computes only the
 eigenpairs up to the threshold.
@@ -253,44 +253,63 @@ def subdomain_neumann_matrices(system, decomposition):
 
 
 def geneo_pencils(A, decomposition, neumann_matrices):
-    """Local GenEO pencils ``(N_j, D_j A_j D_j)``, one subdomain at a time.
+    """Local GenEO pencils ``(N_j, D_j A_j D_j)`` on the weighted dofs, in subdomain order.
 
-    Yields ``(s_j, D_j, N_j, D_j A_j D_j)`` for every subdomain j in
-    order: the overlapping dof set, its partition-of-unity weights,
-    ``neumann_matrices[j]`` zero-extended from its own dofs to ``s_j``,
-    and the weighted principal submatrix ``A_j`` of A on ``s_j``. Raises
-    ValueError unless there is one Neumann matrix per subdomain.
+    ``A_j`` is the principal submatrix of A on the overlapping set ``s_j``
+    and ``N_j`` is ``neumann_matrices[j]`` zero-extended from its own dofs
+    to ``s_j``. ``D_j A_j D_j`` vanishes exactly on the rows and columns of
+    zero weight and is positive definite on the others, so the pencil is
+    restricted to the dofs of nonzero weight, where it suits
+    ``linalg.sym_gen_eig``; the directions dropped are infinite eigenvalues
+    or vectors whose basis column ``D_j phi`` is zero.
+
+    Yields ``(dofs, d, Nw, Bw)`` for every subdomain: the ascending global
+    dofs of nonzero weight in ``s_j``, their weights, and the two restricted
+    dense matrices. Both are built straight at the weighted positions: the
+    stacked local operator is filtered and scaled once for all subdomains,
+    and each Neumann matrix is scattered without its zero-weight dofs.
+    Raises ValueError unless there is one Neumann matrix per subdomain.
     """
-    if len(neumann_matrices) != decomposition.N:
+    dec = decomposition
+    if len(neumann_matrices) != dec.N:
         raise ValueError(
-            f"got {len(neumann_matrices)} Neumann matrices for "
-            f"{decomposition.N} subdomains"
+            f"got {len(neumann_matrices)} Neumann matrices for {dec.N} subdomains"
         )
-    return map(_pencil, decomposition.sets, decomposition.weights,
-               neumann_matrices, schwarz.local_matrices(A, decomposition))
+    B = schwarz.local_operator(A, dec)
+    weighted = dec.w != 0
+    wrows = np.flatnonzero(weighted)
+    # first[i]: weighted stacked rows before row i; block j owns the
+    # weighted rows first[offsets[j]]:first[offsets[j + 1]]
+    first = np.concatenate([[0], np.cumsum(weighted)])
+    wstart = first[dec.offsets]
+    block = _row_owners(dec)
+    wloc = first[:-1] - wstart[block]  # row i's position among its block's
+    size = np.diff(wstart)
+    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+    keep = weighted[rows] & weighted[B.indices]
+    rows, cols = rows[keep], B.indices[keep]
+    # entry (i, k) of D_j A_j D_j is (d_i a_ik) d_k, as in the dense product
+    vals = (dec.w[rows] * B.data[keep]) * dec.w[cols]
+    flat = wloc[rows] * size[block[rows]] + wloc[cols]
+    kept = np.concatenate([[0], np.cumsum(keep)])[B.indptr[dec.offsets]]
 
+    def pencil(j):
+        a, m = dec.offsets[j], size[j]
+        Bw = np.zeros(m * m, dtype=vals.dtype)
+        Bw[flat[kept[j]:kept[j + 1]]] = vals[kept[j]:kept[j + 1]]
+        # the Neumann dofs' stacked rows, and which of them carry weight
+        N, ndofs = neumann_matrices[j]
+        N = np.asarray(N)
+        at = a + np.searchsorted(dec.sets[j], ndofs)
+        on = np.flatnonzero(weighted[at])
+        if len(on) < len(at):
+            N, at = N[np.ix_(on, on)], at[on]
+        Nw = np.zeros((m, m), dtype=N.dtype)
+        Nw[np.ix_(wloc[at], wloc[at])] = N
+        w = wrows[wstart[j]:wstart[j + 1]]
+        return dec.R.indices[w], dec.w[w], Nw, Bw.reshape(m, m)
 
-def _pencil(s, D, neumann, Aj):
-    N, dofs = neumann
-    pos = np.searchsorted(s, dofs)
-    Nloc = np.zeros(Aj.shape, dtype=np.asarray(N).dtype)
-    Nloc[np.ix_(pos, pos)] = N
-    return s, D, Nloc, (D[:, None] * Aj) * D[None, :]
-
-
-def weighted_pencil(D, Nloc, B):
-    """Restrict a GenEO pencil ``(N_j, D_j A_j D_j)`` to the weighted dofs.
-
-    ``B = D_j A_j D_j`` vanishes exactly on the rows and columns of zero
-    weight and is positive definite on the others, so the restricted
-    pencil suits ``linalg.sym_gen_eig``. The directions dropped are
-    infinite eigenvalues or vectors whose basis column ``D_j phi`` is zero.
-    Returns the positions ``wd`` of the nonzero weights in ``D`` and the
-    two restricted matrices.
-    """
-    wd = np.flatnonzero(D)
-    sub = np.ix_(wd, wd)
-    return wd, Nloc[sub], B[sub]
+    return map(pencil, range(dec.N))
 
 
 def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
@@ -300,7 +319,7 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
     with ``N_j`` the local Neumann matrix and ``A_j`` the principal
     submatrix of A, then keep the eigenvectors with ``lambda <= tau``.
     The pencil is solved on the dofs of nonzero weight
-    (:func:`weighted_pencil`), where it is definite, by one subset
+    (:func:`geneo_pencils`), where it is definite, by one subset
     eigensolve that computes just the eigenpairs up to ``tau``. Selected
     vectors enter the basis as ``R_j^T D_j phi``, grouped by subdomain in
     ascending index and eigenvalue order.
@@ -327,13 +346,12 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
 
     kept = []
     pencils = geneo_pencils(A, decomposition, neumann_matrices)
-    for j, (s, D, Nloc, B) in enumerate(pencils):
+    for j, (dofs, d, Nw, Bw) in enumerate(pencils):
         if len(neumann_matrices[j][1]) == 0:
             continue
-        wd, Nw, Bw = weighted_pencil(D, Nloc, B)
         values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
         if len(values):
-            kept.append((j, s[wd], D[wd, None] * vectors, values))
+            kept.append((j, dofs, d[:, None] * vectors, values))
 
     if not kept:
         raise EmptyCoarseSpaceError(

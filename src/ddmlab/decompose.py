@@ -96,7 +96,17 @@ class Decomposition:
         )
 
 
-def _axis_blocks(n, p):
+def _check_count(name, value):
+    """A subdomain count as an int; ValueError unless it is a positive integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
+def _axis_blocks(n, p, name):
+    p = _check_count(name, p)
     if p > n:
         raise ValueError(f"cannot split {n} points into {p} parts")
     q, r = divmod(n, p)
@@ -114,16 +124,17 @@ def cartesian_partition(grid, p_x, p_y=None):
         Either the number of 1D DoFs or a 2D grid whose interior nodes are
         indexed lexicographically.
     p_x, p_y : int
-        Subdomain counts per axis; 1D uses p_x only.
+        Subdomain counts per axis, positive integers (else ValueError);
+        1D uses p_x only.
     """
     if isinstance(grid, (int, np.integer)):
-        return Partition(_axis_blocks(int(grid), p_x), source="cartesian")
+        return Partition(_axis_blocks(int(grid), p_x, "p_x"), source="cartesian")
     if grid.dim == 1:
-        return Partition(_axis_blocks(grid.nx, p_x), source="cartesian")
+        return Partition(_axis_blocks(grid.nx, p_x, "p_x"), source="cartesian")
     if p_y is None:
         raise ValueError("2D grids need p_x and p_y")
-    xblocks = _axis_blocks(grid.nx, p_x)
-    yblocks = _axis_blocks(grid.ny, p_y)
+    xblocks = _axis_blocks(grid.nx, p_x, "p_x")
+    yblocks = _axis_blocks(grid.ny, p_y, "p_y")
     sets = []
     for by in range(p_y):
         for bx in range(p_x):
@@ -148,15 +159,29 @@ def greedy_graph_partition(A, N, seed=0):
     pass reattaches any region fragment disconnected from its seed, and a
     rebalance pass moves boundary nodes from the largest region to an
     adjacent smaller one until sizes are within one of each other.
-    Deterministic for a given seed.
+    Deterministic for a given seed. Raises ValueError unless N is an
+    integer between 1 and the number of DoFs.
+
+    Growth walks Python adjacency lists. Each repair round starts with
+    one component labelling of the edges inside regions and ends there
+    when every node shares its seed's component. The rebalance reads
+    region adjacency from crossing-edge counts that each move updates. A
+    node leaves a region known to be connected only if its neighbours in
+    the region still reach each other without it (every path through the
+    node enters and leaves by them), which an early-exit search decides;
+    a region that may be disconnected is labelled by one
+    ``connected_components`` call.
     """
     n = A.shape[0]
+    N = _check_count("region count N", N)
     if N > n:
         raise ValueError(f"cannot grow {N} regions on {n} DoFs")
     adj = _symmetric_adjacency(A)
     # edge k of the graph runs from tail[k] to adj.indices[k]
     tail = np.repeat(np.arange(n), np.diff(adj.indptr))
     head = adj.indices
+    ptr, idx = adj.indptr.tolist(), head.tolist()
+    nbrs = [idx[ptr[u]:ptr[u + 1]] for u in range(n)]
     rng = np.random.default_rng(seed)
 
     seeds = [int(rng.integers(n))]
@@ -167,54 +192,77 @@ def greedy_graph_partition(A, N, seed=0):
         nxt = int(np.argmax(dist))  # lowest index wins ties
         seeds.append(nxt)
 
-    owner = np.full(n, -1, dtype=int)
+    own = [-1] * n
     queues = []
     for r, s in enumerate(seeds):
-        owner[s] = r
+        own[s] = r
         queues.append([s])
     unclaimed = n - N
     heads = [0] * N
+    # position reached in the adjacency list of each region's queue head;
+    # claimed nodes stay claimed, so a rescan could not find an earlier one
+    scan = [0] * N
+    lowest = 0  # below it every node is claimed
     while unclaimed > 0:
         for r in range(N):
             if unclaimed == 0:
                 break
-            claimed = False
             q = queues[r]
+            v = -1
             while heads[r] < len(q):
-                u = q[heads[r]]
-                for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]:
-                    if owner[v] < 0:
-                        owner[v] = r
-                        q.append(int(v))
-                        claimed = True
-                        break
-                if claimed:
+                row = nbrs[q[heads[r]]]
+                k = scan[r]
+                while k < len(row) and own[row[k]] >= 0:
+                    k += 1
+                if k < len(row):
+                    v = row[k]
+                    scan[r] = k + 1
                     break
                 heads[r] += 1
-            if not claimed:
-                v = int(np.argmin(owner))  # lowest-index unclaimed node
-                owner[v] = r
-                q.append(v)
+                scan[r] = 0
+            if v < 0:
+                while own[lowest] >= 0:
+                    lowest += 1
+                v = lowest
+            own[v] = r
+            q.append(v)
             unclaimed -= 1
+    owner = np.array(own)
 
-    def induced(members, u=-1):
-        # subgraph induced by the ascending members, without node u's edges,
-        # and the members' local indices; the kept edges are already in CSR
-        # order, since ``tail`` ascends and so does ``loc`` over the members
+    def induced(members):
+        # subgraph induced by the ascending members, and the members' local
+        # indices; the kept edges are already in CSR order, since ``tail``
+        # ascends and so does ``loc`` over the members
         loc = np.full(n, -1)
         loc[members] = np.arange(len(members))
-        keep = (loc[tail] >= 0) & (loc[head] >= 0) & (tail != u) & (head != u)
+        keep = (loc[tail] >= 0) & (loc[head] >= 0)
         counts = np.bincount(loc[tail[keep]], minlength=len(members))
         indptr = np.concatenate([[0], np.cumsum(counts)])
         sub = sp.csr_array((np.ones(keep.sum()), loc[head[keep]], indptr), shape=(len(members),) * 2)
         return sub, loc
 
+    def components(sub):
+        # the graph is symmetric, so its strong components are its components
+        return csgraph.connected_components(sub, connection="strong")
+
     def repair():
+        # a round that finds every region connected and holding its seed
+        # moves nothing, and one component labelling of the edges inside
+        # regions tells; otherwise reattach fragments region by region.
+        # True when the last round found every region connected.
         moved = True
         rounds = 0
         while moved and rounds < n:
             moved = False
             rounds += 1
+            inner = owner[tail] == owner[head]
+            sub = sp.csr_array(
+                (np.ones(inner.sum()), head[inner],
+                 np.concatenate([[0], np.cumsum(np.bincount(tail[inner], minlength=n))])),
+                shape=(n, n))
+            label = components(sub)[1]
+            if (label == label[np.asarray(seeds)[owner]]).all():
+                return True
             for r in range(N):
                 members = np.flatnonzero(owner == r)
                 if len(members) == 0:
@@ -230,32 +278,76 @@ def greedy_graph_partition(A, N, seed=0):
                     if len(targets):
                         owner[u] = targets.min()
                         moved = True
+        return False
 
-    def region_graph():
-        # sorted neighbor regions of every region, from the edges that
-        # cross a region boundary
-        src, dst = owner[tail], owner[head]
-        crossing = src != dst
-        pairs = np.unique(src[crossing] * N + dst[crossing])
-        starts = np.searchsorted(pairs // N, np.arange(N + 1))
-        return [(pairs[starts[r]:starts[r + 1]] % N).tolist() for r in range(N)]
+    # connected[r]: region r is known to be connected; a node moves only
+    # to a region it touches, so only a region that loses one can split
+    connected = [repair()] * N
+    own = owner.tolist()
+    sizes = np.bincount(owner, minlength=N).tolist()
+    # crossing[a][b]: edges from region a to region b != a
+    pairs = owner[tail] * N + owner[head]
+    crossing = np.bincount(pairs, minlength=N * N).reshape(N, N)
+    np.fill_diagonal(crossing, 0)
+    crossing = crossing.tolist()
+
+    def move(u, dst):
+        src = own[u]
+        for v in nbrs[u]:
+            o = own[v]
+            if o != src:
+                crossing[src][o] -= 1
+                crossing[o][src] -= 1
+            if o != dst:
+                crossing[dst][o] += 1
+                crossing[o][dst] += 1
+        own[u] = owner[u] = dst
+        sizes[src] -= 1
+        sizes[dst] += 1
+
+    def keeps_connected(u, src):
+        # src minus u is connected iff u's neighbours in src reach each
+        # other without u; search from one of them until all are found
+        inside = [v for v in nbrs[u] if own[v] == src]
+        missing = set(inside)
+        missing.discard(inside[0])
+        seen = {u, inside[0]}
+        frontier = [inside[0]]
+        while missing and frontier:
+            nxt = []
+            for x in frontier:
+                for v in nbrs[x]:
+                    if v not in seen and own[v] == src:
+                        seen.add(v)
+                        missing.discard(v)
+                        nxt.append(v)
+            frontier = nxt
+        return not missing
 
     def shift_one(src, dst):
         # move one src node adjacent to dst, preferring one whose removal
         # keeps src connected; candidates are tried in ascending order
-        members = np.flatnonzero(owner == src)
-        cands = np.unique(tail[(owner[tail] == src) & (owner[head] == dst)])
-        if len(members) > 1:
-            for u in cands:
-                # u is left isolated, so the other members stay connected
-                # iff there are two components (the graph is symmetric, so
-                # its strong components are its components)
-                sub, _ = induced(members, u)
-                if csgraph.connected_components(sub, connection="strong")[0] == 2:
-                    owner[u] = dst
-                    return True
-        if len(cands):
-            owner[cands[0]] = dst
+        cands = np.unique(tail[(owner[tail] == src) & (owner[head] == dst)]).tolist()
+        if sizes[src] > 1 and cands:
+            if not connected[src]:
+                members = np.flatnonzero(owner == src)
+                count, label = components(induced(members)[0])
+                connected[src] = count == 1
+            if connected[src]:
+                passing = (u for u in cands if keeps_connected(u, src))
+            else:
+                # removing a node merges no components, so src minus u is
+                # connected only when u alone is one of two components
+                alone = np.bincount(label)[label[np.searchsorted(members, cands)]] == 1
+                passing = iter(np.asarray(cands)[alone & (count == 2)].tolist())
+            u = next(passing, None)
+            if u is not None:
+                move(u, dst)
+                connected[src] = True
+                return True
+        if cands:
+            move(cands[0], dst)
+            connected[src] = False
             return True
         return False
 
@@ -263,21 +355,20 @@ def greedy_graph_partition(A, N, seed=0):
         # route single nodes along region-adjacency chains from the nearest
         # oversized region into the smallest one
         for _ in range(n * N):
-            sizes = np.bincount(owner, minlength=N)
-            if sizes.max() - sizes.min() <= 1:
+            low = min(sizes)
+            if max(sizes) - low <= 1:
                 return
-            small = int(np.argmin(sizes))
-            neighbors = region_graph()
+            small = sizes.index(low)
             parent = {small: None}
             frontier = [small]
             target = None
             while frontier and target is None:
                 nxt = []
                 for r in frontier:
-                    for q in neighbors[r]:
-                        if q not in parent:
+                    for q in range(N):
+                        if crossing[r][q] and q not in parent:
                             parent[q] = r
-                            if sizes[q] >= sizes[small] + 2:
+                            if sizes[q] >= low + 2:
                                 target = q
                                 break
                             nxt.append(q)
@@ -292,10 +383,9 @@ def greedy_graph_partition(A, N, seed=0):
                     return
                 r = parent[r]
 
-    repair()
     rebalance()
-    sets = [np.flatnonzero(owner == r) for r in range(N)]
-    return Partition(sets, source="greedy_graph")
+    order = np.argsort(owner, kind="stable")
+    return Partition(np.split(order, np.cumsum(sizes)[:-1]), source="greedy_graph")
 
 
 def expand_overlap(A, partition, delta, coords=None, h=None):

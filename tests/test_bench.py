@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from ddmlab import bench, coarse
+from ddmlab import bench, coarse, decompose, discretize
 
 
 def tiny_scenario(**overrides):
@@ -325,6 +325,44 @@ class TestRunScenario:
             "solver": {"ksp": "gmres"}})
         assert geneo["coarse_per_subdomain"] == [1, 0, 0, 0, 0, 0]
         assert geneo["coarse_raw_columns"] == geneo["coarse_dim"] == 1
+
+    def test_subdomain_sizes_and_kept_eigenvalues_recorded(self):
+        one = bench.run_scenario(tiny_scenario(schwarz={"variant": "asm"},
+                                               solver={"ksp": "pcg"}))
+        # 3 subdomains of 8 dofs, each grown by one layer per neighbour
+        assert one["subdomain_dofs"] == [9, 10, 9]
+        assert one["coarse_eigenvalues"] is None
+        keys = list(one)
+        assert keys[keys.index("n_subdomains") + 1] == "subdomain_dofs"
+        assert keys[keys.index("coarse_per_subdomain") + 1] == "coarse_eigenvalues"
+        nico = bench.run_scenario(tiny_scenario(
+            schwarz={"variant": "asm"}, coarse={"kind": "nicolaides"},
+            combinator="ad", solver={"ksp": "pcg"}))
+        assert nico["coarse_eigenvalues"] is None
+        cfg = {
+            "schema": 1, "name": "geneo-eigs",
+            "problem": {"kind": "fem_2d", "cells_x": 10, "cells_y": 10},
+            "partition": {"kind": "graph", "N": 4, "seed": 2}, "overlap": 1,
+            "schwarz": {"variant": "asm"}, "coarse": {"kind": "geneo", "tau": 0.5},
+            "solver": {"ksp": "gmres"}}
+        rec = bench.run_scenario(cfg)
+        # the kept eigenvalue of every column, in column order, as the
+        # coarse space built outside the runner holds them
+        mesh = discretize.unit_square_mesh(10, 10)
+        system = discretize.diffusion_fem_2d(mesh, lambda c: 1.0)
+        part = decompose.greedy_graph_partition(system.A, 4, seed=2)
+        dec = decompose.expand_overlap(system.A, part, 1, coords=system.coords,
+                                       h=system.h)
+        cs = coarse.geneo_space(system.A, dec,
+                                coarse.subdomain_neumann_matrices(system, dec),
+                                tau=0.5)
+        assert rec["subdomain_dofs"] == [len(s) for s in dec.sets]
+        assert rec["coarse_eigenvalues"] == cs.eigenvalues.tolist()
+        assert len(rec["coarse_eigenvalues"]) == rec["coarse_dim"] >= 1
+        assert max(rec["coarse_eigenvalues"]) <= 0.5
+        again = bench.run_scenario(cfg)
+        assert again["coarse_eigenvalues"] == rec["coarse_eigenvalues"]
+        assert again["subdomain_dofs"] == rec["subdomain_dofs"]
 
     def test_error_carries_scenario_context(self):
         cfg = tiny_scenario(name="doomed",

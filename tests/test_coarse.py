@@ -88,6 +88,32 @@ def dense_rank_filter(Z, rel_tol):
     return np.sort(rep[keep])
 
 
+def dense_pencils(A, dec, neumann):
+    """The pencil construction that geneo_pencils replaced, one subdomain at a time.
+
+    Zero-extends each Neumann matrix to the overlapping set, scales the
+    dense principal submatrix by the weights on both sides, then gathers
+    the dofs of nonzero weight from both. Yields
+    ``(s, D, Nloc, DAD, wd, Nw, Bw)``: the full-size pencil, the weighted
+    positions and the restricted pencil.
+    """
+    blocks = schwarz.local_matrices(A, dec)
+    for s, D, (N, dofs), Aj in zip(dec.sets, dec.weights, neumann, blocks):
+        pos = np.searchsorted(s, dofs)
+        Nloc = np.zeros(Aj.shape, dtype=np.asarray(N).dtype)
+        Nloc[np.ix_(pos, pos)] = N
+        dad = (D[:, None] * Aj) * D[None, :]
+        wd = np.flatnonzero(D)
+        sub = np.ix_(wd, wd)
+        yield s, D, Nloc, dad, wd, Nloc[sub], dad[sub]
+
+
+def assert_bitwise(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
 def element_sets_loop(system, dec):
     # the per-subdomain loop that subdomain_element_sets replaced
     dmap = system.dof_of_vertex[system.mesh.triangles]
@@ -109,7 +135,7 @@ def whitening_geneo(A, dec, neumann, tau):
     full. Returns the coarse space and every finite eigenvalue computed.
     """
     columns, owners, eigenvalues, spectrum = [], [], [], []
-    for j, (s, D, Nloc, B) in enumerate(coarse.geneo_pencils(A, dec, neumann)):
+    for j, (s, D, Nloc, B, *_) in enumerate(dense_pencils(A, dec, neumann)):
         if len(neumann[j][1]) == 0:
             continue
         w, U = np.linalg.eigh(B)
@@ -175,12 +201,62 @@ def scaled_pencil_eigenvalues(A, dec, neumann, j):
     # Full spectrum of subdomain j's pencil on its weighted dofs after
     # symmetric Jacobi scaling, which keeps the right-hand matrix well
     # conditioned under high contrast.
-    s, D, Nloc, B = list(coarse.geneo_pencils(A, dec, neumann))[j]
-    wd = np.flatnonzero(D)
-    Nw, Bw = Nloc[np.ix_(wd, wd)], B[np.ix_(wd, wd)]
+    *_, Nw, Bw = list(dense_pencils(A, dec, neumann))[j]
     d = 1.0 / np.sqrt(np.diag(Bw))
     return scipy.linalg.eigh(d[:, None] * Nw * d, d[:, None] * Bw * d,
                              eigvals_only=True)
+
+
+class TestPencils:
+    """geneo_pencils against the dense zero-extend-then-gather construction, bitwise."""
+
+    def check(self, sys, dec):
+        nm = coarse.subdomain_neumann_matrices(sys, dec)
+        got = list(coarse.geneo_pencils(sys.A, dec, nm))
+        ref = list(dense_pencils(sys.A, dec, nm))
+        assert len(got) == len(ref) == dec.N
+        for (dofs, d, Nw, Bw), (s, D, _, _, wd, rNw, rBw) in zip(got, ref):
+            np.testing.assert_array_equal(dofs, s[wd])
+            assert_bitwise(d, D[wd])
+            assert_bitwise(Nw, rNw)
+            assert_bitwise(Bw, rBw)
+        return nm, got
+
+    # overlap 3 gives multiplicities 5 to 7, whose weights round
+    # differently when the two scalings are applied in the other order
+    @pytest.mark.parametrize("cells,N,seed,delta,contrast", [
+        (16, 6, 1, 2, None), (12, 8, 0, 3, None), (20, 8, 3, 3, 1e6)])
+    def test_multiplicity_pu(self, cells, N, seed, delta, contrast):
+        sys, dec = graph_setup(cells, N, seed, delta, contrast=contrast)
+        self.check(sys, dec)
+
+    @pytest.mark.parametrize("cells,N,seed,delta", [(16, 6, 2, 2), (20, 8, 4, 1)])
+    def test_boolean_pu_drops_weightless_neumann_dofs(self, cells, N, seed, delta):
+        sys, dec = graph_setup(cells, N, seed, delta, "boolean")
+        nm, _ = self.check(sys, dec)
+        # the case must hold Neumann dofs of zero weight for the scatter to drop
+        dropped = sum(
+            int(np.count_nonzero(w[np.searchsorted(s, dofs)] == 0))
+            for s, w, (_, dofs) in zip(dec.sets, dec.weights, nm))
+        assert dropped > 0
+
+    @pytest.mark.parametrize("pu", ["multiplicity", "boolean"])
+    def test_floating_subdomain(self, pu):
+        # the centre subdomain of a 3x3 layout touches no Dirichlet
+        # boundary, so its Neumann matrix annihilates constants
+        sys, dec = fem_setup(9, 3, 3, 1)
+        if pu == "boolean":
+            dec = decompose.boolean_pu(dec)
+        _, got = self.check(sys, dec)
+        if pu == "multiplicity":
+            Nw = got[4][2]
+            assert np.abs(Nw.sum(axis=1)).max() <= 1e-12 * np.abs(Nw).max()
+
+    def test_count_checked_at_the_call(self):
+        sys, dec = fem_setup(8, 2, 2, 1)
+        nm = coarse.subdomain_neumann_matrices(sys, dec)
+        with pytest.raises(ValueError, match="got 3 Neumann matrices for 4 subdomains"):
+            coarse.geneo_pencils(sys.A, dec, nm[:-1])
 
 
 class TestGeneoAgainstWhitening:
@@ -241,11 +317,10 @@ def dense_geneo_basis(A, dec, neumann, tau):
     # the dense scatter of the kept D_j phi blocks that the sparse GenEO
     # basis replaced, from the same pencils and eigensolver
     columns = []
-    for j, (s, D, Nloc, B) in enumerate(coarse.geneo_pencils(A, dec, neumann)):
-        wd, Nw, Bw = coarse.weighted_pencil(D, Nloc, B)
+    for dofs, d, Nw, Bw in coarse.geneo_pencils(A, dec, neumann):
         values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
         block = np.zeros((dec.n_dofs, len(values)))
-        block[s[wd]] = D[wd, None] * vectors
+        block[dofs] = d[:, None] * vectors
         columns.append(block)
     return np.hstack(columns)
 

@@ -1,5 +1,7 @@
 """Oracle tests for partitions, overlap growth, and partitions of unity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -190,6 +192,25 @@ def loop_greedy_graph_partition(A, N, seed):
     return [np.flatnonzero(owner == r) for r in range(N)]
 
 
+def grid_graph(nx, ny, cut=()):
+    """The 4-neighbour graph of an nx-by-ny node grid, node x + nx * y,
+    without the edges listed in ``cut``."""
+    n = nx * ny
+    edges = [(u, u + 1) for u in range(n) if (u + 1) % nx]
+    edges += [(u, u + nx) for u in range(n - nx)]
+    edges = [e for e in edges if e not in cut]
+    rows = np.array([u for u, _ in edges] + list(range(n)), dtype=int)
+    cols = np.array([v for _, v in edges] + list(range(n)), dtype=int)
+    return sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+def owner_fingerprint(part, n):
+    owner = np.empty(n, dtype="<i8")
+    for r, s in enumerate(part.sets):
+        owner[s] = r
+    return hashlib.sha256(owner.tobytes()).hexdigest()[:12]
+
+
 @st.composite
 def partition_graphs(draw):
     """A random matrix graph for the greedy partitioner: possibly nonsymmetric
@@ -272,6 +293,14 @@ class TestCartesianPartition:
         with pytest.raises(ValueError):
             decompose.cartesian_partition(3, 4)
 
+    @pytest.mark.parametrize("p", [0, -2, 2.0, 1.5, "2", True])
+    def test_count_must_be_a_positive_integer(self, p):
+        with pytest.raises(ValueError, match="p_x must be a positive integer"):
+            decompose.cartesian_partition(10, p)
+        grid = discretize.StructuredGrid(2, nx=6, ny=6)
+        with pytest.raises(ValueError, match="p_y must be a positive integer"):
+            decompose.cartesian_partition(grid, 2, p)
+
 
 class TestGreedyGraphPartition:
     def test_path_graph_split(self):
@@ -317,6 +346,82 @@ class TestGreedyGraphPartition:
         with pytest.raises(ValueError):
             decompose.greedy_graph_partition(path_graph(3), 4, seed=0)
 
+    @pytest.mark.parametrize("N", [0, -1, 2.0, 2.5, "2", True, None])
+    def test_region_count_must_be_a_positive_integer(self, N):
+        # N <= 0 used to grow forever: no region ever claimed a node
+        A = discretize.poisson_2d_fd(5, 5).A
+        with pytest.raises(ValueError, match="region count N must be a positive integer"):
+            decompose.greedy_graph_partition(A, N, seed=0)
+
+    def test_numpy_integer_count_accepted(self):
+        a = decompose.greedy_graph_partition(path_graph(6), np.int64(2), seed=0)
+        b = decompose.greedy_graph_partition(path_graph(6), 2, seed=0)
+        assert [s.tolist() for s in a.sets] == [s.tolist() for s in b.sets]
+
+    # Owner arrays (region of each node, int64) of the fem_geneo meshes
+    # under N = 8 and partition seeds 0-15, as sha256 prefixes, recorded
+    # from the one-call-per-move partitioner that the incremental rebalance
+    # replaced.
+    FINGERPRINTS = {
+        40: ["5003805d761f", "08bf1c3039c5", "555df627e19b", "843d870f7bfd",
+             "017597f28492", "3acbcce0ca3c", "2ffb1289fff4", "ef38e789105a",
+             "f8169cde835c", "fb733e36ada1", "00b6b1ac8096", "7458720ada62",
+             "cc02cfc66ff3", "11a8304f976d", "626f57bf451a", "c3155700ddd8"],
+        24: ["ce1440455c65", "31f7fb2d2d72", "a6d720fa857d", "52d2c72dc903",
+             "09c746b70e62", "fbccb1642677", "03612c66e337", "94ecfc73a95b",
+             "ae7762e3aae1", "87203fa9dedd", "7fd6b0af7d52", "b9967ec17961",
+             "ef8ab777aac2", "479e53a41bed", "749fe4d2cd85", "27e9ceeedf04"],
+    }
+
+    @pytest.mark.parametrize("cells", [40, 24])
+    def test_fem_geneo_partitions_pinned(self, cells):
+        mesh = discretize.unit_square_mesh(cells, cells)
+        A = discretize.diffusion_fem_2d(mesh, lambda c: 1.0).A
+        got = [owner_fingerprint(decompose.greedy_graph_partition(A, 8, seed=seed), A.shape[0])
+               for seed in range(16)]
+        assert got == self.FINGERPRINTS[cells]
+
+    # Small grids on which one rule of the repair or rebalance decides the
+    # result; each is checked against hand-traced sets and the oracle.
+    def check(self, A, N, seed, expect):
+        got = [s.tolist() for s in decompose.greedy_graph_partition(A, N, seed=seed).sets]
+        assert got == expect
+        assert [s.tolist() for s in loop_greedy_graph_partition(A, N, seed)] == expect
+
+    def test_repair_reattaches_a_fragment(self):
+        # path 0-1-2-3, seeds 2 and 0: region 0 claims 1, region 1 finds
+        # no free neighbour of 0 and takes the lowest free node, 3, which
+        # its seed cannot reach. Repair hands 3 to region 0 ({1, 2, 3}
+        # against {0}); the rebalance moves 1 back.
+        self.check(grid_graph(4, 1), 2, 4, [[2, 3], [0, 1]])
+
+    def test_rebalance_skips_a_cut_vertex(self):
+        # 2x4 grid, seeds 6, 1, 2. When region 2 = {2, 3, 4} passes a
+        # node to region 1 = {0, 1}, its lowest candidate 2 joins 3 to 4,
+        # so it stays and 3, a leaf of region 2, moves.
+        self.check(grid_graph(2, 4), 3, 0, [[5, 6, 7], [0, 1, 3], [2, 4]])
+
+    def test_rebalance_falls_back_to_a_cut_vertex(self):
+        # 2x5 grid: region 3 = {4, 5, 6} must pass a node to region 0 and
+        # its only candidate 4 joins 5 to 6; it moves anyway and leaves
+        # region 3 in two pieces.
+        self.check(grid_graph(2, 5), 4, 38, [[0, 2, 4], [7, 8, 9], [1, 3], [5, 6]])
+
+    def test_disconnected_region_takes_the_fallback(self):
+        # 5x3 grid: a fallback splits region 3, which then holds {3, 4}
+        # and {7, 12} when it must pass a node to region 2. Removing a
+        # node never joins components, so neither candidate 7 nor 12
+        # leaves it connected, and the fallback moves 7.
+        self.check(grid_graph(5, 3), 4, 16,
+                   [[8, 9, 13, 14], [0, 1, 2, 5], [6, 7, 10, 11], [3, 4, 12]])
+
+    def test_disconnected_region_sheds_its_lone_node(self):
+        # 3x2 grid without edges 0-3 and 2-5. A fallback leaves region 0 as
+        # {2} and {3, 4, 5}; moving the lone node 2 reconnects it, so 2 is
+        # the node it passes to region 1.
+        A = grid_graph(3, 2, cut=[(0, 3), (2, 5)])
+        self.check(A, 2, 73, [[3, 4, 5], [0, 1, 2]])
+
     @settings(max_examples=200, deadline=None)
     @given(partition_graphs())
     def test_matches_entry_by_entry_reference(self, case):
@@ -326,9 +431,12 @@ class TestGreedyGraphPartition:
         assert [s.tolist() for s in part.sets] == [s.tolist() for s in expect]
 
     def test_fem_mesh_matches_entry_by_entry_reference(self):
-        mesh = discretize.unit_square_mesh(14, 14)
-        A = discretize.diffusion_fem_2d(mesh, np.ones(len(mesh.triangles))).A
-        for N, seed in ((4, 0), (6, 1), (8, 2), (8, 3)):
+        # (14, 8, 8) and (8, 8, 27) need every update of the rebalance's
+        # crossing-edge counts: each goes wrong if one of them is left out
+        for cells, N, seed in ((14, 4, 0), (14, 6, 1), (14, 8, 2), (14, 8, 3),
+                               (14, 8, 8), (8, 8, 27)):
+            mesh = discretize.unit_square_mesh(cells, cells)
+            A = discretize.diffusion_fem_2d(mesh, np.ones(len(mesh.triangles))).A
             part = decompose.greedy_graph_partition(A, N, seed=seed)
             expect = loop_greedy_graph_partition(A, N, seed)
             assert [s.tolist() for s in part.sets] == [s.tolist() for s in expect]
