@@ -192,6 +192,19 @@ def resolve_scenario(config):
                 raise ValueError("geneo threshold tau must be positive")
         coarse_cfg["tau"] = tau
 
+    if problem["kind"] == "helmholtz_2d" and problem["boundary"] == "impedance":
+        closed = (f"the impedance system has (nx+2)(ny+2) = "
+                  f"{(problem['nx'] + 2) * (problem['ny'] + 2)} unknowns")
+        interior = f"the nx*ny = {problem['nx'] * problem['ny']} interior nodes"
+        if partition["kind"] == "cartesian":
+            raise ValueError(f"cartesian partition with an impedance boundary: "
+                             f"{closed}, but the cartesian split covers only "
+                             f"{interior}; use a graph partition")
+        if ckind == "grid":
+            raise ValueError(f"grid coarse space with an impedance boundary: "
+                             f"{closed}, but grid_space samples only "
+                             f"{interior}")
+
     combinator = _enum(config.get("combinator", "adef1"), coarse.COMBINATORS,
                        "combinator")
 
@@ -453,6 +466,7 @@ def _execute(cfg):
         "coarse_eigenvalues": (
             None if cs is None or cs.eigenvalues is None
             else cs.eigenvalues.tolist()),
+        "coarse_min_pivot": None if cs is None else cs.min_pivot,
         "solve": report.to_dict(),
         "spectrum": None if spectrum is None else spectrum.to_dict(),
         "timings": {k: timers[k] for k in _TIMING_BUCKETS},

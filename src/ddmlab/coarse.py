@@ -15,9 +15,11 @@ eigenproblems (:func:`geneo_space` over :func:`geneo_pencils`). Each
 assembles its columns of local support as one sparse array, and
 :class:`CoarseSpace` keeps Z as a ``scipy.sparse.csc_array``: ``Z^H A Z``
 and every coarse solve are sparse products. Dependent columns are dropped
-by QR with column pivoting (LAPACK geqp3), the one step that needs Z
-dense; it runs on a transient copy that is freed before ``Z^H A Z`` is
-formed.
+by pivoted Cholesky (LAPACK ?pstrf) of the small Gram matrix ``Z^H Z``,
+after exact copies of earlier columns: a column is kept when its distance
+from the span of the columns kept before it exceeds about ``sqrt(m eps)``
+times the largest column norm, with m the number of candidates. No step
+densifies Z.
 
 The GenEO pencil's right-hand matrix ``D_j A_j D_j`` is only
 semidefinite when some partition-of-unity weights are zero (Boolean
@@ -31,7 +33,6 @@ eigenpairs up to the threshold.
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from . import discretize, linalg, schwarz
 from .krylov import as_operator, as_preconditioner
@@ -50,25 +51,28 @@ class CoarseSpace:
     converted), so the coarse operator ``Z^H A Z`` and every coarse solve
     are sparse products; ``Z^H A Z`` itself is small and factorized dense,
     by Cholesky when it is positive definite. Columns that are numerically
-    dependent on the others are dropped by QR with column pivoting
-    (relative tolerance ``rank_tol``); the surviving columns keep their
-    original values and order. This rank filter is the only step that
-    densifies Z, into one transient array for LAPACK geqp3. Per-column
-    metadata (owning subdomain, generalized eigenvalue) is filtered
-    alongside.
+    dependent on the others are dropped by pivoted Cholesky of ``Z^H Z``
+    (see :func:`_independent_columns`): of m candidates, a column is kept
+    when its distance from the span of the columns kept before it exceeds
+    about ``sqrt(m eps)`` times the largest column norm (1.2e-7 at
+    m = 64), and of exact copies the lowest index is kept. The filter
+    reads Z alone, never A, and never densifies Z. The surviving columns
+    keep their original values and order, and per-column metadata (owning
+    subdomain, generalized eigenvalue) is filtered alongside.
+    ``min_pivot`` is the smallest kept pivot over the largest squared
+    column norm: how close the filter came to dropping a column.
 
     Raises :class:`EmptyCoarseSpaceError` when no column survives, and
     ``linalg.SingularMatrixError`` naming ``tag`` and the candidate column
     where elimination breaks down when ``Z^H A Z`` is singular.
     """
 
-    def __init__(self, Z, A, tag, owners=None, eigenvalues=None, tau=None,
-                 rank_tol=1e-10):
+    def __init__(self, Z, A, tag, owners=None, eigenvalues=None, tau=None):
         if np.ndim(Z) != 2:
             raise ValueError("coarse basis must be a 2d array")
         Z = sp.csc_array(Z)
         self.raw_columns = Z.shape[1]
-        keep = _independent_columns(Z, rank_tol)
+        keep, self.min_pivot = _independent_columns(Z)
         if keep.size == 0:
             raise EmptyCoarseSpaceError(
                 f"{tag}: no independent coarse columns ({self.raw_columns} candidates)"
@@ -112,36 +116,91 @@ class CoarseSpace:
         return self.Z @ self.solve_coefficients(r)
 
 
-def _independent_columns(Z, rel_tol):
-    """Indices of a maximal independent column subset of a csc_array, original order.
+def _independent_columns(Z):
+    """Independent columns of a csc_array by pivoted Cholesky of ``Z^H Z``.
 
-    QR with column pivoting (LAPACK geqp3) takes, step by step, the column
-    with the largest norm orthogonal to the columns already taken. The
-    leading pivots whose ``|R_kk|`` exceeds ``rel_tol`` times the largest
-    column norm are kept, up to the first one that does not. Of equal
-    columns the lowest index is kept.
+    Returns the kept column indices in their original order and the
+    smallest kept pivot relative to the largest squared column norm.
 
-    geqp3 is a dense kernel: it runs on one transient Fortran-order copy
-    of ``Z``, overwritten in place and freed on return.
+    Exact copies of an earlier column are dropped first (see
+    :func:`_first_copies`), so of equal columns the lowest index is kept.
+    LAPACK ``?pstrf`` then factorizes the Gram matrix ``G = Z^H Z`` of the
+    rest, formed by one sparse product, with symmetric pivoting: step by
+    step it takes the column whose squared distance from the span of the
+    columns already taken is largest, and it stops at the first pivot at
+    or below ``m eps max diag(G)``, with ``m`` the number of candidate
+    columns. A column is thus kept when its distance from the span of the
+    columns kept before it exceeds about ``sqrt(m eps)`` times the largest
+    column norm (1.2e-7 at m = 64). The rule depends on Z alone, not on
+    the operator, and Z is never densified: only the m x m Gram matrix is.
     """
+    m = Z.shape[1]
     if 0 in Z.shape:
-        return np.empty(0, dtype=int)
+        return np.empty(0, dtype=int), None
     if not np.isfinite(Z.data).all():
         raise ValueError("coarse basis contains NaN or Inf")
-    norms = scipy.sparse.linalg.norm(Z, axis=0)
-    R, piv = scipy.linalg.qr(Z.toarray(order="F"), mode="raw", pivoting=True,
-                             overwrite_a=True, check_finite=False)[1:]
-    strong = np.abs(R.diagonal()) > rel_tol * norms.max()
-    keep = piv[:np.logical_and.accumulate(strong).sum()]
-    # geqp3's column swaps can move a copy ahead of its original: map each
-    # column to its first exact copy (equal norm, all but one dropped).
-    same = np.flatnonzero(np.isin(norms, norms[piv[len(keep):]]))
-    raw = Z[:, same].T.toarray()
-    raw = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1])))[:, 0]
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rep = np.arange(Z.shape[1])
-    rep[same] = same[first[inverse]]
-    return np.sort(rep[keep])
+    cand = np.flatnonzero(_first_copies(Z))
+    Zc = Z if cand.size == m else Z[:, cand]
+    G = (Zc.conj(copy=False).T @ Zc).toarray()
+    G = G.astype(np.result_type(G.dtype, np.float64), copy=False)
+    scale = G.diagonal().real.max()
+    pstrf, = scipy.linalg.lapack.get_lapack_funcs(("pstrf",), (G,))
+    C, piv, rank, info = pstrf(G, tol=m * np.finfo(float).eps * scale,
+                               overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"?pstrf: illegal argument {-info}")
+    if rank == 0:
+        return np.empty(0, dtype=int), None
+    min_pivot = float(np.min(np.abs(C.diagonal()[:rank]) ** 2) / scale)
+    return np.sort(cand[piv[:rank] - 1]), min_pivot
+
+
+def _first_copies(Z):
+    """Mask of the columns of a csc_array that copy no earlier column exactly.
+
+    Each column's nonzeros are hashed as a wrapping sum of mixed
+    ``(row, value bits)`` words, one vectorized pass over the entries.
+    Only columns that share their (nonzero count, hash) key with another
+    are compared exactly, as padded rows of row indices and value bits.
+    """
+    Z = Z.astype(np.result_type(Z.dtype, np.float64))
+    Z.sum_duplicates()
+    Z.eliminate_zeros()
+    words = Z.data.itemsize // 8
+    bits = Z.data.view(np.uint64).reshape(-1, words)
+    word = _mix(Z.indices.astype(np.uint64))
+    for part in bits.T:
+        word = _mix(word ^ part)
+    # per-column sums as differences of a running sum; uint64 wraps
+    total = np.zeros(word.size + 1, dtype=np.uint64)
+    np.cumsum(word, out=total[1:])
+    keys = np.column_stack([np.diff(Z.indptr),
+                            np.diff(total[Z.indptr]).view(np.int64)])
+    _, group, size = np.unique(keys, axis=0, return_inverse=True,
+                               return_counts=True)
+    first = np.ones(Z.shape[1], dtype=bool)
+    # empty columns are left to the rank filter, which drops them
+    suspect = np.flatnonzero((size[group] > 1) & (keys[:, 0] > 0))
+    if suspect.size:
+        sub = Z[:, suspect]
+        width = np.diff(sub.indptr)
+        col = np.repeat(np.arange(suspect.size), width)
+        slot = np.arange(sub.nnz) - np.repeat(sub.indptr[:-1], width)
+        pad = np.full((suspect.size, width.max(), 1 + words), -1, dtype=np.int64)
+        pad[col, slot, 0] = sub.indices
+        pad[col, slot, 1:] = sub.data.view(np.int64).reshape(-1, words)
+        _, lowest = np.unique(pad.reshape(suspect.size, -1), axis=0,
+                              return_index=True)
+        first[suspect] = False
+        first[suspect[lowest]] = True
+    return first
+
+
+def _mix(x):
+    """splitmix64 finalizer: a bijective scramble of uint64 words."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def nicolaides_space(A, decomposition):

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddmlab import bench, coarse, decompose, discretize
 
@@ -158,6 +159,28 @@ class TestConfig:
         del cfg["coarse"]
         cfg["solver"]["x0"] = "zero"
         assert bench.resolve_scenario(cfg)["combinator"] == combinator
+
+    @pytest.mark.parametrize("partition, coarse_cfg, cause", [
+        ({"kind": "cartesian", "p": [2, 2]}, {"kind": "none"},
+         "the cartesian split covers only"),
+        ({"kind": "graph", "N": 4}, {"kind": "grid", "ratio": 4},
+         "grid_space samples only"),
+    ])
+    def test_impedance_rejects_interior_node_samplers(self, partition,
+                                                      coarse_cfg, cause):
+        # The impedance system includes the boundary nodes; the cartesian
+        # split and grid_space sample only the interior ones.
+        cfg = tiny_scenario(
+            name="closed",
+            problem={"kind": "helmholtz_2d", "nx": 15, "ny": 15, "omega": 10.0,
+                     "boundary": "impedance"},
+            partition=partition, coarse=coarse_cfg)
+        msg = (r"impedance system has \(nx\+2\)\(ny\+2\) = 289 unknowns, "
+               rf"but {cause} the nx\*ny = 225 interior nodes")
+        with pytest.raises(ValueError, match=msg):
+            bench.resolve_scenario(cfg)
+        with pytest.raises(bench.ScenarioError, match="'closed' failed: .*" + msg):
+            bench.run_scenario(cfg)
 
     def test_round_trip_is_identity(self):
         resolved = bench.resolve_scenario(tiny_scenario())
@@ -385,6 +408,50 @@ class TestRunScenario:
         }
         rec = bench.run_scenario(cfg)
         assert rec["solve"]["converged"]
+
+    def test_impedance_with_graph_partition_runs(self):
+        rec = bench.run_scenario(tiny_scenario(
+            problem={"kind": "helmholtz_2d", "nx": 15, "ny": 15, "omega": 10.0,
+                     "boundary": "impedance"},
+            partition={"kind": "graph", "N": 4},
+            schwarz={"variant": "oras", "robin_p": [0.0, 10.0]},
+            solver={"ksp": "gmres", "tol": 1e-8}))
+        assert rec["n_dofs"] == 17 * 17 and rec["coarse_dim"] == 0
+        assert rec["solve"]["converged"] and rec["solve"]["iterations"] == 26
+
+    def test_indefinite_helmholtz_keeps_every_grid_column(self):
+        # xi = 0: A and Z^H A Z are indefinite, the basis has full rank
+        rec = bench.run_scenario(tiny_scenario(
+            problem={"kind": "helmholtz_2d", "nx": 15, "ny": 15, "omega": 10.0},
+            partition={"kind": "cartesian", "p": [2, 2]},
+            schwarz={"variant": "asm"}, coarse={"kind": "grid", "ratio": 4},
+            solver={"ksp": "gmres", "tol": 1e-8}))
+        assert rec["coarse_raw_columns"] == rec["coarse_dim"] == 9
+        assert rec["solve"]["converged"] and rec["solve"]["iterations"] == 18
+
+    def test_coarse_min_pivot_recorded(self):
+        one = bench.run_scenario(tiny_scenario(schwarz={"variant": "asm"},
+                                               solver={"ksp": "pcg"}))
+        assert one["coarse_min_pivot"] is None
+        keys = list(one)
+        assert keys[keys.index("coarse_eigenvalues") + 1] == "coarse_min_pivot"
+        cfg = tiny_scenario(schwarz={"variant": "asm"},
+                            coarse={"kind": "nicolaides"}, combinator="ad",
+                            solver={"ksp": "pcg"})
+        nico = bench.run_scenario(cfg)
+        sys = discretize.poisson_1d(24)
+        dec = decompose.expand_overlap(
+            sys.A, decompose.cartesian_partition(24, 3), 1)
+        cs = coarse.nicolaides_space(sys.A, dec)
+        assert nico["coarse_min_pivot"] == cs.min_pivot
+        # pivots are squared distances from the span of the columns kept
+        # before, relative to the largest squared column norm: the squared
+        # diagonal of QR with the same greedy column pivoting
+        Z = cs.Z.toarray()
+        R = scipy.linalg.qr(Z, mode="r", pivoting=True)[0]
+        ref = np.abs(R.diagonal()).min() ** 2 / (np.linalg.norm(Z, axis=0) ** 2).max()
+        assert 0 < ref < 1
+        assert cs.min_pivot == pytest.approx(ref, rel=1e-12)
 
     def test_local_factor_recorded(self):
         one = bench.run_scenario(tiny_scenario(schwarz={"variant": "asm"},

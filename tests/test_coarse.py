@@ -73,19 +73,9 @@ def nicolaides_loop(dec):
     return Z
 
 
-def dense_rank_filter(Z, rel_tol):
-    # the dense geqp3 filter that the sparse-basis _independent_columns replaced
-    norms = np.linalg.norm(Z, axis=0)
-    R, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
-    strong = np.abs(R.diagonal()) > rel_tol * norms.max()
-    keep = piv[:np.logical_and.accumulate(strong).sum()]
-    same = np.flatnonzero(np.isin(norms, norms[piv[len(keep):]]))
-    raw = np.ascontiguousarray(Z[:, same].T)
-    raw = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1])))[:, 0]
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rep = np.arange(Z.shape[1])
-    rep[same] = same[first[inverse]]
-    return np.sort(rep[keep])
+def rank_tolerance(m):
+    """Relative column distance below which the rank filter drops a column."""
+    return np.sqrt(m * np.finfo(float).eps)
 
 
 def dense_pencils(A, dec, neumann):
@@ -376,9 +366,9 @@ class TestSparseBasis:
                     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), cs.tag
 
     def test_nicolaides_setup_keeps_no_dense_basis(self):
-        # The rank filter's transient dense copy is the only n x m array:
-        # peak below 1.5x one such float64 array, and below 0.1x of it left
-        # allocated once the space is built.
+        # No n x m array is formed, not even a transient one for the rank
+        # filter: peak below 0.5x one such float64 array, and below 0.1x
+        # of it left allocated once the space is built.
         sys = discretize.poisson_2d_fd(120, 120)
         part = decompose.cartesian_partition(sys.grid, 6, 6)
         dec = decompose.expand_overlap(sys.A, part, 2)
@@ -390,7 +380,7 @@ class TestSparseBasis:
         finally:
             tracemalloc.stop()
         assert cs.m0 == dec.N
-        assert peak < 1.5 * dense
+        assert peak < 0.5 * dense
         assert retained < 0.1 * dense
 
 
@@ -464,6 +454,18 @@ class TestGridSpace:
         vals = np.linalg.eigvalsh(A0)
         assert vals[0] > 0
 
+    def test_indefinite_helmholtz_keeps_every_column(self):
+        # At xi = 0 the coarse operator is indefinite: pivoted Cholesky of
+        # Z^H A Z keeps no column, the filter on Z^H Z keeps all nine.
+        grid = discretize.StructuredGrid(2, nx=15, ny=15)
+        sys = discretize.helmholtz_2d(grid, omega=10.0, xi=0.0)
+        cs = coarse.grid_space(sys.A, sys.grid, 4 * sys.h)
+        assert cs.raw_columns == cs.m0 == 9
+        A0 = (cs.Z.T @ (sys.A @ cs.Z)).toarray()
+        vals = np.linalg.eigvalsh(A0)
+        assert vals[0] < 0 < vals[-1]
+        assert scipy.linalg.lapack.dpstrf(A0)[2] == 0
+
     def test_invalid_spacing_rejected(self):
         sys = discretize.poisson_1d(7)
         with pytest.raises(ValueError):
@@ -488,9 +490,9 @@ class TestCoarseSpaceMechanics:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_rank_filter_on_random_low_rank_bases(self, dtype):
         # Rank-r columns plus exact duplicates, scaled copies, and two
-        # copies moved off range(Z) by 10x and 1/10x the tolerance.
-        # np.linalg.matrix_rank at the same tolerance is the oracle.
-        rank_tol = 1e-10
+        # copies moved off range(Z) by 10x and 1/10x the filter's relative
+        # distance sqrt(m eps). np.linalg.matrix_rank (an SVD) at that
+        # tolerance is the oracle.
         rng = np.random.default_rng(11)
 
         def draw(*shape):
@@ -505,49 +507,95 @@ class TestCoarseSpaceMechanics:
                 cols.append(cols[rng.integers(len(cols))].copy())
                 c = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
                 cols.append(c * cols[rng.integers(len(cols))])
-            eps = rank_tol * max(np.linalg.norm(c) for c in cols)
-            cols.append(cols[rng.integers(len(cols))] + 10 * eps * Q[:, r])
-            cols.append(cols[rng.integers(len(cols))] + eps / 10 * Q[:, r + 1])
-            Z = np.column_stack([cols[i] for i in rng.permutation(len(cols))])
+            m = len(cols) + 2
+            tol = rank_tolerance(m) * max(np.linalg.norm(c) for c in cols)
+            cols.append(cols[rng.integers(len(cols))] + 10 * tol * Q[:, r])
+            cols.append(cols[rng.integers(len(cols))] + tol / 10 * Q[:, r + 1])
+            Z = np.column_stack([cols[i] for i in rng.permutation(m)])
 
-            keep = coarse._independent_columns(sp.csc_array(Z), rank_tol)
-            np.testing.assert_array_equal(keep, dense_rank_filter(Z, rank_tol))
+            keep, min_pivot = coarse._independent_columns(sp.csc_array(Z))
             assert np.all(np.diff(keep) > 0)
-            tol = rank_tol * np.linalg.norm(Z, axis=0).max()
             rank = np.linalg.matrix_rank(Z, tol=tol)
             assert rank == r + 1
             assert len(keep) == rank
             assert np.linalg.matrix_rank(Z[:, keep], tol=tol) == rank
             assert np.linalg.matrix_rank(np.column_stack([Z[:, keep], Z]),
                                          tol=tol) == rank
+            # the 10x column's pivot is about (10 sqrt(m eps))^2 = 100 m eps
+            assert m * np.finfo(float).eps < min_pivot
             # Of equal columns only the lowest index may be kept.
             for j in range(Z.shape[1]):
                 if (Z[:, :j] == Z[:, [j]]).all(axis=0).any():
                     assert j not in keep
 
+    @pytest.mark.parametrize("hashed", [True, False])
+    def test_first_copy_kept_regardless_of_storage(self, monkeypatch, hashed):
+        # Later copies are stored with reversed rows, and with a split
+        # (duplicate) entry and an explicit zero: they are still copies.
+        # With a constant hash every column of equal nonzero count
+        # collides, and the exact comparison alone decides.
+        if not hashed:
+            monkeypatch.setattr(coarse, "_mix", np.zeros_like)
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(1, 6, (2, 8)) * rng.choice([-1.0, 1.0], (2, 8))
+        b[6:] = 0.0
+        Z = np.column_stack([2 * a, a, b, a, b, a + b])
+        entries = [(np.flatnonzero(c), c[c != 0]) for c in Z.T]
+        entries[3] = (entries[3][0][::-1], entries[3][1][::-1])
+        entries[4] = (np.r_[0, 0, 5:0:-1, 6],
+                      np.r_[b[0] / 2, b[0] / 2, b[5:0:-1], 0.0])
+        S = sp.csc_array((np.concatenate([v for _, v in entries]),
+                          np.concatenate([i for i, _ in entries]),
+                          np.cumsum([0] + [len(i) for i, _ in entries])),
+                         shape=Z.shape)
+        np.testing.assert_array_equal(S.toarray(), Z)
+        np.testing.assert_array_equal(
+            coarse._first_copies(S), [True, True, True, False, False, True])
+        for basis in (S, sp.csc_array(Z.astype(np.int64)),
+                      sp.csc_array(Z * (1 + 2j))):
+            keep, _ = coarse._independent_columns(basis)
+            assert len(keep) == 2 and not {3, 4} & set(keep)
+
+    def test_kept_set_is_a_property_of_the_basis(self):
+        # The filter reads Z alone: an SPD A, -A, a complex-symmetric A and
+        # the identity keep the same columns, with the same values.
+        sys = discretize.poisson_2d_fd(7, 7)
+        rng = np.random.default_rng(8)
+        Z = rng.standard_normal((sys.n, 5)) @ rng.standard_normal((5, 9))
+        Z = np.column_stack([Z, Z[:, 2], Z[:, 0] + 1e-3 * rng.standard_normal(sys.n)])
+        keep, _ = coarse._independent_columns(sp.csc_array(Z))
+        assert len(keep) == 6 and 9 not in keep
+        shift = sp.diags_array(1j * rng.uniform(1, 2, sys.n))
+        for A in (sys.A, -sys.A, sys.A + shift, sp.eye_array(sys.n)):
+            cs = coarse.CoarseSpace(Z, A, tag="random")
+            assert cs.raw_columns == 11
+            assert_bitwise(cs.Z.toarray(), Z[:, keep])
+        assert coarse.CoarseSpace(Z, -sys.A, tag="random").A0.kind == "lu"
+
     def test_singular_coarse_operator_names_the_column(self):
-        # A column 10x the tolerance off the span of the others passes the
-        # rank filter, but Z^H Z then has a relative eigenvalue near 1e-18
-        # and fails Cholesky and LU. The error names the candidate column
-        # of the smallest LU pivot.
-        rank_tol = 1e-10
+        # Z has full rank, so the filter keeps every column, but A is
+        # indefinite and z = e0 + e1 has z^H A z = 0 and is A-orthogonal to
+        # the others: Z^H A Z is exactly singular and fails Cholesky and LU.
+        # The error names the candidate column of the zero LU pivot.
         rng = np.random.default_rng(5)
         n, r = 40, 4
-        Q, _ = np.linalg.qr(rng.standard_normal((n, r + 1)))
-        Z = Q[:, :r] @ rng.standard_normal((r, r + 2))
-        eps = rank_tol * np.linalg.norm(Z, axis=0).max()
-        Z = np.column_stack([Z, Z[:, 1] + 10 * eps * Q[:, r]])
-        Z = Z[:, rng.permutation(r + 3)]
+        Z = np.zeros((n, r + 2))
+        Z[2:, :r] = rng.standard_normal((n - 2, r))
+        Z[:, r] = Z[:, 1]
+        Z[:2, r + 1] = 1.0
+        A = sp.diags_array(np.r_[1.0, -1.0, np.ones(n - 2)])
+        order = rng.permutation(r + 2)
+        Z = Z[:, order]
+        z = int(np.flatnonzero(order == r + 1)[0])
         with pytest.raises(linalg.SingularMatrixError,
-                           match=r"^random: .* candidate column (\d+) of 7 "
+                           match=r"^random: .* candidate column (\d+) of 6 "
                                  r"candidates \(5 kept\)") as err:
-            coarse.CoarseSpace(Z, np.eye(n), tag="random", rank_tol=rank_tol)
+            coarse.CoarseSpace(Z, A, tag="random")
         column = int(re.search(r"candidate column (\d+)", str(err.value))[1])
-        keep = coarse._independent_columns(sp.csc_array(Z), rank_tol)
-        assert column == keep[err.value.__cause__.column]
+        keep, _ = coarse._independent_columns(sp.csc_array(Z))
+        assert column == keep[err.value.__cause__.column] == z
         # without that column the coarse operator factorizes
-        cs = coarse.CoarseSpace(np.delete(Z, column, axis=1), np.eye(n),
-                                tag="random", rank_tol=rank_tol)
+        cs = coarse.CoarseSpace(np.delete(Z, column, axis=1), A, tag="random")
         assert cs.m0 == r and cs.A0.kind == "cholesky"
 
     def test_all_zero_columns_rejected(self):
@@ -744,13 +792,13 @@ class TestBlockApply:
 
 class TestGeneo:
     def test_select_all_spans_everything(self, monkeypatch):
-        # raw > n: the pivot order decides the kept set, which must be the
-        # dense filter's on the same candidates
+        # raw > n: the pivot order decides the kept set, which must span
+        # the candidates at the filter's tolerance (an SVD oracle)
         calls = []
 
-        def recorded(Z, rel_tol, real=coarse._independent_columns):
-            calls.append((Z.toarray(), rel_tol, real(Z, rel_tol)))
-            return calls[-1][2]
+        def recorded(Z, real=coarse._independent_columns):
+            calls.append((Z.toarray(), real(Z)))
+            return calls[-1][1]
 
         monkeypatch.setattr(coarse, "_independent_columns", recorded)
         sys, dec = fem_setup(6, 2, 2, 1)
@@ -758,9 +806,11 @@ class TestGeneo:
         cs = coarse.geneo_space(sys.A, dec, nm, tau=1e12)
         assert cs.raw_columns == sum(len(s) for s in dec.sets)
         assert cs.Z.shape[1] == sys.n
-        (Z, rel_tol, keep), = calls
+        (Z, (keep, _)), = calls
         assert Z.shape[1] > Z.shape[0]
-        np.testing.assert_array_equal(keep, dense_rank_filter(Z, rel_tol))
+        assert np.all(np.diff(keep) > 0)
+        tol = rank_tolerance(Z.shape[1]) * np.linalg.norm(Z, axis=0).max()
+        assert np.linalg.matrix_rank(Z[:, keep], tol=tol) == len(keep) == sys.n
         np.testing.assert_array_equal(cs.Z.toarray(), Z[:, keep])
         r = np.random.default_rng(2).standard_normal(sys.n)
         np.testing.assert_allclose(
