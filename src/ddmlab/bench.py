@@ -193,17 +193,13 @@ def resolve_scenario(config):
         coarse_cfg["tau"] = tau
 
     if problem["kind"] == "helmholtz_2d" and problem["boundary"] == "impedance":
-        closed = (f"the impedance system has (nx+2)(ny+2) = "
-                  f"{(problem['nx'] + 2) * (problem['ny'] + 2)} unknowns")
-        interior = f"the nx*ny = {problem['nx'] * problem['ny']} interior nodes"
-        if partition["kind"] == "cartesian":
-            raise ValueError(f"cartesian partition with an impedance boundary: "
-                             f"{closed}, but the cartesian split covers only "
-                             f"{interior}; use a graph partition")
         if ckind == "grid":
             raise ValueError(f"grid coarse space with an impedance boundary: "
-                             f"{closed}, but grid_space samples only "
-                             f"{interior}")
+                             f"the impedance system has (nx+2)(ny+2) = "
+                             f"{(problem['nx'] + 2) * (problem['ny'] + 2)} "
+                             f"unknowns, but grid_space samples only the "
+                             f"nx*ny = {problem['nx'] * problem['ny']} "
+                             f"interior nodes")
 
     combinator = _enum(config.get("combinator", "adef1"), coarse.COMBINATORS,
                        "combinator")
@@ -313,9 +309,8 @@ def _build_partition(system, spec):
         xy = system.coords
         lx = np.minimum((xy[:, 0] * px).astype(int), px - 1)
         ly = np.minimum((xy[:, 1] * py).astype(int), py - 1)
-        labels = lx + px * ly
-        sets = [np.flatnonzero(labels == k) for k in range(px * py)]
-        return decompose.Partition([s for s in sets if s.size], source="cartesian")
+        # drop empty blocks, numbering the others in order
+        return np.unique(lx + px * ly, return_inverse=True)[1]
     return decompose.greedy_graph_partition(system.A, spec["N"],
                                             seed=spec["seed"])
 
@@ -425,12 +420,10 @@ def _execute(cfg):
             x, report = krylov.cg(matvec, b, x0=x0, tol=sol["tol"],
                                   maxit=sol["maxit"])
         elif sol["ksp"] == "pcg":
-            ident = lambda r: r.copy()
-            x, report = krylov.pcg(matvec, b, prec or ident, x0=x0,
+            x, report = krylov.pcg(matvec, b, prec, x0=x0,
                                    tol=sol["tol"], maxit=sol["maxit"])
         else:
-            side = sol["side"] if prec is not None else "none"
-            x, report = krylov.gmres(matvec, b, M=prec, side=side, x0=x0,
+            x, report = krylov.gmres(matvec, b, M=prec, side=sol["side"], x0=x0,
                                      tol=sol["tol"], maxit=sol["maxit"])
         timers["krylov"] = time.perf_counter() - t0
     finally:

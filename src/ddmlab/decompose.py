@@ -1,14 +1,16 @@
 """Overlapping decompositions of a matrix graph or structured grid.
 
-A Partition holds disjoint core sets covering all DoFs. expand_overlap grows
-each core by adjacency layers of the (symmetrized) matrix graph and returns
-a Decomposition whose restrictions are stored once, as a single stacked
-Boolean matrix ``R`` (one row per local DoF, subdomain after subdomain)
-with row ``offsets`` per subdomain and one stacked partition-of-unity
-weight vector ``w``. It also carries multiplicities, subdomain geometry
-statistics, the subdomain adjacency graph, and a greedy coloring.
-Decompositions are immutable: their index and weight arrays are read-only,
-and the partition-of-unity builders return updated copies.
+A partition is an owner array: ``owner[d]`` is the core subdomain of DoF
+d, and every label from 0 to N - 1 is used. The partitioners return one;
+expand_overlap grows each core by adjacency layers of the (symmetrized)
+matrix graph and returns a Decomposition whose restrictions are stored
+once, as a single stacked Boolean matrix ``R`` (one row per local DoF,
+subdomain after subdomain) with row ``offsets`` per subdomain and one
+stacked partition-of-unity weight vector ``w``. It also carries
+multiplicities, subdomain geometry statistics, the subdomain adjacency
+graph, and a greedy coloring. Decompositions are immutable: their index
+and weight arrays are read-only, and the partition-of-unity builders
+return updated copies.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 __all__ = [
-    "Partition",
     "Decomposition",
     "cartesian_partition",
     "greedy_graph_partition",
@@ -30,23 +31,6 @@ __all__ = [
 PU_KINDS = ("multiplicity", "boolean")
 
 
-class Partition:
-    """Disjoint core DoF sets, one per subdomain."""
-
-    def __init__(self, sets, source):
-        self.sets = [np.unique(np.asarray(s, dtype=int)) for s in sets]
-        self.source = source
-        if any(len(s) == 0 for s in self.sets):
-            raise ValueError("empty subdomain in partition")
-        total = np.concatenate(self.sets)
-        if len(np.unique(total)) != len(total):
-            raise ValueError("partition sets must be pairwise disjoint")
-
-    @property
-    def N(self):
-        return len(self.sets)
-
-
 class Decomposition:
     """Overlapped subdomain sets with one stacked restriction, PU weights, and stats.
 
@@ -57,22 +41,22 @@ class Decomposition:
     the diagonals of the partition-of-unity matrices D_i in the same row
     order, so ``R.T @ (w * (R @ x))`` reproduces ``x``. ``sets[i]`` and
     ``weights[i]`` are read-only views of subdomain i's slices of
-    ``R.indices`` and ``w``.
+    ``R.indices`` and ``w``. ``owner`` is the read-only partition the
+    subdomains grew from.
     """
 
-    def __init__(self, n_dofs, core_sets, R, offsets, w, multiplicity, delta,
+    def __init__(self, n_dofs, owner, R, offsets, w, multiplicity,
                  adjacency, colors, n_colors, H, overlap_width, pu_kind):
-        for a in (R.data, R.indices, R.indptr, offsets, w):
+        for a in (owner, R.data, R.indices, R.indptr, offsets, w):
             a.flags.writeable = False
         self.n_dofs = n_dofs
-        self.core_sets = core_sets
+        self.owner = owner
         self.R = R
         self.offsets = offsets
         self.w = w
         self.sets = np.split(R.indices, offsets[1:-1])
         self.weights = np.split(w, offsets[1:-1])
         self.multiplicity = multiplicity
-        self.delta = delta
         self.adjacency = adjacency
         self.colors = colors
         self.n_colors = n_colors
@@ -90,8 +74,8 @@ class Decomposition:
 
     def _with_weights(self, w, pu_kind):
         return Decomposition(
-            self.n_dofs, self.core_sets, self.R, self.offsets, w,
-            self.multiplicity, self.delta, self.adjacency, self.colors,
+            self.n_dofs, self.owner, self.R, self.offsets, w,
+            self.multiplicity, self.adjacency, self.colors,
             self.n_colors, self.H, self.overlap_width, pu_kind,
         )
 
@@ -105,18 +89,21 @@ def _check_count(name, value):
     return int(value)
 
 
-def _axis_blocks(n, p, name):
+def _axis_labels(n, p, name):
+    """Block label of each of n points split into p contiguous blocks."""
     p = _check_count(name, p)
     if p > n:
         raise ValueError(f"cannot split {n} points into {p} parts")
     q, r = divmod(n, p)
     sizes = [q + 1] * r + [q] * (p - r)  # remainder spread from the left
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return [np.arange(bounds[b], bounds[b + 1]) for b in range(p)]
+    return np.repeat(np.arange(p), sizes)
 
 
 def cartesian_partition(grid, p_x, p_y=None):
     """Contiguous block partition of a 1D range or structured 2D grid.
+
+    Returns the owner array: in 2D, the node in x-block ``bx`` and y-block
+    ``by`` belongs to subdomain ``bx + p_x * by``.
 
     Parameters
     ----------
@@ -128,19 +115,15 @@ def cartesian_partition(grid, p_x, p_y=None):
         1D uses p_x only.
     """
     if isinstance(grid, (int, np.integer)):
-        return Partition(_axis_blocks(int(grid), p_x, "p_x"), source="cartesian")
+        return _axis_labels(int(grid), p_x, "p_x")
     if grid.dim == 1:
-        return Partition(_axis_blocks(grid.nx, p_x, "p_x"), source="cartesian")
+        return _axis_labels(grid.nx, p_x, "p_x")
     if p_y is None:
         raise ValueError("2D grids need p_x and p_y")
-    xblocks = _axis_blocks(grid.nx, p_x, "p_x")
-    yblocks = _axis_blocks(grid.ny, p_y, "p_y")
-    sets = []
-    for by in range(p_y):
-        for bx in range(p_x):
-            ix, iy = np.meshgrid(xblocks[bx], yblocks[by], indexing="xy")
-            sets.append(np.sort(ix.ravel() + grid.nx * iy.ravel()))
-    return Partition(sets, source="cartesian")
+    lx = _axis_labels(grid.nx, p_x, "p_x")
+    ly = _axis_labels(grid.ny, p_y, "p_y")
+    # node ix + nx * iy: x runs fastest
+    return (lx + p_x * ly[:, None]).ravel()
 
 
 def _symmetric_adjacency(A):
@@ -159,8 +142,9 @@ def greedy_graph_partition(A, N, seed=0):
     pass reattaches any region fragment disconnected from its seed, and a
     rebalance pass moves boundary nodes from the largest region to an
     adjacent smaller one until sizes are within one of each other.
-    Deterministic for a given seed. Raises ValueError unless N is an
-    integer between 1 and the number of DoFs.
+    Deterministic for a given seed. Returns the owner array of the N
+    regions. Raises ValueError unless N is an integer between 1 and the
+    number of DoFs, or if a region ends up empty.
 
     Growth walks Python adjacency lists. Each repair round starts with
     one component labelling of the edges inside regions and ends there
@@ -384,21 +368,26 @@ def greedy_graph_partition(A, N, seed=0):
                 r = parent[r]
 
     rebalance()
-    order = np.argsort(owner, kind="stable")
-    return Partition(np.split(order, np.cumsum(sizes)[:-1]), source="greedy_graph")
+    if min(sizes) == 0:
+        raise ValueError(f"greedy partition left region {sizes.index(0)} empty")
+    return owner
 
 
-def expand_overlap(A, partition, delta, coords=None, h=None):
+def expand_overlap(A, owner, delta, coords=None, h=None):
     """Grow each core set by ``delta`` adjacency layers and build the decomposition.
 
-    Each layer adds every DoF structurally connected to the current set.
-    The returned Decomposition carries multiplicity partition-of-unity
-    weights by default; use :func:`boolean_pu` to switch.
+    Core set i is ``flatnonzero(owner == i)``, and each layer adds every
+    DoF structurally connected to the current set. The returned
+    Decomposition carries multiplicity partition-of-unity weights by
+    default; use :func:`boolean_pu` to switch.
 
     Parameters
     ----------
     A : sparse matrix
-    partition : Partition
+    owner : array of int, length n
+        Core subdomain of each DoF. ValueError unless it has one label per
+        DoF, an integer dtype, no negative label, and uses every label
+        from 0 to its maximum.
     delta : int
         Number of overlap layers (per side).
     coords : ndarray or None
@@ -409,16 +398,24 @@ def expand_overlap(A, partition, delta, coords=None, h=None):
     if delta < 0:
         raise ValueError("delta must be >= 0")
     n = A.shape[0]
-    total = np.concatenate(partition.sets)
-    if len(total) != n or len(np.unique(total)) != n:
-        raise ValueError("partition must cover all DoFs disjointly")
+    owner = np.asarray(owner)
+    if owner.shape != (n,):
+        raise ValueError(f"owner has shape {owner.shape}, expected ({n},)")
+    if not np.issubdtype(owner.dtype, np.integer):
+        raise ValueError(f"owner must hold integer labels, got dtype {owner.dtype}")
+    owner = owner.astype(np.intp)  # a private copy, frozen below
+    if owner.min() < 0:
+        raise ValueError(f"owner holds negative label {owner.min()}")
+    counts = np.bincount(owner)
+    if not counts.all():
+        raise ValueError(f"owner leaves label {np.argmin(counts)} unused; "
+                         f"labels must run from 0 to {len(counts) - 1}")
+    N = len(counts)
     # membership S (N x n) grows one layer per product with the pattern
     # of I + |A|; subdomains are adjacent iff S (I + |A|) S^T links them,
     # i.e. they share a DoF or an A-edge connects them
     graph = (_symmetric_adjacency(A) + sp.identity(n, format="csr")).astype(bool)
-    rows = np.repeat(np.arange(partition.N), [len(c) for c in partition.sets])
-    S = sp.csr_array((np.ones(n, dtype=bool), (rows, total)),
-                     shape=(partition.N, n))
+    S = sp.csr_array((np.ones(n, dtype=bool), (owner, np.arange(n))), shape=(N, n))
     for _ in range(delta):
         S = S @ graph
     S.sort_indices()
@@ -431,8 +428,8 @@ def expand_overlap(A, partition, delta, coords=None, h=None):
     adjacency = [a.tolist() for a in np.split(links.indices, links.indptr[1:-1])]
 
     # greedy first-fit coloring, ascending (degree, index) order
-    order = sorted(range(partition.N), key=lambda i: (len(adjacency[i]), i))
-    colors = np.full(partition.N, -1, dtype=int)
+    order = sorted(range(N), key=lambda i: (len(adjacency[i]), i))
+    colors = np.full(N, -1, dtype=int)
     for i in order:
         used = {colors[j] for j in adjacency[i] if colors[j] >= 0}
         c = 0
@@ -448,14 +445,14 @@ def expand_overlap(A, partition, delta, coords=None, h=None):
              for c in np.split(coords[S.indices], S.indptr[1:-1])]
         )
     else:
-        H = np.full(partition.N, np.nan)
+        H = np.full(N, np.nan)
     overlap_width = delta * h if h is not None else np.nan
 
     R = sp.csr_array((np.ones(S.nnz), S.indices, np.arange(S.nnz + 1)),
                      shape=(S.nnz, n))
     return Decomposition(
-        n, partition.sets, R, S.indptr, 1.0 / multiplicity[S.indices],
-        multiplicity, delta, adjacency, colors, n_colors, H, overlap_width,
+        n, owner, R, S.indptr, 1.0 / multiplicity[S.indices],
+        multiplicity, adjacency, colors, n_colors, H, overlap_width,
         pu_kind="multiplicity",
     )
 

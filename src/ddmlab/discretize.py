@@ -105,14 +105,18 @@ class AssembledSystem:
     h : float
         Mesh unit (smallest spacing / edge length), used for overlap widths
         and Robin defaults.
+    grid : StructuredGrid or None
+        The grid whose interior nodes are the DoFs, in lexicographic
+        order; None when the DoFs are not those nodes (FEM meshes,
+        impedance Helmholtz).
     element_matrices : ndarray or None
         Per-triangle 3x3 stiffness blocks, pre-elimination (FEM kinds only).
-    dof_of_vertex / vertex_of_dof : ndarray or None
-        Vertex-DoF maps for FEM kinds; Dirichlet vertices map to -1.
+    dof_of_vertex : ndarray or None
+        DoF of each mesh vertex for FEM kinds; Dirichlet vertices map to -1.
     """
 
     def __init__(self, kind, A, F, coords, h, grid=None, mesh=None,
-                 element_matrices=None, dof_of_vertex=None, vertex_of_dof=None):
+                 element_matrices=None, dof_of_vertex=None):
         self.kind = kind
         self.A = A
         self.F = np.asarray(F)
@@ -122,7 +126,6 @@ class AssembledSystem:
         self.mesh = mesh
         self.element_matrices = element_matrices
         self.dof_of_vertex = dof_of_vertex
-        self.vertex_of_dof = vertex_of_dof
 
     @property
     def n(self):
@@ -295,7 +298,6 @@ def diffusion_fem_2d(mesh, alpha, f=None):
         mesh=mesh,
         element_matrices=element_matrices,
         dof_of_vertex=dof_of_vertex,
-        vertex_of_dof=interior,
     )
 
 
@@ -314,7 +316,8 @@ def helmholtz_2d(grid, omega, n=None, xi=0.0, boundary="dirichlet", f=None):
     boundary : {"dirichlet", "impedance"}
         Dirichlet eliminates the boundary ring; impedance keeps boundary
         nodes as unknowns and closes the stencil by ghost elimination with
-        the first-order absorbing condition du/dn = i k u.
+        the first-order absorbing condition du/dn = i k u. The grid indexes
+        only the interior nodes, so an impedance system carries no grid.
     """
     if omega < 0 or xi < 0:
         raise ValueError("omega and xi must be nonnegative")
@@ -362,7 +365,8 @@ def helmholtz_2d(grid, omega, n=None, xi=0.0, boundary="dirichlet", f=None):
     if not complex_path:
         A = linalg.compress(A.astype(float))
     h = min(grid.hx, grid.hy)
-    return AssembledSystem("helmholtz_2d", A, _eval_rhs(f, coords).astype(dtype), coords, h, grid=grid)
+    return AssembledSystem("helmholtz_2d", A, _eval_rhs(f, coords).astype(dtype), coords, h,
+                           grid=grid if boundary == "dirichlet" else None)
 
 
 def neumann_matrix(system, element_set):

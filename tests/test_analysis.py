@@ -27,9 +27,7 @@ def fem_setup(cells, parts_x, parts_y, delta, alpha=None):
     xy = sys.coords
     labels = np.minimum((xy[:, 0] * parts_x).astype(int), parts_x - 1)
     labels += parts_x * np.minimum((xy[:, 1] * parts_y).astype(int), parts_y - 1)
-    sets = [np.flatnonzero(labels == k) for k in range(parts_x * parts_y)]
-    part = decompose.Partition(sets, source="manual")
-    dec = decompose.expand_overlap(sys.A, part, delta, coords=xy, h=sys.h)
+    dec = decompose.expand_overlap(sys.A, labels, delta, coords=xy, h=sys.h)
     return sys, dec
 
 
@@ -97,9 +95,7 @@ class TestPreconditionedSpectrum:
         grid = discretize.StructuredGrid(2, nx=8, ny=8)
         sys = discretize.helmholtz_2d(grid, omega=6.0, xi=36.0, boundary="impedance")
         n = sys.A.shape[0]
-        part = decompose.Partition(
-            [np.arange(n // 2), np.arange(n // 2, n)], source="manual")
-        dec = decompose.expand_overlap(sys.A, part, 1)
+        dec = decompose.expand_overlap(sys.A, np.repeat([0, 1], [n // 2, n - n // 2]), 1)
         M = schwarz.one_level(sys.A, dec, "oras", h=sys.h, dim=2)
         rep = analysis.preconditioned_spectrum(sys.A, M)
         assert rep.path == "general"
@@ -127,9 +123,7 @@ class TestColoringBound:
     def test_decoupled_blocks_hit_one(self):
         blocks = [discretize.poisson_1d(4).A for _ in range(3)]
         A = sp.block_diag(blocks, format="csr")
-        part = decompose.Partition(
-            [np.arange(4), np.arange(4, 8), np.arange(8, 12)], source="manual")
-        dec = decompose.expand_overlap(A, part, 0)
+        dec = decompose.expand_overlap(A, np.repeat([0, 1, 2], 4), 0)
         M = schwarz.one_level(A, dec, "asm")
         rec = analysis.coloring_bound_check(A, dec, M)
         assert rec.name == "coloring"

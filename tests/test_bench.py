@@ -161,15 +161,15 @@ class TestConfig:
         assert bench.resolve_scenario(cfg)["combinator"] == combinator
 
     @pytest.mark.parametrize("partition, coarse_cfg, cause", [
-        ({"kind": "cartesian", "p": [2, 2]}, {"kind": "none"},
-         "the cartesian split covers only"),
+        ({"kind": "cartesian", "p": [2, 2]}, {"kind": "grid", "ratio": 4},
+         "grid_space samples only"),
         ({"kind": "graph", "N": 4}, {"kind": "grid", "ratio": 4},
          "grid_space samples only"),
     ])
     def test_impedance_rejects_interior_node_samplers(self, partition,
                                                       coarse_cfg, cause):
-        # The impedance system includes the boundary nodes; the cartesian
-        # split and grid_space sample only the interior ones.
+        # The impedance system includes the boundary nodes; grid_space
+        # samples only the interior ones, whatever the partition.
         cfg = tiny_scenario(
             name="closed",
             problem={"kind": "helmholtz_2d", "nx": 15, "ny": 15, "omega": 10.0,
@@ -408,6 +408,41 @@ class TestRunScenario:
         }
         rec = bench.run_scenario(cfg)
         assert rec["solve"]["converged"]
+
+    @pytest.mark.parametrize("nx, p, omega, dofs, iterations", [
+        (15, 2, 10.0, [80, 89, 89, 99], 15),
+        (31, 4, 20.0, None, 47),
+    ])
+    def test_impedance_with_cartesian_partition_runs(self, nx, p, omega, dofs,
+                                                     iterations):
+        # the impedance system has no structured grid over its boundary
+        # nodes, so the cartesian split blocks it by coordinates
+        rec = bench.run_scenario(tiny_scenario(
+            problem={"kind": "helmholtz_2d", "nx": nx, "ny": nx, "omega": omega,
+                     "boundary": "impedance"},
+            partition={"kind": "cartesian", "p": [p, p]},
+            schwarz={"variant": "oras", "robin_p": [0.0, omega]},
+            solver={"ksp": "gmres", "side": "right", "tol": 1e-8}))
+        assert rec["n_dofs"] == (nx + 2) ** 2 and rec["n_subdomains"] == p * p
+        assert sum(rec["subdomain_dofs"]) > (nx + 2) ** 2
+        if dofs is not None:
+            assert rec["subdomain_dofs"] == dofs
+        assert rec["solve"]["converged"]
+        assert rec["solve"]["iterations"] == iterations
+
+    def test_coordinate_split_drops_empty_blocks_in_order(self):
+        # the 3x3 interior vertices of a 4x4-cell mesh sit at 1/4, 1/2, 3/4
+        # per axis, so an 8x8 split fills only blocks 2, 4, 6 of each axis:
+        # nine blocks, numbered in order, one vertex each
+        system = discretize.diffusion_fem_2d(discretize.unit_square_mesh(4, 4),
+                                             lambda c: 1.0)
+        owner = bench._build_partition(system, {"kind": "cartesian", "p": [8, 8]})
+        np.testing.assert_array_equal(owner, np.arange(9))
+        rec = bench.run_scenario(tiny_scenario(
+            problem={"kind": "fem_2d", "cells_x": 4, "cells_y": 4},
+            partition={"kind": "cartesian", "p": [8, 8]}, overlap=0,
+            schwarz={"variant": "asm"}, solver={"ksp": "pcg"}))
+        assert rec["n_subdomains"] == 9 and rec["subdomain_dofs"] == [1] * 9
 
     def test_impedance_with_graph_partition_runs(self):
         rec = bench.run_scenario(tiny_scenario(

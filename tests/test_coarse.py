@@ -31,9 +31,7 @@ def fem_setup(cells, parts_x, parts_y, delta, alpha=None):
     xy = sys.coords
     labels = np.minimum((xy[:, 0] * parts_x).astype(int), parts_x - 1)
     labels += parts_x * np.minimum((xy[:, 1] * parts_y).astype(int), parts_y - 1)
-    sets = [np.flatnonzero(labels == k) for k in range(parts_x * parts_y)]
-    part = decompose.Partition(sets, source="manual")
-    dec = decompose.expand_overlap(sys.A, part, delta, coords=xy, h=sys.h)
+    dec = decompose.expand_overlap(sys.A, labels, delta, coords=xy, h=sys.h)
     return sys, dec
 
 
@@ -178,9 +176,7 @@ class TestStackedArrayOracles:
 
     def test_zero_weight_error_names_the_subdomain(self):
         sys = discretize.poisson_1d(4)
-        part = decompose.Partition([np.array([0]), np.array([1, 2]), np.array([3])],
-                                   source="manual")
-        dec = decompose.boolean_pu(decompose.expand_overlap(sys.A, part, 2))
+        dec = decompose.boolean_pu(decompose.expand_overlap(sys.A, [0, 1, 1, 2], 2))
         empty = [i for i, w in enumerate(dec.weights) if not np.any(w)]
         assert empty, "the setup must leave a subdomain without weight"
         with pytest.raises(ValueError, match=f"subdomain {empty[0]} carries no"):
@@ -402,8 +398,7 @@ class TestNicolaides:
 
     def test_zero_weight_subdomain_rejected(self):
         sys = discretize.poisson_1d(3)
-        part = decompose.Partition([np.array([0, 1]), np.array([2])], source="manual")
-        dec = decompose.expand_overlap(sys.A, part, 1)
+        dec = decompose.expand_overlap(sys.A, [0, 0, 1], 1)
         dec = decompose.boolean_pu(dec)
         # Subdomain 0 covers everything, so subdomain 1 owns no dof.
         assert np.all(dec.weights[1] == 0)
@@ -869,9 +864,8 @@ class TestGeneo:
         # Without coords or h the geometry statistics are NaN; the
         # threshold must not silently become NaN.
         sys, geo = fem_setup(12, 3, 3, 1)
-        part = decompose.Partition(geo.core_sets, source="manual")
         for kwargs in ({}, {"coords": sys.coords}, {"h": sys.h}):
-            dec = decompose.expand_overlap(sys.A, part, 1, **kwargs)
+            dec = decompose.expand_overlap(sys.A, geo.owner, 1, **kwargs)
             nm = coarse.subdomain_neumann_matrices(sys, dec)
             with pytest.raises(ValueError, match="tau='auto'"):
                 coarse.geneo_space(sys.A, dec, nm, tau="auto")

@@ -204,11 +204,13 @@ def grid_graph(nx, ny, cut=()):
     return sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
-def owner_fingerprint(part, n):
-    owner = np.empty(n, dtype="<i8")
-    for r, s in enumerate(part.sets):
-        owner[s] = r
-    return hashlib.sha256(owner.tobytes()).hexdigest()[:12]
+def core_sets(owner):
+    """The core DoF set of each label of an owner array, in label order."""
+    return [np.flatnonzero(owner == i) for i in range(owner.max() + 1)]
+
+
+def owner_fingerprint(owner):
+    return hashlib.sha256(owner.astype("<i8").tobytes()).hexdigest()[:12]
 
 
 @st.composite
@@ -251,10 +253,8 @@ def graph_partitions(draw):
     owner = np.empty(n, dtype=int)
     owner[perm[:N]] = np.arange(N)
     owner[perm[N:]] = rest
-    part = decompose.Partition([np.flatnonzero(owner == i) for i in range(N)],
-                               source="manual")
     delta = draw(st.integers(min_value=0, max_value=3))
-    return A, part, delta
+    return A, owner, delta
 
 
 def pu_identity_gap(dec):
@@ -267,27 +267,39 @@ def pu_identity_gap(dec):
 
 class TestCartesianPartition:
     def test_1d_even(self):
-        part = decompose.cartesian_partition(4, 2)
-        assert [list(s) for s in part.sets] == [[0, 1], [2, 3]]
+        owner = decompose.cartesian_partition(4, 2)
+        assert owner.tolist() == [0, 0, 1, 1]
 
     def test_1d_remainder_spread_from_left(self):
-        part = decompose.cartesian_partition(5, 2)
-        assert [list(s) for s in part.sets] == [[0, 1, 2], [3, 4]]
+        owner = decompose.cartesian_partition(5, 2)
+        assert owner.tolist() == [0, 0, 0, 1, 1]
 
     def test_2d_blocks(self):
         grid = discretize.StructuredGrid(2, nx=20, ny=20)
-        part = decompose.cartesian_partition(grid, 2, 2)
-        assert part.N == 4
-        assert all(len(s) == 100 for s in part.sets)
+        owner = decompose.cartesian_partition(grid, 2, 2)
+        assert owner.max() + 1 == 4
+        sets = core_sets(owner)
+        assert all(len(s) == 100 for s in sets)
         # subdomain 0 is the lower-left 10x10 block in lexicographic indexing
         expect0 = sorted(ix + 20 * iy for iy in range(10) for ix in range(10))
-        assert list(part.sets[0]) == expect0
+        assert list(sets[0]) == expect0
 
     def test_disjoint_cover(self):
         grid = discretize.StructuredGrid(2, nx=7, ny=5)
-        part = decompose.cartesian_partition(grid, 3, 2)
-        allidx = np.sort(np.concatenate(part.sets))
-        np.testing.assert_array_equal(allidx, np.arange(35))
+        owner = decompose.cartesian_partition(grid, 3, 2)
+        assert owner.shape == (35,)
+        np.testing.assert_array_equal(np.bincount(owner), [3 * 3, 2 * 3, 2 * 3,
+                                                           3 * 2, 2 * 2, 2 * 2])
+
+    def test_2d_labels_x_fastest_remainder_from_the_left(self):
+        # 7 = 3 + 2 + 2 columns and 5 = 3 + 2 rows; node ix + 7 * iy
+        # belongs to block bx + 3 * by
+        grid = discretize.StructuredGrid(2, nx=7, ny=5)
+        owner = decompose.cartesian_partition(grid, 3, 2)
+        bx = [0, 0, 0, 1, 1, 2, 2]
+        by = [0, 0, 0, 1, 1]
+        expect = [bx[ix] + 3 * by[iy] for iy in range(5) for ix in range(7)]
+        assert owner.tolist() == expect
 
     def test_too_many_parts_rejected(self):
         with pytest.raises(ValueError):
@@ -305,42 +317,41 @@ class TestCartesianPartition:
 class TestGreedyGraphPartition:
     def test_path_graph_split(self):
         A = path_graph(6)
-        part = decompose.greedy_graph_partition(A, 2, seed=0)
-        sets = sorted(tuple(s) for s in part.sets)
+        owner = decompose.greedy_graph_partition(A, 2, seed=0)
+        sets = sorted(tuple(s) for s in core_sets(owner))
         assert sets == [(0, 1, 2), (3, 4, 5)]
 
     def test_path_graph_split_any_seed(self):
         A = path_graph(6)
         for seed in range(8):
-            part = decompose.greedy_graph_partition(A, 2, seed=seed)
-            sets = sorted(tuple(s) for s in part.sets)
+            owner = decompose.greedy_graph_partition(A, 2, seed=seed)
+            sets = sorted(tuple(s) for s in core_sets(owner))
             assert sets == [(0, 1, 2), (3, 4, 5)], f"seed {seed}"
 
     def test_single_region(self):
         A = path_graph(5)
-        part = decompose.greedy_graph_partition(A, 1, seed=3)
-        np.testing.assert_array_equal(part.sets[0], np.arange(5))
+        owner = decompose.greedy_graph_partition(A, 1, seed=3)
+        np.testing.assert_array_equal(owner, np.zeros(5))
 
     def test_singletons(self):
         A = path_graph(4)
-        part = decompose.greedy_graph_partition(A, 4, seed=1)
-        assert sorted(tuple(s) for s in part.sets) == [(0,), (1,), (2,), (3,)]
+        owner = decompose.greedy_graph_partition(A, 4, seed=1)
+        assert sorted(owner.tolist()) == [0, 1, 2, 3]
 
     def test_balance_on_grid(self):
         sys = discretize.poisson_2d_fd(9, 9)
         for N in (2, 3, 4, 5):
-            part = decompose.greedy_graph_partition(sys.A, N, seed=7)
-            sizes = [len(s) for s in part.sets]
+            owner = decompose.greedy_graph_partition(sys.A, N, seed=7)
+            assert owner.shape == (81,)
+            sizes = np.bincount(owner)
+            assert len(sizes) == N
             assert max(sizes) - min(sizes) <= 1
-            allidx = np.sort(np.concatenate(part.sets))
-            np.testing.assert_array_equal(allidx, np.arange(81))
 
     def test_deterministic(self):
         sys = discretize.poisson_2d_fd(8, 8)
         a = decompose.greedy_graph_partition(sys.A, 4, seed=5)
         b = decompose.greedy_graph_partition(sys.A, 4, seed=5)
-        for s, t in zip(a.sets, b.sets):
-            np.testing.assert_array_equal(s, t)
+        np.testing.assert_array_equal(a, b)
 
     def test_too_many_regions_rejected(self):
         with pytest.raises(ValueError):
@@ -356,7 +367,7 @@ class TestGreedyGraphPartition:
     def test_numpy_integer_count_accepted(self):
         a = decompose.greedy_graph_partition(path_graph(6), np.int64(2), seed=0)
         b = decompose.greedy_graph_partition(path_graph(6), 2, seed=0)
-        assert [s.tolist() for s in a.sets] == [s.tolist() for s in b.sets]
+        np.testing.assert_array_equal(a, b)
 
     # Owner arrays (region of each node, int64) of the fem_geneo meshes
     # under N = 8 and partition seeds 0-15, as sha256 prefixes, recorded
@@ -377,14 +388,14 @@ class TestGreedyGraphPartition:
     def test_fem_geneo_partitions_pinned(self, cells):
         mesh = discretize.unit_square_mesh(cells, cells)
         A = discretize.diffusion_fem_2d(mesh, lambda c: 1.0).A
-        got = [owner_fingerprint(decompose.greedy_graph_partition(A, 8, seed=seed), A.shape[0])
+        got = [owner_fingerprint(decompose.greedy_graph_partition(A, 8, seed=seed))
                for seed in range(16)]
         assert got == self.FINGERPRINTS[cells]
 
     # Small grids on which one rule of the repair or rebalance decides the
     # result; each is checked against hand-traced sets and the oracle.
     def check(self, A, N, seed, expect):
-        got = [s.tolist() for s in decompose.greedy_graph_partition(A, N, seed=seed).sets]
+        got = [s.tolist() for s in core_sets(decompose.greedy_graph_partition(A, N, seed=seed))]
         assert got == expect
         assert [s.tolist() for s in loop_greedy_graph_partition(A, N, seed)] == expect
 
@@ -426,9 +437,12 @@ class TestGreedyGraphPartition:
     @given(partition_graphs())
     def test_matches_entry_by_entry_reference(self, case):
         A, N, seed = case
-        part = decompose.greedy_graph_partition(A, N, seed=seed)
+        owner = decompose.greedy_graph_partition(A, N, seed=seed)
         expect = loop_greedy_graph_partition(A, N, seed)
-        assert [s.tolist() for s in part.sets] == [s.tolist() for s in expect]
+        assert owner.shape == (A.shape[0],) and np.issubdtype(owner.dtype, np.integer)
+        assert [s.tolist() for s in core_sets(owner)] == [s.tolist() for s in expect]
+        # exactly N labels, each used
+        assert len(np.bincount(owner)) == N and np.bincount(owner).all()
 
     def test_fem_mesh_matches_entry_by_entry_reference(self):
         # (14, 8, 8) and (8, 8, 27) need every update of the rebalance's
@@ -437,33 +451,63 @@ class TestGreedyGraphPartition:
                                (14, 8, 8), (8, 8, 27)):
             mesh = discretize.unit_square_mesh(cells, cells)
             A = discretize.diffusion_fem_2d(mesh, np.ones(len(mesh.triangles))).A
-            part = decompose.greedy_graph_partition(A, N, seed=seed)
+            owner = decompose.greedy_graph_partition(A, N, seed=seed)
             expect = loop_greedy_graph_partition(A, N, seed)
-            assert [s.tolist() for s in part.sets] == [s.tolist() for s in expect]
+            assert [s.tolist() for s in core_sets(owner)] == [s.tolist() for s in expect]
 
 
 class TestExpandOverlap:
     def test_tridiagonal_one_layer(self):
         A = path_graph(4)
-        part = decompose.Partition([np.array([0, 1]), np.array([2, 3])], source="manual")
-        dec = decompose.expand_overlap(A, part, 1)
+        dec = decompose.expand_overlap(A, [0, 0, 1, 1], 1)
         assert list(dec.sets[0]) == [0, 1, 2]
         assert list(dec.sets[1]) == [1, 2, 3]
 
     def test_zero_overlap_identity(self):
         A = path_graph(6)
-        part = decompose.cartesian_partition(6, 3)
-        dec = decompose.expand_overlap(A, part, 0)
-        for core, ovl in zip(part.sets, dec.sets):
-            np.testing.assert_array_equal(core, ovl)
+        owner = decompose.cartesian_partition(6, 3)
+        dec = decompose.expand_overlap(A, owner, 0)
+        assert dec.N == 3
+        for i, ovl in enumerate(dec.sets):
+            np.testing.assert_array_equal(ovl, np.flatnonzero(owner == i))
         np.testing.assert_array_equal(dec.multiplicity, np.ones(6))
+        # greedy labels are not contiguous blocks
+        A = discretize.diffusion_fem_2d(discretize.unit_square_mesh(8, 8), lambda c: 1.0).A
+        for seed in range(4):
+            owner = decompose.greedy_graph_partition(A, 5, seed=seed)
+            dec = decompose.expand_overlap(A, owner, 0)
+            assert dec.N == 5
+            for i, ovl in enumerate(dec.sets):
+                np.testing.assert_array_equal(ovl, np.flatnonzero(owner == i))
+
+    @pytest.mark.parametrize("owner, match", [
+        ([0, 0, 1], r"owner has shape \(3,\), expected \(4,\)"),
+        ([[0, 0], [1, 1]], r"owner has shape \(2, 2\), expected \(4,\)"),
+        ([0.0, 0.0, 1.0, 1.0], "owner must hold integer labels, got dtype float64"),
+        ([False, False, True, True], "owner must hold integer labels, got dtype bool"),
+        ([0, -1, 1, 1], "owner holds negative label -1"),
+        ([0, 0, 2, 2], "owner leaves label 1 unused; labels must run from 0 to 2"),
+        ([1, 1, 2, 2], "owner leaves label 0 unused; labels must run from 0 to 2"),
+    ])
+    def test_bad_owner_rejected(self, owner, match):
+        with pytest.raises(ValueError, match=match):
+            decompose.expand_overlap(path_graph(4), owner, 1)
+
+    def test_owner_kept_read_only_and_caller_array_untouched(self):
+        owner = np.array([0, 0, 1, 1])
+        dec = decompose.expand_overlap(path_graph(4), owner, 1)
+        np.testing.assert_array_equal(dec.owner, owner)
+        with pytest.raises(ValueError, match="read-only"):
+            dec.owner[0] = 1
+        owner[0] = 1  # the caller's array stays writeable and unshared
+        assert dec.owner[0] == 0
 
     def test_5pt_diamond(self):
         sys = discretize.poisson_2d_fd(7, 7)
         center = 3 + 7 * 3
-        others = np.setdiff1d(np.arange(49), [center])
-        part = decompose.Partition([np.array([center]), others], source="manual")
-        dec = decompose.expand_overlap(sys.A, part, 2)
+        owner = np.ones(49, dtype=int)
+        owner[center] = 0
+        dec = decompose.expand_overlap(sys.A, owner, 2)
         got = set(dec.sets[0].tolist())
         expect = {
             (3 + dx) + 7 * (3 + dy)
@@ -518,8 +562,7 @@ class TestExpandOverlap:
 class TestPartitionsOfUnity:
     def test_multiplicity_weights_hand(self):
         A = path_graph(4)
-        part = decompose.Partition([np.array([0, 1]), np.array([2, 3])], source="manual")
-        dec = decompose.expand_overlap(A, part, 1)  # sets {0,1,2}, {1,2,3}
+        dec = decompose.expand_overlap(A, [0, 0, 1, 1], 1)  # sets {0,1,2}, {1,2,3}
         dec = decompose.multiplicity_pu(dec)
         np.testing.assert_array_equal(dec.multiplicity, [1, 2, 2, 1])
         np.testing.assert_allclose(dec.weights[0], [1.0, 0.5, 0.5])
@@ -528,8 +571,7 @@ class TestPartitionsOfUnity:
 
     def test_boolean_weights_hand(self):
         A = path_graph(4)
-        part = decompose.Partition([np.array([0, 1]), np.array([2, 3])], source="manual")
-        dec = decompose.boolean_pu(decompose.expand_overlap(A, part, 1))
+        dec = decompose.boolean_pu(decompose.expand_overlap(A, [0, 0, 1, 1], 1))
         np.testing.assert_array_equal(dec.weights[0], [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(dec.weights[1], [0.0, 0.0, 1.0])
         assert pu_identity_gap(dec) == 0.0
@@ -566,10 +608,10 @@ class TestBruteForceOracle:
     @settings(max_examples=60, deadline=None)
     @given(graph_partitions())
     def test_matches_dof_by_dof_definitions(self, case):
-        A, part, delta = case
+        A, owner, delta = case
         n = A.shape[0]
-        sets, mult, adjacency, boolean = brute_force_decomposition(A, part.sets, delta)
-        dec = decompose.expand_overlap(A, part, delta)
+        sets, mult, adjacency, boolean = brute_force_decomposition(A, core_sets(owner), delta)
+        dec = decompose.expand_overlap(A, owner, delta)
         assert [s.tolist() for s in dec.sets] == sets
         assert dec.multiplicity.tolist() == mult
         assert dec.adjacency == adjacency

@@ -238,8 +238,7 @@ class TestOneLevel:
         cols = [0, 1, 2, 3, 4, 5, 1, 0, 2, 1, 4, 3, 5, 4]
         vals = [2.0] * 6 + [-1.0] * 8
         A = linalg.csr_from_triplets(6, 6, rows, cols, vals)
-        part = decompose.Partition([np.arange(3), np.arange(3, 6)], source="manual")
-        dec = decompose.expand_overlap(A, part, 0)
+        dec = decompose.expand_overlap(A, [0, 0, 0, 1, 1, 1], 0)
         M = schwarz.one_level(A, dec, "asm")
         r = np.arange(1.0, 7.0)
         np.testing.assert_allclose(M.apply(r), np.linalg.solve(A.toarray(), r), atol=1e-12)
@@ -330,8 +329,7 @@ class TestStackedApply:
         cols = [0, 1, 2, 3, 4, 5, 1, 0, 2, 1, 4, 3, 5, 4]
         vals = [2.0, 2.0, 2.0, 1.0, 2.0, 1.0] + [-1.0] * 8
         A = linalg.csr_from_triplets(6, 6, rows, cols, vals)
-        part = decompose.Partition([np.arange(3), np.arange(3, 6)], source="manual")
-        dec = decompose.expand_overlap(A, part, 0)
+        dec = decompose.expand_overlap(A, [0, 0, 0, 1, 1, 1], 0)
         with pytest.raises(linalg.SingularMatrixError, match="subdomain 1") as err:
             schwarz.one_level(A, dec, "asm")
         assert err.value.block == 1
