@@ -119,14 +119,14 @@ def _resolve_partition(partition, dim):
     kind = _enum(_require(partition, "kind", "partition"),
                  ("cartesian", "graph"), "partition.kind")
     if kind == "cartesian":
-        _check_keys(partition, {"kind", "p", "seed"}, "partition")
+        _check_keys(partition, {"kind", "p"}, "partition")
         p = [int(v) for v in _require(partition, "p", "partition")]
         if len(p) != dim:
             raise ValueError(
                 f"partition.p must have {dim} entries for this problem, got {p}")
         if any(v < 1 for v in p):
             raise ValueError("partition.p entries must be >= 1")
-        return {"kind": kind, "p": p, "seed": int(partition.get("seed", 0))}
+        return {"kind": kind, "p": p}
     _check_keys(partition, {"kind", "N", "seed"}, "partition")
     N = int(_require(partition, "N", "partition"))
     if N < 1:
@@ -192,8 +192,14 @@ def resolve_scenario(config):
                 raise ValueError("geneo threshold tau must be positive")
         coarse_cfg["tau"] = tau
 
-    if problem["kind"] == "helmholtz_2d" and problem["boundary"] == "impedance":
-        if ckind == "grid":
+    # grid_space samples a structured grid of the problem's unknowns
+    if ckind == "grid":
+        if problem["kind"] == "fem_2d":
+            raise ValueError("grid coarse space with problem kind 'fem_2d': a "
+                             "FEM mesh has no structured grid for grid_space "
+                             "to sample; use coarse kind 'nicolaides' or "
+                             "'geneo'")
+        if problem["kind"] == "helmholtz_2d" and problem["boundary"] == "impedance":
             raise ValueError(f"grid coarse space with an impedance boundary: "
                              f"the impedance system has (nx+2)(ny+2) = "
                              f"{(problem['nx'] + 2) * (problem['ny'] + 2)} "

@@ -16,10 +16,10 @@ assembles its columns of local support as one sparse array, and
 :class:`CoarseSpace` keeps Z as a ``scipy.sparse.csc_array``: ``Z^H A Z``
 and every coarse solve are sparse products. Dependent columns are dropped
 by pivoted Cholesky (LAPACK ?pstrf) of the small Gram matrix ``Z^H Z``,
-after exact copies of earlier columns: a column is kept when its distance
-from the span of the columns kept before it exceeds about ``sqrt(m eps)``
-times the largest column norm, with m the number of candidates. No step
-densifies Z.
+after exact copies of earlier columns, which show as equal rows of that
+same matrix: a column is kept when its distance from the span of the
+columns kept before it exceeds about ``sqrt(m eps)`` times the largest
+column norm, with m the number of candidates. No step densifies Z.
 
 The GenEO pencil's right-hand matrix ``D_j A_j D_j`` is only
 semidefinite when some partition-of-unity weights are zero (Boolean
@@ -55,10 +55,11 @@ class CoarseSpace:
     (see :func:`_independent_columns`): of m candidates, a column is kept
     when its distance from the span of the columns kept before it exceeds
     about ``sqrt(m eps)`` times the largest column norm (1.2e-7 at
-    m = 64), and of exact copies the lowest index is kept. The filter
-    reads Z alone, never A, and never densifies Z. The surviving columns
-    keep their original values and order, and per-column metadata (owning
-    subdomain, generalized eigenvalue) is filtered alongside.
+    m = 64), and of exact copies, found as equal rows of ``Z^H Z``, the
+    lowest index is kept. The filter reads Z alone, never A, and never
+    densifies Z. The surviving columns keep their original values and
+    order, and per-column metadata (owning subdomain, generalized
+    eigenvalue) is filtered alongside.
     ``min_pivot`` is the smallest kept pivot over the largest squared
     column norm: how close the filter came to dropping a column.
 
@@ -122,27 +123,34 @@ def _independent_columns(Z):
     Returns the kept column indices in their original order and the
     smallest kept pivot relative to the largest squared column norm.
 
-    Exact copies of an earlier column are dropped first (see
-    :func:`_first_copies`), so of equal columns the lowest index is kept.
-    LAPACK ``?pstrf`` then factorizes the Gram matrix ``G = Z^H Z`` of the
-    rest, formed by one sparse product, with symmetric pivoting: step by
-    step it takes the column whose squared distance from the span of the
-    columns already taken is largest, and it stops at the first pivot at
-    or below ``m eps max diag(G)``, with ``m`` the number of candidate
-    columns. A column is thus kept when its distance from the span of the
-    columns kept before it exceeds about ``sqrt(m eps)`` times the largest
-    column norm (1.2e-7 at m = 64). The rule depends on Z alone, not on
-    the operator, and Z is never densified: only the m x m Gram matrix is.
+    The Gram matrix ``G = Z^H Z`` of the canonical basis (float, row
+    indices sorted, split entries summed) is formed by one sparse product,
+    which sums entry (i, k) over column i's stored rows in storage order:
+    exact copies of a column give bitwise-equal rows of G. Of equal rows
+    only the lowest index is a candidate, so of equal columns the lowest
+    index is kept. LAPACK ``?pstrf`` then factorizes G on the candidates
+    with symmetric pivoting: step by step it takes the column whose
+    squared distance from the span of the columns already taken is
+    largest, and it stops at the first pivot at or below
+    ``m eps max diag(G)``, with ``m`` the number of columns. A column is
+    thus kept when its distance from the span of the columns kept before
+    it exceeds about ``sqrt(m eps)`` times the largest column norm
+    (1.2e-7 at m = 64). A column whose row of G equals an earlier one's
+    without being a copy lies within rounding of it, well below that
+    distance, so ``?pstrf`` would keep at most one of the two anyway. The
+    rule depends on Z alone, not on the operator, and Z is never
+    densified: only the m x m Gram matrix is.
     """
     m = Z.shape[1]
     if 0 in Z.shape:
         return np.empty(0, dtype=int), None
     if not np.isfinite(Z.data).all():
         raise ValueError("coarse basis contains NaN or Inf")
-    cand = np.flatnonzero(_first_copies(Z))
-    Zc = Z if cand.size == m else Z[:, cand]
-    G = (Zc.conj(copy=False).T @ Zc).toarray()
-    G = G.astype(np.result_type(G.dtype, np.float64), copy=False)
+    Z = Z.astype(np.result_type(Z.dtype, np.float64))
+    Z.sum_duplicates()
+    G = (Z.conj(copy=False).T @ Z).toarray()
+    cand = np.sort(np.unique(G, axis=0, return_index=True)[1])
+    G = G[np.ix_(cand, cand)]
     scale = G.diagonal().real.max()
     pstrf, = scipy.linalg.lapack.get_lapack_funcs(("pstrf",), (G,))
     C, piv, rank, info = pstrf(G, tol=m * np.finfo(float).eps * scale,
@@ -153,54 +161,6 @@ def _independent_columns(Z):
         return np.empty(0, dtype=int), None
     min_pivot = float(np.min(np.abs(C.diagonal()[:rank]) ** 2) / scale)
     return np.sort(cand[piv[:rank] - 1]), min_pivot
-
-
-def _first_copies(Z):
-    """Mask of the columns of a csc_array that copy no earlier column exactly.
-
-    Each column's nonzeros are hashed as a wrapping sum of mixed
-    ``(row, value bits)`` words, one vectorized pass over the entries.
-    Only columns that share their (nonzero count, hash) key with another
-    are compared exactly, as padded rows of row indices and value bits.
-    """
-    Z = Z.astype(np.result_type(Z.dtype, np.float64))
-    Z.sum_duplicates()
-    Z.eliminate_zeros()
-    words = Z.data.itemsize // 8
-    bits = Z.data.view(np.uint64).reshape(-1, words)
-    word = _mix(Z.indices.astype(np.uint64))
-    for part in bits.T:
-        word = _mix(word ^ part)
-    # per-column sums as differences of a running sum; uint64 wraps
-    total = np.zeros(word.size + 1, dtype=np.uint64)
-    np.cumsum(word, out=total[1:])
-    keys = np.column_stack([np.diff(Z.indptr),
-                            np.diff(total[Z.indptr]).view(np.int64)])
-    _, group, size = np.unique(keys, axis=0, return_inverse=True,
-                               return_counts=True)
-    first = np.ones(Z.shape[1], dtype=bool)
-    # empty columns are left to the rank filter, which drops them
-    suspect = np.flatnonzero((size[group] > 1) & (keys[:, 0] > 0))
-    if suspect.size:
-        sub = Z[:, suspect]
-        width = np.diff(sub.indptr)
-        col = np.repeat(np.arange(suspect.size), width)
-        slot = np.arange(sub.nnz) - np.repeat(sub.indptr[:-1], width)
-        pad = np.full((suspect.size, width.max(), 1 + words), -1, dtype=np.int64)
-        pad[col, slot, 0] = sub.indices
-        pad[col, slot, 1:] = sub.data.view(np.int64).reshape(-1, words)
-        _, lowest = np.unique(pad.reshape(suspect.size, -1), axis=0,
-                              return_index=True)
-        first[suspect] = False
-        first[suspect[lowest]] = True
-    return first
-
-
-def _mix(x):
-    """splitmix64 finalizer: a bijective scramble of uint64 words."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def nicolaides_space(A, decomposition):

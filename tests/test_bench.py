@@ -182,6 +182,26 @@ class TestConfig:
         with pytest.raises(bench.ScenarioError, match="'closed' failed: .*" + msg):
             bench.run_scenario(cfg)
 
+    @pytest.mark.parametrize("spacing", [{"ratio": 3}, {"H": 0.25}])
+    def test_fem_rejects_grid_space(self, spacing):
+        # A FEM mesh has no structured grid: the scenario fails before
+        # assembly, with the cause named.
+        cfg = tiny_scenario(
+            name="mesh",
+            problem={"kind": "fem_2d", "cells_x": 8, "cells_y": 8},
+            partition={"kind": "graph", "N": 4},
+            coarse={"kind": "grid", **spacing})
+        msg = "a FEM mesh has no structured grid"
+        with pytest.raises(ValueError, match=msg):
+            bench.resolve_scenario(cfg)
+        with pytest.raises(bench.ScenarioError, match="'mesh' failed: .*" + msg):
+            bench.run_scenario(cfg)
+
+    def test_cartesian_partition_has_no_seed(self):
+        cfg = tiny_scenario(partition={"kind": "cartesian", "p": [4], "seed": 0})
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['seed'\]"):
+            bench.resolve_scenario(cfg)
+
     def test_round_trip_is_identity(self):
         resolved = bench.resolve_scenario(tiny_scenario())
         again = bench.resolve_scenario(
@@ -557,7 +577,7 @@ class TestArtifacts:
         run_dir = next(out.iterdir())
         rec = json.loads((run_dir / "record.json").read_text())
         sc = rec["scenario"]
-        assert sc["partition"] == {"kind": "cartesian", "p": [4], "seed": 0}
+        assert sc["partition"] == {"kind": "cartesian", "p": [4]}
         assert sc["overlap"] == 2
         assert sc["schwarz"]["variant"] == "asm"
         assert sc["coarse"]["kind"] == "nicolaides"

@@ -523,14 +523,9 @@ class TestCoarseSpaceMechanics:
                 if (Z[:, :j] == Z[:, [j]]).all(axis=0).any():
                     assert j not in keep
 
-    @pytest.mark.parametrize("hashed", [True, False])
-    def test_first_copy_kept_regardless_of_storage(self, monkeypatch, hashed):
+    def test_first_copy_kept_regardless_of_storage(self):
         # Later copies are stored with reversed rows, and with a split
         # (duplicate) entry and an explicit zero: they are still copies.
-        # With a constant hash every column of equal nonzero count
-        # collides, and the exact comparison alone decides.
-        if not hashed:
-            monkeypatch.setattr(coarse, "_mix", np.zeros_like)
         rng = np.random.default_rng(3)
         a, b = rng.integers(1, 6, (2, 8)) * rng.choice([-1.0, 1.0], (2, 8))
         b[6:] = 0.0
@@ -544,12 +539,47 @@ class TestCoarseSpaceMechanics:
                           np.cumsum([0] + [len(i) for i, _ in entries])),
                          shape=Z.shape)
         np.testing.assert_array_equal(S.toarray(), Z)
-        np.testing.assert_array_equal(
-            coarse._first_copies(S), [True, True, True, False, False, True])
         for basis in (S, sp.csc_array(Z.astype(np.int64)),
                       sp.csc_array(Z * (1 + 2j))):
             keep, _ = coarse._independent_columns(basis)
             assert len(keep) == 2 and not {3, 4} & set(keep)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_copies_found_whatever_the_summation_order(self, dtype):
+        # Random entries, unlike small integers, sum to different floats in
+        # a different order. A copy stored with reversed rows, or with a
+        # split entry, is still found, so column 0 is the one kept.
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            a = rng.standard_normal(12)
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal(12)
+            rows = np.arange(12)
+            S = sp.csc_array((np.r_[a, a[::-1], a[0] / 2, a[0] / 2, a[1:]],
+                              np.r_[rows, rows[::-1], 0, rows],
+                              [0, 12, 24, 37]), shape=(12, 3))
+            keep, min_pivot = coarse._independent_columns(S)
+            np.testing.assert_array_equal(keep, [0])
+            assert min_pivot == pytest.approx(1.0)
+
+    def test_builders_keep_the_first_of_copied_subdomains(self):
+        # Overlap 6 grows each of the three graph regions of FEM 6x6 cells
+        # to all 25 dofs, with equal multiplicity weights: the builders
+        # emit one set of columns per subdomain, and the later two sets
+        # copy the first exactly.
+        sys, dec = graph_setup(6, 3, 0, 6)
+        assert sys.n == 25
+        for i in range(3):
+            np.testing.assert_array_equal(dec.sets[i], np.arange(25))
+            assert_bitwise(dec.weights[i], dec.weights[0])
+        cs = coarse.nicolaides_space(sys.A, dec)
+        assert (cs.raw_columns, cs.m0) == (3, 1)
+        np.testing.assert_array_equal(cs.owners, [0])
+        neumann = coarse.subdomain_neumann_matrices(sys, dec)
+        cs = coarse.geneo_space(sys.A, dec, neumann, tau=50)
+        assert (cs.raw_columns, cs.m0) == (75, 25)
+        np.testing.assert_array_equal(cs.owners, np.zeros(25))
+        assert cs.min_pivot == pytest.approx(0.1639, abs=1e-4)
 
     def test_kept_set_is_a_property_of_the_basis(self):
         # The filter reads Z alone: an SPD A, -A, a complex-symmetric A and
