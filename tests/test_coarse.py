@@ -523,9 +523,11 @@ class TestCoarseSpaceMechanics:
                 if (Z[:, :j] == Z[:, [j]]).all(axis=0).any():
                     assert j not in keep
 
-    def test_first_copy_kept_regardless_of_storage(self):
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_first_copy_kept_regardless_of_storage(self, canonical):
         # Later copies are stored with reversed rows, and with a split
-        # (duplicate) entry and an explicit zero: they are still copies.
+        # (duplicate) entry and an explicit zero: they are still copies,
+        # whether the basis comes as stored or in canonical form.
         rng = np.random.default_rng(3)
         a, b = rng.integers(1, 6, (2, 8)) * rng.choice([-1.0, 1.0], (2, 8))
         b[6:] = 0.0
@@ -539,6 +541,11 @@ class TestCoarseSpaceMechanics:
                           np.cumsum([0] + [len(i) for i, _ in entries])),
                          shape=Z.shape)
         np.testing.assert_array_equal(S.toarray(), Z)
+        if canonical:
+            S.sum_duplicates()
+            S.eliminate_zeros()
+            np.testing.assert_array_equal(S.toarray(), Z)
+        assert S.has_canonical_format == canonical
         for basis in (S, sp.csc_array(Z.astype(np.int64)),
                       sp.csc_array(Z * (1 + 2j))):
             keep, _ = coarse._independent_columns(basis)
