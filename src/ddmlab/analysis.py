@@ -161,26 +161,28 @@ def coloring_bound_check(A, decomposition, M_asm, spectrum=None):
                        details={"n_colors": int(nc)})
 
 
-def fsl_constants(A, decomposition, neumann_matrices, local_blocks):
+def fsl_constants(system, decomposition, local_blocks):
     """Stable-splitting constants (tau_1, gamma_1, M_c, N_c).
 
     tau_1 is the worst (smallest) finite eigenvalue over subdomains of
     the pencil (A_j^Neu, D_j A_jj D_j), where A_j^Neu is the subdomain
     assembly without artificial boundary conditions, zero-extended to
-    the overlapping set. As in the GenEO coarse space, that pencil is
-    solved on the dofs of nonzero weight (``coarse.geneo_pencils``),
-    where D_j A_jj D_j is definite; the zero-weight dofs carry only its
+    the overlapping set. As in the GenEO coarse space, that pencil comes
+    from ``coarse.geneo_pencils`` on the dofs of nonzero weight, where
+    D_j A_jj D_j is definite; the zero-weight dofs carry only its
     infinite eigenvalues. gamma_1 is the best (largest) eigenvalue of the
     full-size pencil (D_j A_jj D_j, B_j) with B_j the local solver blocks
     actually used by the preconditioner, which must be Hermitian positive
     definite. M_c is the partition-of-unity multiplicity and N_c the color
-    count. Both ``neumann_matrices`` and ``local_blocks`` need one entry
-    per subdomain, else ValueError.
+    count. ``system`` must be a finite element system (it needs a mesh,
+    else ``discretize.UnsupportedProblemError``) on the decomposition's
+    dofs, and ``local_blocks`` needs one entry per subdomain, else
+    ValueError.
     """
     tau1 = np.inf
     gamma1 = 0.0
-    pencils = coarse.geneo_pencils(A, decomposition, neumann_matrices)
-    dirichlet = schwarz.local_matrices(A, decomposition)
+    pencils = coarse.geneo_pencils(system, decomposition)
+    dirichlet = schwarz.local_matrices(system.A, decomposition)
     for (_, _, Nw, dad_w), D, Ajj, B in zip(
             pencils, decomposition.weights, dirichlet, local_blocks, strict=True):
         low, _ = linalg.sym_gen_eig(Nw, dad_w)

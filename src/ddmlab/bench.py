@@ -192,6 +192,20 @@ def resolve_scenario(config):
                 raise ValueError("geneo threshold tau must be positive")
         coarse_cfg["tau"] = tau
 
+    # geneo_space reads the element matrices of a finite element mesh
+    if ckind == "geneo":
+        if problem["kind"] != "fem_2d":
+            raise ValueError(f"geneo coarse space with problem kind "
+                             f"{problem['kind']!r}: GenEO needs the Neumann "
+                             f"matrices of a finite element mesh, which only "
+                             f"'fem_2d' has; use coarse kind 'nicolaides' or "
+                             f"'grid'")
+        if coarse_cfg["tau"] == "auto" and overlap == 0:
+            raise ValueError("geneo threshold tau 'auto' with overlap 0: the "
+                             "threshold is the reciprocal of the worst ratio "
+                             "H_j / overlap width, and the overlap width is "
+                             "zero; give a numeric tau or a positive overlap")
+
     # grid_space samples a structured grid of the problem's unknowns
     if ckind == "grid":
         if problem["kind"] == "fem_2d":
@@ -337,8 +351,7 @@ def _build_coarse(cfg, system, dec):
     if spec["kind"] == "grid":
         H = spec["H"] if spec["H"] is not None else spec["ratio"] * system.h
         return coarse.grid_space(system.A, system.grid, H)
-    neumann = coarse.subdomain_neumann_matrices(system, dec)
-    return coarse.geneo_space(system.A, dec, neumann, tau=spec["tau"])
+    return coarse.geneo_space(system, dec, tau=spec["tau"])
 
 
 def _bound_records(cfg, system, dec, M1, cs, spectrum):

@@ -27,14 +27,17 @@ weights). Its kernel is split off here, not in the eigensolver:
 :func:`geneo_pencils` builds each pencil directly on the dofs of nonzero
 weight, where it is definite, for both GenEO and
 ``analysis.fsl_constants``, and ``linalg.sym_gen_eig`` computes only the
-eigenpairs up to the threshold.
+eigenpairs up to the threshold. One vectorized index pass locates every
+pencil entry, gathered from the rows of A and from the element matrices
+of the subdomain element sets; the dense pencils are then built one
+subdomain at a time, so only one dense pair is alive at once.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import discretize, linalg, schwarz
+from . import discretize, linalg
 from .krylov import as_operator, as_preconditioner
 
 COMBINATORS = ("ad", "bnn", "adef1", "adef2", "rbnn1", "rbnn2", "none")
@@ -236,12 +239,19 @@ def subdomain_element_sets(system, decomposition):
     ascending array of element indices per subdomain, read off one sparse
     product: element-to-dof incidence times the dof-to-subdomain
     membership ``R^T S``, with S mapping each row of R to its subdomain.
+    Raises ``discretize.UnsupportedProblemError`` for a system without a
+    mesh and ValueError when the system's DoF count is not the
+    decomposition's.
     """
     if system.mesh is None:
         raise discretize.UnsupportedProblemError(
             f"kind '{system.kind}' has no mesh; element sets need the FEM path"
         )
     dec = decomposition
+    if system.n != dec.n_dofs:
+        raise ValueError(
+            f"system has {system.n} DoFs but the decomposition covers {dec.n_dofs}"
+        )
     dmap = system.dof_of_vertex[system.mesh.triangles]
     nt = dmap.shape[0]
     elem, corner = np.nonzero(dmap >= 0)
@@ -263,96 +273,137 @@ def subdomain_element_sets(system, decomposition):
     return np.split(t[order], np.cumsum(counts)[:-1])
 
 
-def subdomain_neumann_matrices(system, decomposition):
-    """Neumann matrices of the element subdomains, one per DoF subdomain."""
-    return [
-        discretize.neumann_matrix(system, es)
-        for es in subdomain_element_sets(system, decomposition)
-    ]
-
-
-def geneo_pencils(A, decomposition, neumann_matrices):
+def geneo_pencils(system, decomposition):
     """Local GenEO pencils ``(N_j, D_j A_j D_j)`` on the weighted dofs, in subdomain order.
 
-    ``A_j`` is the principal submatrix of A on the overlapping set ``s_j``
-    and ``N_j`` is ``neumann_matrices[j]`` zero-extended from its own dofs
-    to ``s_j``. ``D_j A_j D_j`` vanishes exactly on the rows and columns of
-    zero weight and is positive definite on the others, so the pencil is
+    ``A_j`` is the principal submatrix of ``system.A`` on the overlapping
+    set ``s_j`` and ``N_j`` is the Neumann matrix of the subdomain's
+    element set (:func:`subdomain_element_sets`, summed as
+    ``discretize.neumann_matrix`` sums it), zero-extended to ``s_j``.
+    ``D_j A_j D_j`` vanishes exactly on the rows and columns of zero
+    weight and is positive definite on the others, so the pencil is
     restricted to the dofs of nonzero weight, where it suits
-    ``linalg.sym_gen_eig``; the directions dropped are infinite eigenvalues
-    or vectors whose basis column ``D_j phi`` is zero.
+    ``linalg.sym_gen_eig``; the directions dropped are infinite
+    eigenvalues or vectors whose basis column ``D_j phi`` is zero.
 
-    Yields ``(dofs, d, Nw, Bw)`` for every subdomain: the ascending global
-    dofs of nonzero weight in ``s_j``, their weights, and the two restricted
-    dense matrices. Both are built straight at the weighted positions: the
-    stacked local operator is filtered and scaled once for all subdomains,
-    and each Neumann matrix is scattered without its zero-weight dofs.
-    Raises ValueError unless there is one Neumann matrix per subdomain.
+    Returns an iterator that yields ``(dofs, d, Nw, Bw)`` for every
+    subdomain: the ascending global dofs of nonzero weight in ``s_j``,
+    their weights, and the two restricted dense matrices. One index pass
+    over all subdomains runs at the call; each dense pair is then built
+    only when its subdomain is reached, by one scatter of the entries
+    ``(d_i a_ik) d_k`` gathered from A's rows and one ``np.bincount`` of
+    the element-matrix entries, which sums them in the order
+    ``discretize.neumann_matrix`` does. No stacked local operator and no
+    Neumann matrix on the unweighted dofs is formed.
+
+    Raises ``discretize.UnsupportedProblemError`` for a system without a
+    mesh and ValueError when the system's DoF count is not the
+    decomposition's.
+    """
+    _, pencil = _pencil_index(system, decomposition)
+    return map(pencil, range(decomposition.N))
+
+
+def _pencil_index(system, decomposition):
+    """The index pass of :func:`geneo_pencils`.
+
+    Returns ``(touched, pencil)``: whether each subdomain's element set
+    touches any DoF, and the function that builds subdomain j's
+    ``(dofs, d, Nw, Bw)``.
     """
     dec = decomposition
-    if len(neumann_matrices) != dec.N:
-        raise ValueError(
-            f"got {len(neumann_matrices)} Neumann matrices for {dec.N} subdomains"
-        )
-    B = schwarz.local_operator(A, dec)
-    weighted = dec.w != 0
-    wrows = np.flatnonzero(weighted)
-    # first[i]: weighted stacked rows before row i; block j owns the
-    # weighted rows first[offsets[j]]:first[offsets[j + 1]]
-    first = np.concatenate([[0], np.cumsum(weighted)])
-    wstart = first[dec.offsets]
-    block = _row_owners(dec)
-    wloc = first[:-1] - wstart[block]  # row i's position among its block's
+    elements = subdomain_element_sets(system, dec)
+    A, n = system.A, dec.n_dofs
+    wrows = np.flatnonzero(dec.w != 0)
+    wblock, wdof, d = _row_owners(dec)[wrows], dec.R.indices[wrows], dec.w[wrows]
+    # Weighted stacked row i has the key wblock[i] * n + wdof[i]. The keys
+    # ascend, so searchsorted finds the weighted row of a (subdomain, dof)
+    # pair; subdomain j owns the weighted rows wstart[j]:wstart[j + 1].
+    wkeys = wblock * n + wdof
+    wstart = np.searchsorted(wrows, dec.offsets)
     size = np.diff(wstart)
-    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-    keep = weighted[rows] & weighted[B.indices]
-    rows, cols = rows[keep], B.indices[keep]
+
+    def locate(blocks, dofs):
+        """Weighted row of each pair ``(blocks, dofs)``, or -1 where there is none."""
+        keys = blocks * n + dofs
+        at = np.minimum(np.searchsorted(wkeys, keys), wkeys.size - 1)
+        return np.where((dofs >= 0) & (wkeys[at] == keys), at, -1)
+
+    # D_j A_j D_j: A's stored row of every weighted stacked row, kept at
+    # the columns that are weighted dofs of the same subdomain
+    starts, counts = A.indptr[wdof], np.diff(A.indptr)[wdof]
+    row = np.repeat(np.arange(wrows.size), counts)
+    src = np.arange(row.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    col = locate(wblock[row], A.indices[src])
+    keep = col >= 0
+    row, src, col = row[keep], src[keep], col[keep]
     # entry (i, k) of D_j A_j D_j is (d_i a_ik) d_k, as in the dense product
-    vals = (dec.w[rows] * B.data[keep]) * dec.w[cols]
-    flat = wloc[rows] * size[block[rows]] + wloc[cols]
-    kept = np.concatenate([[0], np.cumsum(keep)])[B.indptr[dec.offsets]]
+    bvals = (d[row] * A.data[src]) * d[col]
+    start = wstart[wblock[row]]
+    bflat = (row - start) * size[wblock[row]] + (col - start)
+    bbound = np.searchsorted(row, wstart)
+
+    # N_j: the element-matrix entries at weighted dofs, in (subdomain,
+    # element, a, b) order, as discretize.neumann_matrix adds them
+    t = np.concatenate(elements)
+    ecount = [len(e) for e in elements]
+    eblock = np.repeat(np.arange(dec.N), ecount)
+    dof = system.dof_of_vertex[system.mesh.triangles[t]]
+    touched = np.bincount(eblock, weights=(dof >= 0).any(axis=1),
+                          minlength=dec.N) > 0
+    at = locate(eblock[:, None], dof)
+    loc = at - wstart[eblock][:, None]
+    kept = (at[:, :, None] >= 0) & (at[:, None, :] >= 0)
+    nvals = system.element_matrices[t][kept]
+    nflat = ((loc * size[eblock][:, None])[:, :, None] + loc[:, None, :])[kept]
+    nbound = np.concatenate([[0], np.cumsum(kept.sum(axis=(1, 2)))])[
+        np.concatenate([[0], np.cumsum(ecount)])]
 
     def pencil(j):
-        a, m = dec.offsets[j], size[j]
-        Bw = np.zeros(m * m, dtype=vals.dtype)
-        Bw[flat[kept[j]:kept[j + 1]]] = vals[kept[j]:kept[j + 1]]
-        # the Neumann dofs' stacked rows, and which of them carry weight
-        N, ndofs = neumann_matrices[j]
-        N = np.asarray(N)
-        at = a + np.searchsorted(dec.sets[j], ndofs)
-        on = np.flatnonzero(weighted[at])
-        if len(on) < len(at):
-            N, at = N[np.ix_(on, on)], at[on]
-        Nw = np.zeros((m, m), dtype=N.dtype)
-        Nw[np.ix_(wloc[at], wloc[at])] = N
-        w = wrows[wstart[j]:wstart[j + 1]]
-        return dec.R.indices[w], dec.w[w], Nw, Bw.reshape(m, m)
+        m = size[j]
+        lo, hi = bbound[j], bbound[j + 1]
+        Bw = np.zeros(m * m, dtype=bvals.dtype)
+        Bw[bflat[lo:hi]] = bvals[lo:hi]
+        lo, hi = nbound[j], nbound[j + 1]
+        # bincount of no entries is an integer array
+        Nw = np.bincount(nflat[lo:hi], nvals[lo:hi], minlength=m * m).astype(
+            float, copy=False)
+        lo, hi = wstart[j], wstart[j + 1]
+        return wdof[lo:hi], d[lo:hi], Nw.reshape(m, m), Bw.reshape(m, m)
 
-    return map(pencil, range(dec.N))
+    return touched, pencil
 
 
-def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
+def geneo_space(system, decomposition, tau="auto"):
     """Spectral coarse space from local generalized eigenproblems.
 
     For each subdomain solve the pencil ``N_j phi = lambda (D_j A_j D_j) phi``
     with ``N_j`` the local Neumann matrix and ``A_j`` the principal
-    submatrix of A, then keep the eigenvectors with ``lambda <= tau``.
-    The pencil is solved on the dofs of nonzero weight
-    (:func:`geneo_pencils`), where it is definite, by one subset
-    eigensolve that computes just the eigenpairs up to ``tau``. Selected
-    vectors enter the basis as ``R_j^T D_j phi``, grouped by subdomain in
-    ascending index and eigenvalue order.
+    submatrix of ``system.A``, then keep the eigenvectors with
+    ``lambda <= tau``. The pencils are those of :func:`geneo_pencils`, on
+    the dofs of nonzero weight, where they are definite, one subdomain at
+    a time; each is solved by one subset eigensolve that computes just
+    the eigenpairs up to ``tau``. A subdomain whose element set touches
+    no DoF has no Neumann energy and is skipped. Selected vectors enter
+    the basis as ``R_j^T D_j phi``, grouped by subdomain in ascending
+    index and eigenvalue order.
 
     ``tau="auto"`` picks the reciprocal of the worst subdomain aspect
     ratio (diameter over overlap width), which needs the decomposition's
-    geometry fields: a decomposition built without ``coords`` or ``h``
-    raises ValueError.
+    geometry fields and a positive overlap: a decomposition built
+    without ``coords`` or ``h``, or with no overlap, raises ValueError.
     """
     if tau == "auto":
         if (np.isnan(decomposition.overlap_width)
                 or np.isnan(decomposition.H).any()):
             raise ValueError(
                 "tau='auto' needs a decomposition with coordinates and mesh width"
+            )
+        if decomposition.overlap_width == 0:
+            raise ValueError(
+                "tau='auto' needs a positive overlap width: the aspect ratio "
+                "H_j / overlap_width is undefined with no overlap; pass a "
+                "numeric tau"
             )
         aspect = max(
             decomposition.H[j] / decomposition.overlap_width
@@ -364,10 +415,9 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
         raise ValueError(f"threshold must be positive, got {tau}")
 
     kept = []
-    pencils = geneo_pencils(A, decomposition, neumann_matrices)
-    for j, (dofs, d, Nw, Bw) in enumerate(pencils):
-        if len(neumann_matrices[j][1]) == 0:
-            continue
+    touched, pencil = _pencil_index(system, decomposition)
+    for j in np.flatnonzero(touched):
+        dofs, d, Nw, Bw = pencil(j)
         values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
         if len(values):
             kept.append((j, dofs, d[:, None] * vectors, values))
@@ -384,7 +434,7 @@ def geneo_space(A, decomposition, neumann_matrices, tau="auto"):
         np.concatenate([np.tile(r, c) for r, c in zip(rows, counts)]),
         np.concatenate([[0], np.cumsum(np.repeat([len(r) for r in rows], counts))])),
         shape=(decomposition.n_dofs, sum(counts)))
-    return CoarseSpace(Z, A, tag="geneo", owners=np.repeat(subdomains, counts),
+    return CoarseSpace(Z, system.A, tag="geneo", owners=np.repeat(subdomains, counts),
                        eigenvalues=np.concatenate(values), tau=tau)
 
 

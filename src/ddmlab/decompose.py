@@ -439,11 +439,12 @@ def expand_overlap(A, owner, delta, coords=None, h=None):
     n_colors = int(colors.max()) + 1
 
     if coords is not None:
-        coords = np.asarray(coords)
-        H = np.array(
-            [np.linalg.norm(c.max(axis=0) - c.min(axis=0))
-             for c in np.split(coords[S.indices], S.indptr[1:-1])]
-        )
+        # bounding-box spans of all subdomains at once; the norm stays per
+        # row, as norm(axis=1) rounds some diameters differently
+        c = np.asarray(coords)[S.indices]
+        starts = S.indptr[:-1]
+        span = np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)
+        H = np.array([np.linalg.norm(s) for s in span])
     else:
         H = np.full(N, np.nan)
     overlap_width = delta * h if h is not None else np.nan

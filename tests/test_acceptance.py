@@ -59,9 +59,8 @@ def direct_solution(A, b):
 
 
 def geneo_two_level(system, dec, tau=0.5, combinator="ad"):
-    neumann = coarse.subdomain_neumann_matrices(system, dec)
     M1 = schwarz.one_level(system.A, dec, "asm")
-    cs = coarse.geneo_space(system.A, dec, neumann, tau=tau)
+    cs = coarse.geneo_space(system, dec, tau=tau)
     return M1, cs, coarse.TwoLevelPreconditioner(M1, cs, system.A, combinator)
 
 
@@ -201,12 +200,10 @@ def test_subdomain_eigenvalue_bounds():
     for cells, px, py, delta in layouts:
         system = fem_poisson(cells)
         dec = overlapped(system, coordinate_partition(system, px, py), delta)
-        neumann = coarse.subdomain_neumann_matrices(system, dec)
         p_robin = 1.0 / system.h
         blocks = schwarz.local_matrices(system.A, dec, kind="robin",
                                         p=p_robin, h=system.h, dim=2)
-        tau1, gamma1, m_c, n_c = analysis.fsl_constants(
-            system.A, dec, neumann, blocks)
+        tau1, gamma1, m_c, n_c = analysis.fsl_constants(system, dec, blocks)
         spec_asm = analysis.preconditioned_spectrum(
             system.A, schwarz.one_level(system.A, dec, "asm"))
         low = analysis.fsl_lower_bound_check(spec_asm, tau1, m_c)
@@ -445,9 +442,7 @@ def test_deflation_unit_eigenvalues():
     sys3 = channel_system(12, 1e4, 3)
     labels = np.minimum((sys3.coords[:, 0] * 3).astype(int), 2)
     dec3 = overlapped(sys3, labels, 1)
-    cs3 = coarse.geneo_space(sys3.A, dec3,
-                             coarse.subdomain_neumann_matrices(sys3, dec3),
-                             tau=0.5)
+    cs3 = coarse.geneo_space(sys3, dec3, tau=0.5)
     cases.append(("geneo-fem", sys3, dec3, cs3))
 
     lines = []

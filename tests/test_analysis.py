@@ -159,20 +159,16 @@ class TestColoringBound:
 class TestFslConstants:
     def test_single_subdomain_is_exactly_one(self):
         sys, dec = fem_setup(4, 1, 1, 0)
-        elem_sets = coarse.subdomain_element_sets(sys, dec)
-        neumann = [discretize.neumann_matrix(sys, es) for es in elem_sets]
         blocks = schwarz.local_matrices(sys.A, dec)
-        tau1, gamma1, mc, nc = analysis.fsl_constants(sys.A, dec, neumann, blocks)
+        tau1, gamma1, mc, nc = analysis.fsl_constants(sys, dec, blocks)
         assert abs(tau1 - 1.0) <= 1e-8
         assert abs(gamma1 - 1.0) <= 1e-8
         assert mc == 1 and nc == 1
 
     def test_two_subdomain_bounds(self):
         sys, dec = fem_setup(8, 2, 1, 2)
-        elem_sets = coarse.subdomain_element_sets(sys, dec)
-        neumann = [discretize.neumann_matrix(sys, es) for es in elem_sets]
         blocks = schwarz.local_matrices(sys.A, dec, kind="robin", h=sys.h, dim=2)
-        tau1, gamma1, mc, nc = analysis.fsl_constants(sys.A, dec, neumann, blocks)
+        tau1, gamma1, mc, nc = analysis.fsl_constants(sys, dec, blocks)
         assert tau1 > 0 and gamma1 > 0
 
         asm = analysis.preconditioned_spectrum(
@@ -189,14 +185,13 @@ class TestFslConstants:
 
 
     def test_counts_must_match_subdomains(self):
-        # Shorter lists used to be truncated to the shortest by zip.
+        # A shorter or longer list of local blocks used to be truncated to
+        # the shortest by zip.
         sys, dec = fem_setup(8, 2, 2, 1)
-        neumann = coarse.subdomain_neumann_matrices(sys, dec)
         blocks = list(schwarz.local_matrices(sys.A, dec))
-        with pytest.raises(ValueError, match="got 3 Neumann matrices for 4"):
-            analysis.fsl_constants(sys.A, dec, neumann[:-1], blocks)
-        with pytest.raises(ValueError):
-            analysis.fsl_constants(sys.A, dec, neumann, blocks[:-1])
+        for bad in (blocks[:-1], blocks + blocks[:1]):
+            with pytest.raises(ValueError, match="argument 4 is (shorter|longer)"):
+                analysis.fsl_constants(sys, dec, bad)
 
 
 class TestGeneoBound:
@@ -214,9 +209,7 @@ class TestGeneoBound:
 
     def test_holds_on_floating_layout(self):
         sys, dec = fem_setup(9, 3, 3, 1)
-        elem_sets = coarse.subdomain_element_sets(sys, dec)
-        neumann = [discretize.neumann_matrix(sys, es) for es in elem_sets]
-        cs = coarse.geneo_space(sys.A, dec, neumann, tau="auto")
+        cs = coarse.geneo_space(sys, dec, tau="auto")
         M1 = schwarz.one_level(sys.A, dec, "asm")
         M = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="ad")
         rep = analysis.preconditioned_spectrum(sys.A, M)

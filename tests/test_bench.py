@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ddmlab import bench, coarse, decompose, discretize
+from ddmlab import bench, coarse, decompose, discretize, schwarz
 
 
 def tiny_scenario(**overrides):
@@ -197,6 +197,42 @@ class TestConfig:
         with pytest.raises(bench.ScenarioError, match="'mesh' failed: .*" + msg):
             bench.run_scenario(cfg)
 
+    @pytest.mark.parametrize("problem,partition", [
+        ({"kind": "poisson_1d", "m": 24}, {"kind": "cartesian", "p": [3]}),
+        ({"kind": "poisson_2d_fd", "nx": 8, "ny": 8},
+         {"kind": "cartesian", "p": [2, 2]}),
+        ({"kind": "helmholtz_2d", "nx": 8, "ny": 8, "omega": 5.0, "xi": 25.0},
+         {"kind": "graph", "N": 4})])
+    def test_geneo_needs_fem_problem(self, problem, partition, monkeypatch):
+        # Only a FEM mesh has the element matrices GenEO reads: the
+        # scenario fails at validation, before assembly, with the cause
+        # named.
+        cfg = tiny_scenario(name="no-mesh", problem=problem, partition=partition,
+                            coarse={"kind": "geneo", "tau": 0.5})
+        msg = (f"geneo coarse space with problem kind '{problem['kind']}': "
+               "GenEO needs the Neumann matrices of a finite element mesh")
+        with pytest.raises(ValueError, match=msg):
+            bench.resolve_scenario(cfg)
+        monkeypatch.setattr(bench, "_build_system", None)
+        with pytest.raises(bench.ScenarioError, match="'no-mesh' failed: " + msg):
+            bench.run_scenario(cfg)
+
+    def test_auto_tau_needs_overlap(self, monkeypatch):
+        # tau 'auto' divides by the overlap width: with overlap 0 the
+        # scenario fails at validation instead of after the solver setup
+        cfg = tiny_scenario(
+            name="flat", overlap=0,
+            problem={"kind": "fem_2d", "cells_x": 8, "cells_y": 8},
+            partition={"kind": "graph", "N": 4}, coarse={"kind": "geneo"})
+        msg = "geneo threshold tau 'auto' with overlap 0"
+        with pytest.raises(ValueError, match=msg):
+            bench.resolve_scenario(cfg)
+        for fixed in ({"overlap": 1}, {"coarse": {"kind": "geneo", "tau": 0.5}}):
+            assert bench.resolve_scenario({**cfg, **fixed})
+        monkeypatch.setattr(bench, "_build_system", None)
+        with pytest.raises(bench.ScenarioError, match="'flat' failed: " + msg):
+            bench.run_scenario(cfg)
+
     def test_cartesian_partition_has_no_seed(self):
         cfg = tiny_scenario(partition={"kind": "cartesian", "p": [4], "seed": 0})
         with pytest.raises(ValueError, match=r"unknown key\(s\) \['seed'\]"):
@@ -231,6 +267,23 @@ class TestRunScenario:
         }
         assert rec["machine"]["python"]
         assert rec["scenario_hash"] == bench.scenario_hash(rec["scenario"])
+
+    def test_geneo_run_builds_the_local_operator_once(self, monkeypatch):
+        # The GenEO pencils gather D_j A_j D_j straight from the rows of A:
+        # only the one-level preconditioner assembles the stacked operator.
+        calls = []
+
+        def counted(*args, real=schwarz.local_operator, **kwargs):
+            calls.append(kwargs.get("kind", "dirichlet"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schwarz, "local_operator", counted)
+        rec = bench.run_scenario(tiny_scenario(
+            problem={"kind": "fem_2d", "cells_x": 12, "cells_y": 12},
+            partition={"kind": "graph", "N": 4}, schwarz={"variant": "asm"},
+            coarse={"kind": "geneo", "tau": 0.5}))
+        assert rec["solve"]["converged"] and rec["coarse_dim"] >= 1
+        assert calls == ["dirichlet"]
 
     def test_deterministic_payload(self):
         cfg = tiny_scenario(schwarz={"variant": "asm"},
@@ -396,9 +449,7 @@ class TestRunScenario:
         part = decompose.greedy_graph_partition(system.A, 4, seed=2)
         dec = decompose.expand_overlap(system.A, part, 1, coords=system.coords,
                                        h=system.h)
-        cs = coarse.geneo_space(system.A, dec,
-                                coarse.subdomain_neumann_matrices(system, dec),
-                                tau=0.5)
+        cs = coarse.geneo_space(system, dec, tau=0.5)
         assert rec["subdomain_dofs"] == [len(s) for s in dec.sets]
         assert rec["coarse_eigenvalues"] == cs.eigenvalues.tolist()
         assert len(rec["coarse_eigenvalues"]) == rec["coarse_dim"] >= 1

@@ -35,6 +35,18 @@ def fem_setup(cells, parts_x, parts_y, delta, alpha=None):
     return sys, dec
 
 
+def centre_alone_setup():
+    # P1 FEM on 4x4 cells (3x3 dofs), no overlap: subdomain 1 is the
+    # centre dof alone, subdomain 0 the ring of eight around it
+    sys = discretize.diffusion_fem_2d(discretize.unit_square_mesh(4, 4),
+                                      lambda xy: 1.0)
+    owner = np.zeros(sys.n, dtype=int)
+    owner[4] = 1
+    np.testing.assert_array_equal(sys.coords[4], [0.5, 0.5])
+    dec = decompose.expand_overlap(sys.A, owner, 0, coords=sys.coords, h=sys.h)
+    return sys, dec
+
+
 def graph_setup(cells, N, seed, delta, pu="multiplicity", contrast=None):
     # P1 FEM on the unit square, greedy graph partition; contrast puts
     # three horizontal high-coefficient channels into the domain.
@@ -76,12 +88,19 @@ def rank_tolerance(m):
     return np.sqrt(m * np.finfo(float).eps)
 
 
-def dense_pencils(A, dec, neumann):
-    """The pencil construction that geneo_pencils replaced, one subdomain at a time.
+def neumann_oracle(system, dec):
+    """One ``discretize.neumann_matrix`` per subdomain element set."""
+    return [discretize.neumann_matrix(system, es)
+            for es in coarse.subdomain_element_sets(system, dec)]
 
-    Zero-extends each Neumann matrix to the overlapping set, scales the
-    dense principal submatrix by the weights on both sides, then gathers
-    the dofs of nonzero weight from both. Yields
+
+def dense_pencils(A, dec, neumann):
+    """The per-subdomain oracle of geneo_pencils, one subdomain at a time.
+
+    Zero-extends each Neumann matrix (:func:`neumann_oracle`) to the
+    overlapping set, scales the dense principal submatrix
+    (``schwarz.local_matrices``) by the weights on both sides, then
+    gathers the dofs of nonzero weight from both. Yields
     ``(s, D, Nloc, DAD, wd, Nw, Bw)``: the full-size pencil, the weighted
     positions and the restricted pencil.
     """
@@ -194,11 +213,11 @@ def scaled_pencil_eigenvalues(A, dec, neumann, j):
 
 
 class TestPencils:
-    """geneo_pencils against the dense zero-extend-then-gather construction, bitwise."""
+    """geneo_pencils against the per-subdomain oracle, bitwise."""
 
     def check(self, sys, dec):
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        got = list(coarse.geneo_pencils(sys.A, dec, nm))
+        nm = neumann_oracle(sys, dec)
+        got = list(coarse.geneo_pencils(sys, dec))
         ref = list(dense_pencils(sys.A, dec, nm))
         assert len(got) == len(ref) == dec.N
         for (dofs, d, Nw, Bw), (s, D, _, _, wd, rNw, rBw) in zip(got, ref):
@@ -238,11 +257,58 @@ class TestPencils:
             Nw = got[4][2]
             assert np.abs(Nw.sum(axis=1)).max() <= 1e-12 * np.abs(Nw).max()
 
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pu", ["multiplicity", "boolean"])
+    def test_coordinate_partition(self, pu, delta):
+        sys, dec = fem_setup(12, 3, 2, delta)
+        if pu == "boolean":
+            dec = decompose.boolean_pu(dec)
+        self.check(sys, dec)
+
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pu", ["multiplicity", "boolean"])
+    def test_graph_partition(self, pu, delta):
+        sys, dec = graph_setup(14, 5, 2, delta, pu)
+        self.check(sys, dec)
+
+    def test_subdomain_touching_no_dof(self):
+        # the centre dof of a 4x4-cell mesh alone: every element around it
+        # has another interior vertex, so its element set touches no dof
+        # and its Neumann matrix is all zero
+        sys, dec = centre_alone_setup()
+        nm, got = self.check(sys, dec)
+        assert len(nm[1][1]) == 0
+        dofs, d, Nw, Bw = got[1]
+        np.testing.assert_array_equal(dofs, [4])
+        assert not Nw.any() and Bw[0, 0] > 0
+
     def test_count_checked_at_the_call(self):
+        # a system on other dofs than the decomposition's is rejected when
+        # the pencils are asked for, before any is taken
         sys, dec = fem_setup(8, 2, 2, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        with pytest.raises(ValueError, match="got 3 Neumann matrices for 4 subdomains"):
-            coarse.geneo_pencils(sys.A, dec, nm[:-1])
+        other = discretize.diffusion_fem_2d(discretize.unit_square_mesh(10, 10),
+                                            lambda xy: 1.0)
+        with pytest.raises(ValueError, match=(
+                f"system has {other.n} DoFs but the decomposition covers {sys.n}")):
+            coarse.geneo_pencils(other, dec)
+
+    def test_first_pencil_holds_one_dense_pair(self):
+        # The pencils are built one subdomain at a time: taking the first
+        # allocates about one dense pair (5 MB here) plus the index pass,
+        # not the nine subdomains' Neumann matrices at once (18 MB).
+        sys, dec = fem_setup(60, 3, 3, 2)
+        pairs = [2 * np.count_nonzero(w) ** 2 * 8 for w in dec.weights]
+        neumann = sum(len(s) ** 2 * 8 for s in dec.sets)
+        tracemalloc.start()
+        try:
+            first = next(coarse.geneo_pencils(sys, dec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first[2].nbytes + first[3].nbytes == pairs[0]
+        bound = 2 * max(pairs)
+        assert neumann > bound
+        assert peak < bound, (peak, bound)
 
 
 class TestGeneoAgainstWhitening:
@@ -269,8 +335,8 @@ class TestGeneoAgainstWhitening:
     @pytest.mark.parametrize("cells,N,seed,pu,contrast,tau", CASES)
     def test_matches_whitening_oracle(self, cells, N, seed, pu, contrast, tau):
         sys, dec = graph_setup(cells, N, seed, 2, pu, contrast)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        cs = coarse.geneo_space(sys.A, dec, nm, tau=tau)
+        nm = neumann_oracle(sys, dec)
+        cs = coarse.geneo_space(sys, dec, tau=tau)
         ref, spectrum = whitening_geneo(sys.A, dec, nm, tau)
         assert np.min(np.abs(spectrum - tau)) > 1e-9
         np.testing.assert_array_equal(cs.owners, ref.owners)
@@ -299,11 +365,11 @@ def dense_hat_matrix(m, r):
     return np.maximum(0.0, 1.0 - np.abs(i[:, None] - J[None, :]) / r)
 
 
-def dense_geneo_basis(A, dec, neumann, tau):
+def dense_geneo_basis(system, dec, tau):
     # the dense scatter of the kept D_j phi blocks that the sparse GenEO
     # basis replaced, from the same pencils and eigensolver
     columns = []
-    for dofs, d, Nw, Bw in coarse.geneo_pencils(A, dec, neumann):
+    for dofs, d, Nw, Bw in coarse.geneo_pencils(system, dec):
         values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
         block = np.zeros((dec.n_dofs, len(values)))
         block[dofs] = d[:, None] * vectors
@@ -328,9 +394,8 @@ class TestSparseBasis:
         (16, 6, 1, "multiplicity", 0.5), (16, 6, 2, "boolean", 0.4)])
     def test_geneo_basis_matches_dense_bitwise(self, cells, N, seed, pu, tau):
         sys, dec = graph_setup(cells, N, seed, 2, pu)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        cs = coarse.geneo_space(sys.A, dec, nm, tau=tau)
-        ref = dense_geneo_basis(sys.A, dec, nm, tau)
+        cs = coarse.geneo_space(sys, dec, tau=tau)
+        ref = dense_geneo_basis(sys, dec, tau)
         assert sp.issparse(cs.Z) and cs.Z.format == "csc"
         assert cs.m0 == cs.raw_columns == ref.shape[1]
         np.testing.assert_array_equal(cs.Z.toarray(), ref)
@@ -338,12 +403,11 @@ class TestSparseBasis:
     @staticmethod
     def spaces():
         sys, dec = graph_setup(12, 5, 3, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
         rng = np.random.default_rng(4)
         Zc = rng.standard_normal((sys.n, 6)) + 1j * rng.standard_normal((sys.n, 6))
         fd = discretize.poisson_2d_fd(11, 11)
         yield sys.n, coarse.nicolaides_space(sys.A, dec)
-        yield sys.n, coarse.geneo_space(sys.A, dec, nm, tau=0.5)
+        yield sys.n, coarse.geneo_space(sys, dec, tau=0.5)
         yield sys.n, coarse.CoarseSpace(Zc, sys.A, tag="complex")
         yield fd.n, coarse.grid_space(fd.A, fd.grid, 3 * fd.h)
 
@@ -582,8 +646,7 @@ class TestCoarseSpaceMechanics:
         cs = coarse.nicolaides_space(sys.A, dec)
         assert (cs.raw_columns, cs.m0) == (3, 1)
         np.testing.assert_array_equal(cs.owners, [0])
-        neumann = coarse.subdomain_neumann_matrices(sys, dec)
-        cs = coarse.geneo_space(sys.A, dec, neumann, tau=50)
+        cs = coarse.geneo_space(sys, dec, tau=50)
         assert (cs.raw_columns, cs.m0) == (75, 25)
         np.testing.assert_array_equal(cs.owners, np.zeros(25))
         assert cs.min_pivot == pytest.approx(0.1639, abs=1e-4)
@@ -788,8 +851,7 @@ class TestBlockApply:
         if request.param == "nicolaides":
             cs = coarse.nicolaides_space(sys.A, dec)
         else:
-            nm = coarse.subdomain_neumann_matrices(sys, dec)
-            cs = coarse.geneo_space(sys.A, dec, nm, tau=0.5)
+            cs = coarse.geneo_space(sys, dec, tau=0.5)
         M1 = schwarz.one_level(sys.A, dec, "ras")
         V = np.random.default_rng(6).standard_normal((sys.n, 7))
         return sys, cs, M1, V
@@ -834,8 +896,7 @@ class TestGeneo:
 
         monkeypatch.setattr(coarse, "_independent_columns", recorded)
         sys, dec = fem_setup(6, 2, 2, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        cs = coarse.geneo_space(sys.A, dec, nm, tau=1e12)
+        cs = coarse.geneo_space(sys, dec, tau=1e12)
         assert cs.raw_columns == sum(len(s) for s in dec.sets)
         assert cs.Z.shape[1] == sys.n
         (Z, (keep, _)), = calls
@@ -853,14 +914,12 @@ class TestGeneo:
 
     def test_tiny_threshold_empty(self):
         sys, dec = fem_setup(6, 2, 2, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
         with pytest.raises(coarse.EmptyCoarseSpaceError):
-            coarse.geneo_space(sys.A, dec, nm, tau=1e-13)
+            coarse.geneo_space(sys, dec, tau=1e-13)
 
     def test_floating_subdomain_contributes_its_kernel(self):
         sys, dec = fem_setup(9, 3, 3, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        cs = coarse.geneo_space(sys.A, dec, nm, tau=1e-6)
+        cs = coarse.geneo_space(sys, dec, tau=1e-6)
         # The centre subdomain (index 4) floats: its Neumann matrix keeps
         # constants in the kernel, so it must contribute exactly the
         # weighted indicator column regardless of the threshold.
@@ -882,9 +941,8 @@ class TestGeneo:
 
     def test_selected_eigenvalues_respect_threshold(self):
         sys, dec = fem_setup(8, 2, 2, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
         tau = 0.7
-        cs = coarse.geneo_space(sys.A, dec, nm, tau=tau)
+        cs = coarse.geneo_space(sys, dec, tau=tau)
         assert np.all(cs.eigenvalues <= tau + 1e-12)
         assert cs.tau == tau
 
@@ -892,8 +950,7 @@ class TestGeneo:
         # A 3x3 layout keeps the centre subdomain floating, so the coarse
         # space is nonempty for any positive threshold.
         sys, dec = fem_setup(9, 3, 3, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        cs = coarse.geneo_space(sys.A, dec, nm, tau="auto")
+        cs = coarse.geneo_space(sys, dec, tau="auto")
         expected = 1.0 / max(dec.H[j] / dec.overlap_width for j in range(dec.N))
         assert cs.tau == pytest.approx(expected)
 
@@ -903,18 +960,34 @@ class TestGeneo:
         sys, geo = fem_setup(12, 3, 3, 1)
         for kwargs in ({}, {"coords": sys.coords}, {"h": sys.h}):
             dec = decompose.expand_overlap(sys.A, geo.owner, 1, **kwargs)
-            nm = coarse.subdomain_neumann_matrices(sys, dec)
             with pytest.raises(ValueError, match="tau='auto'"):
-                coarse.geneo_space(sys.A, dec, nm, tau="auto")
+                coarse.geneo_space(sys, dec, tau="auto")
+
+    def test_auto_threshold_without_overlap_rejected(self):
+        # with overlap 0 the aspect ratio H_j / overlap_width divides by zero
+        sys, dec = fem_setup(9, 3, 3, 0)
+        assert dec.overlap_width == 0
+        with pytest.raises(ValueError, match="tau='auto' needs a positive overlap"):
+            coarse.geneo_space(sys, dec, tau="auto")
+        assert coarse.geneo_space(sys, dec, tau=0.5).m0 > 0
+
+    def test_subdomain_touching_no_dof_is_skipped(self):
+        # its Neumann matrix is zero, so every direction would have
+        # lambda = 0; the subdomain contributes no column instead
+        sys, dec = centre_alone_setup()
+        cs = coarse.geneo_space(sys, dec, tau=1e12)
+        np.testing.assert_array_equal(cs.owners, np.zeros(8))
 
     def test_neumann_count_must_match_subdomains(self):
-        # A shorter list used to drop the last subdomain's columns silently.
+        # The Neumann matrices come from the system's own mesh, so a system
+        # on other dofs than the decomposition's is rejected by name.
         sys, dec = fem_setup(8, 2, 2, 1)
-        nm = coarse.subdomain_neumann_matrices(sys, dec)
-        for bad in (nm[:-1], nm + nm[:1]):
+        for cells in (7, 9):
+            other = discretize.diffusion_fem_2d(
+                discretize.unit_square_mesh(cells, cells), lambda xy: 1.0)
             with pytest.raises(ValueError, match=(
-                    f"got {len(bad)} Neumann matrices for 4 subdomains")):
-                coarse.geneo_space(sys.A, dec, bad, tau=0.5)
+                    f"system has {other.n} DoFs but the decomposition covers 49")):
+                coarse.geneo_space(other, dec, tau=0.5)
 
     def test_element_sets_cover_mesh(self):
         sys, dec = fem_setup(8, 2, 2, 2)
@@ -927,8 +1000,7 @@ class TestGeneo:
     def test_boolean_weights_drop_infinite_modes(self):
         sys, dec = fem_setup(6, 2, 2, 1)
         dec_bool = decompose.boolean_pu(dec)
-        nm = coarse.subdomain_neumann_matrices(sys, dec_bool)
-        cs = coarse.geneo_space(sys.A, dec_bool, nm, tau=1e12)
+        cs = coarse.geneo_space(sys, dec_bool, tau=1e12)
         # Zero-weight dofs make the weighted matrix singular; its kernel
         # vectors carry Neumann energy, so they are infinite-eigenvalue
         # modes and must not enter the basis even with a huge threshold.
@@ -940,5 +1012,7 @@ class TestGeneo:
         sys = discretize.poisson_2d_fd(6, 6)
         part = decompose.cartesian_partition(sys.grid, 2, 2)
         dec = decompose.expand_overlap(sys.A, part, 1)
-        with pytest.raises(discretize.UnsupportedProblemError):
-            coarse.subdomain_neumann_matrices(sys, dec)
+        with pytest.raises(discretize.UnsupportedProblemError, match="has no mesh"):
+            coarse.geneo_space(sys, dec, tau=0.5)
+        with pytest.raises(discretize.UnsupportedProblemError, match="has no mesh"):
+            coarse.geneo_pencils(sys, dec)
