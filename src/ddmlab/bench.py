@@ -7,7 +7,7 @@ fail-fast: unknown keys and bad enum values are rejected before anything
 runs. Every run produces a RunRecord dictionary whose scenario hash
 names the output directory, so any table cell can be traced back to the
 record that produced it. Re-running a scenario reproduces the payload
-exactly, apart from the timing table.
+exactly, apart from the timing table and the machine block.
 
 Commands::
 
@@ -21,6 +21,8 @@ name, e.g. ``ddmlab run poisson_unit``.
 
 import argparse
 import copy
+import ctypes
+import functools
 import hashlib
 import json
 import platform
@@ -387,6 +389,51 @@ def run_scenario(config):
         raise ScenarioError(f"scenario {name!r} failed: {err}") from err
 
 
+_OPENBLAS_THREAD_QUERIES = (
+    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
+
+
+def _blas_builds():
+    """BLAS library and version that numpy and scipy report for their build."""
+    builds = {}
+    for pkg in (np, scipy):
+        try:
+            blas = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            builds[pkg.__name__] = f"{blas['name']} {blas['version']}"
+        except (TypeError, KeyError):  # a version without the dict report
+            builds[pkg.__name__] = None
+    return builds
+
+
+@functools.cache
+def _openblas_thread_queries():
+    """The thread-count queries of the OpenBLAS libraries numpy and scipy bundle."""
+    queries = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for symbol in _OPENBLAS_THREAD_QUERIES:
+                query = getattr(lib, symbol, None)
+                if query is not None:
+                    query.argtypes = []
+                    query.restype = ctypes.c_int
+                    queries.append(query)
+                    break
+    return tuple(queries)
+
+
+def _blas_threads():
+    """Threads in effect in the bundled OpenBLAS libraries (the largest count), or None."""
+    counts = [query() for query in _openblas_thread_queries()]
+    return max(counts) if counts else None
+
+
 def _execute(cfg):
     timers = {k: 0.0 for k in _TIMING_BUCKETS}
     system = _build_system(cfg["problem"])
@@ -469,7 +516,8 @@ def _execute(cfg):
         "subdomain_dofs": np.diff(dec.offsets).tolist(),
         "local_factor": None if M1.factor is None else {
             "kind": M1.factor.kind, "order": M1.factor.n,
-            "nnz": M1.factor.nnz},
+            "nnz": M1.factor.nnz,
+            "distinct_blocks": M1.factor.distinct_blocks},
         "coarse_dim": 0 if cs is None else int(cs.m0),
         "coarse_raw_columns": 0 if cs is None else int(cs.raw_columns),
         "coarse_per_subdomain": (
@@ -487,6 +535,8 @@ def _execute(cfg):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": _blas_builds(),
+            "blas_threads": _blas_threads(),
         },
     }
 

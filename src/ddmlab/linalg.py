@@ -7,10 +7,12 @@ arrays ``(rows, cols, vals)`` and get canonical CSR back, so no caller
 builds CSR index arrays itself.
 Dense factorizations and the generalized symmetric eigensolver wrap
 LAPACK through scipy. A sparse matrix is factorized by SuperLU
-(``scipy.sparse.linalg.splu``) in one call, also when it is a stack of
-independent diagonal blocks; singular pivots are then reported per
-block. The eigensolver takes a positive definite
-right-hand side, certified by its Cholesky factorization, and can compute
+(``scipy.sparse.linalg.splu``). A stack of independent diagonal blocks
+is factorized once per class of bitwise-equal blocks: the classes with
+the same number of copies are stacked into one SuperLU call, and a solve
+takes each class's copies as the columns of one multi-right-hand-side
+solve. Singular pivots are reported per block. The eigensolver takes a
+positive definite right-hand side, certified by its Cholesky factorization, and can compute
 only the eigenpairs up to a threshold. A semidefinite right-hand side is
 the caller's to split: the spectral coarse space restricts its pencils to
 the dofs of nonzero partition-of-unity weight, where they are definite.
@@ -76,20 +78,26 @@ class Factorization:
 
 
 class SparseFactorization:
-    """Opaque handle for a SuperLU factorization ``Pr A Pc = L U``.
+    """Opaque handle for the SuperLU factorizations of a stack of diagonal blocks.
 
-    ``kind`` is "cholesky" when the factorization is a symmetric
-    ``L D L^H`` with positive pivots (a certificate that ``A`` is
-    Hermitian positive definite) and "lu" otherwise; ``nnz`` counts the
-    stored entries of L and U.
+    Bitwise-equal blocks share one factorization. The distinct blocks are
+    split into groups by their number of copies, and each group's first
+    copies are factorized as one stacked matrix ``Pr G Pc = L U``; a
+    solve gathers the copies of a group as the columns of one
+    multi-right-hand-side solve. ``kind`` is "cholesky" when every group's
+    factorization is a symmetric ``L D L^H`` with positive pivots (a
+    certificate that ``A`` is Hermitian positive definite) and "lu"
+    otherwise; ``nnz`` counts the stored entries of L and U over all
+    groups and ``distinct_blocks`` the number of blocks factorized.
     """
 
-    def __init__(self, kind, lu, dtype):
+    def __init__(self, kind, groups, n, dtype, distinct_blocks):
         self.kind = kind
-        self._lu = lu
-        self.n = lu.shape[0]
+        self._groups = groups  # (SuperLU, stacked rows of shape (order, copies))
+        self.n = n
         self.dtype = dtype
-        self.nnz = int(lu.nnz)
+        self.nnz = sum(int(lu.nnz) for lu, _ in groups)
+        self.distinct_blocks = distinct_blocks
 
     def solve(self, b):
         """Solve ``A x = b`` for a vector or an (n, k) block of right-hand sides."""
@@ -98,9 +106,20 @@ class SparseFactorization:
             raise ValueError(
                 f"right-hand side length {b.shape[0]} does not match order {self.n}")
         _require_finite(b, "right-hand side")
+        if len(self._groups) == 1 and self._groups[0][1].shape[1] == 1:
+            # no block repeats: the one group is the whole stack, in order
+            return self._solve(self._groups[0][0], b)
+        x = np.empty(b.shape, dtype=np.result_type(self.dtype, b, np.float64))
+        for lu, rows in self._groups:
+            # the copies of a group are the columns of one solve
+            sol = self._solve(lu, b[rows].reshape(rows.shape[0], -1))
+            x[rows] = sol.reshape(rows.shape + b.shape[1:])
+        return x
+
+    def _solve(self, lu, b):
         if np.iscomplexobj(b) and self.dtype.kind != "c":
-            return self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
-        return self._lu.solve(b)
+            return lu.solve(b.real) + 1j * lu.solve(b.imag)
+        return lu.solve(b)
 
 
 def _require_finite(x, what):
@@ -205,22 +224,29 @@ def auto_factor(A, blocks=None):
     A dense matrix gets a LAPACK Cholesky factorization and falls back to
     LU when it is not Hermitian positive definite.
 
-    A ``scipy.sparse`` matrix gets one SuperLU factorization
+    A ``scipy.sparse`` matrix gets SuperLU factorizations
     (:class:`SparseFactorization`). ``blocks`` are the row offsets of
-    diagonal blocks that hold every entry of it (default: one block); a
-    stack of independent blocks is factorized in the one call. A
-    Hermitian matrix is factorized with a symmetric ordering and diagonal
-    pivots (``L D L^H``), labelled "cholesky" when the row and column
-    permutations agree and every pivot is real and positive. Otherwise,
-    and for every non-Hermitian matrix, the factorization is
-    partial-pivoting LU, labelled "lu".
+    diagonal blocks that hold every entry of it (default: one block).
+    Blocks with the same size and the same stored indices and value bytes
+    are copies of one class, factorized once: the classes with the same
+    number of copies form a group, and each group's first copies, in
+    block order, are stacked into one SuperLU factorization. A stack
+    without repeated blocks is therefore factorized in one call, as the
+    matrix itself. For a Hermitian matrix each group is factorized with a
+    symmetric ordering and diagonal pivots (``L D L^H``), kept when the row
+    and column permutations agree and every pivot is real and positive;
+    the result is labelled "cholesky" when every group is. A group that
+    fails, and every group of a non-Hermitian matrix, gets a
+    partial-pivoting LU, and the result is labelled "lu".
 
     Raises
     ------
     SingularMatrixError
         If a pivot falls to ``1e-14`` times the Frobenius norm of its
         matrix (of its diagonal block, which ``block`` then names) or
-        below, or if SuperLU meets an exactly zero pivot.
+        below, or if SuperLU meets an exactly zero pivot. With blocks the
+        error names the first singular block, the lowest-index copy of its
+        class.
     """
     if sp.issparse(A):
         return _sparse_factor(A, blocks)
@@ -234,6 +260,7 @@ def auto_factor(A, blocks=None):
 
 def _sparse_factor(A, blocks):
     A = sp.csc_array(A)
+    A.sum_duplicates()
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("auto_factor expects a square matrix")
@@ -243,29 +270,111 @@ def _sparse_factor(A, blocks):
     if offsets[0] != 0 or offsets[-1] != n or np.any(sizes < 0):
         raise ValueError("block offsets must rise from 0 to the matrix order")
     block = np.repeat(np.arange(sizes.size), sizes)
-    col = np.repeat(np.arange(n), np.diff(A.indptr))
-    if np.any(block[A.indices] != block[col]):
+    entry_block = np.repeat(block, np.diff(A.indptr))  # block of each stored entry
+    if np.any(block[A.indices] != entry_block):
         raise ValueError("matrix has entries outside its diagonal blocks")
-    tol = 1e-14 * np.sqrt(np.bincount(block[col], weights=np.abs(A.data) ** 2,
+    tol = 1e-14 * np.sqrt(np.bincount(entry_block, weights=np.abs(A.data) ** 2,
                                       minlength=sizes.size))
+    hermitian = _hermitian_gap(A) <= 1e-12 * np.linalg.norm(A.data)
 
-    if np.linalg.norm((A - A.conj().T).data) <= 1e-12 * np.linalg.norm(A.data):
-        lu = _superlu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                      options={"SymmetricMode": True})
-        if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
-            d = lu.U.diagonal()
-            # every pivot positive and, to rounding, real
-            if (np.all(np.abs(d.imag) < 1e-12 * d.real)
-                    and _small_pivot_block(d, lu.perm_c, block, tol) is None):
-                return SparseFactorization("cholesky", lu, A.dtype)
-    lu = _superlu(A)
-    bad = (_first_singular_block(A, offsets, block, tol) if lu is None
-           else _small_pivot_block(lu.U.diagonal(), lu.perm_c, block, tol))
-    if bad is not None:
+    kind = "cholesky" if hermitian else "lu"
+    groups, singular = [], []
+    copy_groups, distinct = _copy_groups(A, offsets, entry_block)
+    for rows in copy_groups:
+        G = _submatrix(A, rows[:, 0])
+        group_block = block[rows[:, 0]]
+        lu = _certified_cholesky(G, group_block, tol) if hermitian else None
+        if lu is None:
+            kind = "lu"
+            lu = _superlu(G)
+            bad = (_first_singular_block(G, group_block, tol) if lu is None
+                   else _small_pivot_block(lu.U.diagonal(), lu.perm_c, group_block, tol))
+            if bad is not None:
+                singular.append(bad)
+                continue
+        groups.append((lu, rows))
+    if singular:
+        bad = min(singular)
         raise SingularMatrixError(
             f"singular pivot in LU factorization of diagonal block {bad}",
             block=int(bad))
-    return SparseFactorization("lu", lu, A.dtype)
+    return SparseFactorization(kind, groups, n, A.dtype, distinct)
+
+
+def _hermitian_gap(A):
+    """Frobenius norm of ``A - A^H`` for a canonical csc matrix."""
+    T = A.tocsr()  # the arrays of A^T in csc form
+    if np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices):
+        # symmetric pattern: entry k of A is at the transposed place of entry k of T
+        return np.linalg.norm(A.data - T.data.conj())
+    return np.linalg.norm((A - T.T.conj()).data)
+
+
+def _copy_groups(A, offsets, entry_block):
+    """Stacked rows of each group of bitwise-equal diagonal blocks of a csc matrix.
+
+    A class holds the nonempty blocks that equal each other: the same
+    block-relative ``indptr`` and ``indices`` and the same ``data`` bytes,
+    compared exactly as dictionary keys. Classes with the same number of
+    copies form a group. Returns the groups in ascending copy count, each
+    as an (order, copies) array whose column j holds the stacked rows of
+    every class's j-th copy (copies ascending, classes in the order of
+    their first copies), and the number of classes. ``entry_block`` names
+    the block of each stored entry.
+    """
+    sizes = np.diff(offsets)
+    starts = A.indptr[offsets]
+    ptr = (A.indptr[:-1] - np.repeat(starts[:-1], sizes)).tobytes()
+    idx = (A.indices - offsets[entry_block]).astype(A.indices.dtype).tobytes()
+    data = A.data.tobytes()
+    p, i, d = A.indptr.itemsize, A.indices.itemsize, A.data.itemsize
+    classes = {}
+    for k, (a, b, start, stop) in enumerate(zip(
+            offsets[:-1].tolist(), offsets[1:].tolist(),
+            starts[:-1].tolist(), starts[1:].tolist())):
+        if a < b:
+            key = (ptr[p * a:p * b], idx[i * start:i * stop], data[d * start:d * stop])
+            classes.setdefault(key, []).append(k)
+    by_count = {}
+    for copies in classes.values():
+        by_count.setdefault(len(copies), []).append(copies)
+    groups = []
+    for c in sorted(by_count):
+        blocks = np.array(by_count[c])
+        m = sizes[blocks[:, 0]]
+        local = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        groups.append(np.repeat(offsets[blocks], m, axis=0) + local[:, None])
+    return groups, len(classes)
+
+
+def _submatrix(A, cols):
+    """``A[cols, cols]`` of a csc matrix for columns that are whole diagonal blocks."""
+    counts = np.diff(A.indptr)[cols]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    entries = np.repeat(A.indptr[cols] - indptr[:-1], counts) + np.arange(indptr[-1])
+    # each entry lies in its column's block, which moves as a whole
+    shift = np.repeat(cols - np.arange(cols.size), counts)
+    return sp.csc_array(
+        (A.data[entries], (A.indices[entries] - shift).astype(A.indices.dtype),
+         indptr.astype(A.indptr.dtype)), shape=(cols.size, cols.size))
+
+
+def _certified_cholesky(A, block, tol):
+    """Symmetric-mode SuperLU ``L D L^H`` of a Hermitian csc matrix, or None.
+
+    The factorization is kept when the row and column permutations agree
+    and every pivot is, to rounding, real and positive and above the
+    tolerance of its block (``block`` names the block of each row).
+    """
+    lu = _superlu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    if lu is None or not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    d = lu.U.diagonal()
+    if (np.all(np.abs(d.imag) < 1e-12 * d.real)
+            and _small_pivot_block(d, lu.perm_c, block, tol) is None):
+        return lu
+    return None
 
 
 def _superlu(A, **options):
@@ -290,8 +399,12 @@ def _small_pivot_block(pivots, perm_c, block, tol):
     return pivot_block[small].min() if small.any() else None
 
 
-def _first_singular_block(A, offsets, block, tol):
-    """Bisect the diagonal blocks for the first one that fails to factorize."""
+def _first_singular_block(A, block, tol):
+    """Bisect the diagonal blocks for the first one that fails to factorize.
+
+    ``block`` names the block of each row, in ascending runs.
+    """
+    offsets = np.append(np.flatnonzero(np.diff(block, prepend=-1)), block.size)
     lo, hi = 0, len(offsets) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -302,7 +415,7 @@ def _first_singular_block(A, offsets, block, tol):
             hi = mid
         else:
             lo = mid
-    return lo
+    return block[offsets[lo]]
 
 
 def sym_gen_eig(A, B, upper=None):

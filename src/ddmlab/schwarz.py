@@ -3,9 +3,10 @@
 Every variant is one product ``R^T W_L B^(-1) W_R R`` over the
 decomposition's stacked restriction ``R``: restrict the residual to all
 overlapping subdomains at once, solve the block-diagonal local problem
-``B = blockdiag(B_i)`` with one sparse factorization of the whole
-stacked operator, and scatter the result back. The weights ``W_L``,
-``W_R`` are either the identity or the stacked partition-of-unity
+``B = blockdiag(B_i)`` with one ``linalg.auto_factor`` factorization of
+the stacked operator (which factorizes each distinct block once and
+solves equal blocks together), and scatter the result back. The weights
+``W_L``, ``W_R`` are either the identity or the stacked partition-of-unity
 weights ``w``:
 
 * ``asm``    sum_i R_i^T B_i^(-1) R_i            (W_L = W_R = I)

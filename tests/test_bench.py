@@ -268,6 +268,14 @@ class TestRunScenario:
         assert rec["machine"]["python"]
         assert rec["scenario_hash"] == bench.scenario_hash(rec["scenario"])
 
+    def test_machine_records_blas(self):
+        machine = bench.run_scenario(tiny_scenario(
+            schwarz={"variant": "none"}))["machine"]
+        assert set(machine["blas"]) == {"numpy", "scipy"}
+        assert all(v is None or isinstance(v, str) for v in machine["blas"].values())
+        threads = machine["blas_threads"]
+        assert threads is None or (type(threads) is int and threads >= 1)
+
     def test_geneo_run_builds_the_local_operator_once(self, monkeypatch):
         # The GenEO pencils gather D_j A_j D_j straight from the rows of A:
         # only the one-level preconditioner assembles the stacked operator.
@@ -567,12 +575,16 @@ class TestRunScenario:
         assert one["local_factor"]["kind"] == "cholesky"
         assert one["local_factor"]["order"] == 28
         assert one["local_factor"]["nnz"] >= 29
+        # the two end blocks are the same 9 x 9 Dirichlet matrix
+        assert one["local_factor"]["distinct_blocks"] == 2
         keys = list(one)
         assert keys[keys.index("local_factor") + 1] == "coarse_dim"
         robin = bench.run_scenario(tiny_scenario(
             schwarz={"variant": "oras", "robin_p": [0.0, 10.0]}))
         assert robin["local_factor"]["kind"] == "lu"
         assert robin["local_factor"]["order"] == 28
+        # their Robin rows lie at opposite ends, so the end blocks differ
+        assert robin["local_factor"]["distinct_blocks"] == 3
         plain = bench.run_scenario(tiny_scenario(schwarz={"variant": "none"}))
         assert plain["local_factor"] is None
 

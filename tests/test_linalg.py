@@ -8,6 +8,7 @@ independent whitening oracle built inside the test.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from ddmlab import linalg
 
@@ -167,7 +168,7 @@ def hermitian_blocks():
 
 
 class TestSparseFactor:
-    """One SuperLU factorization of a block stack against dense LAPACK factors."""
+    """The SuperLU factorization of a block stack against dense LAPACK factors."""
 
     @pytest.mark.parametrize("blocks, kind", [
         (spd_blocks, "cholesky"), (robin_blocks, "lu"),
@@ -284,6 +285,114 @@ class TestSparseFactor:
             linalg.auto_factor(B, blocks=[0, 4])
         with pytest.raises(ValueError):
             linalg.auto_factor(laplacian_2d(3), blocks=[0, 9])
+
+
+def neumann_block(m):
+    """Pure Neumann Laplacian on an m x m grid plus 1e-16 I: a pivot at rounding level."""
+    N = laplacian_2d(m)
+    return N - np.diag(N.sum(axis=1)) + 1e-16 * np.eye(m * m)
+
+
+class TestRepeatedBlocks:
+    """Bitwise-equal diagonal blocks share one factorization."""
+
+    @staticmethod
+    def assert_solves_match_dense(F, B):
+        oracle = np.linalg.inv(B.toarray())
+        rng = np.random.default_rng(8)
+        for shape in [(F.n,), (F.n, 4)]:
+            real = rng.standard_normal(shape)
+            for b in (real, real + 1j * rng.standard_normal(shape)):
+                x = F.solve(b)
+                ref = oracle @ b
+                assert x.shape == b.shape
+                assert x.dtype == np.result_type(B.dtype, b)
+                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("blocks, kind", [
+        (spd_blocks, "cholesky"), (robin_blocks, "lu"),
+        (helmholtz_blocks, "lu"), (hermitian_blocks, "cholesky")])
+    def test_copies_at_distant_positions_are_shared(self, blocks, kind):
+        a, b, c, _ = blocks()
+        B, offsets = stacked([a, b, a, c, a, b, c.copy()])
+        F = linalg.auto_factor(B, blocks=offsets)
+        assert F.distinct_blocks == 3 and F.kind == kind
+        # fill of one copy per class: below that of the whole stack
+        assert F.nnz < linalg.auto_factor(B).nnz
+        self.assert_solves_match_dense(F, B)
+
+    def test_near_copies_are_not_merged(self):
+        L = laplacian_2d(3)
+        ulp = L.copy()
+        ulp[4, 4] = np.nextafter(ulp[4, 4], np.inf)
+        # the same stored values, one entry moved within its column (equal
+        # column pointers) or to the next column (equal row indices)
+        moved = []
+        for i, j in [(0, 2), (1, 2), (1, 0)]:
+            M = np.diag([4.0, 4.0, 4.0])
+            M[i, j] = 4.0
+            moved.append(M)
+        # the same stored values [2, 1, 1, 2], in a 2 x 2 and a 3 x 3 block
+        small = np.array([[2.0, 1.0], [1.0, 2.0]])
+        large = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        for pair, same_data in [((L, ulp), False), ((moved[0], moved[1]), True),
+                                ((moved[1], moved[2]), True), ((small, large), True)]:
+            B, offsets = stacked([pair[0], pair[1], pair[0]])
+            B = sp.csc_array(linalg.compress(B))  # no stored zeros
+            a, b, c = offsets[:3]
+            assert np.array_equal(B[:, a:b].data, B[:, b:c].data) == same_data
+            F = linalg.auto_factor(B, blocks=offsets)
+            assert F.distinct_blocks == 2
+            self.assert_solves_match_dense(F, B)
+
+    @pytest.mark.parametrize("singular", [lambda m: np.ones((m * m, m * m)),
+                                          neumann_block],
+                             ids=["rank one", "neumann"])
+    def test_repeated_singular_block_named_by_first_copy(self, singular):
+        S = singular(2)
+        blocks = [laplacian_2d(3), S, laplacian_2d(2), S, laplacian_2d(3)]
+        B, offsets = stacked(blocks)
+        with pytest.raises(linalg.SingularMatrixError, match="block 1") as err:
+            linalg.auto_factor(B, blocks=offsets)
+        assert err.value.block == 1
+
+    @pytest.mark.parametrize("single, repeated, first", [(1, (2, 4), 1),
+                                                         (3, (1, 4), 1)])
+    def test_first_singular_block_across_groups(self, single, repeated, first):
+        # a singular class with one copy and another with two copies: the
+        # error names the lowest singular block of either
+        blocks = [laplacian_2d(2) for _ in range(5)]
+        blocks[single] = np.ones((3, 3))
+        for i in repeated:
+            blocks[i] = neumann_block(2)
+        B, offsets = stacked(blocks)
+        with pytest.raises(linalg.SingularMatrixError) as err:
+            linalg.auto_factor(B, blocks=offsets)
+        assert err.value.block == first
+
+    def test_one_uncertified_repeated_class_makes_lu(self):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        blocks = [laplacian_2d(3), swap, laplacian_2d(2), swap, laplacian_2d(3)]
+        B, offsets = stacked(blocks)
+        F = linalg.auto_factor(B, blocks=offsets)
+        assert F.kind == "lu" and F.distinct_blocks == 3
+        self.assert_solves_match_dense(F, B)
+
+    @pytest.mark.parametrize("blocks, hermitian", [
+        (spd_blocks, True), (robin_blocks, False), (helmholtz_blocks, True)])
+    def test_no_repeats_is_the_stacked_factorization(self, blocks, hermitian):
+        B, offsets = stacked(blocks())
+        F = linalg.auto_factor(B, blocks=offsets)
+        options = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                        options={"SymmetricMode": True}) if hermitian else {})
+        lu = scipy.sparse.linalg.splu(B, **options)
+        if F.kind == "lu" and hermitian:  # certification failed: plain LU
+            lu = scipy.sparse.linalg.splu(B)
+        assert F.distinct_blocks == len(offsets) - 1 and F.nnz == lu.nnz
+        rng = np.random.default_rng(9)
+        for shape in [(F.n,), (F.n, 3)]:
+            b = rng.standard_normal(shape)
+            assert np.array_equal(F.solve(b), lu.solve(b))
 
 
 def whitening_gen_eig(A, B, null_tol=1e-10):

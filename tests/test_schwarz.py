@@ -6,6 +6,8 @@ the restriction/weight data, independent of the module under test.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from ddmlab import decompose, discretize, krylov, linalg, schwarz
 
@@ -273,7 +275,7 @@ class TestOneLevel:
 
 
 class TestStackedApply:
-    """The apply with one factorization of B against a dense loop over subdomains."""
+    """The apply with the factorization of B against a dense loop over subdomains."""
 
     @staticmethod
     def assert_matches_loop(A, dec, variant, p, h, dim, r):
@@ -333,6 +335,66 @@ class TestStackedApply:
         with pytest.raises(linalg.SingularMatrixError, match="subdomain 1") as err:
             schwarz.one_level(A, dec, "asm")
         assert err.value.block == 1
+
+
+def stacked_oracle(M, B, r):
+    """Oracle: the apply through one SuperLU factorization of the whole stacked B.
+
+    A Hermitian B gets the symmetric-mode ordering, as a single stacked
+    factorization would; any other B a partial-pivoting LU.
+    """
+    B = sp.csc_array(B)
+    if abs(B - B.conj().T).max() == 0:
+        lu = scipy.sparse.linalg.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                      options={"SymmetricMode": True})
+    else:
+        lu = scipy.sparse.linalg.splu(B)
+    dec = M.decomposition
+    y = dec.R @ r
+    if M.variant == "soras":
+        y = (dec.w * y.T).T
+    if np.iscomplexobj(y) and B.dtype.kind != "c":
+        z = lu.solve(y.real) + 1j * lu.solve(y.imag)
+    else:
+        z = lu.solve(y)
+    if M.variant in ("ras", "oras", "soras"):
+        z = (dec.w * z.T).T
+    return dec.R.T @ z
+
+
+class TestSharedFactor:
+    """On cartesian splits most local blocks repeat; the apply is unchanged."""
+
+    @staticmethod
+    def assert_matches_stacked(A, dec, variant, p, h, r):
+        M = schwarz.one_level(A, dec, variant, p=p, h=h, dim=2)
+        kind = "robin" if variant in ("oras", "soras") else "dirichlet"
+        B = schwarz.local_operator(A, dec, kind=kind, p=p, h=h, dim=2)
+        assert M.factor.distinct_blocks < dec.N
+        for rhs in (r, np.column_stack([r, 2.0 * r])):
+            got = M.apply(rhs)
+            ref = stacked_oracle(M, B, rhs)
+            assert got.dtype == ref.dtype
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("variant, p", [
+        ("asm", None), ("ras", None), ("oras", None), ("soras", None),
+        ("oras", 3.0 - 2.0j), ("soras", 3.0 - 2.0j)])
+    def test_fd_cartesian(self, variant, p):
+        sys = discretize.poisson_2d_fd(20, 20)
+        part = decompose.cartesian_partition(sys.grid, 4, 4)
+        dec = decompose.expand_overlap(sys.A, part, 2)
+        r = np.sin(np.arange(sys.A.shape[0]) + 0.5)
+        self.assert_matches_stacked(sys.A, dec, variant, p, sys.h, r)
+
+    @pytest.mark.parametrize("variant, p", [("asm", None), ("oras", 20.0j)])
+    def test_helmholtz_cartesian(self, variant, p):
+        grid = discretize.StructuredGrid(2, nx=31, ny=31)
+        sys = discretize.helmholtz_2d(grid, omega=20.0, xi=400.0)
+        dec = decompose.expand_overlap(sys.A, decompose.cartesian_partition(grid, 4, 4), 1)
+        rng = np.random.default_rng(10)
+        r = rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
+        self.assert_matches_stacked(sys.A, dec, variant, p, sys.h, r)
 
 
 class TestBlockApply:
