@@ -7,9 +7,12 @@ checks (coloring, stable-splitting constants, coarse-space threshold,
 conjugate gradient error envelope), each recorded as a named
 bound/measured/satisfied triple so reports can be serialized.
 
-M^-1 is assembled densely by one block apply of the identity, so a
-preconditioner handed to this module must map an (n, k) block column by
-column (the contract of ``krylov.as_preconditioner``).
+M^-1 is assembled densely by block applies of the identity, one panel of
+at most ``_PANEL`` columns at a time, so a preconditioner handed to this
+module must map an (n, k) block column by column (the contract of
+``krylov.as_preconditioner``). Each n x n temporary is released as soon
+as the next product no longer needs it, which keeps the oracle's peak
+near three dense n x n arrays.
 """
 
 import numpy as np
@@ -18,6 +21,9 @@ import scipy.sparse as sp
 from . import coarse, krylov, linalg, schwarz
 
 DENSE_LIMIT = 2000
+
+# identity columns per block apply when M^-1 is assembled
+_PANEL = 64
 
 
 class BoundRecord:
@@ -95,23 +101,42 @@ def _dense(A):
 
 
 def _apply_inverse(M, n, dtype):
-    """Assemble M^-1 as a dense matrix: one block apply of the identity."""
-    return np.asarray(krylov.as_preconditioner(M)(np.eye(n, dtype=dtype)))
+    """Assemble M^-1 as a dense matrix, one block apply per panel of identity columns.
+
+    Columns ``j:j + _PANEL`` of M^-1 are M applied to the same columns of
+    the identity. A preconditioner maps a block column by column, so
+    this equals one block apply of the whole identity, bit for bit, while
+    its temporaries stay n x _PANEL.
+    """
+    prec = krylov.as_preconditioner(M)
+    Minv = None
+    for j in range(0, n, _PANEL):
+        k = min(_PANEL, n - j)
+        Y = np.asarray(prec(np.eye(n, k, -j, dtype=dtype)))
+        if Minv is None:
+            Minv = np.empty((n, n), dtype=Y.dtype)
+        Minv[:, j:j + k] = Y
+    return Minv
 
 
 def _is_hermitian(B, rel_tol):
-    scale = max(np.abs(B).max(), 1.0)
-    return np.abs(B - B.conj().T).max() <= rel_tol * scale
+    """``max|B - B^H| <= rel_tol * max(max|B|, 1)``, both maxima taken by panels."""
+    panels = range(0, B.shape[0], _PANEL)
+    scale = max(np.max([np.abs(B[:, j:j + _PANEL]).max() for j in panels]), 1.0)
+    skew = np.max([np.abs(B[:, j:j + _PANEL] - B[j:j + _PANEL].conj().T).max()
+                   for j in panels])
+    return skew <= rel_tol * scale
 
 
 def preconditioned_spectrum(A, M=None):
-    """Spectrum of M^-1 A, with M^-1 assembled by one block apply of the identity.
+    """Spectrum of M^-1 A, with M^-1 assembled by block applies of identity panels.
 
     When A is Hermitian positive definite and M^-1 is Hermitian the
     similar matrix L^H M^-1 L (L the Cholesky factor of A) is solved as
     a Hermitian eigenproblem, producing a real spectrum and a condition
     number. Any other combination falls back to the general dense
-    eigenvalue solver and reports no condition number.
+    eigenvalue solver and reports no condition number. Every dense
+    n x n operand is dropped once the next product no longer needs it.
     """
     Ad = _dense(A)
     n = Ad.shape[0]
@@ -123,13 +148,22 @@ def preconditioned_spectrum(A, M=None):
         except np.linalg.LinAlgError:
             L = None
         if L is not None:
-            W = L.conj().T @ Minv @ L
-            vals = np.linalg.eigvalsh((W + W.conj().T) / 2.0)
+            del Ad
+            W = L.conj().T @ Minv
+            del Minv
+            W = W @ L
+            del L
+            S = W + W.conj().T
+            del W
+            S /= 2.0
+            vals = np.linalg.eigvalsh(S)
             lam_min, lam_max = float(vals[0]), float(vals[-1])
             kappa = lam_max / lam_min if lam_min > 0 else np.inf
             return SpectrumReport(vals, "spd", lam_min, lam_max, kappa)
 
-    vals = np.sort_complex(np.linalg.eigvals(Minv @ Ad))
+    T = Minv @ Ad
+    del Minv, Ad
+    vals = np.sort_complex(np.linalg.eigvals(T))
     return SpectrumReport(vals, "general",
                           vals[0].real, vals[-1].real, None)
 
@@ -137,12 +171,16 @@ def preconditioned_spectrum(A, M=None):
 def richardson_spectral_radius(A, M):
     """Spectral radius of the stationary iteration matrix I - M^-1 A.
 
-    M^-1 is assembled by one block apply of the identity.
+    M^-1 is assembled by block applies of identity panels, and
+    ``I - M^-1 A`` is formed in place over the product ``M^-1 A``.
     """
     Ad = _dense(A)
     n = Ad.shape[0]
     Minv = _apply_inverse(M, n, Ad.dtype)
-    T = np.eye(n, dtype=Minv.dtype) - Minv @ Ad
+    T = Minv @ Ad
+    del Minv, Ad
+    np.negative(T, out=T)
+    T[np.diag_indices(n)] += 1
     return float(np.abs(np.linalg.eigvals(T)).max())
 
 

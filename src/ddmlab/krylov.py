@@ -127,9 +127,10 @@ def as_preconditioner(M):
 
     A preconditioner maps a vector of length n to a vector, and an
     ``(n, k)`` block column by column to an ``(n, k)`` block. The solvers
-    here pass vectors only; ``analysis`` assembles M^-1 from one block
-    apply of the identity, so a plain callable given there must honour
-    the block form too (scale rows with ``(d * r.T).T``, not ``d * r``).
+    here pass vectors only; ``analysis`` assembles M^-1 from block
+    applies of panels of identity columns, so a plain callable given
+    there must honour the block form too (scale rows with
+    ``(d * r.T).T``, not ``d * r``).
     """
     if M is None:
         return lambda r: r

@@ -5,6 +5,8 @@ under Jacobi, dense eigensolves done directly in the tests, and the
 closed-form condition bound value 96 for k0 = 2, tau = 0.5.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -117,6 +119,68 @@ class TestPreconditionedSpectrum:
         assert len(d["eigenvalues"]) == 8
         assert d["records"][0]["name"] == "coloring"
         assert isinstance(d["records"][0]["satisfied"], bool)
+
+
+# grids whose dof count is below the panel width, a multiple of it, and
+# a multiple plus one (a last panel of one column)
+PANEL_GRIDS = {"below": (8, 7), "multiple": (16, 8), "multiple_plus_one": (43, 3)}
+PANEL_KINDS = ("asm", "ras", "soras", "oras-complex",
+               *(f"two-level-{c}" for c in coarse.COMBINATORS))
+
+
+def panel_preconditioner(kind, sys, dec):
+    if kind == "oras-complex":
+        return schwarz.one_level(sys.A, dec, "oras", p=10j, h=sys.h, dim=2)
+    if kind.startswith("two-level-"):
+        cs = coarse.nicolaides_space(sys.A, dec)
+        return coarse.TwoLevelPreconditioner(
+            schwarz.one_level(sys.A, dec, "asm"), cs, sys.A,
+            combinator=kind.removeprefix("two-level-"))
+    return schwarz.one_level(sys.A, dec, kind, h=sys.h, dim=2)
+
+
+class TestPanelFill:
+    @pytest.mark.parametrize("size", PANEL_GRIDS)
+    @pytest.mark.parametrize("kind", PANEL_KINDS)
+    def test_equals_one_block_apply_of_identity(self, kind, size):
+        sys = discretize.poisson_2d_fd(*PANEL_GRIDS[size])
+        n = sys.A.shape[0]
+        panel = analysis._PANEL
+        assert {"below": n < panel, "multiple": n % panel == 0,
+                "multiple_plus_one": n % panel == 1}[size]
+        # a cartesian split repeats local blocks, so the solves go through
+        # the grouped copies of SparseFactorization.solve
+        dec = decompose.expand_overlap(
+            sys.A, decompose.cartesian_partition(sys.grid, 4, 1), 1)
+        M = panel_preconditioner(kind, sys, dec)
+        M1 = M.M1 if kind.startswith("two-level-") else M
+        assert M1.factor.distinct_blocks < dec.N
+
+        whole = np.asarray(krylov.as_preconditioner(M)(np.eye(n)))
+        panels = analysis._apply_inverse(M, n, sys.A.dtype)
+        assert panels.dtype == whole.dtype
+        assert np.array_equal(panels, whole)
+
+
+class TestOracleMemory:
+    @pytest.mark.parametrize("combinator,path", [("ad", "spd"), ("adef1", "general")])
+    def test_peak_stays_within_four_dense_arrays(self, combinator, path):
+        # the oracle needs three dense n x n arrays at once: M^-1, A or its
+        # Cholesky factor, and their product; the bound leaves room for one more
+        sys, dec = fem_setup(32, 4, 2, 2)
+        n = sys.A.shape[0]
+        M = coarse.TwoLevelPreconditioner(
+            schwarz.one_level(sys.A, dec, "asm"), coarse.geneo_space(sys, dec),
+            sys.A, combinator=combinator)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = analysis.preconditioned_spectrum(sys.A, M)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert n == 961 and rep.path == path
+        assert peak <= 4 * n * n * np.dtype(np.float64).itemsize
 
 
 class TestColoringBound:
@@ -280,6 +344,14 @@ class TestRichardson:
         x, rep = schwarz.richardson(sys.A, sys.F, M, tol=1e-8, maxit=2000)
         assert not rep.converged
         assert rep.diverged
+
+    def test_in_place_iteration_matrix_matches_identity_minus_product(self):
+        sys, dec = poisson_setup(40, 4, 1)
+        M = schwarz.one_level(sys.A, dec, "ras")
+        Minv = analysis._apply_inverse(M, 40, sys.A.dtype)
+        T = np.eye(40) - Minv @ sys.A.toarray()
+        rho = analysis.richardson_spectral_radius(sys.A, M)
+        assert rho == float(np.abs(np.linalg.eigvals(T)).max())
 
 
 class TestDeflation:
