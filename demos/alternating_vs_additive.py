@@ -23,8 +23,7 @@ def main():
 
     system = discretize.poisson_1d(m)
     part = decompose.cartesian_partition(m, 2)
-    dec = decompose.multiplicity_pu(
-        decompose.expand_overlap(system.A, part, 1))
+    dec = decompose.expand_overlap(system.A, part, 1)
     M_asm = schwarz.one_level(system.A, dec, "asm")
     M_ras = schwarz.one_level(system.A, dec, "ras")
 

@@ -30,9 +30,8 @@ def main():
     for contrast in (1e2, 1e4, 1e6):
         system = channel_system(contrast)
         labels = np.minimum((system.coords[:, 0] * STRIPS).astype(int), STRIPS - 1)
-        dec = decompose.multiplicity_pu(
-            decompose.expand_overlap(system.A, labels, 1,
-                                     coords=system.coords, h=system.h))
+        dec = decompose.expand_overlap(system.A, labels, 1,
+                                       coords=system.coords, h=system.h)
         M1 = schwarz.one_level(system.A, dec, "asm")
         x, one = krylov.pcg(system.A, system.F, M1, tol=1e-6, maxit=500)
         cs = coarse.geneo_space(system, dec, tau=TAU)

@@ -13,7 +13,7 @@ from ddmlab import analysis, decompose, discretize, krylov, schwarz
 def main():
     system = discretize.poisson_2d_fd(16, 16)
     part = decompose.cartesian_partition(system.grid, 3, 3)
-    dec = decompose.multiplicity_pu(decompose.expand_overlap(system.A, part, 1))
+    dec = decompose.expand_overlap(system.A, part, 1)
     M = schwarz.one_level(system.A, dec, "asm")
 
     spec = analysis.preconditioned_spectrum(system.A, M)

@@ -14,8 +14,8 @@ def main():
     for N in (4, 8, 16, 32, 64):
         m = 6 * N
         system = discretize.poisson_1d(m)
-        dec = decompose.multiplicity_pu(
-            decompose.expand_overlap(system.A, decompose.cartesian_partition(m, N), 1))
+        dec = decompose.expand_overlap(
+            system.A, decompose.cartesian_partition(m, N), 1)
         M1 = schwarz.one_level(system.A, dec, "asm")
         x, one = krylov.pcg(system.A, system.F, M1, tol=1e-6, maxit=1000)
         cs = coarse.nicolaides_space(system.A, dec)

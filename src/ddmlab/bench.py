@@ -113,10 +113,6 @@ def _resolve_problem(problem):
                               discretize.BOUNDARIES, "problem.boundary")}
 
 
-def _problem_dim(problem):
-    return 1 if problem["kind"] == "poisson_1d" else 2
-
-
 def _resolve_partition(partition, dim):
     kind = _enum(_require(partition, "kind", "partition"),
                  ("cartesian", "graph"), "partition.kind")
@@ -159,7 +155,7 @@ def resolve_scenario(config):
         raise ValueError(f"unsupported schema version {config.get('schema')!r}; "
                          f"this build reads schema {SCHEMA_VERSION}")
     problem = _resolve_problem(_require(config, "problem", "scenario"))
-    dim = _problem_dim(problem)
+    dim = 1 if problem["kind"] == "poisson_1d" else 2
     partition = _resolve_partition(_require(config, "partition", "scenario"), dim)
 
     overlap = int(config.get("overlap", 1))
@@ -172,7 +168,7 @@ def resolve_scenario(config):
     variant = _enum(sch.get("variant", "ras"), schwarz.VARIANTS,
                     "schwarz.variant")
     robin_p = _resolve_robin_p(sch.get("robin_p"))
-    if robin_p is not None and variant not in ("oras", "soras"):
+    if robin_p is not None and variant not in schwarz.ROBIN_VARIANTS:
         raise ValueError(
             f"robin parameter is only meaningful for oras/soras, not {variant!r}")
 
@@ -438,7 +434,6 @@ def _execute(cfg):
     timers = {k: 0.0 for k in _TIMING_BUCKETS}
     system = _build_system(cfg["problem"])
     A, b = system.A, system.F
-    dim = _problem_dim(cfg["problem"])
 
     t0 = time.perf_counter()
     part = _build_partition(system, cfg["partition"])
@@ -453,7 +448,7 @@ def _execute(cfg):
         robin_p = complex(robin_p[0], robin_p[1])
     t0 = time.perf_counter()
     M1 = schwarz.one_level(A, dec, cfg["schwarz"]["variant"],
-                           p=robin_p, h=system.h, dim=dim)
+                           p=robin_p, h=system.h, dim=system.dim)
     timers["local_factorization"] = time.perf_counter() - t0
     # a complex Robin p on a real system needs a complex solve
     b = b.astype(np.result_type(b, M1.dtype))

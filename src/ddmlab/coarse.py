@@ -27,10 +27,10 @@ weights). Its kernel is split off here, not in the eigensolver:
 :func:`geneo_pencils` builds each pencil directly on the dofs of nonzero
 weight, where it is definite, for both GenEO and
 ``analysis.fsl_constants``, and ``linalg.sym_gen_eig`` computes only the
-eigenpairs up to the threshold. One vectorized index pass locates every
-pencil entry, gathered from the rows of A and from the element matrices
-of the subdomain element sets; the dense pencils are then built one
-subdomain at a time, so only one dense pair is alive at once.
+eigenpairs up to the threshold. One index pass over the weighted stacked
+rows locates every pencil entry: ``Decomposition.within`` of A and
+``Decomposition.locate`` of the element matrices. The dense pencils are
+then built one subdomain at a time, so only one dense pair is alive.
 """
 
 import numpy as np
@@ -175,21 +175,15 @@ def nicolaides_space(A, decomposition):
     ``R.indices``.
     """
     dec = decomposition
-    owner = _row_owners(dec)
-    weighted = np.bincount(owner, weights=dec.w != 0, minlength=dec.N)
+    weighted = np.bincount(dec.row_block, weights=dec.w != 0, minlength=dec.N)
     if not weighted.all():
         i = int(np.argmin(weighted))
         raise ValueError(
             f"subdomain {i} carries no partition-of-unity weight; "
             "its indicator column would vanish"
         )
-    Z = sp.csc_array((dec.w, (dec.R.indices, owner)), shape=(dec.n_dofs, dec.N))
+    Z = sp.csc_array((dec.w, (dec.R.indices, dec.row_block)), shape=(dec.n_dofs, dec.N))
     return CoarseSpace(Z, A, tag="nicolaides", owners=np.arange(dec.N))
-
-
-def _row_owners(decomposition):
-    """Subdomain index of each row of the stacked restriction ``R``."""
-    return np.repeat(np.arange(decomposition.N), np.diff(decomposition.offsets))
 
 
 def _hat_matrix(m, h, H):
@@ -238,7 +232,7 @@ def subdomain_element_sets(system, decomposition):
     vertex or its DoF belongs to the subdomain's set. Returns one
     ascending array of element indices per subdomain, read off one sparse
     product: element-to-dof incidence times the dof-to-subdomain
-    membership ``R^T S``, with S mapping each row of R to its subdomain.
+    membership, which holds a one at ``(R.indices[r], row_block[r])``.
     Raises ``discretize.UnsupportedProblemError`` for a system without a
     mesh and ValueError when the system's DoF count is not the
     decomposition's.
@@ -257,11 +251,10 @@ def subdomain_element_sets(system, decomposition):
     elem, corner = np.nonzero(dmap >= 0)
     E = sp.csr_array((np.ones(elem.size), (elem, dmap[elem, corner])),
                      shape=(nt, system.n))
-    rows = dec.R.shape[0]
-    S = sp.csr_array((np.ones(rows), (np.arange(rows), _row_owners(dec))),
-                     shape=(rows, dec.N))
+    member = sp.csr_array((np.ones(dec.R.shape[0]), (dec.R.indices, dec.row_block)),
+                          shape=(system.n, dec.N))
     # inside[t, j]: number of element t's dofs that lie in subdomain j
-    inside = (E @ (dec.R.T @ S)).tocoo()
+    inside = (E @ member).tocoo()
     dofs_per_element = np.bincount(elem, minlength=nt)
     full = inside.data == dofs_per_element[inside.row]
     # elements with no dof (all vertices on the boundary) lie in every subdomain
@@ -313,32 +306,16 @@ def _pencil_index(system, decomposition):
     """
     dec = decomposition
     elements = subdomain_element_sets(system, dec)
-    A, n = system.A, dec.n_dofs
+    # positions count among the weighted rows wrows; subdomain j owns wstart[j]:wstart[j + 1]
     wrows = np.flatnonzero(dec.w != 0)
-    wblock, wdof, d = _row_owners(dec)[wrows], dec.R.indices[wrows], dec.w[wrows]
-    # Weighted stacked row i has the key wblock[i] * n + wdof[i]. The keys
-    # ascend, so searchsorted finds the weighted row of a (subdomain, dof)
-    # pair; subdomain j owns the weighted rows wstart[j]:wstart[j + 1].
-    wkeys = wblock * n + wdof
+    wblock, wdof, d = dec.row_block[wrows], dec.R.indices[wrows], dec.w[wrows]
     wstart = np.searchsorted(wrows, dec.offsets)
     size = np.diff(wstart)
 
-    def locate(blocks, dofs):
-        """Weighted row of each pair ``(blocks, dofs)``, or -1 where there is none."""
-        keys = blocks * n + dofs
-        at = np.minimum(np.searchsorted(wkeys, keys), wkeys.size - 1)
-        return np.where((dofs >= 0) & (wkeys[at] == keys), at, -1)
-
-    # D_j A_j D_j: A's stored row of every weighted stacked row, kept at
-    # the columns that are weighted dofs of the same subdomain
-    starts, counts = A.indptr[wdof], np.diff(A.indptr)[wdof]
-    row = np.repeat(np.arange(wrows.size), counts)
-    src = np.arange(row.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    col = locate(wblock[row], A.indices[src])
-    keep = col >= 0
-    row, src, col = row[keep], src[keep], col[keep]
-    # entry (i, k) of D_j A_j D_j is (d_i a_ik) d_k, as in the dense product
-    bvals = (d[row] * A.data[src]) * d[col]
+    # D_j A_j D_j: the entries of A at weighted rows and columns of one
+    # subdomain; entry (i, k) is (d_i a_ik) d_k, as in the dense product
+    row, col, src = dec.within(system.A, wrows)
+    bvals = (d[row] * system.A.data[src]) * d[col]
     start = wstart[wblock[row]]
     bflat = (row - start) * size[wblock[row]] + (col - start)
     bbound = np.searchsorted(row, wstart)
@@ -351,7 +328,7 @@ def _pencil_index(system, decomposition):
     dof = system.dof_of_vertex[system.mesh.triangles[t]]
     touched = np.bincount(eblock, weights=(dof >= 0).any(axis=1),
                           minlength=dec.N) > 0
-    at = locate(eblock[:, None], dof)
+    at = dec.locate(eblock[:, None], dof, wrows)
     loc = at - wstart[eblock][:, None]
     kept = (at[:, :, None] >= 0) & (at[:, None, :] >= 0)
     nvals = system.element_matrices[t][kept]

@@ -11,6 +11,9 @@ multiplicities, subdomain geometry statistics, the subdomain adjacency
 graph, and a greedy coloring. Decompositions are immutable: their index
 and weight arrays are read-only, and the partition-of-unity builders
 return updated copies.
+Stacked row r of subdomain ``row_block[r]`` has the ascending key
+``row_block[r] * n_dofs + R.indices[r]``; ``locate`` and ``within`` read
+every block ``R_i A R_i^T`` through these keys, with no product with R.
 """
 
 import numpy as np
@@ -41,13 +44,14 @@ class Decomposition:
     the diagonals of the partition-of-unity matrices D_i in the same row
     order, so ``R.T @ (w * (R @ x))`` reproduces ``x``. ``sets[i]`` and
     ``weights[i]`` are read-only views of subdomain i's slices of
-    ``R.indices`` and ``w``. ``owner`` is the read-only partition the
-    subdomains grew from.
+    ``R.indices`` and ``w``. ``owner`` (the partition the subdomains grew
+    from) and ``row_block`` (the subdomain of each stacked row) are read-only.
     """
 
     def __init__(self, n_dofs, owner, R, offsets, w, multiplicity,
                  adjacency, colors, n_colors, H, overlap_width, pu_kind):
-        for a in (owner, R.data, R.indices, R.indptr, offsets, w):
+        self.row_block = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        for a in (owner, R.data, R.indices, R.indptr, offsets, w, self.row_block):
             a.flags.writeable = False
         self.n_dofs = n_dofs
         self.owner = owner
@@ -71,6 +75,41 @@ class Decomposition:
     @property
     def max_multiplicity(self):
         return int(self.multiplicity.max())
+
+    def locate(self, blocks, dofs, rows=None):
+        """Position of each pair ``(blocks, dofs)`` among the stacked ``rows``, or -1.
+
+        ``rows`` is an ascending subset of the stacked rows, all of them when
+        None. A negative DoF, or one its subdomain holds in no row of ``rows``,
+        gets -1; DoFs must lie below ``n_dofs``.
+        """
+        rows = slice(None) if rows is None else rows
+        keys = (self.row_block * self.n_dofs + self.R.indices)[rows]
+        want = np.asarray(blocks, dtype=np.int64) * self.n_dofs + dofs
+        at = np.asarray(np.searchsorted(keys, want))
+        np.minimum(at, keys.size - 1, out=at)
+        return np.where((keys[at] == want) & (np.asarray(dofs) >= 0), at, -1)
+
+    def within(self, A, rows=None):
+        """``(row, col, src)`` of the entries of sparse A within one subdomain.
+
+        The entry at stacked row ``row[k]`` and column ``col[k]``, both
+        counted within ``rows`` as in :meth:`locate`, is
+        ``csr_array(A).data[src[k]]``: these are the entries of the blocks
+        ``R_i A R_i^T``, row by row in A's storage order.
+        """
+        A = sp.csr_array(A)
+        if A.shape != (self.n_dofs, self.n_dofs):
+            raise ValueError(f"matrix of shape {A.shape} on a decomposition of {self.n_dofs} DoFs")
+        dof = self.R.indices if rows is None else self.R.indices[rows]
+        block = self.row_block if rows is None else self.row_block[rows]
+        starts = A.indptr[dof]
+        counts = A.indptr[dof + 1] - starts
+        # the stored entries of A's row dof[r] are those of stacked row r
+        src = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        col = self.locate(np.repeat(block, counts), A.indices[src], rows)
+        keep = col >= 0
+        return np.repeat(np.arange(dof.size), counts)[keep], col[keep], src[keep]
 
     def _with_weights(self, w, pu_kind):
         return Decomposition(

@@ -106,20 +106,16 @@ class SparseFactorization:
             raise ValueError(
                 f"right-hand side length {b.shape[0]} does not match order {self.n}")
         _require_finite(b, "right-hand side")
-        if len(self._groups) == 1 and self._groups[0][1].shape[1] == 1:
-            # no block repeats: the one group is the whole stack, in order
-            return self._solve(self._groups[0][0], b)
         x = np.empty(b.shape, dtype=np.result_type(self.dtype, b, np.float64))
         for lu, rows in self._groups:
             # the copies of a group are the columns of one solve
-            sol = self._solve(lu, b[rows].reshape(rows.shape[0], -1))
+            rhs = b[rows].reshape(rows.shape[0], -1)
+            if np.iscomplexobj(rhs) and self.dtype.kind != "c":
+                sol = lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+            else:
+                sol = lu.solve(rhs)
             x[rows] = sol.reshape(rows.shape + b.shape[1:])
         return x
-
-    def _solve(self, lu, b):
-        if np.iscomplexobj(b) and self.dtype.kind != "c":
-            return lu.solve(b.real) + 1j * lu.solve(b.imag)
-        return lu.solve(b)
 
 
 def _require_finite(x, what):

@@ -16,16 +16,18 @@ weights ``w``:
 * ``none``   identity
 
 Local blocks B_i are either principal submatrices of A (Dirichlet kind)
-or carry an extra Robin diagonal term on the artificial interface.
+or, for ``ROBIN_VARIANTS``, an extra Robin term on the artificial interface.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import discretize, linalg
 from .decompose import _symmetric_adjacency
 from .krylov import SolveReport, as_operator, as_preconditioner
 
 VARIANTS = ("asm", "ras", "oras", "soras", "none")
+ROBIN_VARIANTS = ("oras", "soras")
 
 
 def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
@@ -34,44 +36,35 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
 
     Rows and columns follow the rows of the decomposition's stacked
     restriction ``R``, so block i spans ``offsets[i]:offsets[i + 1]``.
-    ``B`` is the block-diagonal part of ``R A R^T``: the entries whose row
-    and column belong to the same subdomain, so that with
-    ``kind="dirichlet"`` each B_i is the principal submatrix of A on the
-    subdomain's dof set. With ``kind="robin"`` a diagonal term
+    ``B`` is the block-diagonal part of ``R A R^T`` (``Decomposition.within``):
+    with ``kind="dirichlet"`` each B_i is the principal submatrix of A on
+    the subdomain's dof set. With ``kind="robin"`` a diagonal term
     ``p * h**(dim - 2)`` is added at the artificial-interface rows, the
-    stacked rows whose dof couples in the matrix graph to a dof outside
-    its subdomain; ``p`` defaults to ``1/h`` and may be a scalar or a
-    per-dof array (complex values are allowed).
+    stacked rows whose dof couples in the symmetrized pattern of A to a
+    dof outside its subdomain; ``p`` defaults to ``1/h`` and may be a
+    scalar or a per-dof array (complex values are allowed).
     """
     if kind not in ("dirichlet", "robin"):
         raise ValueError(f"unknown local operator kind {kind!r}")
     if kind == "robin" and (h is None or dim is None):
         raise ValueError("robin local operators need the mesh width h and dim")
-    R = decomposition.R
-    block = np.repeat(np.arange(decomposition.N), np.diff(decomposition.offsets))
-    rows, cols, vals = _same_block(R @ A @ R.T, block)
+    A = sp.csr_array(A)
+    dofs = decomposition.R.indices
+    rows, cols, src = decomposition.within(A)
+    vals = A.data[src]
+    del src
     if kind == "robin":
-        if p is None:
-            p = 1.0 / h
         graph = _symmetric_adjacency(A)
         # a row is on the interface when its own subdomain holds fewer of
         # its dof's graph neighbours than the whole graph does
-        inside = np.bincount(_same_block(R @ graph @ R.T, block)[0],
-                             minlength=R.shape[0])
-        interface = np.flatnonzero(inside < np.diff(graph.indptr)[R.indices])
-        p_dof = np.broadcast_to(np.asarray(p), (A.shape[0],))
-        shift = p_dof[R.indices[interface]] * float(h) ** (dim - 2)
+        inside = np.bincount(decomposition.within(graph)[0], minlength=dofs.size)
+        interface = np.flatnonzero(inside < np.diff(graph.indptr)[dofs])
+        p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (A.shape[0],))
+        shift = p_dof[dofs[interface]] * float(h) ** (dim - 2)
         rows = np.concatenate([rows, interface])
         cols = np.concatenate([cols, interface])
         vals = np.concatenate([vals, shift])
-    return linalg.csr_from_triplets(R.shape[0], R.shape[0], rows, cols, vals)
-
-
-def _same_block(C, block):
-    """Coordinates ``(rows, cols, vals)`` of the entries of C within one block."""
-    C = C.tocoo()
-    keep = block[C.row] == block[C.col]
-    return C.row[keep], C.col[keep], C.data[keep]
+    return linalg.csr_from_triplets(dofs.size, dofs.size, rows, cols, vals)
 
 
 def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
@@ -128,19 +121,17 @@ class OneLevelPreconditioner:
         return R.T @ z
 
 
-def one_level(A, decomposition, variant, kind=None, p=None, h=None, dim=None):
+def one_level(A, decomposition, variant, p=None, h=None, dim=None):
     """Build a one-level Schwarz preconditioner for ``A``.
 
-    The local operator kind defaults to Robin blocks for the optimized
-    variants (oras, soras) and Dirichlet blocks otherwise; pass ``kind``
-    to override.
+    ``ROBIN_VARIANTS`` get Robin local blocks (``p``, ``h``, ``dim``), the
+    others Dirichlet blocks.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown Schwarz variant {variant!r}")
     if variant == "none":
         return OneLevelPreconditioner("none", decomposition, None)
-    if kind is None:
-        kind = "robin" if variant in ("oras", "soras") else "dirichlet"
+    kind = "robin" if variant in ROBIN_VARIANTS else "dirichlet"
     B = local_operator(A, decomposition, kind=kind, p=p, h=h, dim=dim)
     try:
         factor = linalg.auto_factor(B, blocks=decomposition.offsets)

@@ -180,6 +180,20 @@ class TestLocalOperators:
         np.testing.assert_allclose(local_solve(stacked, dec, 0, rhs),
                                    np.linalg.solve(B, rhs), atol=1e-9)
 
+    def test_robin_interface_reads_the_symmetrized_graph(self):
+        # lower bidiagonal: row g of A couples g to g - 1 only, so dof 2
+        # reaches subdomain 1 only through the column entry A[3, 2]
+        n = 6
+        A = sp.csr_array(sp.diags([np.full(n, 2.0), np.full(n - 1, -1.0)], [0, -1]))
+        dec = decompose.expand_overlap(A, np.repeat([0, 1], 3), 0)
+        p, h = 5.0, 0.5
+        B = schwarz.local_operator(A, dec, kind="robin", p=p, h=h, dim=1)
+        np.testing.assert_array_equal(
+            B.diagonal(), [2.0, 2.0, 2.0 + p / h, 2.0 + p / h, 2.0, 2.0])
+        for i, ref in enumerate(robin_blocks(A, dec, p, 1.0 / h)):
+            a, b = dec.offsets[i], dec.offsets[i + 1]
+            np.testing.assert_array_equal(B[a:b, a:b].toarray(), ref)
+
     @pytest.mark.parametrize("p", [2.5, 3.0 - 2.0j, "per-dof"])
     def test_stacked_operator_holds_the_dense_blocks(self, p):
         sys, dec = fem_graph_setup(8, 5, 2, 2)
@@ -221,7 +235,10 @@ class TestOneLevel:
 
     def test_soras_matches_dense_oracle(self):
         sys, dec = poisson_setup(9, 3, 2)
-        M = schwarz.one_level(sys.A, dec, "soras", kind="dirichlet")
+        # SORAS weights around Dirichlet blocks: one_level would pick Robin ones
+        B = schwarz.local_operator(sys.A, dec)
+        M = schwarz.OneLevelPreconditioner(
+            "soras", dec, linalg.auto_factor(B, blocks=dec.offsets))
         r = np.cos(np.arange(9.0))
         np.testing.assert_allclose(
             M.apply(r), dense_apply(sys.A, dec, r, True, True), atol=1e-10
@@ -368,7 +385,7 @@ class TestSharedFactor:
     @staticmethod
     def assert_matches_stacked(A, dec, variant, p, h, r):
         M = schwarz.one_level(A, dec, variant, p=p, h=h, dim=2)
-        kind = "robin" if variant in ("oras", "soras") else "dirichlet"
+        kind = "robin" if variant in schwarz.ROBIN_VARIANTS else "dirichlet"
         B = schwarz.local_operator(A, dec, kind=kind, p=p, h=h, dim=2)
         assert M.factor.distinct_blocks < dec.N
         for rhs in (r, np.column_stack([r, 2.0 * r])):
