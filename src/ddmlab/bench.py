@@ -6,8 +6,11 @@ space, combinator, Krylov settings, and analysis toggles. Validation is
 fail-fast: unknown keys and bad enum values are rejected before anything
 runs. Every run produces a RunRecord dictionary whose scenario hash
 names the output directory, so any table cell can be traced back to the
-record that produced it. Re-running a scenario reproduces the payload
-exactly, apart from the timing table and the machine block.
+record that produced it. Its timings are the self seconds of nested
+spans (assembly, partition, overlap, local setup, coarse basis, Krylov
+with its matvecs and preconditioner applies, analysis) keyed by span
+path, and add up to the run's duration. Re-running a scenario reproduces
+the payload exactly, apart from the timings and the machine block.
 
 Commands::
 
@@ -36,11 +39,6 @@ import scipy
 from . import analysis, coarse, decompose, discretize, krylov, schwarz
 
 SCHEMA_VERSION = 1
-
-_TIMING_BUCKETS = (
-    "decomposition", "local_factorization", "coarse_setup",
-    "krylov", "matvec", "preconditioner", "coarse_solve",
-)
 
 _COARSE_KINDS = ("none", "nicolaides", "grid", "geneo")
 _KSP = ("cg", "pcg", "gmres")
@@ -232,6 +230,11 @@ def resolve_scenario(config):
         "side": _enum(sol.get("side", "right"), krylov.SIDES, "solver.side"),
         "x0": _enum(sol.get("x0", "zero"), ("zero", "deflated"), "solver.x0"),
     }
+    if solver["maxit"] < 0:
+        raise ValueError(f"solver.maxit must be >= 0, got {solver['maxit']}")
+    if not 0 <= solver["tol"] < np.inf:
+        raise ValueError(f"solver.tol must be a finite number >= 0, "
+                         f"got {solver['tol']}")
     if ksp == "cg" and (variant != "none" or ckind != "none"):
         raise ValueError("cg runs unpreconditioned; use pcg or gmres with a "
                          "Schwarz variant or coarse space")
@@ -333,13 +336,38 @@ def _build_partition(system, spec):
                                             seed=spec["seed"])
 
 
-def _timed(timers, key, fn):
-    def wrapped(v):
+class _Clock:
+    """Self seconds of nested spans, keyed by span path in pre-order.
+
+    A span opened inside another is its child: its path is the parent's
+    path plus its name (``run/krylov/coarse.two_level/schwarz.apply``).
+    Each path keeps the time of its spans minus that of their children,
+    so the values add up to the outermost span's duration.
+    """
+
+    def __init__(self):
+        self.self_s = {}
+        self._open = []
+
+    def run(self, name, fn, *args, **kwargs):
+        """Call ``fn(*args, **kwargs)`` inside a span named ``name``."""
+        parent = self._open[-1] if self._open else None
+        path = name if parent is None else f"{parent}/{name}"
+        self.self_s.setdefault(path, 0.0)
+        self._open.append(path)
         t0 = time.perf_counter()
-        out = fn(v)
-        timers[key] += time.perf_counter() - t0
-        return out
-    return wrapped
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            elapsed = time.perf_counter() - t0
+            self._open.pop()
+            self.self_s[path] += elapsed
+            if parent is not None:
+                self.self_s[parent] -= elapsed
+
+    def timed(self, name, fn):
+        """``fn`` with each call run inside a span named ``name``."""
+        return functools.partial(self.run, name, fn)
 
 
 def _build_coarse(cfg, system, dec):
@@ -358,7 +386,8 @@ def _bound_records(cfg, system, dec, M1, cs, spectrum):
     The coloring bound concerns the one-level symmetric variant and the
     coarse-space threshold bound concerns the additive two-level
     composition, so both are measured on those operators even when the
-    solve itself used a different combinator.
+    solve itself used a different combinator. The run's own spectrum is
+    reused when it is the spectrum of that operator.
     """
     records = []
     if cfg["schwarz"]["variant"] == "asm":
@@ -367,9 +396,10 @@ def _bound_records(cfg, system, dec, M1, cs, spectrum):
         records.append(
             analysis.coloring_bound_check(system.A, dec, M1, spectrum=one_spec))
         if cfg["coarse"]["kind"] == "geneo":
-            M_ad = coarse.TwoLevelPreconditioner(M1, cs, system.A,
-                                                 combinator="ad")
-            ad_spec = analysis.preconditioned_spectrum(system.A, M_ad)
+            ad_spec = (spectrum if cfg["combinator"] == "ad"
+                       else analysis.preconditioned_spectrum(
+                           system.A, coarse.TwoLevelPreconditioner(
+                               M1, cs, system.A, combinator="ad")))
             records.append(analysis.geneo_bound_check(
                 ad_spec, k0=dec.max_multiplicity, tau=cs.tau))
     return records
@@ -380,7 +410,8 @@ def run_scenario(config):
     name = config.get("name", "scenario") if isinstance(config, dict) else "scenario"
     try:
         cfg = resolve_scenario(config)
-        return _execute(cfg)
+        clock = _Clock()
+        return clock.run("run", _execute, cfg, clock)
     except Exception as err:
         raise ScenarioError(f"scenario {name!r} failed: {err}") from err
 
@@ -430,77 +461,55 @@ def _blas_threads():
     return max(counts) if counts else None
 
 
-def _execute(cfg):
-    timers = {k: 0.0 for k in _TIMING_BUCKETS}
-    system = _build_system(cfg["problem"])
+def _execute(cfg, clock):
+    system = clock.run("discretize.assembly", _build_system, cfg["problem"])
     A, b = system.A, system.F
 
-    t0 = time.perf_counter()
-    part = _build_partition(system, cfg["partition"])
-    dec = decompose.expand_overlap(A, part, cfg["overlap"],
-                                   coords=system.coords, h=system.h)
+    part = clock.run("decompose.partition", _build_partition, system,
+                     cfg["partition"])
+    dec = clock.run("decompose.overlap", decompose.expand_overlap, A, part,
+                    cfg["overlap"], coords=system.coords, h=system.h)
     if cfg["pu"] == "boolean":
-        dec = decompose.boolean_pu(dec)
-    timers["decomposition"] = time.perf_counter() - t0
+        dec = clock.run("decompose.overlap", decompose.boolean_pu, dec)
 
     robin_p = cfg["schwarz"]["robin_p"]
     if isinstance(robin_p, list):
         robin_p = complex(robin_p[0], robin_p[1])
-    t0 = time.perf_counter()
-    M1 = schwarz.one_level(A, dec, cfg["schwarz"]["variant"],
-                           p=robin_p, h=system.h, dim=system.dim)
-    timers["local_factorization"] = time.perf_counter() - t0
+    M1 = clock.run("schwarz.setup", schwarz.one_level, A, dec,
+                   cfg["schwarz"]["variant"], p=robin_p, h=system.h,
+                   dim=system.dim)
     # a complex Robin p on a real system needs a complex solve
     b = b.astype(np.result_type(b, M1.dtype))
+    one = clock.timed("schwarz.apply", M1.apply)
 
     cs = None
-    M = M1
-    t0 = time.perf_counter()
+    prec = None if cfg["schwarz"]["variant"] == "none" else one
     if cfg["coarse"]["kind"] != "none":
-        cs = _build_coarse(cfg, system, dec)
-        M = coarse.TwoLevelPreconditioner(M1, cs, A,
+        cs = clock.run("coarse.basis", _build_coarse, cfg, system, dec)
+        M = coarse.TwoLevelPreconditioner(one, cs, A,
                                           combinator=cfg["combinator"])
-    timers["coarse_setup"] = time.perf_counter() - t0
+        prec = clock.timed("coarse.two_level", M.apply)
 
     sol = cfg["solver"]
     x0 = None
     if sol["x0"] == "deflated":
         x0 = coarse.deflated_initial_guess(cs, b)
-    matvec = _timed(timers, "matvec", lambda v: A @ v)
-    plain = cfg["schwarz"]["variant"] == "none" and cs is None
-    prec = None if plain else _timed(timers, "preconditioner",
-                                     krylov.as_preconditioner(M))
-
-    if cs is not None:
-        # time the coarse solves of the Krylov call only: neither the
-        # deflated start above nor the analysis below
-        cs.apply_Q = _timed(timers, "coarse_solve", cs.apply_Q)
-    t0 = time.perf_counter()
-    try:
-        if sol["ksp"] == "cg":
-            x, report = krylov.cg(matvec, b, x0=x0, tol=sol["tol"],
-                                  maxit=sol["maxit"])
-        elif sol["ksp"] == "pcg":
-            x, report = krylov.pcg(matvec, b, prec, x0=x0,
-                                   tol=sol["tol"], maxit=sol["maxit"])
-        else:
-            x, report = krylov.gmres(matvec, b, M=prec, side=sol["side"], x0=x0,
-                                     tol=sol["tol"], maxit=sol["maxit"])
-        timers["krylov"] = time.perf_counter() - t0
-    finally:
-        if cs is not None:
-            # dropping the wrapper also breaks the cycle through its bound
-            # method, so reference counting frees the coarse space (its
-            # basis and factorized coarse operator) when the run ends, also
-            # when the solve fails
-            del cs.apply_Q
+    matvec = clock.timed("matvec", lambda v: A @ v)
+    # the solver named by ksp, with the arguments only it takes
+    only = {"cg": {}, "pcg": {"M": prec},
+            "gmres": {"M": prec, "side": sol["side"]}}
+    x, report = clock.run("krylov", getattr(krylov, sol["ksp"]), matvec, b,
+                          x0=x0, tol=sol["tol"], maxit=sol["maxit"],
+                          **only[sol["ksp"]])
 
     spectrum = None
     if cfg["analysis"]["spectrum"]:
-        spectrum = analysis.preconditioned_spectrum(A, None if plain else M)
+        spectrum = clock.run("analysis.spectrum",
+                             analysis.preconditioned_spectrum, A, prec)
         if cfg["analysis"]["bounds"]:
-            spectrum.records.extend(
-                _bound_records(cfg, system, dec, M1, cs, spectrum))
+            spectrum.records.extend(clock.run(
+                "analysis.bounds", _bound_records, cfg, system, dec, one, cs,
+                spectrum))
 
     return {
         "schema": SCHEMA_VERSION,
@@ -524,7 +533,8 @@ def _execute(cfg):
         "coarse_min_pivot": None if cs is None else cs.min_pivot,
         "solve": report.to_dict(),
         "spectrum": None if spectrum is None else spectrum.to_dict(),
-        "timings": {k: timers[k] for k in _TIMING_BUCKETS},
+        # the same dict: complete once the enclosing run span closes
+        "timings": clock.self_s,
         "machine": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -706,12 +716,12 @@ def _report_markdown(record):
         f"- iterations: {solve['iterations']}, converged: {solve['converged']}, "
         f"final relative residual: {solve['final_relres']:.3e}",
         "",
-        "## Timings (seconds)",
+        "## Timings (self seconds by span)",
         "",
-        "| bucket | time |",
+        "| span | time |",
         "|---|---|",
     ]
-    lines += [f"| {k} | {record['timings'][k]:.4f} |" for k in _TIMING_BUCKETS]
+    lines += [f"| {k} | {t:.4f} |" for k, t in record["timings"].items()]
     if record["spectrum"] is not None:
         spec = record["spectrum"]
         kap = "n/a" if spec["kappa"] is None else f"{spec['kappa']:.4g}"

@@ -8,12 +8,13 @@ the bundled configurations.
 import copy
 import gc
 import json
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ddmlab import bench, coarse, decompose, discretize, schwarz
+from ddmlab import analysis, bench, coarse, decompose, discretize, schwarz
 
 
 def tiny_scenario(**overrides):
@@ -233,6 +234,27 @@ class TestConfig:
         with pytest.raises(bench.ScenarioError, match="'flat' failed: " + msg):
             bench.run_scenario(cfg)
 
+    @pytest.mark.parametrize("solver, field", [
+        ({"ksp": "gmres", "maxit": -1}, "solver.maxit must be >= 0"),
+        ({"ksp": "pcg", "maxit": -1}, "solver.maxit must be >= 0"),
+        ({"tol": float("nan")}, "solver.tol must be a finite number >= 0"),
+        ({"tol": "inf"}, "solver.tol must be a finite number >= 0"),
+        ({"tol": -1e-6}, "solver.tol must be a finite number >= 0"),
+    ])
+    def test_degenerate_solver_settings_rejected(self, solver, field):
+        # gmres would crash on a negative Krylov dimension, pcg would stop
+        # at 0 iterations, and a NaN or negative tol would run to maxit
+        cfg = tiny_scenario(schwarz={"variant": "asm"}, solver=solver)
+        with pytest.raises(ValueError, match=field):
+            bench.resolve_scenario(cfg)
+        with pytest.raises(bench.ScenarioError, match=f"'tiny' failed: {field}"):
+            bench.run_scenario(cfg)
+
+    def test_zero_maxit_and_tol_accepted(self):
+        solver = bench.resolve_scenario(
+            tiny_scenario(solver={"maxit": 0, "tol": 0}))["solver"]
+        assert solver["maxit"] == 0 and solver["tol"] == 0.0
+
     def test_cartesian_partition_has_no_seed(self):
         cfg = tiny_scenario(partition={"kind": "cartesian", "p": [4], "seed": 0})
         with pytest.raises(ValueError, match=r"unknown key\(s\) \['seed'\]"):
@@ -261,10 +283,12 @@ class TestRunScenario:
         assert rec["solve"]["converged"]
         assert rec["n_dofs"] == 24
         assert rec["n_subdomains"] == 3
-        assert set(rec["timings"]) == {
-            "decomposition", "local_factorization", "coarse_setup",
-            "krylov", "matvec", "preconditioner", "coarse_solve",
-        }
+        # no preconditioner spans in a plain run
+        assert list(rec["timings"]) == [
+            "run", "run/discretize.assembly", "run/decompose.partition",
+            "run/decompose.overlap", "run/schwarz.setup", "run/krylov",
+            "run/krylov/matvec",
+        ]
         assert rec["machine"]["python"]
         assert rec["scenario_hash"] == bench.scenario_hash(rec["scenario"])
 
@@ -340,8 +364,8 @@ class TestRunScenario:
         assert self.cyclic_coarse_spaces(cfg) == []
 
     def test_coarse_solve_timed_inside_the_solve(self):
-        # the deflated start and the spectrum's coarse solves lie outside
-        # the Krylov call, so they must not reach the coarse_solve bucket
+        # the applies made by the Krylov call and by the analysis land
+        # under different span paths
         cfg = tiny_scenario(
             problem={"kind": "poisson_2d_fd", "nx": 20, "ny": 20},
             partition={"kind": "cartesian", "p": [4, 4]},
@@ -349,10 +373,42 @@ class TestRunScenario:
             coarse={"kind": "nicolaides"},
             combinator="ad",
             solver={"ksp": "pcg", "x0": "deflated"},
-            analysis={"spectrum": True},
+            analysis={"spectrum": True, "bounds": True},
         )
+        t0 = time.perf_counter()
         t = bench.run_scenario(cfg)["timings"]
-        assert 0.0 < t["coarse_solve"] <= t["preconditioner"] <= t["krylov"]
+        wall = time.perf_counter() - t0
+        assert all(v >= 0.0 for v in t.values())
+        for path in ("run/krylov/coarse.two_level/schwarz.apply",
+                     "run/analysis.spectrum/coarse.two_level/schwarz.apply",
+                     "run/discretize.assembly", "run/analysis.bounds"):
+            assert path in t
+        assert sum(t.values()) <= wall
+
+    def test_ad_run_reuses_its_spectrum_for_the_geneo_bound(self, monkeypatch):
+        # the ad spectrum is the run's own: the bound checks compute only
+        # the one-level spectrum, and the records are those of an adef1 run,
+        # whose bound checks compute the ad spectrum themselves
+        calls = []
+
+        def counted(*args, real=analysis.preconditioned_spectrum):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "preconditioned_spectrum", counted)
+        records = {}
+        for combinator, spectra in (("ad", 2), ("adef1", 3)):
+            calls.clear()
+            rec = bench.run_scenario(tiny_scenario(
+                problem={"kind": "fem_2d", "cells_x": 12, "cells_y": 12},
+                partition={"kind": "graph", "N": 4}, overlap=2,
+                schwarz={"variant": "asm"},
+                coarse={"kind": "geneo", "tau": 0.5}, combinator=combinator,
+                analysis={"spectrum": True, "bounds": True}))
+            assert len(calls) == spectra
+            records[combinator] = rec["spectrum"]["records"]
+        assert [r["name"] for r in records["ad"]] == ["coloring", "geneo"]
+        assert records["ad"] == records["adef1"]
 
     def test_two_level_with_spectrum(self):
         cfg = tiny_scenario(
@@ -601,6 +657,52 @@ class TestRunScenario:
         solve = bench.run_scenario(cfg)["solve"]
         assert solve["converged"] and solve["iterations"] <= 20
         assert solve["true_final_relres"] <= 1e-8
+
+
+class TestClock:
+    @pytest.fixture
+    def ticks(self, monkeypatch):
+        """perf_counter returning the given readings in turn."""
+        def set_ticks(*readings):
+            it = iter(readings)
+            monkeypatch.setattr(bench.time, "perf_counter", lambda: next(it))
+        return set_ticks
+
+    def test_self_times_of_nested_and_repeated_spans(self, ticks):
+        clock = bench._Clock()
+        leaf = clock.timed("c", lambda: None)
+
+        def outer():
+            clock.run("b", leaf)
+            clock.run("b", lambda: None)
+            return "done"
+
+        # a [0, 15]; b [1, 7] holding c [2, 4]; b again [8, 9]
+        ticks(0.0, 1.0, 2.0, 4.0, 7.0, 8.0, 9.0, 15.0)
+        assert clock.run("a", outer) == "done"
+        assert clock.self_s == {"a": 8.0, "a/b": 5.0, "a/b/c": 2.0}
+        assert sum(clock.self_s.values()) == 15.0
+
+    def test_spans_closed_when_the_function_raises(self, ticks):
+        clock = bench._Clock()
+
+        def fail():
+            raise KeyError("inner")
+
+        ticks(0.0, 1.0, 3.0, 6.0, 10.0, 11.0)
+        with pytest.raises(KeyError, match="inner"):
+            clock.run("a", clock.run, "b", fail)
+        clock.run("d", lambda: None)
+        assert clock.self_s == {"a": 4.0, "a/b": 2.0, "d": 1.0}
+
+    def test_paths_in_pre_order(self, ticks):
+        clock = bench._Clock()
+        ticks(*range(12))
+        clock.run("a", lambda: (clock.run("d", lambda: None),
+                                clock.run("b", clock.run, "c", lambda: None),
+                                clock.run("d", lambda: None)))
+        clock.run("e", lambda: None)
+        assert list(clock.self_s) == ["a", "a/d", "a/b", "a/b/c", "e"]
 
 
 class TestArtifacts:
