@@ -35,7 +35,7 @@ def main():
         M1 = schwarz.one_level(system.A, dec, "asm")
         x, one = krylov.pcg(system.A, system.F, M1, tol=1e-6, maxit=500)
         cs = coarse.geneo_space(system, dec, tau=TAU)
-        M2 = coarse.TwoLevelPreconditioner(M1, cs, system.A, "ad")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, system.A, "ad")
         x, two = krylov.pcg(system.A, system.F, M2, tol=1e-6, maxit=500)
         k1 = analysis.preconditioned_spectrum(system.A, M1).kappa
         k2 = analysis.preconditioned_spectrum(system.A, M2).kappa

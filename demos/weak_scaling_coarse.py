@@ -19,7 +19,7 @@ def main():
         M1 = schwarz.one_level(system.A, dec, "asm")
         x, one = krylov.pcg(system.A, system.F, M1, tol=1e-6, maxit=1000)
         cs = coarse.nicolaides_space(system.A, dec)
-        M2 = coarse.TwoLevelPreconditioner(M1, cs, system.A, "ad")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, system.A, "ad")
         x, two = krylov.pcg(system.A, system.F, M2, tol=1e-6, maxit=1000)
         print(f"{N:>4} {system.n:>6} {one.iterations:>10} {two.iterations:>12}")
 

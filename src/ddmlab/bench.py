@@ -7,10 +7,11 @@ fail-fast: unknown keys and bad enum values are rejected before anything
 runs. Every run produces a RunRecord dictionary whose scenario hash
 names the output directory, so any table cell can be traced back to the
 record that produced it. Its timings are the self seconds of nested
-spans (assembly, partition, overlap, local setup, coarse basis, Krylov
-with its matvecs and preconditioner applies, analysis) keyed by span
-path, and add up to the run's duration. Re-running a scenario reproduces
-the payload exactly, apart from the timings and the machine block.
+spans keyed by span path, which add up to the run's duration: assembly,
+partition, overlap, local setup, coarse basis, Krylov, analysis, and
+inside them the matvecs, one-level applies and coarse solves, such as
+``run/krylov/coarse.two_level/coarse.solve``. A rerun reproduces the
+payload exactly, apart from the timings and the machine block.
 
 Commands::
 
@@ -40,7 +41,8 @@ from . import analysis, coarse, decompose, discretize, krylov, schwarz
 
 SCHEMA_VERSION = 1
 
-_COARSE_KINDS = ("none", "nicolaides", "grid", "geneo")
+# each coarse kind with the keys it takes besides "kind"
+_COARSE_KINDS = {"none": (), "nicolaides": (), "grid": ("H", "ratio"), "geneo": ("tau",)}
 _KSP = ("cg", "pcg", "gmres")
 
 
@@ -96,6 +98,8 @@ def _resolve_problem(problem):
             alpha = {"kind": "channels",
                      "contrast": float(_require(alpha, "contrast", "problem.alpha")),
                      "count": int(alpha.get("count", 3))}
+            if alpha["count"] < 1:  # no channel: the coefficient is 1 everywhere
+                raise ValueError(f"problem.alpha.count must be >= 1, got {alpha['count']}")
         return {"kind": kind,
                 "cells_x": int(_require(problem, "cells_x", "problem")),
                 "cells_y": int(_require(problem, "cells_y", "problem")),
@@ -171,8 +175,8 @@ def resolve_scenario(config):
             f"robin parameter is only meaningful for oras/soras, not {variant!r}")
 
     crs = dict(config.get("coarse", {}))
-    _check_keys(crs, {"kind", "H", "ratio", "tau"}, "coarse")
     ckind = _enum(crs.get("kind", "none"), _COARSE_KINDS, "coarse.kind")
+    _check_keys(crs, {"kind", *_COARSE_KINDS[ckind]}, f"coarse of kind {ckind!r}")
     coarse_cfg = {"kind": ckind}
     if ckind == "grid":
         H, ratio = crs.get("H"), crs.get("ratio")
@@ -380,7 +384,7 @@ def _build_coarse(cfg, system, dec):
     return coarse.geneo_space(system, dec, tau=spec["tau"])
 
 
-def _bound_records(cfg, system, dec, M1, cs, spectrum):
+def _bound_records(cfg, system, dec, M1, Q, tau, spectrum):
     """Bound checks applicable to this scenario, each on its own operator.
 
     The coloring bound concerns the one-level symmetric variant and the
@@ -399,9 +403,9 @@ def _bound_records(cfg, system, dec, M1, cs, spectrum):
             ad_spec = (spectrum if cfg["combinator"] == "ad"
                        else analysis.preconditioned_spectrum(
                            system.A, coarse.TwoLevelPreconditioner(
-                               M1, cs, system.A, combinator="ad")))
+                               M1, Q, system.A, combinator="ad")))
             records.append(analysis.geneo_bound_check(
-                ad_spec, k0=dec.max_multiplicity, tau=cs.tau))
+                ad_spec, k0=dec.max_multiplicity, tau=tau))
     return records
 
 
@@ -481,20 +485,19 @@ def _execute(cfg, clock):
     # a complex Robin p on a real system needs a complex solve
     b = b.astype(np.result_type(b, M1.dtype))
     one = clock.timed("schwarz.apply", M1.apply)
+    matvec = clock.timed("matvec", lambda v: A @ v)
 
-    cs = None
+    cs = Q = None
     prec = None if cfg["schwarz"]["variant"] == "none" else one
     if cfg["coarse"]["kind"] != "none":
         cs = clock.run("coarse.basis", _build_coarse, cfg, system, dec)
-        M = coarse.TwoLevelPreconditioner(one, cs, A,
+        Q = clock.timed("coarse.solve", cs.apply_Q)
+        M = coarse.TwoLevelPreconditioner(one, Q, matvec,
                                           combinator=cfg["combinator"])
         prec = clock.timed("coarse.two_level", M.apply)
 
     sol = cfg["solver"]
-    x0 = None
-    if sol["x0"] == "deflated":
-        x0 = coarse.deflated_initial_guess(cs, b)
-    matvec = clock.timed("matvec", lambda v: A @ v)
+    x0 = Q(b) if sol["x0"] == "deflated" else None
     # the solver named by ksp, with the arguments only it takes
     only = {"cg": {}, "pcg": {"M": prec},
             "gmres": {"M": prec, "side": sol["side"]}}
@@ -508,8 +511,8 @@ def _execute(cfg, clock):
                              analysis.preconditioned_spectrum, A, prec)
         if cfg["analysis"]["bounds"]:
             spectrum.records.extend(clock.run(
-                "analysis.bounds", _bound_records, cfg, system, dec, one, cs,
-                spectrum))
+                "analysis.bounds", _bound_records, cfg, system, dec, one, Q,
+                None if cs is None else cs.tau, spectrum))
 
     return {
         "schema": SCHEMA_VERSION,
@@ -805,10 +808,10 @@ def _apply_overrides(config, args):
             coarse_cfg[key] = float(value) if key != "ratio" else int(value)
         cfg["coarse"] = coarse_cfg
     if args.geneo_threshold:
-        section("coarse")
-        cfg["coarse"]["kind"] = "geneo"
         tau = args.geneo_threshold
-        cfg["coarse"]["tau"] = tau if tau == "auto" else float(tau)
+        # a switch of kind drops the old kind's keys, as in a suite sweep
+        cfg = merge_config(cfg, {"coarse": {
+            "kind": "geneo", "tau": tau if tau == "auto" else float(tau)}})
     if args.coarse_correction:
         cfg["combinator"] = args.coarse_correction
     if args.ksp:

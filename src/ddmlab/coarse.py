@@ -5,8 +5,8 @@ directions a one-level method handles poorly. The induced coarse solve
 
     Q r = Z (Z^H A Z)^(-1) Z^H r
 
-is combined with a one-level preconditioner M1 through one of seven
-correction formulas (see :class:`TwoLevelPreconditioner`).
+is combined with a one-level preconditioner M1 and the operator A through
+one of seven correction formulas (see :class:`TwoLevelPreconditioner`).
 
 Three constructions are provided: the weighted indicator space
 (:func:`nicolaides_space`), interpolation from a coarser structured grid
@@ -418,8 +418,9 @@ def geneo_space(system, decomposition, tau="auto"):
 class TwoLevelPreconditioner:
     """One-level preconditioner enriched with a coarse correction.
 
-    The combinator names the correction formula, with Q the coarse solve
-    and M1 the one-level application:
+    A formula in three callables: the one-level apply ``M1``, the coarse
+    solve ``Q`` (``CoarseSpace.apply_Q``; a ``CoarseSpace`` itself raises
+    TypeError) and the operator ``A``. The combinator names the formula:
 
     ======== =======================================
     ad       M1 + Q
@@ -430,27 +431,33 @@ class TwoLevelPreconditioner:
     rbnn2    (I - QA) M1
     none     M1
     ======== =======================================
+
+    Some formulas need the start ``x0 = Q b``, after which the initial
+    residual has no coarse component (``Z^H r0 = 0``). rbnn1 (Hermitian
+    semidefinite) and rbnn2 (nonsymmetric) have no ``+Q`` term, so neither
+    CG nor GMRES converges with them from another start. adef2 is
+    nonsymmetric; CG needs this start with it, GMRES does not. adef1 is
+    not made CG-safe by this start; pair it with GMRES.
     """
 
-    def __init__(self, M1, coarse_space, A, combinator="adef1"):
+    def __init__(self, M1, Q, A, combinator="adef1"):
         if combinator not in COMBINATORS:
             raise ValueError(
                 f"unknown combinator {combinator!r}; expected one of {COMBINATORS}"
             )
         self.combinator = combinator
-        self.coarse = coarse_space
-        self.M1 = M1
         self._prec = as_preconditioner(M1)
+        self._coarse = as_preconditioner(Q)
         self._matvec = as_operator(A)
 
     def apply(self, r):
         """Apply the two-level preconditioner to a vector or an (n, k) block.
 
         The formulas are products, so a block is mapped column by column
-        when ``M1`` and the matvec map blocks (as sparse ``A`` does).
+        when ``M1``, ``Q`` and the matvec map blocks (as sparse ``A`` does).
         """
         c = self.combinator
-        M1, mv, Q = self._prec, self._matvec, self.coarse.apply_Q
+        M1, mv, Q = self._prec, self._matvec, self._coarse
         if c == "none":
             return M1(r)
         if c == "ad":
@@ -470,15 +477,3 @@ class TwoLevelPreconditioner:
         # rbnn2
         u = M1(r)
         return u - Q(mv(u))
-
-
-def deflated_initial_guess(coarse_space, b):
-    """Starting vector ``Q b`` for deflation-style corrections.
-
-    The initial residual then has no coarse component (``Z^H r0 = 0``).
-    rbnn1 (Hermitian semidefinite) and rbnn2 (nonsymmetric) have no ``+Q``
-    term, so neither CG nor GMRES converges with them from another start.
-    adef2 is nonsymmetric; CG needs this start with it, GMRES does not.
-    adef1 is not made CG-safe by this start; pair it with GMRES.
-    """
-    return coarse_space.apply_Q(b)

@@ -61,7 +61,7 @@ def direct_solution(A, b):
 def geneo_two_level(system, dec, tau=0.5, combinator="ad"):
     M1 = schwarz.one_level(system.A, dec, "asm")
     cs = coarse.geneo_space(system, dec, tau=tau)
-    return M1, cs, coarse.TwoLevelPreconditioner(M1, cs, system.A, combinator)
+    return M1, cs, coarse.TwoLevelPreconditioner(M1, cs.apply_Q, system.A, combinator)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_exact_solve_degeneracies():
     part1 = decompose.cartesian_partition(15, 2)
     dec1 = overlapped(sys1, part1, 1)
     M2 = coarse.TwoLevelPreconditioner(schwarz.one_level(sys1.A, dec1, "asm"),
-                                       cs, sys1.A, "adef1")
+                                       cs.apply_Q, sys1.A, "adef1")
     x, rep2 = krylov.pcg(sys1.A, sys1.F, M2, tol=1e-12, maxit=5)
     assert rep2.converged and rep2.iterations == 1, rep2
     print(f"PASS exact-solve degeneracies: N=1 PCG 1 iteration, "
@@ -261,7 +261,7 @@ def test_weak_scaling_two_level():
         M1 = schwarz.one_level(system.A, dec, "asm")
         x, rep1 = krylov.pcg(system.A, system.F, M1, tol=1e-6, maxit=1000)
         cs = coarse.nicolaides_space(system.A, dec)
-        M2 = coarse.TwoLevelPreconditioner(M1, cs, system.A, "ad")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, system.A, "ad")
         x, rep2 = krylov.pcg(system.A, system.F, M2, tol=1e-6, maxit=1000)
         assert rep1.converged and rep2.converged
         one.append(rep1.iterations)
@@ -349,7 +349,7 @@ def test_pcg_energy_envelope():
     dec96 = overlapped(sys96, decompose.cartesian_partition(96, 16), 1)
     M1 = schwarz.one_level(sys96.A, dec96, "asm")
     scenarios.append(("nicolaides-N16", sys96, coarse.TwoLevelPreconditioner(
-        M1, coarse.nicolaides_space(sys96.A, dec96), sys96.A, "ad")))
+        M1, coarse.nicolaides_space(sys96.A, dec96).apply_Q, sys96.A, "ad")))
 
     sysc = channel_system(24, 1e6, 6)
     labels = np.minimum((sysc.coords[:, 0] * 8).astype(int), 7)
@@ -411,7 +411,7 @@ def test_combinator_dense_equivalence():
             "none": M1,
         }
         for comb in combinators:
-            M = coarse.TwoLevelPreconditioner(M1, cs, A, comb)
+            M = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, A, comb)
             got = M.apply(r)
             want = formulas[comb] @ r
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -448,7 +448,7 @@ def test_deflation_unit_eigenvalues():
     lines = []
     for label, system, dec, cs in cases:
         M1 = schwarz.one_level(system.A, dec, "asm")
-        M = coarse.TwoLevelPreconditioner(M1, cs, system.A, "adef1")
+        M = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, system.A, "adef1")
         spec = analysis.preconditioned_spectrum(system.A, M)
         near_one = int(np.sum(np.abs(spec.eigenvalues - 1.0) <= 1e-8))
         assert near_one >= cs.m0, (label, near_one, cs.m0)

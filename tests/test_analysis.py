@@ -129,14 +129,18 @@ PANEL_KINDS = ("asm", "ras", "soras", "oras-complex",
 
 
 def panel_preconditioner(kind, sys, dec):
+    """The preconditioner named by ``kind`` and its one-level part."""
     if kind == "oras-complex":
-        return schwarz.one_level(sys.A, dec, "oras", p=10j, h=sys.h, dim=2)
+        M1 = schwarz.one_level(sys.A, dec, "oras", p=10j, h=sys.h, dim=2)
+        return M1, M1
     if kind.startswith("two-level-"):
+        M1 = schwarz.one_level(sys.A, dec, "asm")
         cs = coarse.nicolaides_space(sys.A, dec)
         return coarse.TwoLevelPreconditioner(
-            schwarz.one_level(sys.A, dec, "asm"), cs, sys.A,
-            combinator=kind.removeprefix("two-level-"))
-    return schwarz.one_level(sys.A, dec, kind, h=sys.h, dim=2)
+            M1, cs.apply_Q, sys.A,
+            combinator=kind.removeprefix("two-level-")), M1
+    M1 = schwarz.one_level(sys.A, dec, kind, h=sys.h, dim=2)
+    return M1, M1
 
 
 class TestPanelFill:
@@ -152,8 +156,7 @@ class TestPanelFill:
         # the grouped copies of SparseFactorization.solve
         dec = decompose.expand_overlap(
             sys.A, decompose.cartesian_partition(sys.grid, 4, 1), 1)
-        M = panel_preconditioner(kind, sys, dec)
-        M1 = M.M1 if kind.startswith("two-level-") else M
+        M, M1 = panel_preconditioner(kind, sys, dec)
         assert M1.factor.distinct_blocks < dec.N
 
         whole = np.asarray(krylov.as_preconditioner(M)(np.eye(n)))
@@ -170,7 +173,7 @@ class TestOracleMemory:
         sys, dec = fem_setup(32, 4, 2, 2)
         n = sys.A.shape[0]
         M = coarse.TwoLevelPreconditioner(
-            schwarz.one_level(sys.A, dec, "asm"), coarse.geneo_space(sys, dec),
+            schwarz.one_level(sys.A, dec, "asm"), coarse.geneo_space(sys, dec).apply_Q,
             sys.A, combinator=combinator)
         tracemalloc.start()
         try:
@@ -275,7 +278,7 @@ class TestGeneoBound:
         sys, dec = fem_setup(9, 3, 3, 1)
         cs = coarse.geneo_space(sys, dec, tau="auto")
         M1 = schwarz.one_level(sys.A, dec, "asm")
-        M = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="ad")
+        M = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator="ad")
         rep = analysis.preconditioned_spectrum(sys.A, M)
         rec = analysis.geneo_bound_check(rep, k0=dec.max_multiplicity, tau=cs.tau)
         assert rep.kappa is not None and np.isfinite(rep.kappa)
@@ -359,7 +362,7 @@ class TestDeflation:
         sys, dec = poisson_setup(30, 5, 1)
         cs = coarse.nicolaides_space(sys.A, dec)
         M1 = schwarz.one_level(sys.A, dec, "asm")
-        M = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="adef1")
+        M = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator="adef1")
         rep = analysis.preconditioned_spectrum(sys.A, M)
         n_unit = int(np.sum(np.abs(rep.eigenvalues - 1.0) <= 1e-8))
         assert n_unit >= cs.m0

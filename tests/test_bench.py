@@ -8,6 +8,7 @@ the bundled configurations.
 import copy
 import gc
 import json
+import re
 import time
 
 import numpy as np
@@ -255,6 +256,33 @@ class TestConfig:
             tiny_scenario(solver={"maxit": 0, "tol": 0}))["solver"]
         assert solver["maxit"] == 0 and solver["tol"] == 0.0
 
+    @pytest.mark.parametrize("section, unknown", [
+        ({"kind": "nicolaides", "tau": 0.5}, "['tau']"),
+        ({"kind": "grid", "ratio": 4, "tau": 0.5}, "['tau']"),
+        ({"kind": "none", "H": 0.25, "ratio": 2}, "['H', 'ratio']"),
+    ])
+    def test_coarse_keys_checked_per_kind(self, section, unknown):
+        # a key of another coarse kind is not dropped without a word
+        cfg = tiny_scenario(coarse=section)
+        msg = (rf"unknown key\(s\) {re.escape(unknown)} in coarse of kind "
+               rf"'{section['kind']}'")
+        with pytest.raises(ValueError, match=msg):
+            bench.resolve_scenario(cfg)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_channel_count_below_one_rejected(self, count):
+        # with count 0, int(y * 2 * count) % 2 is 0 everywhere: no channel
+        cfg = tiny_scenario(
+            problem={"kind": "fem_2d", "cells_x": 8, "cells_y": 8,
+                     "alpha": {"kind": "channels", "contrast": 1e6,
+                               "count": count}},
+            partition={"kind": "graph", "N": 4})
+        msg = f"problem.alpha.count must be >= 1, got {count}"
+        with pytest.raises(ValueError, match=msg):
+            bench.resolve_scenario(cfg)
+        with pytest.raises(bench.ScenarioError, match=f"'tiny' failed: {msg}"):
+            bench.run_scenario(cfg)
+
     def test_cartesian_partition_has_no_seed(self):
         cfg = tiny_scenario(partition={"kind": "cartesian", "p": [4], "seed": 0})
         with pytest.raises(ValueError, match=r"unknown key\(s\) \['seed'\]"):
@@ -365,13 +393,14 @@ class TestRunScenario:
 
     def test_coarse_solve_timed_inside_the_solve(self):
         # the applies made by the Krylov call and by the analysis land
-        # under different span paths
+        # under different span paths; adef2's formula multiplies by A, and
+        # pcg runs it from the deflated start Q b
         cfg = tiny_scenario(
             problem={"kind": "poisson_2d_fd", "nx": 20, "ny": 20},
             partition={"kind": "cartesian", "p": [4, 4]},
             schwarz={"variant": "asm"},
             coarse={"kind": "nicolaides"},
-            combinator="ad",
+            combinator="adef2",
             solver={"ksp": "pcg", "x0": "deflated"},
             analysis={"spectrum": True, "bounds": True},
         )
@@ -379,8 +408,13 @@ class TestRunScenario:
         t = bench.run_scenario(cfg)["timings"]
         wall = time.perf_counter() - t0
         assert all(v >= 0.0 for v in t.values())
-        for path in ("run/krylov/coarse.two_level/schwarz.apply",
+        for path in ("run/coarse.solve",
+                     "run/krylov/coarse.two_level/schwarz.apply",
+                     "run/krylov/coarse.two_level/coarse.solve",
+                     "run/krylov/coarse.two_level/matvec",
                      "run/analysis.spectrum/coarse.two_level/schwarz.apply",
+                     "run/analysis.spectrum/coarse.two_level/coarse.solve",
+                     "run/analysis.spectrum/coarse.two_level/matvec",
                      "run/discretize.assembly", "run/analysis.bounds"):
             assert path in t
         assert sum(t.values()) <= wall
@@ -750,6 +784,21 @@ class TestArtifacts:
         assert sc["solver"]["ksp"] == "pcg"
         assert sc["solver"]["tol"] == 1e-8
         assert sc["solver"]["maxit"] == 150
+
+    def test_geneo_threshold_flag_replaces_another_kind(self, tmp_path, capsys):
+        # switching the kind drops the grid's 'ratio', so the run fails on
+        # the GenEO cause and not on a leftover key
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(tiny_scenario(
+            problem={"kind": "poisson_2d_fd", "nx": 8, "ny": 8},
+            partition={"kind": "cartesian", "p": [2, 2]},
+            coarse={"kind": "grid", "ratio": 3})))
+        code = bench.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                           "--geneo-threshold", "0.5"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "GenEO needs the Neumann matrices" in out
+        assert "unknown key" not in out
 
     def test_spectrum_command(self, tmp_path):
         cfg_path = tmp_path / "tiny.json"

@@ -754,13 +754,13 @@ class TestCombinators:
         }
         r = np.random.default_rng(11).standard_normal(9)
         for name, ref in expected.items():
-            M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=name)
+            M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator=name)
             np.testing.assert_allclose(M2.apply(r), ref @ r, atol=1e-10,
                                        err_msg=name)
 
     def test_default_combinator_is_adef1(self):
         sys, dec, M1, cs, Ad, M1d, Qd = self.dense_pieces()
-        M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A)
+        M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A)
         r = np.ones(9)
         ref = M1d @ (np.eye(9) - Ad @ Qd) @ r + Qd @ r
         np.testing.assert_allclose(M2.apply(r), ref, atol=1e-10)
@@ -768,7 +768,12 @@ class TestCombinators:
     def test_unknown_combinator_rejected(self):
         sys, dec, M1, cs, *_ = self.dense_pieces()
         with pytest.raises(ValueError):
-            coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="extra")
+            coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator="extra")
+
+    def test_coarse_space_is_not_a_coarse_solve(self):
+        sys, dec, M1, cs, *_ = self.dense_pieces()
+        with pytest.raises(TypeError, match="CoarseSpace"):
+            coarse.TwoLevelPreconditioner(M1, cs, sys.A)
 
     def test_full_coarse_space_degenerates_to_direct_solve(self):
         sys, dec = poisson_setup(8, 2, 1)
@@ -776,10 +781,10 @@ class TestCombinators:
         cs = coarse.grid_space(sys.A, sys.grid, sys.h)
         x_ref = np.linalg.solve(sys.A.toarray(), sys.F)
         for name in ("adef1", "bnn", "adef2"):
-            M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=name)
+            M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator=name)
             np.testing.assert_allclose(M2.apply(sys.F), x_ref, atol=1e-9,
                                        err_msg=name)
-        M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="rbnn2")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator="rbnn2")
         assert np.linalg.norm(M2.apply(sys.F)) <= 1e-9 * np.linalg.norm(x_ref)
 
     @staticmethod
@@ -791,7 +796,7 @@ class TestCombinators:
         M = schwarz.one_level(sys.A, dec, "asm")
         if with_coarse:
             cs = coarse.nicolaides_space(sys.A, dec)
-            M = coarse.TwoLevelPreconditioner(M, cs, sys.A, combinator="ad")
+            M = coarse.TwoLevelPreconditioner(M, cs.apply_Q, sys.A, combinator="ad")
         _, rep = krylov.pcg(sys.A, sys.F, M, tol=1e-6, maxit=2000)
         assert rep.converged
         return rep.iterations
@@ -816,13 +821,13 @@ class TestCombinators:
         cs = coarse.nicolaides_space(sys.A, dec)
         x_ref = np.linalg.solve(sys.A.toarray(), sys.F)
         _, rep_bnn = krylov.pcg(
-            sys.A, sys.F, coarse.TwoLevelPreconditioner(M1, cs, sys.A, "bnn"),
+            sys.A, sys.F, coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, "bnn"),
             tol=1e-8, maxit=400,
         )
         assert rep_bnn.converged
-        x0 = coarse.deflated_initial_guess(cs, sys.F)
+        x0 = cs.apply_Q(sys.F)
         for name in ("adef2", "rbnn1", "rbnn2"):
-            M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=name)
+            M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator=name)
             x, rep = krylov.pcg(sys.A, sys.F, M2, x0=x0, tol=1e-8, maxit=400)
             assert rep.converged, name
             assert rep.iterations <= rep_bnn.iterations + 2, name
@@ -835,7 +840,7 @@ class TestCombinators:
         dec = decompose.expand_overlap(sys.A, part, 1)
         M1 = schwarz.one_level(sys.A, dec, "asm")
         cs = coarse.nicolaides_space(sys.A, dec)
-        M2 = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator="adef1")
+        M2 = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator="adef1")
         _, rep2 = krylov.gmres(sys.A, sys.F, M2, side="right", tol=1e-8)
         _, rep1 = krylov.gmres(sys.A, sys.F, M1, side="right", tol=1e-8)
         assert rep2.converged
@@ -859,9 +864,19 @@ class TestBlockApply:
     @pytest.mark.parametrize("combinator", coarse.COMBINATORS)
     def test_combinators_match_column_loop(self, two_level_pieces, combinator):
         sys, cs, M1, V = two_level_pieces
-        M = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=combinator)
+        M = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator=combinator)
         assert_block_matches_columns(M.apply, V)
         assert_block_matches_columns(M.apply, np.eye(sys.n))
+
+    @pytest.mark.parametrize("combinator", coarse.COMBINATORS)
+    def test_any_callable_serves_as_coarse_solve(self, two_level_pieces,
+                                                 combinator):
+        sys, cs, M1, V = two_level_pieces
+        bound = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator)
+        plain = coarse.TwoLevelPreconditioner(M1, lambda r: cs.apply_Q(r), sys.A,
+                                              combinator)
+        for r in (V[:, 0], V):
+            assert np.array_equal(bound.apply(r), plain.apply(r))
 
     def test_apply_Q_matches_column_loop(self, two_level_pieces):
         sys, cs, M1, V = two_level_pieces
@@ -874,7 +889,7 @@ class TestBlockApply:
         sys, cs, M1, V = two_level_pieces
         n = sys.n
         for combinator in coarse.COMBINATORS:
-            M = coarse.TwoLevelPreconditioner(M1, cs, sys.A, combinator=combinator)
+            M = coarse.TwoLevelPreconditioner(M1, cs.apply_Q, sys.A, combinator=combinator)
             for shape in [(n - 1,), (n + 1, 2), (n, 2, 2)]:
                 with pytest.raises(ValueError):
                     M.apply(np.ones(shape))

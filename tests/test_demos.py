@@ -1,4 +1,5 @@
-"""Smoke test: every walkthrough script under ``demos/`` runs to completion."""
+"""Smoke tests: every walkthrough script under ``demos/`` and the README's
+library example run to completion."""
 
 import os
 import subprocess
@@ -19,3 +20,11 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
