@@ -3,7 +3,10 @@
 A scenario is a JSON document (schema version 1) describing one solve:
 problem, partition, overlap, partition of unity, Schwarz variant, coarse
 space, combinator, Krylov settings, and analysis toggles. Validation is
-fail-fast: unknown keys and bad enum values are rejected before anything
+fail-fast and names its field: unknown keys, bad enum values, sections
+that are not objects, values of the wrong type (integer fields take
+integral numbers only, boolean fields JSON booleans only) and method
+combinations the theory does not cover are rejected before anything
 runs. Every run produces a RunRecord dictionary whose scenario hash
 names the output directory, so any table cell can be traced back to the
 record that produced it. Its timings are the self seconds of nested
@@ -41,8 +44,6 @@ from . import analysis, coarse, decompose, discretize, krylov, schwarz
 
 SCHEMA_VERSION = 1
 
-# each coarse kind with the keys it takes besides "kind"
-_COARSE_KINDS = {"none": (), "nicolaides": (), "grid": ("H", "ratio"), "geneo": ("tau",)}
 _KSP = ("cg", "pcg", "gmres")
 
 
@@ -53,144 +54,180 @@ class ScenarioError(RuntimeError):
 # ---------------------------------------------------------------------------
 # configuration
 
+_REQUIRED = object()
 
-def _check_keys(section, allowed, where):
-    if not isinstance(section, dict):
+_CASTS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string"}
+
+
+def _cast(value, cast, where):
+    try:
+        if (not isinstance(value, cast) if cast in (bool, str)
+                else isinstance(value, bool)):
+            raise TypeError
+        out = cast(value)
+        if cast is int and isinstance(value, float) and out != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} must be {_CASTS[cast]}, got {value!r}") from None
+    return out
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object")
-    unknown = sorted(set(section) - set(allowed))
+    return dict(value)
+
+
+def _section(value, fields, where, prefix=None):
+    """Resolve one section against its field table; returns a new dict.
+
+    A field table maps each key to (spec, default). The spec is a cast type
+    (int and float cast numbers and numeric strings but no boolean, and int
+    no fraction; bool and str take JSON booleans and strings only), a tuple
+    of allowed values, a field table for a nested section, a check function
+    ``check(value, where)`` returning the resolved value, or, for "kind", a
+    kind table mapping each kind to the fields it adds. A key left out
+    takes its default, resolved like a given value; a _REQUIRED default
+    makes it required, and a None default lets any spec but a check
+    function take null. Keys come out in table order, "kind" first. A kind
+    with a default is named in the unknown-key message, since the section
+    may not spell it out. Fields are named ``prefix + key`` (``where.key``
+    by default).
+    """
+    _object(value, where)
+    prefix = f"{where}." if prefix is None else prefix
+    out, label = {}, where
+    kinds, default = fields.get("kind", (None, None))
+    if isinstance(kinds, dict):
+        kind = out["kind"] = _field(value, "kind", tuple(kinds), default, where, prefix)
+        fields = {**fields, **kinds[kind]}
+        if default is not _REQUIRED:
+            label = f"{where} of kind {kind!r}"
+    unknown = sorted(set(value) - set(fields))
     if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in {where}")
+        raise ValueError(f"unknown key(s) {unknown} in {label}")
+    for key, (spec, default) in fields.items():
+        if key not in out:
+            out[key] = _field(value, key, spec, default, where, prefix)
+    return out
 
 
-def _require(section, key, where):
-    if key not in section:
+def _field(section, key, spec, default, where, prefix):
+    if key not in section and default is _REQUIRED:
         raise ValueError(f"missing required key {key!r} in {where}")
-    return section[key]
+    value, path = section.get(key, default), prefix + key
+    if callable(spec) and not isinstance(spec, type):
+        return spec(value, path)
+    if value is None and default is None:
+        return None
+    if isinstance(spec, dict):
+        return _section(value, spec, path)
+    if isinstance(spec, tuple):
+        if value not in spec:
+            raise ValueError(f"{path} must be one of {list(spec)}, got {value!r}")
+        return value
+    return _cast(value, spec, path)
 
 
-def _enum(value, allowed, where):
-    if value not in allowed:
-        raise ValueError(f"{where} must be one of {list(allowed)}, got {value!r}")
-    return value
+def _schema(value, where, tail=f"; this build reads schema {SCHEMA_VERSION}"):
+    if value != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {value!r}{tail}")
+    return SCHEMA_VERSION
 
 
-def _resolve_problem(problem):
-    kind = _enum(_require(problem, "kind", "problem"),
-                 ("poisson_1d", "poisson_2d_fd", "fem_2d", "helmholtz_2d"),
-                 "problem.kind")
-    if kind == "poisson_1d":
-        _check_keys(problem, {"kind", "m"}, "problem")
-        return {"kind": kind, "m": int(_require(problem, "m", "problem"))}
-    if kind == "poisson_2d_fd":
-        _check_keys(problem, {"kind", "nx", "ny"}, "problem")
-        return {"kind": kind, "nx": int(_require(problem, "nx", "problem")),
-                "ny": int(_require(problem, "ny", "problem"))}
-    if kind == "fem_2d":
-        _check_keys(problem, {"kind", "cells_x", "cells_y", "alpha"}, "problem")
-        alpha = problem.get("alpha", {"kind": "constant", "value": 1.0})
-        akind = _enum(_require(alpha, "kind", "problem.alpha"),
-                      ("constant", "channels"), "problem.alpha.kind")
-        if akind == "constant":
-            _check_keys(alpha, {"kind", "value"}, "problem.alpha")
-            alpha = {"kind": "constant", "value": float(alpha.get("value", 1.0))}
-        else:
-            _check_keys(alpha, {"kind", "contrast", "count"}, "problem.alpha")
-            alpha = {"kind": "channels",
-                     "contrast": float(_require(alpha, "contrast", "problem.alpha")),
-                     "count": int(alpha.get("count", 3))}
-            if alpha["count"] < 1:  # no channel: the coefficient is 1 everywhere
-                raise ValueError(f"problem.alpha.count must be >= 1, got {alpha['count']}")
-        return {"kind": kind,
-                "cells_x": int(_require(problem, "cells_x", "problem")),
-                "cells_y": int(_require(problem, "cells_y", "problem")),
-                "alpha": alpha}
-    _check_keys(problem, {"kind", "nx", "ny", "omega", "xi", "boundary"},
-                "problem")
-    return {"kind": kind,
-            "nx": int(_require(problem, "nx", "problem")),
-            "ny": int(_require(problem, "ny", "problem")),
-            "omega": float(_require(problem, "omega", "problem")),
-            "xi": float(problem.get("xi", 0.0)),
-            "boundary": _enum(problem.get("boundary", "dirichlet"),
-                              discretize.BOUNDARIES, "problem.boundary")}
+def _int_list(value, where):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where} must be a list of integers, got {value!r}")
+    return [_cast(v, int, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _resolve_partition(partition, dim):
-    kind = _enum(_require(partition, "kind", "partition"),
-                 ("cartesian", "graph"), "partition.kind")
-    if kind == "cartesian":
-        _check_keys(partition, {"kind", "p"}, "partition")
-        p = [int(v) for v in _require(partition, "p", "partition")]
-        if len(p) != dim:
-            raise ValueError(
-                f"partition.p must have {dim} entries for this problem, got {p}")
-        if any(v < 1 for v in p):
-            raise ValueError("partition.p entries must be >= 1")
-        return {"kind": kind, "p": p}
-    _check_keys(partition, {"kind", "N", "seed"}, "partition")
-    N = int(_require(partition, "N", "partition"))
-    if N < 1:
-        raise ValueError("partition.N must be >= 1")
-    return {"kind": kind, "N": N, "seed": int(partition.get("seed", 0))}
-
-
-def _resolve_robin_p(value):
+def _robin_p(value, where):
     if value is None:
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, list) and len(value) == 2:
-        return [float(value[0]), float(value[1])]
-    raise ValueError("schwarz.robin_p must be a number or [re, im]")
+        return [_cast(v, float, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{where} must be a number or [re, im]")
+
+
+def _tau(value, where):
+    return value if value == "auto" else _cast(value, float, where)
+
+
+_ALPHA_KINDS = {"constant": {"value": (float, 1.0)},
+                "channels": {"contrast": (float, _REQUIRED), "count": (int, 3)}}
+_PROBLEM_KINDS = {
+    "poisson_1d": {"m": (int, _REQUIRED)},
+    "poisson_2d_fd": {"nx": (int, _REQUIRED), "ny": (int, _REQUIRED)},
+    "fem_2d": {"cells_x": (int, _REQUIRED), "cells_y": (int, _REQUIRED),
+               "alpha": ({"kind": (_ALPHA_KINDS, _REQUIRED)},
+                         {"kind": "constant", "value": 1.0})},
+    "helmholtz_2d": {"nx": (int, _REQUIRED), "ny": (int, _REQUIRED),
+                     "omega": (float, _REQUIRED), "xi": (float, 0.0),
+                     "boundary": (discretize.BOUNDARIES, "dirichlet")},
+}
+_PARTITION_KINDS = {"cartesian": {"p": (_int_list, _REQUIRED)},
+                    "graph": {"N": (int, _REQUIRED), "seed": (int, 0)}}
+_COARSE_KINDS = {"none": {}, "nicolaides": {},
+                 "grid": {"H": (float, None), "ratio": (int, None)},
+                 "geneo": {"tau": (_tau, "auto")}}
+
+_SCENARIO = {
+    "schema": (_schema, None),
+    "name": (str, "scenario"),
+    "problem": ({"kind": (_PROBLEM_KINDS, _REQUIRED)}, _REQUIRED),
+    "partition": ({"kind": (_PARTITION_KINDS, _REQUIRED)}, _REQUIRED),
+    "overlap": (int, 1),
+    "pu": (decompose.PU_KINDS, "multiplicity"),
+    "schwarz": ({"variant": (schwarz.VARIANTS, "ras"),
+                 "robin_p": (_robin_p, None)}, {}),
+    "coarse": ({"kind": (_COARSE_KINDS, "none")}, {}),
+    "combinator": (coarse.COMBINATORS, "adef1"),
+    "solver": ({"ksp": (_KSP, "gmres"), "tol": (float, 1e-6),
+                "maxit": (int, 200), "side": (krylov.SIDES, "right"),
+                "x0": (("zero", "deflated"), "zero")}, {}),
+    "analysis": ({"spectrum": (bool, False), "bounds": (bool, False)}, {}),
+}
 
 
 def resolve_scenario(config):
     """Validate a scenario and fill defaults; returns the resolved dict.
 
-    Unknown keys anywhere in the document are rejected. The result is
-    JSON-stable: resolving a resolved scenario is the identity.
+    Unknown keys anywhere in the document are rejected, and so is a value
+    of the wrong type, naming its field. The result is JSON-stable:
+    resolving a resolved scenario is the identity.
     """
-    _check_keys(config, {"schema", "name", "problem", "partition", "overlap",
-                         "pu", "schwarz", "coarse", "combinator", "solver",
-                         "analysis"}, "scenario")
-    if config.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {config.get('schema')!r}; "
-                         f"this build reads schema {SCHEMA_VERSION}")
-    problem = _resolve_problem(_require(config, "problem", "scenario"))
-    dim = 1 if problem["kind"] == "poisson_1d" else 2
-    partition = _resolve_partition(_require(config, "partition", "scenario"), dim)
+    cfg = _section(config, _SCENARIO, "scenario", prefix="")
+    problem, partition, solver = cfg["problem"], cfg["partition"], cfg["solver"]
+    variant = cfg["schwarz"]["variant"]
+    robin_p = cfg["schwarz"]["robin_p"]
+    coarse_cfg, combinator, ksp = cfg["coarse"], cfg["combinator"], solver["ksp"]
+    ckind = coarse_cfg["kind"]
 
-    overlap = int(config.get("overlap", 1))
-    if overlap < 0:
+    if problem["kind"] == "fem_2d" and problem["alpha"].get("count", 1) < 1:
+        # no channel: the coefficient is 1 everywhere
+        raise ValueError(f"problem.alpha.count must be >= 1, "
+                         f"got {problem['alpha']['count']}")
+    if partition["kind"] == "cartesian":
+        dim = 1 if problem["kind"] == "poisson_1d" else 2
+        if len(partition["p"]) != dim:
+            raise ValueError(f"partition.p must have {dim} entries for this "
+                             f"problem, got {partition['p']}")
+        if any(v < 1 for v in partition["p"]):
+            raise ValueError("partition.p entries must be >= 1")
+    elif partition["N"] < 1:
+        raise ValueError("partition.N must be >= 1")
+    if cfg["overlap"] < 0:
         raise ValueError("overlap must be >= 0")
-    pu = _enum(config.get("pu", "multiplicity"), decompose.PU_KINDS, "pu")
-
-    sch = dict(config.get("schwarz", {}))
-    _check_keys(sch, {"variant", "robin_p"}, "schwarz")
-    variant = _enum(sch.get("variant", "ras"), schwarz.VARIANTS,
-                    "schwarz.variant")
-    robin_p = _resolve_robin_p(sch.get("robin_p"))
     if robin_p is not None and variant not in schwarz.ROBIN_VARIANTS:
         raise ValueError(
             f"robin parameter is only meaningful for oras/soras, not {variant!r}")
-
-    crs = dict(config.get("coarse", {}))
-    ckind = _enum(crs.get("kind", "none"), _COARSE_KINDS, "coarse.kind")
-    _check_keys(crs, {"kind", *_COARSE_KINDS[ckind]}, f"coarse of kind {ckind!r}")
-    coarse_cfg = {"kind": ckind}
-    if ckind == "grid":
-        H, ratio = crs.get("H"), crs.get("ratio")
-        if (H is None) == (ratio is None):
-            raise ValueError("grid coarse space needs exactly one of H or ratio")
-        coarse_cfg["H"] = None if H is None else float(H)
-        coarse_cfg["ratio"] = None if ratio is None else int(ratio)
-    elif ckind == "geneo":
-        tau = crs.get("tau", "auto")
-        if tau != "auto":
-            tau = float(tau)
-            if tau <= 0:
-                raise ValueError("geneo threshold tau must be positive")
-        coarse_cfg["tau"] = tau
+    if ckind == "grid" and (coarse_cfg["H"] is None) == (coarse_cfg["ratio"] is None):
+        raise ValueError("grid coarse space needs exactly one of H or ratio")
+    if ckind == "geneo" and coarse_cfg["tau"] != "auto" and coarse_cfg["tau"] <= 0:
+        raise ValueError("geneo threshold tau must be positive")
 
     # geneo_space reads the element matrices of a finite element mesh
     if ckind == "geneo":
@@ -200,7 +237,7 @@ def resolve_scenario(config):
                              f"matrices of a finite element mesh, which only "
                              f"'fem_2d' has; use coarse kind 'nicolaides' or "
                              f"'grid'")
-        if coarse_cfg["tau"] == "auto" and overlap == 0:
+        if coarse_cfg["tau"] == "auto" and cfg["overlap"] == 0:
             raise ValueError("geneo threshold tau 'auto' with overlap 0: the "
                              "threshold is the reciprocal of the worst ratio "
                              "H_j / overlap width, and the overlap width is "
@@ -221,24 +258,19 @@ def resolve_scenario(config):
                              f"nx*ny = {problem['nx'] * problem['ny']} "
                              f"interior nodes")
 
-    combinator = _enum(config.get("combinator", "adef1"), coarse.COMBINATORS,
-                       "combinator")
-
-    sol = dict(config.get("solver", {}))
-    _check_keys(sol, {"ksp", "tol", "maxit", "side", "x0"}, "solver")
-    ksp = _enum(sol.get("ksp", "gmres"), _KSP, "solver.ksp")
-    solver = {
-        "ksp": ksp,
-        "tol": float(sol.get("tol", 1e-6)),
-        "maxit": int(sol.get("maxit", 200)),
-        "side": _enum(sol.get("side", "right"), krylov.SIDES, "solver.side"),
-        "x0": _enum(sol.get("x0", "zero"), ("zero", "deflated"), "solver.x0"),
-    }
     if solver["maxit"] < 0:
         raise ValueError(f"solver.maxit must be >= 0, got {solver['maxit']}")
     if not 0 <= solver["tol"] < np.inf:
         raise ValueError(f"solver.tol must be a finite number >= 0, "
                          f"got {solver['tol']}")
+    # absorption or an impedance boundary puts i on the diagonal
+    if (ksp in ("cg", "pcg") and problem["kind"] == "helmholtz_2d"
+            and (problem["xi"] > 0 or problem["boundary"] == "impedance")):
+        raise ValueError(f"{ksp} on a complex Helmholtz system is not "
+                         "supported: absorption xi > 0 or an impedance "
+                         "boundary makes the operator complex symmetric, not "
+                         "Hermitian, and CG theory does not cover it; use "
+                         "ksp 'gmres'")
     if ksp == "cg" and (variant != "none" or ckind != "none"):
         raise ValueError("cg runs unpreconditioned; use pcg or gmres with a "
                          "Schwarz variant or coarse space")
@@ -268,27 +300,9 @@ def resolve_scenario(config):
                          "'deflated' (the start Q b): rbnn1 and rbnn2 have no "
                          "+Q term, and CG converges with adef2 only from Q b")
 
-    ana = dict(config.get("analysis", {}))
-    _check_keys(ana, {"spectrum", "bounds"}, "analysis")
-    analysis_cfg = {"spectrum": bool(ana.get("spectrum", False)),
-                    "bounds": bool(ana.get("bounds", False))}
-    if analysis_cfg["bounds"]:
-        analysis_cfg["spectrum"] = True
-
-    out = {
-        "schema": SCHEMA_VERSION,
-        "name": str(config.get("name", "scenario")),
-        "problem": problem,
-        "partition": partition,
-        "overlap": overlap,
-        "pu": pu,
-        "schwarz": {"variant": variant, "robin_p": robin_p},
-        "coarse": coarse_cfg,
-        "combinator": combinator,
-        "solver": solver,
-        "analysis": analysis_cfg,
-    }
-    return out
+    if cfg["analysis"]["bounds"]:
+        cfg["analysis"]["spectrum"] = True
+    return cfg
 
 
 def scenario_hash(resolved):
@@ -577,28 +591,31 @@ def merge_config(base, overrides):
     return out
 
 
-def resolve_suite(config):
-    _check_keys(config, {"schema", "name", "base", "sweep", "reference"},
-                "suite")
-    if config.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {config.get('schema')!r}")
-    base = _require(config, "base", "suite")
-    sweep = _require(config, "sweep", "suite")
-    if not isinstance(sweep, list) or not sweep:
-        raise ValueError("suite.sweep must be a non-empty list")
-    names = []
-    for entry in sweep:
-        if "name" not in entry:
+def _sweep(value, where):
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{where} must be a non-empty list")
+    for i, entry in enumerate(value):
+        if "name" not in _object(entry, f"{where}[{i}]"):
             raise ValueError("every sweep entry needs a name")
-        names.append(entry["name"])
+        _cast(entry["name"], str, f"{where}[{i}].name")
+    names = [entry["name"] for entry in value]
     if len(set(names)) != len(names):
         raise ValueError("sweep entry names must be unique")
-    reference = config.get("reference")
-    if reference is not None:
-        _check_keys(reference, {"label", "rows"}, "suite.reference")
-    return {"schema": SCHEMA_VERSION,
-            "name": str(config.get("name", "suite")),
-            "base": base, "sweep": sweep, "reference": reference}
+    return value
+
+
+_SUITE = {
+    "schema": (functools.partial(_schema, tail=""), None),
+    "name": (str, "suite"),
+    "base": (_object, _REQUIRED),
+    "sweep": (_sweep, _REQUIRED),
+    "reference": ({"label": (str, None), "rows": (_object, {})}, None),
+}
+
+
+def resolve_suite(config):
+    """Validate a suite; its base and sweep entries are resolved per point."""
+    return _section(config, _SUITE, "suite")
 
 
 def run_suite(config, out_root=None):
@@ -771,69 +788,77 @@ def _load_config(arg):
 # command line
 
 
+# the accepted form of each flag that stands for a scenario section
+_FLAG_FORMS = {
+    "--partitioner": "cartesian:PX[xPY] or graph:N[:seed]",
+    "--coarse": "none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo",
+    "--geneo-threshold": "a spectral threshold tau, or 'auto'",
+}
+
+
+def _flag_section(flag, spec, key, section):
+    """``section``, split from the value ``spec`` of ``flag``, resolved as ``key``.
+
+    The field table casts the strings; a malformed value fails naming the
+    flag and its accepted form.
+    """
+    try:
+        return _section(section, _SCENARIO[key][0], key)
+    except ValueError as err:
+        raise ValueError(f"{flag} {spec!r} is malformed ({err}); use "
+                         f"{_FLAG_FORMS[flag]}") from None
+
+
 def _apply_overrides(config, args):
     cfg = copy.deepcopy(config)
-
-    def section(key):
-        cfg.setdefault(key, {})
-        return cfg[key]
-
     if args.partitioner:
         spec = args.partitioner
         kind, _, rest = spec.partition(":")
         if kind == "cartesian":
-            p = [int(v) for v in rest.split("x")] if rest else []
-            cfg["partition"] = {"kind": "cartesian", "p": p}
+            part = {"kind": kind, "p": rest.split("x") if rest else []}
         elif kind == "graph":
-            fields = rest.split(":") if rest else []
-            part = {"kind": "graph", "N": int(fields[0])}
-            if len(fields) > 1:
-                part["seed"] = int(fields[1])
-            cfg["partition"] = part
+            N, colon, seed = rest.partition(":")
+            part = {"kind": kind, "N": N, "seed": seed if colon else 0}
         else:
             raise ValueError(f"unknown partitioner {spec!r}; use "
-                             "cartesian:PX[xPY] or graph:N[:seed]")
+                             f"{_FLAG_FORMS['--partitioner']}")
+        cfg["partition"] = _flag_section("--partitioner", spec, "partition", part)
     if args.overlap is not None:
         cfg["overlap"] = args.overlap
     if args.pu:
         cfg["pu"] = args.pu
     if args.schwarz_method:
-        section("schwarz")["variant"] = args.schwarz_method
+        cfg.setdefault("schwarz", {})["variant"] = args.schwarz_method
     if args.coarse:
-        spec = args.coarse
-        kind, _, rest = spec.partition(":")
-        coarse_cfg = {"kind": kind}
-        if rest:
-            key, _, value = rest.partition("=")
-            coarse_cfg[key] = float(value) if key != "ratio" else int(value)
-        cfg["coarse"] = coarse_cfg
+        kind, _, rest = args.coarse.partition(":")
+        key, _, value = rest.partition("=")
+        cfg["coarse"] = _flag_section("--coarse", args.coarse, "coarse",
+                                      {"kind": kind, **({key: value} if rest else {})})
     if args.geneo_threshold:
         tau = args.geneo_threshold
         # a switch of kind drops the old kind's keys, as in a suite sweep
-        cfg = merge_config(cfg, {"coarse": {
-            "kind": "geneo", "tau": tau if tau == "auto" else float(tau)}})
+        cfg = merge_config(cfg, {"coarse": _flag_section(
+            "--geneo-threshold", tau, "coarse", {"kind": "geneo", "tau": tau})})
     if args.coarse_correction:
         cfg["combinator"] = args.coarse_correction
     if args.ksp:
-        section("solver")["ksp"] = args.ksp
+        cfg.setdefault("solver", {})["ksp"] = args.ksp
     if args.ksp_rtol is not None:
-        section("solver")["tol"] = args.ksp_rtol
+        cfg.setdefault("solver", {})["tol"] = args.ksp_rtol
     if args.ksp_maxit is not None:
-        section("solver")["maxit"] = args.ksp_maxit
+        cfg.setdefault("solver", {})["maxit"] = args.ksp_maxit
     if args.pc_side:
-        section("solver")["side"] = args.pc_side
+        cfg.setdefault("solver", {})["side"] = args.pc_side
     return cfg
 
 
 def _add_scenario_flags(sub):
-    sub.add_argument("--partitioner", help="cartesian:PX[xPY] or graph:N[:seed]")
+    sub.add_argument("--partitioner", help=_FLAG_FORMS["--partitioner"])
     sub.add_argument("--overlap", type=int)
     sub.add_argument("--pu", choices=decompose.PU_KINDS)
     sub.add_argument("--schwarz-method", choices=schwarz.VARIANTS)
-    sub.add_argument("--coarse",
-                     help="none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo")
-    sub.add_argument("--geneo-threshold",
-                     help="spectral threshold tau, or 'auto'")
+    sub.add_argument("--coarse", help=_FLAG_FORMS["--coarse"])
+    sub.add_argument("--geneo-threshold", help=_FLAG_FORMS["--geneo-threshold"])
     sub.add_argument("--coarse-correction", choices=coarse.COMBINATORS)
     sub.add_argument("--ksp", choices=_KSP)
     sub.add_argument("--ksp-rtol", type=float)

@@ -367,8 +367,9 @@ def geneo_space(system, decomposition, tau="auto"):
 
     ``tau="auto"`` picks the reciprocal of the worst subdomain aspect
     ratio (diameter over overlap width), which needs the decomposition's
-    geometry fields and a positive overlap: a decomposition built
-    without ``coords`` or ``h``, or with no overlap, raises ValueError.
+    geometry fields, a positive overlap and a subdomain of positive
+    diameter: a decomposition built without ``coords`` or ``h``, with no
+    overlap, or of single-point subdomains only, raises ValueError.
     """
     if tau == "auto":
         if (np.isnan(decomposition.overlap_width)
@@ -381,6 +382,12 @@ def geneo_space(system, decomposition, tau="auto"):
                 "tau='auto' needs a positive overlap width: the aspect ratio "
                 "H_j / overlap_width is undefined with no overlap; pass a "
                 "numeric tau"
+            )
+        if not decomposition.H.any():
+            raise ValueError(
+                "tau='auto' needs a subdomain of positive diameter: every "
+                "H_j is 0, so the aspect ratio H_j / overlap_width is 0 and "
+                "its reciprocal infinite; pass a numeric tau"
             )
         aspect = max(
             decomposition.H[j] / decomposition.overlap_width

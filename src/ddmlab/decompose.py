@@ -166,8 +166,11 @@ def cartesian_partition(grid, p_x, p_y=None):
 
 
 def _symmetric_adjacency(A):
-    P = sp.csr_array(abs(A) + abs(A).T)
-    P.setdiag(0)
+    """Boolean pattern of A's off-diagonal nonzeros and of their transposes."""
+    A = sp.csr_array(A)
+    P = sp.csr_array((A.data != 0, A.indices, A.indptr), shape=A.shape)
+    P = P + P.T
+    P.setdiag(False)
     P.eliminate_zeros()
     return P
 
@@ -453,7 +456,7 @@ def expand_overlap(A, owner, delta, coords=None, h=None):
     # membership S (N x n) grows one layer per product with the pattern
     # of I + |A|; subdomains are adjacent iff S (I + |A|) S^T links them,
     # i.e. they share a DoF or an A-edge connects them
-    graph = (_symmetric_adjacency(A) + sp.identity(n, format="csr")).astype(bool)
+    graph = _symmetric_adjacency(A) + sp.identity(n, dtype=bool, format="csr")
     S = sp.csr_array((np.ones(n, dtype=bool), (owner, np.arange(n))), shape=(N, n))
     for _ in range(delta):
         S = S @ graph

@@ -7,9 +7,11 @@ the bundled configurations.
 
 import copy
 import gc
+import hashlib
 import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +289,76 @@ class TestConfig:
         cfg = tiny_scenario(partition={"kind": "cartesian", "p": [4], "seed": 0})
         with pytest.raises(ValueError, match=r"unknown key\(s\) \['seed'\]"):
             bench.resolve_scenario(cfg)
+
+    @pytest.mark.parametrize("overrides, msg", [
+        # sections that are not objects, lists of pairs included
+        ({"coarse": "geneo"}, "coarse must be an object"),
+        ({"schwarz": [["variant", "asm"]]}, "schwarz must be an object"),
+        ({"analysis": [["bounds", True]]}, "analysis must be an object"),
+        ({"solver": "gmres"}, "solver must be an object"),
+        ({"problem": "poisson_1d"}, "problem must be an object"),
+        ({"partition": "cartesian"}, "partition must be an object"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 8, "cells_y": 8,
+                      "alpha": "constant"}, "partition": {"kind": "graph", "N": 4}},
+         "problem.alpha must be an object"),
+        # values that cannot be cast
+        ({"problem": {"kind": "poisson_1d", "m": "x"}},
+         "problem.m must be an integer, got 'x'"),
+        ({"problem": {"kind": "poisson_1d", "m": None}},
+         "problem.m must be an integer, got None"),
+        ({"partition": {"kind": "cartesian", "p": 5}},
+         "partition.p must be a list of integers, got 5"),
+        ({"solver": {"tol": "abc"}}, "solver.tol must be a number, got 'abc'"),
+        # values that were coerced without a word
+        ({"overlap": 1.5}, "overlap must be an integer, got 1.5"),
+        ({"partition": {"kind": "cartesian", "p": [2.9]}},
+         "partition.p[0] must be an integer, got 2.9"),
+        ({"analysis": {"spectrum": "false"}},
+         "analysis.spectrum must be true or false, got 'false'"),
+        ({"problem": {"kind": "poisson_1d", "m": True}},
+         "problem.m must be an integer, got True"),
+        ({"schwarz": {"variant": "oras", "robin_p": [True, 1.0]}},
+         "schwarz.robin_p[0] must be a number, got True"),
+        ({"name": {"a": 1}}, "name must be a string, got {'a': 1}"),
+    ])
+    def test_malformed_value_names_its_field(self, overrides, msg):
+        with pytest.raises(ValueError) as err:
+            bench.resolve_scenario(tiny_scenario(**overrides))
+        assert str(err.value) == msg
+
+    def test_integral_numbers_and_numeric_strings_accepted(self):
+        cfg = bench.resolve_scenario(tiny_scenario(
+            overlap=2.0, partition={"kind": "cartesian", "p": ["3"]},
+            solver={"tol": "1e-8"}))
+        assert cfg["overlap"] == 2 and isinstance(cfg["overlap"], int)
+        assert cfg["partition"]["p"] == [3]
+        assert cfg["solver"]["tol"] == 1e-8
+
+    @pytest.mark.parametrize("xi, boundary", [(16.0, "dirichlet"),
+                                              (0.0, "impedance")])
+    @pytest.mark.parametrize("ksp, variant", [("pcg", "asm"), ("cg", "none")])
+    def test_cg_on_complex_helmholtz_rejected(self, xi, boundary, ksp, variant):
+        # complex symmetric, not Hermitian: pcg ran 200 iterations to a true
+        # relres of 1.4e+03 with xi = 16, and broke down with an impedance
+        # boundary
+        cfg = tiny_scenario(
+            name="complex",
+            problem={"kind": "helmholtz_2d", "nx": 15, "ny": 15, "omega": 4.0,
+                     "xi": xi, "boundary": boundary},
+            partition={"kind": "cartesian", "p": [2, 2]},
+            schwarz={"variant": variant}, solver={"ksp": ksp, "tol": 1e-8})
+        msg = f"{ksp} on a complex Helmholtz system is not supported"
+        with pytest.raises(ValueError, match=msg) as err:
+            bench.resolve_scenario(cfg)
+        assert "use ksp 'gmres'" in str(err.value)
+        with pytest.raises(bench.ScenarioError, match=f"'complex' failed: {msg}"):
+            bench.run_scenario(cfg)
+        cfg["solver"]["ksp"] = "gmres"
+        assert bench.resolve_scenario(cfg)["solver"]["ksp"] == "gmres"
+        # xi = 0 with a Dirichlet boundary is real symmetric
+        cfg["problem"].update(xi=0.0, boundary="dirichlet")
+        cfg["solver"]["ksp"] = ksp
+        assert bench.resolve_scenario(cfg)["solver"]["ksp"] == ksp
 
     def test_round_trip_is_identity(self):
         resolved = bench.resolve_scenario(tiny_scenario())
@@ -800,6 +872,29 @@ class TestArtifacts:
         assert "GenEO needs the Neumann matrices" in out
         assert "unknown key" not in out
 
+    @pytest.mark.parametrize("flag, value, cause", [
+        ("--partitioner", "graph:x", "partition.N must be an integer, got 'x'"),
+        ("--partitioner", "graph", "partition.N must be an integer, got ''"),
+        ("--partitioner", "graph:4:1:2",
+         "partition.seed must be an integer, got '1:2'"),
+        ("--partitioner", "cartesian:2x",
+         "partition.p[1] must be an integer, got ''"),
+        ("--coarse", "grid:ratio", "coarse.ratio must be an integer, got ''"),
+        ("--coarse", "grid:H=abc", "coarse.H must be a number, got 'abc'"),
+        ("--geneo-threshold", "abc", "coarse.tau must be a number, got 'abc'"),
+    ])
+    def test_malformed_flag_names_itself(self, tmp_path, capsys, flag, value, cause):
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(tiny_scenario()))
+        code = bench.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                           flag, value])
+        assert code == 1
+        form = {"--partitioner": "cartesian:PX[xPY] or graph:N[:seed]",
+                "--coarse": "none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo",
+                "--geneo-threshold": "a spectral threshold tau, or 'auto'"}[flag]
+        assert capsys.readouterr().out == (
+            f"ddmlab: {flag} {value!r} is malformed ({cause}); use {form}\n")
+
     def test_spectrum_command(self, tmp_path):
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(json.dumps(tiny_scenario(
@@ -879,7 +974,130 @@ class TestSuite:
         assert by_name["N3"]["iterations"] > 0
 
 
+    @pytest.mark.parametrize("change, msg", [
+        ({"sweep": ["name"]}, "suite.sweep[0] must be an object"),
+        ({"sweep": [{"name": 3}]}, "suite.sweep[0].name must be a string, got 3"),
+        ({"reference": {"label": "x", "rows": [1]}},
+         "suite.reference.rows must be an object"),
+        ({"base": "poisson_unit"}, "suite.base must be an object"),
+    ])
+    def test_malformed_suite_section_names_itself(self, change, msg):
+        with pytest.raises(ValueError) as err:
+            bench.run_suite({**suite_config(), **change})
+        assert str(err.value) == msg
+
+    def test_reference_without_rows_runs(self):
+        result = bench.run_suite({**suite_config(), "reference": {"label": "x"}})
+        assert result["reference_label"] == "x"
+        assert [row["reference"] for row in result["rows"]] == [None, None]
+
+
+# sha256 of json.dumps(resolve_scenario(cfg)), keys in resolved order, for
+# every bundled scenario and sweep point (merged as run_suite merges them)
+# and every benchmark scenario: record.json bytes and scenario_hash follow
+RESOLVED_SHA256 = {
+    "helmholtz_k_sweep.json/k10-two":
+        "2cd54ca98980b62464ab064dbcaa950d70f5be76941e26f3b2e96a33b39a8c70",
+    "helmholtz_k_sweep.json/k20-two":
+        "b494687de3ee97332750882273daaab8fec5970d9bb68a48f46d5499fc59ecb6",
+    "helmholtz_k_sweep.json/k40-two":
+        "f617013cbb71e9a2e7962bfc2b01c841305ca524c9132d8d1b49e5623a608d80",
+    "helmholtz_k_sweep.json/k10-one":
+        "7ac1f7cc568d5c7192a40f47f6456ee05aa38cb07f6086f96c5f9caf7d1d6617",
+    "helmholtz_k_sweep.json/k20-one":
+        "38edcdb9fc5cf3ad31f44cf582a732b84b852d42a63fd2ba52f9e2a8856ef3cb",
+    "helmholtz_k_sweep.json/k40-one":
+        "80c86da8580dc79f70b7ec6adba47fa38f58a8aab62f4459ce9d7a874847c02a",
+    "poisson_unit.json":
+        "4de212584a69fc03606ea2e7aa84ccef92d7d51dac043a3e38afe9e4d703cfce",
+    "strong_scaling.json/2x2":
+        "336b47163ab3cbbdd073f34184b85a156d4cc3c2b92bb0565702b85876a079f0",
+    "strong_scaling.json/4x4":
+        "f42f4c289b4a49f2524614c74d8d58f718ec93adf32c814b20a999ea7e9896bb",
+    "strong_scaling.json/8x8":
+        "27fadbbb710a3d8921f822156b3f97f764b8c9f03a8f0c06d048ab8c657b6293",
+    "weak_scaling_1d.json/N8-one":
+        "3a8bc106cddb2a99680f7a727d93b1a8484c783d29f5823d71e4b7659191021a",
+    "weak_scaling_1d.json/N16-one":
+        "094c7f79eb5157b2615c00576c59782928ce3fccbc8e453438cdfe8f37d11dd9",
+    "weak_scaling_1d.json/N32-one":
+        "0abb81e1cbe2df8544b375801639f2f0485faad8621e0a6d5133e8a02960b689",
+    "weak_scaling_1d.json/N64-one":
+        "e25d389a28242b6fe089a8d0ad7aaad989dc8745fa3348aecffbc3532f27ab37",
+    "weak_scaling_1d.json/N8-nico":
+        "34a953f9d625df8ae2fff51b7a561418add5236789232f4c2ab0c4379a23fb86",
+    "weak_scaling_1d.json/N16-nico":
+        "df5fff63dfc05a368aa4c9c53d9de7cefc718deb9ebb7929669b6eed75817355",
+    "weak_scaling_1d.json/N32-nico":
+        "1f19a0b425b7550b56021bb69b60550c65512ec7d469bb9caf089b96258ce90a",
+    "weak_scaling_1d.json/N64-nico":
+        "9dfad4bae73d90c7da21a5ba1e9e4d3394ac3aeb21937cdda9e6c9d5e234391e",
+    "fem_geneo/poisson-unit":
+        "4de212584a69fc03606ea2e7aa84ccef92d7d51dac043a3e38afe9e4d703cfce",
+    "fem_geneo/poisson-unit-24-spectrum":
+        "d7923d75ea34294635af1b86976995b463d0a885ff7de974b1c466ac1a7e0d8d",
+    "bundled_suites/2x2":
+        "336b47163ab3cbbdd073f34184b85a156d4cc3c2b92bb0565702b85876a079f0",
+    "bundled_suites/4x4":
+        "f42f4c289b4a49f2524614c74d8d58f718ec93adf32c814b20a999ea7e9896bb",
+    "bundled_suites/8x8":
+        "27fadbbb710a3d8921f822156b3f97f764b8c9f03a8f0c06d048ab8c657b6293",
+    "bundled_suites/N8-one":
+        "3a8bc106cddb2a99680f7a727d93b1a8484c783d29f5823d71e4b7659191021a",
+    "bundled_suites/N16-one":
+        "094c7f79eb5157b2615c00576c59782928ce3fccbc8e453438cdfe8f37d11dd9",
+    "bundled_suites/N32-one":
+        "0abb81e1cbe2df8544b375801639f2f0485faad8621e0a6d5133e8a02960b689",
+    "bundled_suites/N64-one":
+        "e25d389a28242b6fe089a8d0ad7aaad989dc8745fa3348aecffbc3532f27ab37",
+    "bundled_suites/N8-nico":
+        "34a953f9d625df8ae2fff51b7a561418add5236789232f4c2ab0c4379a23fb86",
+    "bundled_suites/N16-nico":
+        "df5fff63dfc05a368aa4c9c53d9de7cefc718deb9ebb7929669b6eed75817355",
+    "bundled_suites/N32-nico":
+        "1f19a0b425b7550b56021bb69b60550c65512ec7d469bb9caf089b96258ce90a",
+    "bundled_suites/N64-nico":
+        "9dfad4bae73d90c7da21a5ba1e9e4d3394ac3aeb21937cdda9e6c9d5e234391e",
+    "bundled_suites/k10-two":
+        "2cd54ca98980b62464ab064dbcaa950d70f5be76941e26f3b2e96a33b39a8c70",
+    "bundled_suites/k20-two":
+        "b494687de3ee97332750882273daaab8fec5970d9bb68a48f46d5499fc59ecb6",
+    "bundled_suites/k40-two":
+        "f617013cbb71e9a2e7962bfc2b01c841305ca524c9132d8d1b49e5623a608d80",
+    "bundled_suites/k10-one":
+        "7ac1f7cc568d5c7192a40f47f6456ee05aa38cb07f6086f96c5f9caf7d1d6617",
+    "bundled_suites/k20-one":
+        "38edcdb9fc5cf3ad31f44cf582a732b84b852d42a63fd2ba52f9e2a8856ef3cb",
+    "bundled_suites/k40-one":
+        "80c86da8580dc79f70b7ec6adba47fa38f58a8aab62f4459ce9d7a874847c02a",
+    "fd40k/fd40k":
+        "621c6bf337610b8a51fa0a30e65e2c14e00af426c82d10474308eab903f9be45",
+}
+
+
+def shipped_scenarios():
+    for name in bench.bundled_names():
+        cfg = bench.load_bundled(name)
+        if "sweep" not in cfg:
+            yield name, cfg
+            continue
+        for entry in cfg["sweep"]:
+            merged = bench.merge_config(cfg["base"], entry)
+            merged["name"] = entry["name"]
+            yield f"{name}/{entry['name']}", merged
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.json"
+    for workload, cfgs in json.loads(path.read_text()).items():
+        for cfg in cfgs:
+            yield f"{workload}/{cfg['name']}", cfg
+
+
 class TestBundled:
+    def test_resolved_forms_pinned(self):
+        got = {label: hashlib.sha256(
+                   json.dumps(bench.resolve_scenario(cfg)).encode()).hexdigest()
+               for label, cfg in shipped_scenarios()}
+        assert got == RESOLVED_SHA256
+
     def test_all_bundled_configs_resolve(self):
         names = bench.bundled_names()
         assert "poisson_unit.json" in names

@@ -986,6 +986,14 @@ class TestGeneo:
             coarse.geneo_space(sys, dec, tau="auto")
         assert coarse.geneo_space(sys, dec, tau=0.5).m0 > 0
 
+    def test_auto_threshold_of_point_subdomains_rejected(self):
+        # one interior dof: H_j = 0 and the threshold 1 / 0 would be infinite
+        sys, dec = fem_setup(2, 1, 1, 1)
+        assert sys.n == 1 and not dec.H.any()
+        with pytest.raises(ValueError, match="tau='auto' needs a subdomain of "
+                                             "positive diameter"):
+            coarse.geneo_space(sys, dec, tau="auto")
+
     def test_subdomain_touching_no_dof_is_skipped(self):
         # its Neumann matrix is zero, so every direction would have
         # lambda = 0; the subdomain contributes no column instead
