@@ -5,7 +5,8 @@ problem, partition, overlap, partition of unity, Schwarz variant, coarse
 space, combinator, Krylov settings, and analysis toggles. Validation is
 fail-fast and names its field: unknown keys, bad enum values, sections
 that are not objects, values of the wrong type (integer fields take
-integral numbers only, boolean fields JSON booleans only) and method
+integral numbers only, number fields finite ones only, boolean fields
+JSON booleans only) and method
 combinations the theory does not cover are rejected before anything
 runs. Every run produces a RunRecord dictionary whose scenario hash
 names the output directory, so any table cell can be traced back to the
@@ -32,6 +33,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import platform
 import time
 from importlib import resources
@@ -60,7 +62,11 @@ _CASTS = {int: "an integer", float: "a number", bool: "true or false",
           str: "a string"}
 
 
-def _cast(value, cast, where):
+def _cast(value, cast, where, finite=True):
+    """``cast(value)``, or a ValueError naming ``where``.
+
+    A float must also be finite, unless ``finite`` is false.
+    """
     try:
         if (not isinstance(value, cast) if cast in (bool, str)
                 else isinstance(value, bool)):
@@ -70,6 +76,8 @@ def _cast(value, cast, where):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where} must be {_CASTS[cast]}, got {value!r}") from None
+    if cast is float and finite and not math.isfinite(out):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
     return out
 
 
@@ -83,8 +91,9 @@ def _section(value, fields, where, prefix=None):
     """Resolve one section against its field table; returns a new dict.
 
     A field table maps each key to (spec, default). The spec is a cast type
-    (int and float cast numbers and numeric strings but no boolean, and int
-    no fraction; bool and str take JSON booleans and strings only), a tuple
+    (int and float cast numbers and numeric strings but no boolean, int no
+    fraction and float no NaN or infinity; bool and str take JSON booleans
+    and strings only), a tuple
     of allowed values, a field table for a nested section, a check function
     ``check(value, where)`` returning the resolved value, or, for "kind", a
     kind table mapping each kind to the fields it adds. A key left out
@@ -148,12 +157,19 @@ def _robin_p(value, where):
     if isinstance(value, list) and len(value) == 2:
         return [_cast(v, float, f"{where}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _cast(value, float, where)
     raise ValueError(f"{where} must be a number or [re, im]")
 
 
 def _tau(value, where):
     return value if value == "auto" else _cast(value, float, where)
+
+
+def _tol(value, where):
+    tol = _cast(value, float, where, finite=False)
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"{where} must be a finite number >= 0, got {tol}")
+    return tol
 
 
 _ALPHA_KINDS = {"constant": {"value": (float, 1.0)},
@@ -185,7 +201,7 @@ _SCENARIO = {
                  "robin_p": (_robin_p, None)}, {}),
     "coarse": ({"kind": (_COARSE_KINDS, "none")}, {}),
     "combinator": (coarse.COMBINATORS, "adef1"),
-    "solver": ({"ksp": (_KSP, "gmres"), "tol": (float, 1e-6),
+    "solver": ({"ksp": (_KSP, "gmres"), "tol": (_tol, 1e-6),
                 "maxit": (int, 200), "side": (krylov.SIDES, "right"),
                 "x0": (("zero", "deflated"), "zero")}, {}),
     "analysis": ({"spectrum": (bool, False), "bounds": (bool, False)}, {}),
@@ -260,9 +276,6 @@ def resolve_scenario(config):
 
     if solver["maxit"] < 0:
         raise ValueError(f"solver.maxit must be >= 0, got {solver['maxit']}")
-    if not 0 <= solver["tol"] < np.inf:
-        raise ValueError(f"solver.tol must be a finite number >= 0, "
-                         f"got {solver['tol']}")
     # absorption or an impedance boundary puts i on the diagonal
     if (ksp in ("cg", "pcg") and problem["kind"] == "helmholtz_2d"
             and (problem["xi"] > 0 or problem["boundary"] == "impedance")):
@@ -336,7 +349,7 @@ def _build_system(problem):
                                    boundary=problem["boundary"])
 
 
-def _build_partition(system, spec):
+def _build_partition(system, spec, graph=None):
     if spec["kind"] == "cartesian":
         p = spec["p"]
         if len(p) == 1:
@@ -350,8 +363,8 @@ def _build_partition(system, spec):
         ly = np.minimum((xy[:, 1] * py).astype(int), py - 1)
         # drop empty blocks, numbering the others in order
         return np.unique(lx + px * ly, return_inverse=True)[1]
-    return decompose.greedy_graph_partition(system.A, spec["N"],
-                                            seed=spec["seed"])
+    return decompose.greedy_graph_partition(system.A, spec["N"], seed=spec["seed"],
+                                            graph=graph)
 
 
 class _Clock:
@@ -483,10 +496,14 @@ def _execute(cfg, clock):
     system = clock.run("discretize.assembly", _build_system, cfg["problem"])
     A, b = system.A, system.F
 
+    # one symmetric pattern of A serves the graph partition, the overlap
+    # and the Robin interface (Decomposition.graph)
+    graph = clock.run("decompose.partition", decompose._symmetric_adjacency, A)
     part = clock.run("decompose.partition", _build_partition, system,
-                     cfg["partition"])
+                     cfg["partition"], graph)
     dec = clock.run("decompose.overlap", decompose.expand_overlap, A, part,
-                    cfg["overlap"], coords=system.coords, h=system.h)
+                    cfg["overlap"], coords=system.coords, h=system.h,
+                    graph=graph)
     if cfg["pu"] == "boolean":
         dec = clock.run("decompose.overlap", decompose.boolean_pu, dec)
 

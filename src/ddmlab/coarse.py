@@ -81,7 +81,7 @@ class CoarseSpace:
             raise EmptyCoarseSpaceError(
                 f"{tag}: no independent coarse columns ({self.raw_columns} candidates)"
             )
-        self.Z = Z[:, keep]
+        self.Z = Z if keep.size == Z.shape[1] else Z[:, keep]
         self._ZH = self.Z.conj(copy=False).T
         self.tag = tag
         self.tau = tau
@@ -149,8 +149,10 @@ def _independent_columns(Z):
         return np.empty(0, dtype=int), None
     if not np.isfinite(Z.data).all():
         raise ValueError("coarse basis contains NaN or Inf")
-    Z = Z.astype(np.result_type(Z.dtype, np.float64))
-    Z.sum_duplicates()
+    Z = Z.astype(np.result_type(Z.dtype, np.float64), copy=False)
+    if not Z.has_canonical_format:
+        Z = Z.copy()
+        Z.sum_duplicates()
     G = (Z.conj(copy=False).T @ Z).toarray()
     cand = np.sort(np.unique(G, axis=0, return_index=True)[1])
     G = G[np.ix_(cand, cand)]
@@ -205,7 +207,9 @@ def _hat_matrix(m, h, H):
     J = np.arange(1, m0 + 1)[None, :]
     rows, cols = np.broadcast_arrays(J * r + d - 1, J - 1)
     vals = np.broadcast_to(1.0 - np.abs(d) / r, rows.shape)
-    return sp.csc_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m0))
+    idx = linalg.index_dtype(m, rows.size)
+    return sp.csc_array((vals.ravel(), (rows.ravel().astype(idx), cols.ravel().astype(idx))),
+                        shape=(m, m0))
 
 
 def grid_space(A, fine_grid, H_coarse):
@@ -249,7 +253,8 @@ def subdomain_element_sets(system, decomposition):
     dmap = system.dof_of_vertex[system.mesh.triangles]
     nt = dmap.shape[0]
     elem, corner = np.nonzero(dmap >= 0)
-    E = sp.csr_array((np.ones(elem.size), (elem, dmap[elem, corner])),
+    idx = linalg.index_dtype(nt, system.n, elem.size)
+    E = sp.csr_array((np.ones(elem.size), (elem.astype(idx), dmap[elem, corner].astype(idx))),
                      shape=(nt, system.n))
     member = sp.csr_array((np.ones(dec.R.shape[0]), (dec.R.indices, dec.row_block)),
                           shape=(system.n, dec.N))
@@ -309,6 +314,8 @@ def _pencil_index(system, decomposition):
     # positions count among the weighted rows wrows; subdomain j owns wstart[j]:wstart[j + 1]
     wrows = np.flatnonzero(dec.w != 0)
     wblock, wdof, d = dec.row_block[wrows], dec.R.indices[wrows], dec.w[wrows]
+    # intp, so the flat positions (row * size + col) below are int64 even
+    # where within and locate hand back int32 positions
     wstart = np.searchsorted(wrows, dec.offsets)
     size = np.diff(wstart)
 
@@ -413,10 +420,11 @@ def geneo_space(system, decomposition, tau="auto"):
     subdomains, rows, blocks, values = zip(*kept)
     counts = [len(v) for v in values]
     # column b of block V holds V[:, b] at the block's ascending rows
+    indices = np.concatenate([np.tile(r, c) for r, c in zip(rows, counts)])
+    idx = linalg.index_dtype(decomposition.n_dofs, sum(counts), indices.size)
     Z = sp.csc_array((
-        np.concatenate([V.T.ravel() for V in blocks]),
-        np.concatenate([np.tile(r, c) for r, c in zip(rows, counts)]),
-        np.concatenate([[0], np.cumsum(np.repeat([len(r) for r in rows], counts))])),
+        np.concatenate([V.T.ravel() for V in blocks]), indices.astype(idx, copy=False),
+        np.concatenate([[0], np.cumsum(np.repeat([len(r) for r in rows], counts))]).astype(idx)),
         shape=(decomposition.n_dofs, sum(counts)))
     return CoarseSpace(Z, system.A, tag="geneo", owners=np.repeat(subdomains, counts),
                        eigenvalues=np.concatenate(values), tau=tau)

@@ -8,17 +8,22 @@ once, as a single stacked Boolean matrix ``R`` (one row per local DoF,
 subdomain after subdomain) with row ``offsets`` per subdomain and one
 stacked partition-of-unity weight vector ``w``. It also carries
 multiplicities, subdomain geometry statistics, the subdomain adjacency
-graph, and a greedy coloring. Decompositions are immutable: their index
-and weight arrays are read-only, and the partition-of-unity builders
-return updated copies.
+graph, a greedy coloring, and the symmetric pattern of the matrix it grew
+on, which the graph partitioner and the Robin interface read too: one
+pattern is built per system. Index arrays follow ``linalg.index_dtype``.
+Decompositions are immutable: their index and weight arrays are
+read-only, and the partition-of-unity builders return updated copies.
 Stacked row r of subdomain ``row_block[r]`` has the ascending key
 ``row_block[r] * n_dofs + R.indices[r]``; ``locate`` and ``within`` read
 every block ``R_i A R_i^T`` through these keys, with no product with R.
+The keys are int64 whatever the index dtype of R.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+
+from . import linalg
 
 __all__ = [
     "Decomposition",
@@ -45,14 +50,20 @@ class Decomposition:
     order, so ``R.T @ (w * (R @ x))`` reproduces ``x``. ``sets[i]`` and
     ``weights[i]`` are read-only views of subdomain i's slices of
     ``R.indices`` and ``w``. ``owner`` (the partition the subdomains grew
-    from) and ``row_block`` (the subdomain of each stacked row) are read-only.
+    from) and ``row_block`` (the subdomain of each stacked row, in R's
+    index dtype) are read-only. ``graph`` is the Boolean symmetric pattern
+    of the matrix's off-diagonal couplings (:func:`expand_overlap`),
+    read-only too.
     """
 
     def __init__(self, n_dofs, owner, R, offsets, w, multiplicity,
-                 adjacency, colors, n_colors, H, overlap_width, pu_kind):
-        self.row_block = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-        for a in (owner, R.data, R.indices, R.indptr, offsets, w, self.row_block):
+                 adjacency, colors, n_colors, H, overlap_width, pu_kind, graph):
+        self.row_block = np.repeat(np.arange(len(offsets) - 1, dtype=R.indices.dtype),
+                                   np.diff(offsets))
+        for a in (owner, R.data, R.indices, R.indptr, offsets, w, self.row_block,
+                  graph.data, graph.indices, graph.indptr):
             a.flags.writeable = False
+        self.graph = graph
         self.n_dofs = n_dofs
         self.owner = owner
         self.R = R
@@ -81,14 +92,24 @@ class Decomposition:
 
         ``rows`` is an ascending subset of the stacked rows, all of them when
         None. A negative DoF, or one its subdomain holds in no row of ``rows``,
-        gets -1; DoFs must lie below ``n_dofs``.
+        gets -1; DoFs must lie below ``n_dofs``. Positions take R's index dtype.
         """
         rows = slice(None) if rows is None else rows
-        keys = (self.row_block * self.n_dofs + self.R.indices)[rows]
-        want = np.asarray(blocks, dtype=np.int64) * self.n_dofs + dofs
+        blocks, dofs = np.asarray(blocks), np.asarray(dofs)
+        at = self._search(blocks.astype(np.int64) * self.n_dofs + dofs, rows)
+        at = at.astype(self.R.indptr.dtype)
+        # a pair matches where both parts do, so a negative DoF matches none
+        at[(self.R.indices[rows][at] != dofs) | (self.row_block[rows][at] != blocks)] = -1
+        return at
+
+    def _search(self, want, rows):
+        """Where each int64 key ``want`` sorts among the keys of ``rows``, clamped to the last."""
+        keys = self.row_block[rows].astype(np.int64)
+        keys *= self.n_dofs
+        keys += self.R.indices[rows]
         at = np.asarray(np.searchsorted(keys, want))
         np.minimum(at, keys.size - 1, out=at)
-        return np.where((keys[at] == want) & (np.asarray(dofs) >= 0), at, -1)
+        return at
 
     def within(self, A, rows=None):
         """``(row, col, src)`` of the entries of sparse A within one subdomain.
@@ -96,26 +117,41 @@ class Decomposition:
         The entry at stacked row ``row[k]`` and column ``col[k]``, both
         counted within ``rows`` as in :meth:`locate`, is
         ``csr_array(A).data[src[k]]``: these are the entries of the blocks
-        ``R_i A R_i^T``, row by row in A's storage order.
+        ``R_i A R_i^T``, row by row in A's storage order. ``row`` and ``col``
+        take R's index dtype and ``src`` A's. Only the int64 keys of one
+        search are formed at full length; the match is checked on the
+        key's two parts.
         """
         A = sp.csr_array(A)
         if A.shape != (self.n_dofs, self.n_dofs):
             raise ValueError(f"matrix of shape {A.shape} on a decomposition of {self.n_dofs} DoFs")
-        dof = self.R.indices if rows is None else self.R.indices[rows]
-        block = self.row_block if rows is None else self.row_block[rows]
+        rows = slice(None) if rows is None else rows
+        dof, block = self.R.indices[rows], self.row_block[rows]
         starts = A.indptr[dof]
         counts = A.indptr[dof + 1] - starts
+        total = int(counts.sum())
+        idx = linalg.index_dtype(total, A.nnz)
         # the stored entries of A's row dof[r] are those of stacked row r
-        src = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        col = self.locate(np.repeat(block, counts), A.indices[src], rows)
-        keep = col >= 0
-        return np.repeat(np.arange(dof.size), counts)[keep], col[keep], src[keep]
+        src = np.repeat(starts - (np.cumsum(counts, dtype=idx) - counts), counts)
+        src += np.arange(total, dtype=idx)
+        want = np.repeat(block.astype(np.int64) * self.n_dofs, counts)
+        want += A.indices[src]
+        at = self._search(want, rows)
+        del want
+        pos = self.R.indptr.dtype
+        at = at.astype(pos)
+        keep = dof[at] == A.indices[src]
+        keep &= block[at] == np.repeat(block, counts)
+        row = np.repeat(np.arange(dof.size, dtype=pos), counts)[keep]
+        col = at[keep]
+        del at
+        return row, col, src[keep].astype(A.indptr.dtype, copy=False)
 
     def _with_weights(self, w, pu_kind):
         return Decomposition(
             self.n_dofs, self.owner, self.R, self.offsets, w,
             self.multiplicity, self.adjacency, self.colors,
-            self.n_colors, self.H, self.overlap_width, pu_kind,
+            self.n_colors, self.H, self.overlap_width, pu_kind, self.graph,
         )
 
 
@@ -166,16 +202,21 @@ def cartesian_partition(grid, p_x, p_y=None):
 
 
 def _symmetric_adjacency(A):
-    """Boolean pattern of A's off-diagonal nonzeros and of their transposes."""
+    """Boolean pattern of A's off-diagonal nonzeros and of their transposes.
+
+    Its index arrays take ``linalg.index_dtype`` of A's shape and entry count.
+    """
     A = sp.csr_array(A)
-    P = sp.csr_array((A.data != 0, A.indices, A.indptr), shape=A.shape)
+    idx = linalg.index_dtype(*A.shape, A.nnz)
+    P = sp.csr_array((A.data != 0, A.indices.astype(idx, copy=False),
+                      A.indptr.astype(idx, copy=False)), shape=A.shape)
     P = P + P.T
     P.setdiag(False)
     P.eliminate_zeros()
     return P
 
 
-def greedy_graph_partition(A, N, seed=0):
+def greedy_graph_partition(A, N, seed=0, graph=None):
     """Balanced breadth-first region growing on the matrix graph.
 
     Seeds are picked farthest-first starting from a node drawn with ``seed``;
@@ -186,7 +227,9 @@ def greedy_graph_partition(A, N, seed=0):
     adjacent smaller one until sizes are within one of each other.
     Deterministic for a given seed. Returns the owner array of the N
     regions. Raises ValueError unless N is an integer between 1 and the
-    number of DoFs, or if a region ends up empty.
+    number of DoFs, or if a region ends up empty. ``graph`` is the
+    symmetric pattern of A as :attr:`Decomposition.graph` holds it, built
+    from A when None; pass it to build the pattern once per system.
 
     Growth walks Python adjacency lists. Each repair round starts with
     one component labelling of the edges inside regions and ends there
@@ -202,7 +245,7 @@ def greedy_graph_partition(A, N, seed=0):
     N = _check_count("region count N", N)
     if N > n:
         raise ValueError(f"cannot grow {N} regions on {n} DoFs")
-    adj = _symmetric_adjacency(A)
+    adj = _symmetric_adjacency(A) if graph is None else graph
     # edge k of the graph runs from tail[k] to adj.indices[k]
     tail = np.repeat(np.arange(n), np.diff(adj.indptr))
     head = adj.indices
@@ -415,7 +458,7 @@ def greedy_graph_partition(A, N, seed=0):
     return owner
 
 
-def expand_overlap(A, owner, delta, coords=None, h=None):
+def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
     """Grow each core set by ``delta`` adjacency layers and build the decomposition.
 
     Core set i is ``flatnonzero(owner == i)``, and each layer adds every
@@ -436,6 +479,10 @@ def expand_overlap(A, owner, delta, coords=None, h=None):
         DoF coordinates; enables the bounding-box diameter statistic H_j.
     h : float or None
         Mesh unit; the overlap width statistic is delta * h.
+    graph : scipy.sparse.csr_array or None
+        The symmetric pattern of A, as :attr:`Decomposition.graph` holds
+        it (for instance the one :func:`greedy_graph_partition` read);
+        built from A when None. The decomposition keeps it.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -453,17 +500,22 @@ def expand_overlap(A, owner, delta, coords=None, h=None):
         raise ValueError(f"owner leaves label {np.argmin(counts)} unused; "
                          f"labels must run from 0 to {len(counts) - 1}")
     N = len(counts)
+    if graph is None:
+        graph = _symmetric_adjacency(A)
     # membership S (N x n) grows one layer per product with the pattern
     # of I + |A|; subdomains are adjacent iff S (I + |A|) S^T links them,
     # i.e. they share a DoF or an A-edge connects them
-    graph = _symmetric_adjacency(A) + sp.identity(n, dtype=bool, format="csr")
-    S = sp.csr_array((np.ones(n, dtype=bool), (owner, np.arange(n))), shape=(N, n))
+    layer = graph + sp.identity(n, dtype=bool, format="csr")
+    idx = linalg.index_dtype(N, n)
+    S = sp.csr_array((np.ones(n, dtype=bool), (owner.astype(idx), np.arange(n, dtype=idx))),
+                     shape=(N, n))
     for _ in range(delta):
-        S = S @ graph
+        S = S @ layer
     S.sort_indices()
     multiplicity = np.bincount(S.indices, minlength=n)
 
-    links = sp.csr_array(S @ graph @ S.T)
+    links = sp.csr_array(S @ layer @ S.T)
+    del layer
     links.setdiag(False)
     links.eliminate_zeros()
     links.sort_indices()
@@ -481,22 +533,25 @@ def expand_overlap(A, owner, delta, coords=None, h=None):
     n_colors = int(colors.max()) + 1
 
     if coords is not None:
-        # bounding-box spans of all subdomains at once; the norm stays per
-        # row, as norm(axis=1) rounds some diameters differently
-        c = np.asarray(coords)[S.indices]
+        # bounding-box spans of all subdomains at once, gathering one
+        # coordinate axis at a time; the norm stays per row, as
+        # norm(axis=1) rounds some diameters differently
+        coords = np.asarray(coords)
         starts = S.indptr[:-1]
-        span = np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)
+        span = np.column_stack([np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+                                for x in (coords[S.indices, k] for k in range(coords.shape[1]))])
         H = np.array([np.linalg.norm(s) for s in span])
     else:
         H = np.full(N, np.nan)
     overlap_width = delta * h if h is not None else np.nan
 
-    R = sp.csr_array((np.ones(S.nnz), S.indices, np.arange(S.nnz + 1)),
-                     shape=(S.nnz, n))
+    idx = linalg.index_dtype(S.nnz, n)
+    R = sp.csr_array((np.ones(S.nnz), S.indices.astype(idx, copy=False),
+                      np.arange(S.nnz + 1, dtype=idx)), shape=(S.nnz, n))
     return Decomposition(
         n, owner, R, S.indptr, 1.0 / multiplicity[S.indices],
         multiplicity, adjacency, colors, n_colors, H, overlap_width,
-        pu_kind="multiplicity",
+        pu_kind="multiplicity", graph=graph,
     )
 
 

@@ -141,9 +141,12 @@ def _stencil_neighbors(ncx, ncy):
 
     Returns ``i``, the node indices ``ix + ncx * iy``, and for the
     directions +x, -x, +y, -y (in that order) a pair ``(j, on)``: the
-    neighbor's index and whether that neighbor lies on the grid.
+    neighbor's index and whether that neighbor lies on the grid. The
+    indices take the index dtype of a five-point-stencil matrix on the
+    grid, so that its triplets need no cast.
     """
-    ix, iy = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="xy")
+    idx = linalg.index_dtype(5 * ncx * ncy)
+    ix, iy = np.meshgrid(np.arange(ncx, dtype=idx), np.arange(ncy, dtype=idx), indexing="xy")
     ix, iy = ix.ravel(), iy.ravel()
     neighbors = []
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -192,14 +195,15 @@ def poisson_2d_fd(nx, ny, f=None):
     grid = StructuredGrid(2, nx, ny)
     sx, sy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     i, neighbors = _stencil_neighbors(nx, ny)
-    rows, cols, vals = [i], [i], [np.full(len(i), 2.0 * sx + 2.0 * sy)]
-    for (j, on), s in zip(neighbors, (sx, sx, sy, sy)):
-        rows.append(i[on])
-        cols.append(j[on])
-        vals.append(np.full(on.sum(), -s))
-    A = linalg.csr_from_triplets(
-        grid.n_interior, grid.n_interior, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    # one array per triplet part, and each freed once used, so that only
+    # the triplets and the matrix are alive together
+    rows = np.concatenate([i] + [i[on] for _, on in neighbors])
+    cols = np.concatenate([i] + [j[on] for j, on in neighbors])
+    vals = np.repeat([2.0 * sx + 2.0 * sy, -sx, -sx, -sy, -sy],
+                     [len(i)] + [np.count_nonzero(on) for _, on in neighbors])
+    del i, neighbors
+    A = linalg.csr_from_triplets(grid.n_interior, grid.n_interior, rows, cols, vals)
+    del rows, cols, vals
     coords = grid.interior_coords()
     h = min(grid.hx, grid.hy)
     return AssembledSystem("poisson_fd_2d", A, _eval_rhs(f, coords), coords, h, grid=grid)

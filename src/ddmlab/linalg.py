@@ -5,6 +5,12 @@ Sparse matrices are ``scipy.sparse.csr_array`` instances in canonical form
 owns their construction: assemblers hand ``csr_from_triplets`` coordinate
 arrays ``(rows, cols, vals)`` and get canonical CSR back, so no caller
 builds CSR index arrays itself.
+Index arrays are int32 when every index and entry count of the matrix fits
+in it, else int64 (:func:`index_dtype`); that rule alone picks the dtype,
+so the sparse products of the pipeline never mix the two. Keys that
+combine two indices, such as ``Decomposition.locate``'s ``block * n +
+dof``, are always int64, since they can pass ``2**31`` when no matrix
+index does.
 Dense factorizations and the generalized symmetric eigensolver wrap
 LAPACK through scipy. A sparse matrix is factorized by SuperLU
 (``scipy.sparse.linalg.splu``). A stack of independent diagonal blocks
@@ -34,6 +40,7 @@ __all__ = [
     "SparseFactorization",
     "csr_from_triplets",
     "compress",
+    "index_dtype",
     "dense_lu_factor",
     "dense_cholesky_factor",
     "auto_factor",
@@ -129,12 +136,23 @@ def _require_hermitian(A, what, tol=1e-12):
         raise ValueError(f"{what} is not Hermitian (asymmetry {gap:.3e})")
 
 
+def index_dtype(*extents):
+    """Index dtype of a sparse matrix: int32 when every extent fits in it, else int64.
+
+    Pass the matrix's dimensions and its number of stored entries (or a
+    bound on it): they bound every index and row pointer.
+    """
+    return np.int32 if max(extents, default=0) <= np.iinfo(np.int32).max else np.int64
+
+
 def csr_from_triplets(nrows, ncols, rows, cols, vals):
     """Build a canonical CSR matrix from coordinate (COO) arrays.
 
     Entry ``k`` is ``(rows[k], cols[k], vals[k])``. Duplicate entries are
     summed, column indices are sorted within each row, and entries that
-    cancel to exact zero are dropped.
+    cancel to exact zero are dropped. The index arrays take
+    :func:`index_dtype` of the shape and the entry count; integer
+    triplets of that dtype are used without a copy.
 
     Parameters
     ----------
@@ -149,13 +167,15 @@ def csr_from_triplets(nrows, ncols, rows, cols, vals):
     -------
     scipy.sparse.csr_array
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
     vals = np.asarray(vals)
     if rows.size and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
         raise ValueError("triplet index out of range")
     _require_finite(vals, "triplet values")
-    A = sp.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    idx = index_dtype(nrows, ncols, rows.size)
+    A = sp.coo_array((vals, (rows.astype(idx, copy=False), cols.astype(idx, copy=False))),
+                     shape=(nrows, ncols)).tocsr()
     return compress(A)
 
 
@@ -255,29 +275,48 @@ def auto_factor(A, blocks=None):
 
 
 def _sparse_factor(A, blocks):
-    A = sp.csc_array(A)
-    A.sum_duplicates()
-    n = A.shape[0]
-    if A.shape[1] != n:
+    # canonical CSR arrays of A are those of A^T in csc form: a csr input
+    # serves as the transpose with no copy
+    T = sp.csr_array(A)
+    if not T.has_canonical_format:
+        T = T.copy()
+        T.sum_duplicates()
+    n = T.shape[0]
+    if T.shape[1] != n:
         raise ValueError("auto_factor expects a square matrix")
+    A = T.tocsc()
     _require_finite(A.data, "matrix")
     offsets = np.array([0, n]) if blocks is None else np.asarray(blocks)
     sizes = np.diff(offsets)
     if offsets[0] != 0 or offsets[-1] != n or np.any(sizes < 0):
         raise ValueError("block offsets must rise from 0 to the matrix order")
-    block = np.repeat(np.arange(sizes.size), sizes)
-    entry_block = np.repeat(block, np.diff(A.indptr))  # block of each stored entry
-    if np.any(block[A.indices] != entry_block):
-        raise ValueError("matrix has entries outside its diagonal blocks")
-    tol = 1e-14 * np.sqrt(np.bincount(entry_block, weights=np.abs(A.data) ** 2,
-                                      minlength=sizes.size))
-    hermitian = _hermitian_gap(A) <= 1e-12 * np.linalg.norm(A.data)
+    block = np.repeat(np.arange(sizes.size, dtype=A.indices.dtype), sizes)
+    # row indices ascend within a column: it stays in its block when its
+    # first and last stored entries do
+    cols = np.flatnonzero(np.diff(A.indptr))
+    for end in (A.indptr[cols], A.indptr[cols + 1] - 1):
+        if np.any(block[A.indices[end]] != block[cols]):
+            raise ValueError("matrix has entries outside its diagonal blocks")
+    del cols
+    hermitian = _hermitian_gap(A, T) <= 1e-12 * np.linalg.norm(A.data)
+    del T
 
     kind = "cholesky" if hermitian else "lu"
     groups, singular = [], []
-    copy_groups, distinct = _copy_groups(A, offsets, entry_block)
-    for rows in copy_groups:
-        G = _submatrix(A, rows[:, 0])
+    copy_groups, firsts = _copy_groups(A, offsets)
+    # pivot tolerance of the blocks factorized, the first copies: 1e-14
+    # times the Frobenius norm, its squares summed in storage order
+    starts = A.indptr[offsets]
+    tol = np.zeros(sizes.size)
+    for k in firsts:
+        squares = np.abs(A.data[starts[k]:starts[k + 1]]) ** 2
+        tol[k] = 1e-14 * np.sqrt(np.add.accumulate(squares)[-1])
+    # the stacked first copies of each group, after which A is no longer
+    # needed; a group of every column is A itself
+    stacks = [A if rows.shape[0] == n else _submatrix(A, rows[:, 0]) for rows in copy_groups]
+    dtype = A.dtype
+    del A
+    for rows, G in zip(copy_groups, stacks):
         group_block = block[rows[:, 0]]
         lu = _certified_cholesky(G, group_block, tol) if hermitian else None
         if lu is None:
@@ -294,19 +333,20 @@ def _sparse_factor(A, blocks):
         raise SingularMatrixError(
             f"singular pivot in LU factorization of diagonal block {bad}",
             block=int(bad))
-    return SparseFactorization(kind, groups, n, A.dtype, distinct)
+    return SparseFactorization(kind, groups, n, dtype, len(firsts))
 
 
-def _hermitian_gap(A):
-    """Frobenius norm of ``A - A^H`` for a canonical csc matrix."""
-    T = A.tocsr()  # the arrays of A^T in csc form
+def _hermitian_gap(A, T):
+    """Frobenius norm of ``A - A^H``; A is canonical csc and T the same matrix as canonical csr."""
     if np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices):
         # symmetric pattern: entry k of A is at the transposed place of entry k of T
+        if np.array_equal(A.data, T.data.conj()):
+            return 0.0  # the finite difference vector is exactly zero
         return np.linalg.norm(A.data - T.data.conj())
     return np.linalg.norm((A - T.T.conj()).data)
 
 
-def _copy_groups(A, offsets, entry_block):
+def _copy_groups(A, offsets):
     """Stacked rows of each group of bitwise-equal diagonal blocks of a csc matrix.
 
     A class holds the nonempty blocks that equal each other: the same
@@ -315,21 +355,20 @@ def _copy_groups(A, offsets, entry_block):
     copies form a group. Returns the groups in ascending copy count, each
     as an (order, copies) array whose column j holds the stacked rows of
     every class's j-th copy (copies ascending, classes in the order of
-    their first copies), and the number of classes. ``entry_block`` names
-    the block of each stored entry.
+    their first copies), and the first copy of every class, ascending.
+    Only the keys of the classes are kept: no byte copy of the whole
+    matrix is made.
     """
     sizes = np.diff(offsets)
     starts = A.indptr[offsets]
-    ptr = (A.indptr[:-1] - np.repeat(starts[:-1], sizes)).tobytes()
-    idx = (A.indices - offsets[entry_block]).astype(A.indices.dtype).tobytes()
-    data = A.data.tobytes()
-    p, i, d = A.indptr.itemsize, A.indices.itemsize, A.data.itemsize
+    counts = np.diff(A.indptr)  # the block-relative indptr, as column counts
     classes = {}
     for k, (a, b, start, stop) in enumerate(zip(
             offsets[:-1].tolist(), offsets[1:].tolist(),
             starts[:-1].tolist(), starts[1:].tolist())):
         if a < b:
-            key = (ptr[p * a:p * b], idx[i * start:i * stop], data[d * start:d * stop])
+            key = (counts[a:b].tobytes(), (A.indices[start:stop] - a).tobytes(),
+                   A.data[start:stop].tobytes())
             classes.setdefault(key, []).append(k)
     by_count = {}
     for copies in classes.values():
@@ -339,8 +378,9 @@ def _copy_groups(A, offsets, entry_block):
         blocks = np.array(by_count[c])
         m = sizes[blocks[:, 0]]
         local = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-        groups.append(np.repeat(offsets[blocks], m, axis=0) + local[:, None])
-    return groups, len(classes)
+        groups.append((np.repeat(offsets[blocks], m, axis=0) + local[:, None]).astype(
+            A.indices.dtype))
+    return groups, [copies[0] for copies in classes.values()]
 
 
 def _submatrix(A, cols):

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import discretize, linalg
-from .decompose import _symmetric_adjacency
 from .krylov import SolveReport, as_operator, as_preconditioner
 
 VARIANTS = ("asm", "ras", "oras", "soras", "none")
@@ -40,9 +39,12 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
     with ``kind="dirichlet"`` each B_i is the principal submatrix of A on
     the subdomain's dof set. With ``kind="robin"`` a diagonal term
     ``p * h**(dim - 2)`` is added at the artificial-interface rows, the
-    stacked rows whose dof couples in the symmetrized pattern of A to a
-    dof outside its subdomain; ``p`` defaults to ``1/h`` and may be a
-    scalar or a per-dof array (complex values are allowed).
+    stacked rows whose dof couples in the symmetrized pattern of A
+    (``Decomposition.graph``) to a dof outside its subdomain; ``p``
+    defaults to ``1/h`` and may be a scalar or a per-dof array (complex
+    values are allowed). B takes R's index dtype; its Dirichlet entries
+    arrive from ``within`` already in canonical CSR order, so B is built
+    from them with no triplet sort.
     """
     if kind not in ("dirichlet", "robin"):
         raise ValueError(f"unknown local operator kind {kind!r}")
@@ -53,18 +55,21 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
     rows, cols, src = decomposition.within(A)
     vals = A.data[src]
     del src
+    # rows ascend, and so do the columns within a row of a canonical A
+    indptr = np.searchsorted(rows, np.arange(dofs.size + 1, dtype=rows.dtype)).astype(cols.dtype)
+    del rows
+    B = linalg.compress(sp.csr_array((vals, cols, indptr), shape=(dofs.size,) * 2))
     if kind == "robin":
-        graph = _symmetric_adjacency(A)
+        graph = decomposition.graph
         # a row is on the interface when its own subdomain holds fewer of
         # its dof's graph neighbours than the whole graph does
         inside = np.bincount(decomposition.within(graph)[0], minlength=dofs.size)
         interface = np.flatnonzero(inside < np.diff(graph.indptr)[dofs])
         p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (A.shape[0],))
         shift = p_dof[dofs[interface]] * float(h) ** (dim - 2)
-        rows = np.concatenate([rows, interface])
-        cols = np.concatenate([cols, interface])
-        vals = np.concatenate([vals, shift])
-    return linalg.csr_from_triplets(dofs.size, dofs.size, rows, cols, vals)
+        B = linalg.compress(B + linalg.csr_from_triplets(
+            dofs.size, dofs.size, interface, interface, shift))
+    return B
 
 
 def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,

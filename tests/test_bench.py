@@ -326,6 +326,32 @@ class TestConfig:
             bench.resolve_scenario(tiny_scenario(**overrides))
         assert str(err.value) == msg
 
+    @pytest.mark.parametrize("overrides, msg", [
+        ({"coarse": {"kind": "geneo", "tau": "nan"}},
+         "coarse.tau must be a finite number, got 'nan'"),
+        ({"coarse": {"kind": "grid", "H": float("inf")}},
+         "coarse.H must be a finite number, got inf"),
+        ({"problem": {"kind": "helmholtz_2d", "nx": 4, "ny": 4, "omega": "-inf"}},
+         "problem.omega must be a finite number, got '-inf'"),
+        ({"problem": {"kind": "helmholtz_2d", "nx": 4, "ny": 4, "omega": 1.0,
+                      "xi": float("nan")}},
+         "problem.xi must be a finite number, got nan"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 4, "cells_y": 4,
+                      "alpha": {"kind": "constant", "value": "nan"}}},
+         "problem.alpha.value must be a finite number, got 'nan'"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 4, "cells_y": 4,
+                      "alpha": {"kind": "channels", "contrast": "inf"}}},
+         "problem.alpha.contrast must be a finite number, got 'inf'"),
+        ({"schwarz": {"variant": "oras", "robin_p": float("nan")}},
+         "schwarz.robin_p must be a finite number, got nan"),
+    ])
+    def test_non_finite_number_names_its_field(self, overrides, msg):
+        # NaN or infinity would resolve and then fail inside the run with a
+        # message that names no field (or, for tau = inf, run)
+        with pytest.raises(ValueError) as err:
+            bench.resolve_scenario(tiny_scenario(**overrides))
+        assert str(err.value) == msg
+
     def test_integral_numbers_and_numeric_strings_accepted(self):
         cfg = bench.resolve_scenario(tiny_scenario(
             overlap=2.0, partition={"kind": "cartesian", "p": ["3"]},
@@ -416,6 +442,28 @@ class TestRunScenario:
             coarse={"kind": "geneo", "tau": 0.5}))
         assert rec["solve"]["converged"] and rec["coarse_dim"] >= 1
         assert calls == ["dirichlet"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"problem": {"kind": "fem_2d", "cells_x": 12, "cells_y": 12},
+         "partition": {"kind": "graph", "N": 4}, "schwarz": {"variant": "asm"},
+         "coarse": {"kind": "geneo", "tau": 0.5}},
+        {"problem": {"kind": "poisson_2d_fd", "nx": 12, "ny": 12},
+         "partition": {"kind": "cartesian", "p": [3, 2]},
+         "schwarz": {"variant": "oras"}},
+    ], ids=["graph-partitioned fem", "oras"])
+    def test_one_symmetric_pattern_per_run(self, monkeypatch, overrides):
+        # the graph partition, the overlap and the Robin interface share
+        # the symmetric pattern of A, built once
+        calls = []
+
+        def counted(A, real=decompose._symmetric_adjacency):
+            calls.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(decompose, "_symmetric_adjacency", counted)
+        rec = bench.run_scenario(tiny_scenario(**overrides))
+        assert rec["solve"]["converged"]
+        assert calls == [(rec["n_dofs"],) * 2]
 
     def test_deterministic_payload(self):
         cfg = tiny_scenario(schwarz={"variant": "asm"},

@@ -444,6 +444,73 @@ class TestSparseBasis:
         assert retained < 0.1 * dense
 
 
+def traced(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its tracemalloc peak and the bytes it left allocated."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, kept
+
+
+def sparse_bytes(M):
+    return M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+
+
+class TestLeanSetup:
+    """Index dtypes and transient memory of the setup stages."""
+
+    def test_stage_peaks_stay_near_what_they_keep(self):
+        # Each stage's tracemalloc peak against the bytes it keeps (the
+        # factorization against its input B). The ratios are about 1.6,
+        # 1.2, 1.9 and 1.7 here; int64 indices, per-direction triplet
+        # lists, full-length int64 lookup keys or full byte copies of B
+        # put each of them at 2.3 or more.
+        sys, peak, kept = traced(discretize.poisson_2d_fd, 120, 120)
+        assert peak < 2.0 * kept, (peak, kept)
+        part = decompose.cartesian_partition(sys.grid, 6, 6)
+        dec, peak, kept = traced(decompose.expand_overlap, sys.A, part, 2)
+        assert peak < 1.6 * kept, (peak, kept)
+        B, peak, kept = traced(schwarz.local_operator, sys.A, dec)
+        assert peak < 2.4 * kept, (peak, kept)
+        _, peak, _ = traced(linalg.auto_factor, B, blocks=dec.offsets)
+        assert peak < 2.2 * sparse_bytes(B), (peak, sparse_bytes(B))
+
+    @pytest.mark.parametrize("setup", ["fd", "fem"])
+    def test_int32_indices_throughout(self, setup):
+        # every index array fits in int32, so every one is int32: a single
+        # int64 operand would turn the products that meet it to int64
+        if setup == "fd":
+            sys = discretize.poisson_2d_fd(120, 120)
+            part = decompose.cartesian_partition(sys.grid, 6, 6)
+            dec = decompose.expand_overlap(sys.A, part, 2)
+            Z = coarse.nicolaides_space(sys.A, dec).Z
+        else:
+            sys, dec = graph_setup(16, 6, 1, 2)
+            Z = coarse.geneo_space(sys, dec, tau=0.5).Z
+        B = schwarz.local_operator(sys.A, dec)
+        robin = schwarz.local_operator(sys.A, dec, kind="robin", h=sys.h, dim=2)
+        for M in (sys.A, dec.R, B, robin, dec.graph, Z):
+            assert M.indices.dtype == M.indptr.dtype == np.int32
+        assert dec.row_block.dtype == np.int32
+
+    def test_locate_keys_are_int64(self):
+        # block * n_dofs + dof passes 2**31 from block 1 on once n_dofs
+        # does, while R's int32 indices still hold every DoF: the positions
+        # found must not change
+        sys = discretize.poisson_2d_fd(30, 30)
+        dec = decompose.expand_overlap(sys.A, decompose.cartesian_partition(sys.grid, 3, 3), 2)
+        assert dec.R.indices.dtype == np.int32
+        blocks = np.repeat(np.arange(dec.N), sys.n)
+        dofs = np.tile(np.arange(sys.n), dec.N)
+        at = dec.locate(blocks, dofs)
+        assert (at >= 0).sum() == dec.R.shape[0]
+        dec.n_dofs = 2**31 + 7
+        np.testing.assert_array_equal(dec.locate(blocks, dofs), at)
+
+
 class TestNicolaides:
     def test_hand_columns(self):
         sys, dec = poisson_setup(5, 2, 1)
