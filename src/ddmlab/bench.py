@@ -3,17 +3,19 @@
 A scenario is a JSON document (schema version 1) describing one solve:
 problem, partition, overlap, partition of unity, Schwarz variant, coarse
 space, combinator, Krylov settings, and analysis toggles. Validation is
-fail-fast and names its field: unknown keys, bad enum values, sections
-that are not objects, values of the wrong type (integer fields take
-integral numbers only, number fields finite ones only, boolean fields
-JSON booleans only) and method
-combinations the theory does not cover are rejected before anything
-runs. Every run produces a RunRecord dictionary whose scenario hash
-names the output directory, so any table cell can be traced back to the
-record that produced it. Its timings are the self seconds of nested
-spans keyed by span path, which add up to the run's duration: assembly,
-partition, overlap, local setup, coarse basis, Krylov, analysis, and
-inside them the matvecs, one-level applies and coarse solves, such as
+fail-fast and comes first. The field tables reject, naming the field,
+unknown keys, bad enum values, sections that are not objects, values of
+the wrong type (integer fields take integral numbers only, number fields
+finite ones only, boolean fields JSON booleans only) and values below
+their field's bound (``overlap must be >= 0, got -1``). Then one ordered
+table of cross-field rules, ``_RULES``, rejects the method combinations
+the theory does not cover with the cause of the first row that holds.
+Every run produces a RunRecord dictionary whose scenario hash names the
+output directory, so any table cell can be traced back to the record
+that produced it. Its timings are the self seconds of nested spans keyed
+by span path, which add up to the run's duration: assembly, partition,
+overlap, local setup, coarse basis, Krylov, analysis, and inside them
+the matvecs, one-level applies and coarse solves, such as
 ``run/krylov/coarse.two_level/coarse.solve``. A rerun reproduces the
 payload exactly, apart from the timings and the machine block.
 
@@ -36,6 +38,7 @@ import json
 import math
 import platform
 import time
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -62,11 +65,8 @@ _CASTS = {int: "an integer", float: "a number", bool: "true or false",
           str: "a string"}
 
 
-def _cast(value, cast, where, finite=True):
-    """``cast(value)``, or a ValueError naming ``where``.
-
-    A float must also be finite, unless ``finite`` is false.
-    """
+def _cast(value, cast, where):
+    """``cast(value)``, or a ValueError naming ``where``; a float must be finite."""
     try:
         if (not isinstance(value, cast) if cast in (bool, str)
                 else isinstance(value, bool)):
@@ -76,9 +76,20 @@ def _cast(value, cast, where, finite=True):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where} must be {_CASTS[cast]}, got {value!r}") from None
-    if cast is float and finite and not math.isfinite(out):
+    if cast is float and not math.isfinite(out):
         raise ValueError(f"{where} must be a finite number, got {value!r}")
     return out
+
+
+def _bound(value, bound, where):
+    """``value`` if it meets ``bound`` (each entry, for a list); a string passes."""
+    op, k = bound
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            _bound(v, bound, f"{where}[{i}]")
+    elif not isinstance(value, str) and (value < k or op == ">" and value == k):
+        raise ValueError(f"{where} must be {op} {k}, got {value}")
+    return value
 
 
 def _object(value, where):
@@ -90,19 +101,20 @@ def _object(value, where):
 def _section(value, fields, where, prefix=None):
     """Resolve one section against its field table; returns a new dict.
 
-    A field table maps each key to (spec, default). The spec is a cast type
-    (int and float cast numbers and numeric strings but no boolean, int no
-    fraction and float no NaN or infinity; bool and str take JSON booleans
-    and strings only), a tuple
-    of allowed values, a field table for a nested section, a check function
+    A field table maps each key to (spec, default) or (spec, default,
+    bound). The spec is a cast type (int and float cast numbers and numeric
+    strings but no boolean, int no fraction and float no NaN or infinity;
+    bool and str take JSON booleans and strings only), a tuple of allowed
+    values, a field table for a nested section, a check function
     ``check(value, where)`` returning the resolved value, or, for "kind", a
-    kind table mapping each kind to the fields it adds. A key left out
-    takes its default, resolved like a given value; a _REQUIRED default
-    makes it required, and a None default lets any spec but a check
-    function take null. Keys come out in table order, "kind" first. A kind
-    with a default is named in the unknown-key message, since the section
-    may not spell it out. Fields are named ``prefix + key`` (``where.key``
-    by default).
+    kind table mapping each kind to the fields it adds. The bound, (">=", k)
+    or (">", k), is a lower bound on what a cast type or check function
+    returns. A key left out takes its default, resolved like a given value;
+    a _REQUIRED default makes it required, and a None default lets any spec
+    but a check function take null. Keys come out in table order, "kind"
+    first. A kind with a default is named in the unknown-key message, since
+    the section may not spell it out. Fields are named ``prefix + key``
+    (``where.key`` by default).
     """
     _object(value, where)
     prefix = f"{where}." if prefix is None else prefix
@@ -116,27 +128,29 @@ def _section(value, fields, where, prefix=None):
     unknown = sorted(set(value) - set(fields))
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {label}")
-    for key, (spec, default) in fields.items():
+    for key, (spec, default, *bound) in fields.items():
         if key not in out:
-            out[key] = _field(value, key, spec, default, where, prefix)
+            out[key] = _field(value, key, spec, default, where, prefix, *bound)
     return out
 
 
-def _field(section, key, spec, default, where, prefix):
+def _field(section, key, spec, default, where, prefix, bound=None):
     if key not in section and default is _REQUIRED:
         raise ValueError(f"missing required key {key!r} in {where}")
     value, path = section.get(key, default), prefix + key
     if callable(spec) and not isinstance(spec, type):
-        return spec(value, path)
-    if value is None and default is None:
+        value = spec(value, path)
+    elif value is None and default is None:
         return None
-    if isinstance(spec, dict):
+    elif isinstance(spec, dict):
         return _section(value, spec, path)
-    if isinstance(spec, tuple):
+    elif isinstance(spec, tuple):
         if value not in spec:
             raise ValueError(f"{path} must be one of {list(spec)}, got {value!r}")
         return value
-    return _cast(value, spec, path)
+    else:
+        value = _cast(value, spec, path)
+    return value if bound is None else _bound(value, bound, path)
 
 
 def _schema(value, where, tail=f"; this build reads schema {SCHEMA_VERSION}"):
@@ -165,156 +179,139 @@ def _tau(value, where):
     return value if value == "auto" else _cast(value, float, where)
 
 
-def _tol(value, where):
-    tol = _cast(value, float, where, finite=False)
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"{where} must be a finite number >= 0, got {tol}")
-    return tol
-
-
-_ALPHA_KINDS = {"constant": {"value": (float, 1.0)},
-                "channels": {"contrast": (float, _REQUIRED), "count": (int, 3)}}
+_ALPHA_KINDS = {"constant": {"value": (float, 1.0, (">", 0))},
+                # with no channel the coefficient is 1 everywhere
+                "channels": {"contrast": (float, _REQUIRED, (">", 0)),
+                             "count": (int, 3, (">=", 1))}}
 _PROBLEM_KINDS = {
-    "poisson_1d": {"m": (int, _REQUIRED)},
-    "poisson_2d_fd": {"nx": (int, _REQUIRED), "ny": (int, _REQUIRED)},
-    "fem_2d": {"cells_x": (int, _REQUIRED), "cells_y": (int, _REQUIRED),
+    "poisson_1d": {"m": (int, _REQUIRED, (">=", 1))},
+    "poisson_2d_fd": {"nx": (int, _REQUIRED, (">=", 1)),
+                      "ny": (int, _REQUIRED, (">=", 1))},
+    "fem_2d": {"cells_x": (int, _REQUIRED, (">=", 1)),
+               "cells_y": (int, _REQUIRED, (">=", 1)),
                "alpha": ({"kind": (_ALPHA_KINDS, _REQUIRED)},
                          {"kind": "constant", "value": 1.0})},
-    "helmholtz_2d": {"nx": (int, _REQUIRED), "ny": (int, _REQUIRED),
-                     "omega": (float, _REQUIRED), "xi": (float, 0.0),
+    "helmholtz_2d": {"nx": (int, _REQUIRED, (">=", 1)),
+                     "ny": (int, _REQUIRED, (">=", 1)),
+                     "omega": (float, _REQUIRED, (">=", 0)),
+                     "xi": (float, 0.0, (">=", 0)),
                      "boundary": (discretize.BOUNDARIES, "dirichlet")},
 }
-_PARTITION_KINDS = {"cartesian": {"p": (_int_list, _REQUIRED)},
-                    "graph": {"N": (int, _REQUIRED), "seed": (int, 0)}}
+_PARTITION_KINDS = {"cartesian": {"p": (_int_list, _REQUIRED, (">=", 1))},
+                    "graph": {"N": (int, _REQUIRED, (">=", 1)),
+                              "seed": (int, 0, (">=", 0))}}
 _COARSE_KINDS = {"none": {}, "nicolaides": {},
-                 "grid": {"H": (float, None), "ratio": (int, None)},
-                 "geneo": {"tau": (_tau, "auto")}}
+                 "grid": {"H": (float, None, (">", 0)),
+                          "ratio": (int, None, (">=", 1))},
+                 "geneo": {"tau": (_tau, "auto", (">", 0))}}
 
 _SCENARIO = {
     "schema": (_schema, None),
     "name": (str, "scenario"),
     "problem": ({"kind": (_PROBLEM_KINDS, _REQUIRED)}, _REQUIRED),
     "partition": ({"kind": (_PARTITION_KINDS, _REQUIRED)}, _REQUIRED),
-    "overlap": (int, 1),
+    "overlap": (int, 1, (">=", 0)),
     "pu": (decompose.PU_KINDS, "multiplicity"),
     "schwarz": ({"variant": (schwarz.VARIANTS, "ras"),
                  "robin_p": (_robin_p, None)}, {}),
     "coarse": ({"kind": (_COARSE_KINDS, "none")}, {}),
     "combinator": (coarse.COMBINATORS, "adef1"),
-    "solver": ({"ksp": (_KSP, "gmres"), "tol": (_tol, 1e-6),
-                "maxit": (int, 200), "side": (krylov.SIDES, "right"),
+    "solver": ({"ksp": (_KSP, "gmres"), "tol": (float, 1e-6, (">=", 0)),
+                "maxit": (int, 200, (">=", 0)), "side": (krylov.SIDES, "right"),
                 "x0": (("zero", "deflated"), "zero")}, {}),
     "analysis": ({"spectrum": (bool, False), "bounds": (bool, False)}, {}),
 }
+
+
+def _terms(cfg):
+    """The resolved fields the cross-field rules read, each by one short name."""
+    problem, coarse_cfg, solver = cfg["problem"], cfg["coarse"], cfg["solver"]
+    nx, ny = problem.get("nx", 0), problem.get("ny", 0)
+    return types.SimpleNamespace(
+        problem=problem["kind"], dim=1 if problem["kind"] == "poisson_1d" else 2,
+        xi=problem.get("xi", 0.0), boundary=problem.get("boundary"),
+        nodes=nx * ny, impedance_nodes=(nx + 2) * (ny + 2),
+        p=cfg["partition"].get("p"), overlap=cfg["overlap"],
+        variant=cfg["schwarz"]["variant"], robin_p=cfg["schwarz"]["robin_p"],
+        coarse=coarse_cfg["kind"], H=coarse_cfg.get("H"),
+        ratio=coarse_cfg.get("ratio"), tau=coarse_cfg.get("tau"),
+        combinator=cfg["combinator"], ksp=solver["ksp"], x0=solver["x0"])
+
+
+# The cross-field rules, checked in this order once the field tables pass:
+# a scenario is rejected with the cause of the first row whose predicate
+# holds on its _terms, the cause a str.format template over the same terms.
+_RULES = (
+    (lambda s: s.p is not None and len(s.p) != s.dim,
+     "partition.p must have {dim} entries for this problem, got {p}"),
+    (lambda s: s.robin_p is not None and s.variant not in schwarz.ROBIN_VARIANTS,
+     "robin parameter is only meaningful for oras/soras, not {variant!r}"),
+    (lambda s: s.coarse == "grid" and (s.H is None) == (s.ratio is None),
+     "grid coarse space needs exactly one of H or ratio"),
+    # geneo_space reads the element matrices of a finite element mesh
+    (lambda s: s.coarse == "geneo" and s.problem != "fem_2d",
+     "geneo coarse space with problem kind {problem!r}: GenEO needs the Neumann "
+     "matrices of a finite element mesh, which only 'fem_2d' has; use coarse "
+     "kind 'nicolaides' or 'grid'"),
+    (lambda s: s.coarse == "geneo" and s.tau == "auto" and s.overlap == 0,
+     "geneo threshold tau 'auto' with overlap 0: the threshold is the "
+     "reciprocal of the worst ratio H_j / overlap width, and the overlap width "
+     "is zero; give a numeric tau or a positive overlap"),
+    # grid_space samples a structured grid of the problem's unknowns
+    (lambda s: s.coarse == "grid" and s.problem == "fem_2d",
+     "grid coarse space with problem kind 'fem_2d': a FEM mesh has no "
+     "structured grid for grid_space to sample; use coarse kind 'nicolaides' "
+     "or 'geneo'"),
+    (lambda s: s.coarse == "grid" and s.boundary == "impedance",
+     "grid coarse space with an impedance boundary: the impedance system has "
+     "(nx+2)(ny+2) = {impedance_nodes} unknowns, but grid_space samples only "
+     "the nx*ny = {nodes} interior nodes"),
+    # absorption or an impedance boundary puts i on the diagonal
+    (lambda s: s.ksp in ("cg", "pcg") and (s.xi > 0 or s.boundary == "impedance"),
+     "{ksp} on a complex Helmholtz system is not supported: absorption xi > 0 "
+     "or an impedance boundary makes the operator complex symmetric, not "
+     "Hermitian, and CG theory does not cover it; use ksp 'gmres'"),
+    (lambda s: s.ksp == "cg" and (s.variant != "none" or s.coarse != "none"),
+     "cg runs unpreconditioned; use pcg or gmres with a Schwarz variant or "
+     "coarse space"),
+    (lambda s: s.x0 == "deflated" and s.coarse == "none",
+     "deflated initial guess needs a coarse space"),
+    (lambda s: s.ksp == "pcg" and s.variant in ("ras", "oras"),
+     "pcg with schwarz variant {variant!r} is not supported: {variant} is "
+     "nonsymmetric and CG does not converge with it; use ksp 'gmres', or "
+     "variant 'asm' or 'soras' with pcg"),
+    (lambda s: (s.ksp == "pcg" and s.variant == "soras"
+                and isinstance(s.robin_p, list) and s.robin_p[1] != 0),
+     "pcg with schwarz variant 'soras' and a complex robin_p is not supported: "
+     "complex Robin blocks make soras complex symmetric, not Hermitian, and CG "
+     "theory does not cover it; use ksp 'gmres', or a real robin_p with pcg"),
+    (lambda s: s.ksp == "pcg" and s.combinator == "adef1" and s.coarse != "none",
+     "pcg with combinator 'adef1' is not supported: adef1 is nonsymmetric and "
+     "CG does not converge with it, even from a deflated start; use ksp "
+     "'gmres', or combinator 'ad', 'adef2' or 'bnn' with pcg"),
+    (lambda s: (s.coarse != "none" and s.x0 == "zero"
+                and (s.combinator in ("rbnn1", "rbnn2")
+                     or (s.ksp == "pcg" and s.combinator == "adef2"))),
+     "{ksp} with combinator {combinator!r} needs solver.x0 'deflated' (the "
+     "start Q b): rbnn1 and rbnn2 have no +Q term, and CG converges with adef2 "
+     "only from Q b"),
+)
 
 
 def resolve_scenario(config):
     """Validate a scenario and fill defaults; returns the resolved dict.
 
     Unknown keys anywhere in the document are rejected, and so is a value
-    of the wrong type, naming its field. The result is JSON-stable:
-    resolving a resolved scenario is the identity.
+    of the wrong type or out of its field's bounds, naming its field; then
+    the first row of _RULES that holds rejects it with its cause. The
+    result is JSON-stable: resolving a resolved scenario is the identity.
     """
     cfg = _section(config, _SCENARIO, "scenario", prefix="")
-    problem, partition, solver = cfg["problem"], cfg["partition"], cfg["solver"]
-    variant = cfg["schwarz"]["variant"]
-    robin_p = cfg["schwarz"]["robin_p"]
-    coarse_cfg, combinator, ksp = cfg["coarse"], cfg["combinator"], solver["ksp"]
-    ckind = coarse_cfg["kind"]
-
-    if problem["kind"] == "fem_2d" and problem["alpha"].get("count", 1) < 1:
-        # no channel: the coefficient is 1 everywhere
-        raise ValueError(f"problem.alpha.count must be >= 1, "
-                         f"got {problem['alpha']['count']}")
-    if partition["kind"] == "cartesian":
-        dim = 1 if problem["kind"] == "poisson_1d" else 2
-        if len(partition["p"]) != dim:
-            raise ValueError(f"partition.p must have {dim} entries for this "
-                             f"problem, got {partition['p']}")
-        if any(v < 1 for v in partition["p"]):
-            raise ValueError("partition.p entries must be >= 1")
-    elif partition["N"] < 1:
-        raise ValueError("partition.N must be >= 1")
-    if cfg["overlap"] < 0:
-        raise ValueError("overlap must be >= 0")
-    if robin_p is not None and variant not in schwarz.ROBIN_VARIANTS:
-        raise ValueError(
-            f"robin parameter is only meaningful for oras/soras, not {variant!r}")
-    if ckind == "grid" and (coarse_cfg["H"] is None) == (coarse_cfg["ratio"] is None):
-        raise ValueError("grid coarse space needs exactly one of H or ratio")
-    if ckind == "geneo" and coarse_cfg["tau"] != "auto" and coarse_cfg["tau"] <= 0:
-        raise ValueError("geneo threshold tau must be positive")
-
-    # geneo_space reads the element matrices of a finite element mesh
-    if ckind == "geneo":
-        if problem["kind"] != "fem_2d":
-            raise ValueError(f"geneo coarse space with problem kind "
-                             f"{problem['kind']!r}: GenEO needs the Neumann "
-                             f"matrices of a finite element mesh, which only "
-                             f"'fem_2d' has; use coarse kind 'nicolaides' or "
-                             f"'grid'")
-        if coarse_cfg["tau"] == "auto" and cfg["overlap"] == 0:
-            raise ValueError("geneo threshold tau 'auto' with overlap 0: the "
-                             "threshold is the reciprocal of the worst ratio "
-                             "H_j / overlap width, and the overlap width is "
-                             "zero; give a numeric tau or a positive overlap")
-
-    # grid_space samples a structured grid of the problem's unknowns
-    if ckind == "grid":
-        if problem["kind"] == "fem_2d":
-            raise ValueError("grid coarse space with problem kind 'fem_2d': a "
-                             "FEM mesh has no structured grid for grid_space "
-                             "to sample; use coarse kind 'nicolaides' or "
-                             "'geneo'")
-        if problem["kind"] == "helmholtz_2d" and problem["boundary"] == "impedance":
-            raise ValueError(f"grid coarse space with an impedance boundary: "
-                             f"the impedance system has (nx+2)(ny+2) = "
-                             f"{(problem['nx'] + 2) * (problem['ny'] + 2)} "
-                             f"unknowns, but grid_space samples only the "
-                             f"nx*ny = {problem['nx'] * problem['ny']} "
-                             f"interior nodes")
-
-    if solver["maxit"] < 0:
-        raise ValueError(f"solver.maxit must be >= 0, got {solver['maxit']}")
-    # absorption or an impedance boundary puts i on the diagonal
-    if (ksp in ("cg", "pcg") and problem["kind"] == "helmholtz_2d"
-            and (problem["xi"] > 0 or problem["boundary"] == "impedance")):
-        raise ValueError(f"{ksp} on a complex Helmholtz system is not "
-                         "supported: absorption xi > 0 or an impedance "
-                         "boundary makes the operator complex symmetric, not "
-                         "Hermitian, and CG theory does not cover it; use "
-                         "ksp 'gmres'")
-    if ksp == "cg" and (variant != "none" or ckind != "none"):
-        raise ValueError("cg runs unpreconditioned; use pcg or gmres with a "
-                         "Schwarz variant or coarse space")
-    if solver["x0"] == "deflated" and ckind == "none":
-        raise ValueError("deflated initial guess needs a coarse space")
-    if ksp == "pcg" and variant in ("ras", "oras"):
-        raise ValueError(f"pcg with schwarz variant {variant!r} is not supported: "
-                         f"{variant} is nonsymmetric and CG does not converge "
-                         "with it; use ksp 'gmres', or variant 'asm' or 'soras' "
-                         "with pcg")
-    if (ksp == "pcg" and variant == "soras" and isinstance(robin_p, list)
-            and robin_p[1] != 0):
-        raise ValueError("pcg with schwarz variant 'soras' and a complex robin_p "
-                         "is not supported: complex Robin blocks make soras "
-                         "complex symmetric, not Hermitian, and CG theory does "
-                         "not cover it; use ksp 'gmres', or a real robin_p "
-                         "with pcg")
-    if ksp == "pcg" and combinator == "adef1" and ckind != "none":
-        raise ValueError("pcg with combinator 'adef1' is not supported: adef1 is "
-                         "nonsymmetric and CG does not converge with it, even "
-                         "from a deflated start; use ksp 'gmres', or combinator "
-                         "'ad', 'adef2' or 'bnn' with pcg")
-    if (ckind != "none" and solver["x0"] == "zero"
-            and (combinator in ("rbnn1", "rbnn2")
-                 or (ksp == "pcg" and combinator == "adef2"))):
-        raise ValueError(f"{ksp} with combinator {combinator!r} needs solver.x0 "
-                         "'deflated' (the start Q b): rbnn1 and rbnn2 have no "
-                         "+Q term, and CG converges with adef2 only from Q b")
-
-    if cfg["analysis"]["bounds"]:
-        cfg["analysis"]["spectrum"] = True
+    terms = _terms(cfg)
+    for holds, cause in _RULES:
+        if holds(terms):
+            raise ValueError(cause.format_map(vars(terms)))
+    cfg["analysis"]["spectrum"] |= cfg["analysis"]["bounds"]
     return cfg
 
 
@@ -826,7 +823,31 @@ def _flag_section(flag, spec, key, section):
                          f"{_FLAG_FORMS[flag]}") from None
 
 
+# each flag that sets one scenario field: its section (None for the top
+# level), its key and its argparse options
+_FIELD_FLAGS = {
+    "--overlap": (None, "overlap", {"type": int}),
+    "--pu": (None, "pu", {"choices": decompose.PU_KINDS}),
+    "--schwarz-method": ("schwarz", "variant", {"choices": schwarz.VARIANTS}),
+    "--coarse-correction": (None, "combinator", {"choices": coarse.COMBINATORS}),
+    "--ksp": ("solver", "ksp", {"choices": _KSP}),
+    "--ksp-rtol": ("solver", "tol", {"type": float}),
+    "--ksp-maxit": ("solver", "maxit", {"type": int}),
+    "--pc-side": ("solver", "side", {"choices": krylov.SIDES}),
+}
+
+
+def _set_field(cfg, section, key, value):
+    # a section that is not an object is left for its field table to reject
+    if section is not None:
+        cfg = cfg.setdefault(section, {})
+    if isinstance(cfg, dict):
+        cfg[key] = value
+
+
 def _apply_overrides(config, args):
+    if not isinstance(config, dict):  # rejected whole by resolve_scenario
+        return config
     cfg = copy.deepcopy(config)
     if args.partitioner:
         spec = args.partitioner
@@ -840,12 +861,6 @@ def _apply_overrides(config, args):
             raise ValueError(f"unknown partitioner {spec!r}; use "
                              f"{_FLAG_FORMS['--partitioner']}")
         cfg["partition"] = _flag_section("--partitioner", spec, "partition", part)
-    if args.overlap is not None:
-        cfg["overlap"] = args.overlap
-    if args.pu:
-        cfg["pu"] = args.pu
-    if args.schwarz_method:
-        cfg.setdefault("schwarz", {})["variant"] = args.schwarz_method
     if args.coarse:
         kind, _, rest = args.coarse.partition(":")
         key, _, value = rest.partition("=")
@@ -856,31 +871,21 @@ def _apply_overrides(config, args):
         # a switch of kind drops the old kind's keys, as in a suite sweep
         cfg = merge_config(cfg, {"coarse": _flag_section(
             "--geneo-threshold", tau, "coarse", {"kind": "geneo", "tau": tau})})
-    if args.coarse_correction:
-        cfg["combinator"] = args.coarse_correction
-    if args.ksp:
-        cfg.setdefault("solver", {})["ksp"] = args.ksp
-    if args.ksp_rtol is not None:
-        cfg.setdefault("solver", {})["tol"] = args.ksp_rtol
-    if args.ksp_maxit is not None:
-        cfg.setdefault("solver", {})["maxit"] = args.ksp_maxit
-    if args.pc_side:
-        cfg.setdefault("solver", {})["side"] = args.pc_side
+    for flag, (section, key, _) in _FIELD_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            _set_field(cfg, section, key, value)
+    if args.command == "spectrum":
+        for key in ("spectrum", "bounds"):
+            _set_field(cfg, "analysis", key, True)
     return cfg
 
 
 def _add_scenario_flags(sub):
-    sub.add_argument("--partitioner", help=_FLAG_FORMS["--partitioner"])
-    sub.add_argument("--overlap", type=int)
-    sub.add_argument("--pu", choices=decompose.PU_KINDS)
-    sub.add_argument("--schwarz-method", choices=schwarz.VARIANTS)
-    sub.add_argument("--coarse", help=_FLAG_FORMS["--coarse"])
-    sub.add_argument("--geneo-threshold", help=_FLAG_FORMS["--geneo-threshold"])
-    sub.add_argument("--coarse-correction", choices=coarse.COMBINATORS)
-    sub.add_argument("--ksp", choices=_KSP)
-    sub.add_argument("--ksp-rtol", type=float)
-    sub.add_argument("--ksp-maxit", type=int)
-    sub.add_argument("--pc-side", choices=krylov.SIDES)
+    for flag, form in _FLAG_FORMS.items():
+        sub.add_argument(flag, help=form)
+    for flag, (_, _, options) in _FIELD_FLAGS.items():
+        sub.add_argument(flag, **options)
 
 
 def main(argv=None):
@@ -921,12 +926,7 @@ def _dispatch(args):
         print(f"suite artifacts in {result['out_dir']}")
         return 0
 
-    config = _apply_overrides(_load_config(args.config), args)
-    if args.command == "spectrum":
-        config.setdefault("analysis", {})
-        config["analysis"]["spectrum"] = True
-        config["analysis"]["bounds"] = True
-    record = run_scenario(config)
+    record = run_scenario(_apply_overrides(_load_config(args.config), args))
     run_dir = _write_record(record, Path(args.out))
     solve = record["solve"]
     print(f"{record['scenario']['name']}: {solve['iterations']} iterations, "

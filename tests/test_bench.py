@@ -240,9 +240,9 @@ class TestConfig:
     @pytest.mark.parametrize("solver, field", [
         ({"ksp": "gmres", "maxit": -1}, "solver.maxit must be >= 0"),
         ({"ksp": "pcg", "maxit": -1}, "solver.maxit must be >= 0"),
-        ({"tol": float("nan")}, "solver.tol must be a finite number >= 0"),
-        ({"tol": "inf"}, "solver.tol must be a finite number >= 0"),
-        ({"tol": -1e-6}, "solver.tol must be a finite number >= 0"),
+        ({"tol": float("nan")}, "solver.tol must be a finite number, got nan"),
+        ({"tol": "inf"}, "solver.tol must be a finite number, got 'inf'"),
+        ({"tol": -1e-6}, "solver.tol must be >= 0, got -1e-06"),
     ])
     def test_degenerate_solver_settings_rejected(self, solver, field):
         # gmres would crash on a negative Krylov dimension, pcg would stop
@@ -351,6 +351,53 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             bench.resolve_scenario(tiny_scenario(**overrides))
         assert str(err.value) == msg
+
+    @pytest.mark.parametrize("overrides, msg", [
+        ({"overlap": -1}, "overlap must be >= 0, got -1"),
+        ({"partition": {"kind": "graph", "N": 0}}, "partition.N must be >= 1, got 0"),
+        ({"partition": {"kind": "graph", "N": 4, "seed": -1}},
+         "partition.seed must be >= 0, got -1"),
+        ({"partition": {"kind": "cartesian", "p": [0]}},
+         "partition.p[0] must be >= 1, got 0"),
+        # a bound is checked before the cross-field rule on the entry count
+        ({"partition": {"kind": "cartesian", "p": [2, -1]}},
+         "partition.p[1] must be >= 1, got -1"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 8, "cells_y": 8},
+          "partition": {"kind": "graph", "N": 4}, "coarse": {"kind": "geneo", "tau": 0}},
+         "coarse.tau must be > 0, got 0.0"),
+        ({"coarse": {"kind": "geneo", "tau": "-0.5"}}, "coarse.tau must be > 0, got -0.5"),
+        ({"coarse": {"kind": "grid", "H": 0}}, "coarse.H must be > 0, got 0.0"),
+        ({"coarse": {"kind": "grid", "ratio": 0}}, "coarse.ratio must be >= 1, got 0"),
+        ({"problem": {"kind": "poisson_1d", "m": 0}}, "problem.m must be >= 1, got 0"),
+        ({"problem": {"kind": "poisson_2d_fd", "nx": 0, "ny": 4}},
+         "problem.nx must be >= 1, got 0"),
+        ({"problem": {"kind": "helmholtz_2d", "nx": 4, "ny": -2, "omega": 1.0}},
+         "problem.ny must be >= 1, got -2"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 0, "cells_y": 4}},
+         "problem.cells_x must be >= 1, got 0"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 4, "cells_y": 0}},
+         "problem.cells_y must be >= 1, got 0"),
+        ({"problem": {"kind": "helmholtz_2d", "nx": 4, "ny": 4, "omega": -1}},
+         "problem.omega must be >= 0, got -1.0"),
+        ({"problem": {"kind": "helmholtz_2d", "nx": 4, "ny": 4, "omega": 1.0,
+                      "xi": -0.5}}, "problem.xi must be >= 0, got -0.5"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 4, "cells_y": 4,
+                      "alpha": {"kind": "constant", "value": 0}}},
+         "problem.alpha.value must be > 0, got 0.0"),
+        ({"problem": {"kind": "fem_2d", "cells_x": 4, "cells_y": 4,
+                      "alpha": {"kind": "channels", "contrast": -1e6}}},
+         "problem.alpha.contrast must be > 0, got -1000000.0"),
+    ])
+    def test_out_of_range_value_names_its_field(self, overrides, msg):
+        # one message form for every bound; a seed of -1 or a grid H of 0,
+        # say, used to pass validation and fail inside the run naming no field
+        cfg = tiny_scenario(**overrides)
+        with pytest.raises(ValueError) as err:
+            bench.resolve_scenario(cfg)
+        assert str(err.value) == msg
+        with pytest.raises(bench.ScenarioError) as err:
+            bench.run_scenario(cfg)
+        assert str(err.value) == f"scenario 'tiny' failed: {msg}"
 
     def test_integral_numbers_and_numeric_strings_accepted(self):
         cfg = bench.resolve_scenario(tiny_scenario(
@@ -942,6 +989,27 @@ class TestArtifacts:
                 "--geneo-threshold": "a spectral threshold tau, or 'auto'"}[flag]
         assert capsys.readouterr().out == (
             f"ddmlab: {flag} {value!r} is malformed ({cause}); use {form}\n")
+
+    @pytest.mark.parametrize("command, config, flags, name, msg", [
+        ("run", tiny_scenario(solver="gmres"), ["--ksp", "gmres", "--ksp-maxit", "9"],
+         "tiny", "solver must be an object"),
+        ("run", tiny_scenario(schwarz="asm"), ["--schwarz-method", "asm"],
+         "tiny", "schwarz must be an object"),
+        ("spectrum", tiny_scenario(analysis=[["bounds", True]]), [],
+         "tiny", "analysis must be an object"),
+        ("spectrum", [1, 2], ["--overlap", "2", "--partitioner", "graph:3",
+                              "--geneo-threshold", "auto"],
+         "scenario", "scenario must be an object"),
+    ])
+    def test_flag_leaves_a_non_object_to_validation(self, tmp_path, capsys, command,
+                                                    config, flags, name, msg):
+        # each raised a TypeError traceback setting the flag's field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = bench.main([command, str(cfg_path), "--out", str(tmp_path / "out"),
+                           *flags])
+        assert code == 1
+        assert capsys.readouterr().out == f"ddmlab: scenario {name!r} failed: {msg}\n"
 
     def test_spectrum_command(self, tmp_path):
         cfg_path = tmp_path / "tiny.json"
