@@ -229,7 +229,8 @@ def _terms(cfg):
     nx, ny = problem.get("nx", 0), problem.get("ny", 0)
     return types.SimpleNamespace(
         problem=problem["kind"], dim=1 if problem["kind"] == "poisson_1d" else 2,
-        xi=problem.get("xi", 0.0), boundary=problem.get("boundary"),
+        omega=problem.get("omega"), xi=problem.get("xi", 0.0),
+        boundary=problem.get("boundary"),
         nodes=nx * ny, impedance_nodes=(nx + 2) * (ny + 2),
         p=cfg["partition"].get("p"), overlap=cfg["overlap"],
         variant=cfg["schwarz"]["variant"], robin_p=cfg["schwarz"]["robin_p"],
@@ -266,6 +267,11 @@ _RULES = (
      "grid coarse space with an impedance boundary: the impedance system has "
      "(nx+2)(ny+2) = {impedance_nodes} unknowns, but grid_space samples only "
      "the nx*ny = {nodes} interior nodes"),
+    # with k = 0 the impedance closure du/dn = i k u is a Neumann one
+    (lambda s: s.boundary == "impedance" and s.omega == 0 and s.xi == 0,
+     "helmholtz_2d with omega 0, xi 0 and an impedance boundary is a pure "
+     "Neumann Laplacian: its operator is singular, with the constants in its "
+     "kernel; give omega > 0, xi > 0 or boundary 'dirichlet'"),
     # absorption or an impedance boundary puts i on the diagonal
     (lambda s: s.ksp in ("cg", "pcg") and (s.xi > 0 or s.boundary == "impedance"),
      "{ksp} on a complex Helmholtz system is not supported: absorption xi > 0 "
@@ -335,11 +341,11 @@ def _build_system(problem):
         mesh = discretize.unit_square_mesh(problem["cells_x"], problem["cells_y"])
         a = problem["alpha"]
         if a["kind"] == "constant":
-            value = a["value"]
-            alpha = lambda c: value
+            alpha = np.full(len(mesh.triangles), a["value"])
         else:
-            contrast, count = a["contrast"], a["count"]
-            alpha = lambda c: contrast if int(c[1] * 2 * count) % 2 else 1.0
+            # horizontal channels, by element centroid as diffusion_fem_2d takes them
+            c = mesh.vertices[mesh.triangles].mean(axis=1)
+            alpha = np.where((c[:, 1] * 2 * a["count"]).astype(int) % 2, a["contrast"], 1.0)
         return discretize.diffusion_fem_2d(mesh, alpha)
     grid = discretize.StructuredGrid(2, nx=problem["nx"], ny=problem["ny"])
     return discretize.helmholtz_2d(grid, problem["omega"], xi=problem["xi"],

@@ -31,6 +31,14 @@ eigenpairs up to the threshold. One index pass over the weighted stacked
 rows locates every pencil entry: ``Decomposition.within`` of A and
 ``Decomposition.locate`` of the element matrices. The dense pencils are
 then built one subdomain at a time, so only one dense pair is alive.
+The two pencil matrices differ only where the partition of unity and the
+subdomain boundary act; on a row where they are equal the pencil has
+eigenvalue 1, and every eigenvector below 1 is discrete-harmonic there.
+So for a threshold below 1 :func:`geneo_space` eliminates those rows and
+solves the Schur-complement pencil on the others: the GenEO
+eigenproblems "in the overlaps" of Spillane, Dolean, Hauret, Nataf,
+Pechstein & Scheichl (Numer. Math. 126, 2014). ``analysis.fsl_constants``
+keeps the full pencils.
 """
 
 import numpy as np
@@ -367,8 +375,13 @@ def geneo_space(system, decomposition, tau="auto"):
     ``lambda <= tau``. The pencils are those of :func:`geneo_pencils`, on
     the dofs of nonzero weight, where they are definite, one subdomain at
     a time; each is solved by one subset eigensolve that computes just
-    the eigenpairs up to ``tau``. A subdomain whose element set touches
-    no DoF has no Neumann energy and is skipped. Selected vectors enter
+    the eigenpairs up to ``tau``. When ``tau < 1`` that eigensolve runs on
+    the pencil reduced to the rows where its two matrices differ, the
+    overlap and the subdomain boundary: the rows where they are equal
+    only add the eigenvalue 1, and the kept eigenvectors are extended to
+    them discrete-harmonically (:func:`_geneo_eig`). The kept pairs are
+    those of the full pencil, up to rounding. A subdomain whose element
+    set touches no DoF has no Neumann energy and is skipped. Selected vectors enter
     the basis as ``R_j^T D_j phi``, grouped by subdomain in ascending
     index and eigenvalue order.
 
@@ -409,7 +422,7 @@ def geneo_space(system, decomposition, tau="auto"):
     touched, pencil = _pencil_index(system, decomposition)
     for j in np.flatnonzero(touched):
         dofs, d, Nw, Bw = pencil(j)
-        values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
+        values, vectors = _geneo_eig(Nw, Bw, tau)
         if len(values):
             kept.append((j, dofs, d[:, None] * vectors, values))
 
@@ -428,6 +441,46 @@ def geneo_space(system, decomposition, tau="auto"):
         shape=(decomposition.n_dofs, sum(counts)))
     return CoarseSpace(Z, system.A, tag="geneo", owners=np.repeat(subdomains, counts),
                        eigenvalues=np.concatenate(values), tau=tau)
+
+
+def _geneo_eig(Nw, Bw, tau):
+    """Eigenpairs of a real pencil ``(Nw, Bw)`` up to ``tau``, as ``linalg.sym_gen_eig``.
+
+    For ``tau < 1`` the rows ``I`` on which ``Nw`` and ``Bw`` are equal,
+    entry for entry (the same elements, summed in the same order), are
+    eliminated first. With ``K = Nw[I, I]`` (positive definite, a
+    principal submatrix of ``Bw``) and ``C = N_GI K^(-1) N_IG`` on the
+    other rows ``G``, the spectrum is that of the reduced pencil
+    ``(N_GG - C, B_GG - C)`` plus the eigenvalue 1 with multiplicity
+    ``|I|``. An eigenvector below 1 is discrete-harmonic on ``I``,
+    ``phi_I = -K^(-1) N_IG phi_G``, and this extension of a B-orthonormal
+    reduced eigenvector is B-orthonormal. So the pairs up to ``tau`` are
+    one ``linalg.sym_gen_eig`` of the reduced pencil, extended; ``C`` is
+    formed only on the rows of ``G`` coupled to ``I``, where it is not
+    zero. With ``tau >= 1`` or no equal row, the full pencil is solved.
+    """
+    inner = (Nw == Bw).all(axis=1) if tau < 1 else None
+    if inner is None or not inner.any():
+        return linalg.sym_gen_eig(Nw, Bw, upper=tau)
+    I, G = np.flatnonzero(inner), np.flatnonzero(~inner)
+    rows = Nw[I]
+    coupled = rows[:, G]
+    b = np.flatnonzero(coupled.any(axis=0))  # positions in G of the rows coupled to I
+    try:
+        L = scipy.linalg.cholesky(rows[:, I], lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise linalg.SingularMatrixError(f"generalized eigensolve failed: {exc}") from exc
+    W = scipy.linalg.solve_triangular(L, coupled[:, b], lower=True, check_finite=False)
+    C = W.T @ W
+    left, right = Nw[G][:, G], Bw[G][:, G]
+    for M in (left, right):
+        M[np.ix_(b, b)] -= C
+    values, reduced = linalg.sym_gen_eig(left, right, upper=tau)
+    vectors = np.empty((Nw.shape[0], values.size))
+    vectors[G] = reduced
+    vectors[I] = -scipy.linalg.solve_triangular(L, W @ reduced[b], trans="T", lower=True,
+                                                check_finite=False)
+    return values, vectors
 
 
 class TwoLevelPreconditioner:

@@ -19,6 +19,8 @@ every block ``R_i A R_i^T`` through these keys, with no product with R.
 The keys are int64 whatever the index dtype of R.
 """
 
+from collections import defaultdict
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
@@ -234,12 +236,16 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
     Growth walks Python adjacency lists. Each repair round starts with
     one component labelling of the edges inside regions and ends there
     when every node shares its seed's component. The rebalance reads
-    region adjacency from crossing-edge counts that each move updates. A
-    node leaves a region known to be connected only if its neighbours in
-    the region still reach each other without it (every path through the
-    node enters and leaves by them), which an early-exit search decides;
-    a region that may be disconnected is labelled by one
-    ``connected_components`` call.
+    region adjacency from crossing-edge counts, and the nodes that may
+    pass from region a to region b from the border set of the pair (the
+    nodes of a with a neighbour in b), tried in ascending order; each
+    move updates both from the moved node's neighbours, so no move scans
+    the whole graph. A node leaves a region known to be connected only if
+    its neighbours in the region still reach each other without it (every
+    path through the node enters and leaves by them), which an early-exit
+    search decides; a region that may be disconnected is labelled by one
+    ``connected_components`` call on the subgraph its members' adjacency
+    rows induce.
     """
     n = A.shape[0]
     N = _check_count("region count N", N)
@@ -300,14 +306,18 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
 
     def induced(members):
         # subgraph induced by the ascending members, and the members' local
-        # indices; the kept edges are already in CSR order, since ``tail``
-        # ascends and so does ``loc`` over the members
+        # indices, read from the members' own adjacency rows; the kept
+        # edges are already in CSR order, since ``loc`` ascends over the
+        # members
         loc = np.full(n, -1)
         loc[members] = np.arange(len(members))
-        keep = (loc[tail] >= 0) & (loc[head] >= 0)
-        counts = np.bincount(loc[tail[keep]], minlength=len(members))
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        sub = sp.csr_array((np.ones(keep.sum()), loc[head[keep]], indptr), shape=(len(members),) * 2)
+        counts = np.diff(adj.indptr)[members]
+        ends = np.concatenate([[0], np.cumsum(counts)])
+        local = loc[head[np.repeat(adj.indptr[members] - ends[:-1], counts)
+                         + np.arange(ends[-1])]]
+        keep = local >= 0
+        indptr = np.concatenate([[0], np.cumsum(keep)])[ends]
+        sub = sp.csr_array((np.ones(keep.sum()), local[keep], indptr), shape=(len(members),) * 2)
         return sub, loc
 
     def components(sub):
@@ -359,6 +369,12 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
     crossing = np.bincount(pairs, minlength=N * N).reshape(N, N)
     np.fill_diagonal(crossing, 0)
     crossing = crossing.tolist()
+    # border[a * N + b]: the nodes of region a with a neighbour in region b != a
+    border = defaultdict(set)
+    cut = owner[tail] != owner[head]
+    for key, u in zip(pairs[cut].tolist(), tail[cut].tolist()):
+        border[key].add(u)
+    del pairs, cut
 
     def move(u, dst):
         src = own[u]
@@ -367,12 +383,20 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
             if o != src:
                 crossing[src][o] -= 1
                 crossing[o][src] -= 1
+                border[src * N + o].discard(u)
             if o != dst:
                 crossing[dst][o] += 1
                 crossing[o][dst] += 1
+                border[dst * N + o].add(u)
+                border[o * N + dst].add(v)
         own[u] = owner[u] = dst
         sizes[src] -= 1
         sizes[dst] += 1
+        # a neighbour outside src stays on src's border only through another node
+        for v in nbrs[u]:
+            o = own[v]
+            if o != src and all(own[x] != src for x in nbrs[v]):
+                border[o * N + src].discard(v)
 
     def keeps_connected(u, src):
         # src minus u is connected iff u's neighbours in src reach each
@@ -396,7 +420,7 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
     def shift_one(src, dst):
         # move one src node adjacent to dst, preferring one whose removal
         # keeps src connected; candidates are tried in ascending order
-        cands = np.unique(tail[(owner[tail] == src) & (owner[head] == dst)]).tolist()
+        cands = sorted(border[src * N + dst])
         if sizes[src] > 1 and cands:
             if not connected[src]:
                 members = np.flatnonzero(owner == src)
@@ -472,7 +496,8 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
     owner : array of int, length n
         Core subdomain of each DoF. ValueError unless it has one label per
         DoF, an integer dtype, no negative label, and uses every label
-        from 0 to its maximum.
+        from 0 to its maximum. A system with no DoF raises ValueError
+        saying it has no unknowns.
     delta : int
         Number of overlap layers (per side).
     coords : ndarray or None
@@ -493,6 +518,8 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
     if not np.issubdtype(owner.dtype, np.integer):
         raise ValueError(f"owner must hold integer labels, got dtype {owner.dtype}")
     owner = owner.astype(np.intp)  # a private copy, frozen below
+    if n == 0:
+        raise ValueError("the system has no unknowns: there is nothing to decompose")
     if owner.min() < 0:
         raise ValueError(f"owner holds negative label {owner.min()}")
     counts = np.bincount(owner)

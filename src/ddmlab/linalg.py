@@ -131,7 +131,10 @@ def _require_finite(x, what):
 
 
 def _require_hermitian(A, what, tol=1e-12):
-    gap = np.linalg.norm(A - A.conj().T, "fro")
+    AH = A.conj().T if np.iscomplexobj(A) else A.T
+    if np.array_equal(A, AH):
+        return  # exactly Hermitian: the gap below would be zero
+    gap = np.linalg.norm(A - AH, "fro")
     if gap > tol * max(np.linalg.norm(A, "fro"), 1e-300):
         raise ValueError(f"{what} is not Hermitian (asymmetry {gap:.3e})")
 
@@ -467,6 +470,10 @@ def sym_gen_eig(A, B, upper=None):
 
     Raises
     ------
+    ValueError
+        If either matrix holds NaN or Inf, or is not Hermitian (to a
+        relative Frobenius gap of 1e-12); the message names the "left
+        matrix" or the "right matrix".
     SingularMatrixError
         If LAPACK fails, which on Hermitian input means that its Cholesky
         factorization found B not positive definite (the message says
@@ -477,8 +484,9 @@ def sym_gen_eig(A, B, upper=None):
     B = np.asarray(B)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("pencil matrices must be square and of equal shape")
-    _require_hermitian(A, "left matrix")
-    _require_hermitian(B, "right matrix")
+    for M, what in ((A, "left matrix"), (B, "right matrix")):
+        _require_finite(M, what)
+        _require_hermitian(M, what)
     subset = {} if upper is None else {
         "subset_by_value": (-np.inf, float(upper)), "driver": "gvx"}
     try:

@@ -237,6 +237,56 @@ class TestConfig:
         with pytest.raises(bench.ScenarioError, match="'flat' failed: " + msg):
             bench.run_scenario(cfg)
 
+    def test_singular_neumann_helmholtz_rejected(self, monkeypatch):
+        # omega = xi = 0 with an impedance boundary leaves -Laplace with
+        # Neumann closure, whose kernel holds the constants: it ran and was
+        # recorded as not converged (relres 0.994 at 4x4) before this rule
+        cfg = tiny_scenario(
+            name="neumann",
+            problem={"kind": "helmholtz_2d", "nx": 4, "ny": 4, "omega": 0.0,
+                     "boundary": "impedance"},
+            partition={"kind": "cartesian", "p": [2, 2]})
+        msg = ("helmholtz_2d with omega 0, xi 0 and an impedance boundary is a "
+               "pure Neumann Laplacian: its operator is singular")
+        with pytest.raises(ValueError, match=msg):
+            bench.resolve_scenario(cfg)
+        for fixed in ({"omega": 0.5}, {"xi": 1.0}, {"boundary": "dirichlet"}):
+            assert bench.resolve_scenario({**cfg, "problem": {**cfg["problem"], **fixed}})
+        monkeypatch.setattr(bench, "_build_system", None)
+        with pytest.raises(bench.ScenarioError, match="'neumann' failed: " + msg):
+            bench.run_scenario(cfg)
+
+    def test_system_without_unknowns_named(self):
+        # one cell has no interior node: the overlap growth used to fail
+        # with numpy's "zero-size array to reduction operation minimum"
+        cfg = tiny_scenario(name="empty",
+                            problem={"kind": "fem_2d", "cells_x": 1, "cells_y": 1},
+                            partition={"kind": "cartesian", "p": [1, 2]})
+        with pytest.raises(bench.ScenarioError,
+                           match="'empty' failed: the system has no unknowns") as err:
+            bench.run_scenario(cfg)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("alpha", [
+        {"kind": "constant", "value": 1.0}, {"kind": "constant", "value": 0.37},
+        {"kind": "channels", "contrast": 1e6, "count": 3},
+        {"kind": "channels", "contrast": 7.0, "count": 2}])
+    def test_fem_coefficient_array_matches_centroid_callable(self, alpha):
+        # the per-element coefficient array gives the system that the
+        # callable evaluated at each centroid gave, bit for bit
+        problem = {"kind": "fem_2d", "cells_x": 9, "cells_y": 7, "alpha": alpha}
+        got = bench._build_system(problem)
+        if alpha["kind"] == "constant":
+            fn = lambda c: alpha["value"]
+        else:
+            fn = lambda c: (alpha["contrast"] if int(c[1] * 2 * alpha["count"]) % 2
+                            else 1.0)
+        ref = discretize.diffusion_fem_2d(discretize.unit_square_mesh(9, 7), fn)
+        for a, b in ((got.A.data, ref.A.data), (got.A.indices, ref.A.indices),
+                     (got.A.indptr, ref.A.indptr), (got.element_matrices,
+                                                    ref.element_matrices), (got.F, ref.F)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("solver, field", [
         ({"ksp": "gmres", "maxit": -1}, "solver.maxit must be >= 0"),
         ({"ksp": "pcg", "maxit": -1}, "solver.maxit must be >= 0"),

@@ -358,6 +358,83 @@ class TestGeneoAgainstWhitening:
             assert np.sum(ref.eigenvalues < 1e-3) > 0
 
 
+def full_pencil_space(system, dec, tau):
+    """GenEO with every pencil solved at full size by ``linalg.sym_gen_eig``."""
+    columns, owners, eigenvalues = [], [], []
+    for j, (dofs, d, Nw, Bw) in enumerate(coarse.geneo_pencils(system, dec)):
+        if not Nw.any():
+            continue
+        values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
+        block = np.zeros((dec.n_dofs, len(values)))
+        block[dofs] = d[:, None] * vectors
+        columns.append(block)
+        owners += [j] * len(values)
+        eigenvalues.extend(values)
+    return coarse.CoarseSpace(np.hstack(columns), system.A, tag="full", owners=owners,
+                              eigenvalues=eigenvalues, tau=tau)
+
+
+class TestOverlapReduction:
+    """The GenEO pencils reduced to the rows where they differ, against the full solve."""
+
+    # Boolean weights give exact eigenvalues 1/2, so those cases use tau 0.4
+    CASES = [(20, 6, 0, 1, "multiplicity", None, 0.5),
+             (20, 6, 1, 2, "multiplicity", None, 0.5),
+             (24, 8, 2, 2, "multiplicity", None, 0.5),
+             (20, 6, 3, 1, "boolean", None, 0.4),
+             (20, 6, 4, 2, "boolean", None, 0.4),
+             (20, 6, 5, 2, "multiplicity", 1e6, 0.5),
+             (20, 6, 6, 1, "boolean", 1e6, 0.4)]
+
+    @pytest.mark.parametrize("cells,N,seed,delta,pu,contrast,tau", CASES)
+    def test_matches_full_pencil(self, cells, N, seed, delta, pu, contrast, tau):
+        sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
+        # the reduction has rows to eliminate
+        assert any((Nw == Bw).all(axis=1).any() for *_, Nw, Bw in coarse.geneo_pencils(sys, dec))
+        cs = coarse.geneo_space(sys, dec, tau=tau)
+        ref = full_pencil_space(sys, dec, tau)
+        assert cs.raw_columns == ref.raw_columns and cs.m0 == ref.m0
+        np.testing.assert_array_equal(cs.owners, ref.owners)
+        scale = np.maximum(np.abs(ref.eigenvalues), 1.0)
+        assert np.all(np.abs(cs.eigenvalues - ref.eigenvalues) <= 1e-12 * scale)
+        Z, Zref = cs.Z.toarray(), ref.Z.toarray()
+        for j in np.unique(ref.owners):
+            Qa, _ = np.linalg.qr(Z[:, cs.owners == j])
+            Qb, _ = np.linalg.qr(Zref[:, ref.owners == j])
+            cosines = np.linalg.svd(Qa.T @ Qb, compute_uv=False)
+            assert 1.0 - cosines.min() <= 1e-9, j
+
+    def test_extension_is_a_b_orthonormal_eigenbasis(self):
+        sys, dec = graph_setup(20, 6, 1, 2)
+        for *_, Nw, Bw in coarse.geneo_pencils(sys, dec):
+            values, V = coarse._geneo_eig(Nw, Bw, 0.5)
+            np.testing.assert_allclose(V.T @ Bw @ V, np.eye(len(values)), atol=1e-12)
+            residual = Nw @ V - (Bw @ V) * values
+            assert np.abs(residual).max(initial=0.0) <= 1e-11 * np.abs(Nw).max()
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0, 1e3])
+    def test_tau_at_least_one_solves_the_full_pencil(self, tau):
+        sys, dec = graph_setup(16, 6, 1, 2)
+        for *_, Nw, Bw in coarse.geneo_pencils(sys, dec):
+            for got, ref in zip(coarse._geneo_eig(Nw, Bw, tau),
+                                linalg.sym_gen_eig(Nw, Bw, upper=tau)):
+                assert_bitwise(got, ref)
+
+    def test_pencil_without_equal_rows_solves_the_full_pencil(self):
+        sys, dec = graph_setup(16, 6, 1, 2)
+        *_, Nw, Bw = next(coarse.geneo_pencils(sys, dec))
+        Bw = 1.5 * Bw
+        assert not (Nw == Bw).all(axis=1).any()
+        for got, ref in zip(coarse._geneo_eig(Nw, Bw, 0.5),
+                            linalg.sym_gen_eig(Nw, Bw, upper=0.5)):
+            assert_bitwise(got, ref)
+
+    def test_equal_pencil_has_nothing_below_one(self):
+        *_, Nw, Bw = next(coarse.geneo_pencils(*graph_setup(16, 6, 1, 2)))
+        values, vectors = coarse._geneo_eig(Bw, Bw, 0.9)
+        assert values.shape == (0,) and vectors.shape == (len(Bw), 0)
+
+
 def dense_hat_matrix(m, r):
     # the dense 1d hat matrix that the sparse grid basis replaced
     i = np.arange(1, m + 1)
@@ -367,10 +444,10 @@ def dense_hat_matrix(m, r):
 
 def dense_geneo_basis(system, dec, tau):
     # the dense scatter of the kept D_j phi blocks that the sparse GenEO
-    # basis replaced, from the same pencils and eigensolver
+    # basis replaced, from the same pencils and eigensolve
     columns = []
     for dofs, d, Nw, Bw in coarse.geneo_pencils(system, dec):
-        values, vectors = linalg.sym_gen_eig(Nw, Bw, upper=tau)
+        values, vectors = coarse._geneo_eig(Nw, Bw, tau)
         block = np.zeros((dec.n_dofs, len(values)))
         block[dofs] = d[:, None] * vectors
         columns.append(block)

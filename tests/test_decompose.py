@@ -456,6 +456,17 @@ class TestGreedyGraphPartition:
             assert [s.tolist() for s in core_sets(owner)] == [s.tolist() for s in expect]
 
 
+    @pytest.mark.parametrize("cells,N,seed", [(40, 16, 2), (40, 16, 3), (60, 32, 1)])
+    def test_long_rebalance_matches_entry_by_entry_reference(self, cells, N, seed):
+        # 360, 409 and 1,166 rebalance moves, with 617, 972 and 435 failed
+        # connectivity searches: every move updates the border sets the
+        # candidates are read from
+        mesh = discretize.unit_square_mesh(cells, cells)
+        A = discretize.diffusion_fem_2d(mesh, np.ones(len(mesh.triangles))).A
+        owner = decompose.greedy_graph_partition(A, N, seed=seed)
+        expect = loop_greedy_graph_partition(A, N, seed)
+        assert [s.tolist() for s in core_sets(owner)] == [s.tolist() for s in expect]
+
 class TestExpandOverlap:
     def test_tridiagonal_one_layer(self):
         A = path_graph(4)
@@ -492,6 +503,11 @@ class TestExpandOverlap:
     def test_bad_owner_rejected(self, owner, match):
         with pytest.raises(ValueError, match=match):
             decompose.expand_overlap(path_graph(4), owner, 1)
+
+    def test_system_without_unknowns_named(self):
+        A = sp.csr_array((0, 0))
+        with pytest.raises(ValueError, match="the system has no unknowns"):
+            decompose.expand_overlap(A, np.zeros(0, dtype=int), 1)
 
     def test_owner_kept_read_only_and_caller_array_untouched(self):
         owner = np.array([0, 0, 1, 1])

@@ -504,6 +504,48 @@ class TestSymGenEig:
         overlap = np.abs(np.sum(W[:, :5].conj() * (B @ V), axis=0))
         np.testing.assert_allclose(overlap, np.ones(5), atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_input_named(self, bad, side):
+        # a NaN on A's diagonal used to select nothing and an Inf in B to
+        # return (0, zero vector) with only a RuntimeWarning
+        A, B = np.diag([1.0, 2.0, 3.0]), np.eye(3)
+        (A if side == "left" else B)[0, 0] = bad
+        for upper in (None, 2.5):
+            with pytest.raises(ValueError, match=f"{side} matrix contains NaN or Inf"):
+                linalg.sym_gen_eig(A, B, upper=upper)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exactly_hermitian_input_skips_the_norms(self, dtype, monkeypatch):
+        rng = np.random.default_rng(14)
+        M = rng.normal(size=(5, 5)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.normal(size=(5, 5))
+        A = M + M.conj().T  # exactly Hermitian, sum by sum
+        B = A + 20 * np.eye(5)
+        assert np.array_equal(B, B.conj().T)
+        ref = linalg.sym_gen_eig(A, B)
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("Frobenius norm taken for an exactly Hermitian matrix")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        for got, want in zip(linalg.sym_gen_eig(A, B), ref):
+            np.testing.assert_array_equal(got, want)
+
+    def test_hermitian_tolerance_unchanged(self):
+        # off the fast path the relative Frobenius gap decides, as before
+        A = np.diag([1.0, 2.0, 3.0])
+        near, far = A.copy(), A.copy()
+        near[0, 1] = 1e-13
+        far[0, 1] = 1e-6
+        values, _ = linalg.sym_gen_eig(near, np.eye(3))
+        assert len(values) == 3
+        with pytest.raises(ValueError, match="left matrix is not Hermitian"):
+            linalg.sym_gen_eig(far, np.eye(3))
+        with pytest.raises(ValueError, match="right matrix is not Hermitian"):
+            linalg.sym_gen_eig(np.eye(3), far)
+
     def test_empty_pencil(self):
         empty = np.zeros((0, 0))
         for upper in (None, 1.0):

@@ -124,6 +124,17 @@ HELMHOLTZ_PCG = {
 }
 
 
+# omega = xi = 0 with an impedance boundary: a pure Neumann Laplacian, which
+# GMRES ran to n iterations and a relative residual near 1 before it was
+# rejected at validation
+NEUMANN_HELMHOLTZ = {
+    "schema": 1, "name": "neumann-helmholtz",
+    "problem": {"kind": "helmholtz_2d", "nx": 4, "ny": 4, "omega": 0.0,
+                "boundary": "impedance"},
+    "partition": {"kind": "cartesian", "p": [2, 2]},
+}
+
+
 # one dof, so every subdomain is a point: tau 'auto' divided by H_j = 0
 POINT_GENEO = {
     "schema": 1, "name": "point-geneo",
@@ -137,6 +148,7 @@ POINT_GENEO = {
 @given(scenarios())
 @example((HELMHOLTZ_PCG, None))
 @example((POINT_GENEO, None))
+@example((NEUMANN_HELMHOLTZ, None))
 def test_drawn_scenario_is_rejected_runs_or_names_its_failure(drawn):
     config, out_of_range = drawn
     try:
@@ -194,6 +206,8 @@ TRIPS = [
     pytest.param(tiny(problem={**HELMHOLTZ, "boundary": "impedance"},
                       partition=CARTESIAN_2X2, coarse={"kind": "grid", "ratio": 2}),
                  id="grid-on-impedance"),
+    pytest.param(tiny(problem={**HELMHOLTZ, "omega": 0.0, "boundary": "impedance"},
+                      partition=CARTESIAN_2X2), id="singular-neumann-helmholtz"),
     pytest.param(tiny(problem={**HELMHOLTZ, "xi": 1.0}, partition=CARTESIAN_2X2,
                       schwarz={"variant": "asm"}, solver={"ksp": "pcg"}),
                  id="cg-on-complex-helmholtz"),
