@@ -15,6 +15,9 @@ matvec at exit.
 Right-preconditioned GMRES keeps ``Z = M V`` beside its Arnoldi basis V,
 as flexible GMRES does: one apply of M per iteration, iterates
 ``x0 + Z y``. A complex M needs a complex system (a complex ``b``).
+GMRES takes ``y`` from a QR factorization of its Hessenberg matrix that
+``scipy.linalg.qr_insert`` extends by one row and one column per
+iteration, so its memory follows the iterations run, not ``maxit``.
 """
 
 import numpy as np
@@ -27,7 +30,8 @@ class KrylovBreakdownError(RuntimeError):
     """Raised when a Krylov solver cannot continue.
 
     CG and PCG raise it on a non-positive inner product, GMRES on a
-    preconditioner output holding NaN or Inf and on an exactly singular
+    preconditioner output holding NaN or Inf, on a zero preconditioned
+    initial residual, and on an exactly singular triangular factor of the
     reduced Hessenberg matrix.
     """
 
@@ -230,8 +234,11 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     reported history always contains true residual norms; convergence is
     tested on the true relative residual for every side.
     Right preconditioning applies M once per iteration (``Z = M V``).
+    ``y`` solves ``R y = beta Q^H e1`` for the QR factors of the
+    Hessenberg matrix, updated by a zero row and the new Arnoldi column.
     Raises TypeError if M returns complex values for a real system, and
-    KrylovBreakdownError if M returns NaN or Inf or the reduced
+    KrylovBreakdownError if M returns NaN or Inf, if left preconditioning
+    maps r0 to zero, or if the triangular factor of the reduced
     Hessenberg matrix is exactly singular.
     """
     if side not in SIDES:
@@ -253,7 +260,6 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     dtype = np.result_type(r0.dtype, float)
     x0 = x0.astype(dtype)
     r0 = r0.astype(dtype)
-    n = b.shape[0]
     bnorm = _norm(b) or 1.0
 
     history = [_norm(r0)]
@@ -265,20 +271,16 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
 
     t = prec(r0) if side == "left" else r0
     beta = _norm(t)
-    steps = min(maxit, n)
+    if beta == 0.0:
+        raise KrylovBreakdownError("gmres: preconditioned initial residual M r0 is zero")
     # bases grow one vector per iteration, so memory follows the
     # iterations run, not maxit
     V = [_cast(t / beta, dtype)]
     Z = [] if side == "right" else V
-    H = np.zeros((steps + 1, steps), dtype=dtype)
-    cs = np.zeros(steps, dtype=dtype)
-    sn = np.zeros(steps, dtype=dtype)
-    g = np.zeros(steps + 1, dtype=dtype)
-    g[0] = beta
 
     x = x0.copy()
     converged = False
-    for k in range(steps):
+    for k in range(min(maxit, b.shape[0])):
         v = V[k]
         if side == "right":
             Z.append(_cast(prec(v), dtype))
@@ -288,33 +290,27 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
         else:
             w = matvec(v)
         w = _cast(w, dtype)
+        h = np.empty(k + 2, dtype=dtype)
         for j, vj in enumerate(V):
-            H[j, k] = np.vdot(vj, w)
-            w -= H[j, k] * vj
-        H[k + 1, k] = _norm(w)
-        lucky = abs(H[k + 1, k]) <= 1e-14 * beta
+            h[j] = np.vdot(vj, w)
+            w -= h[j] * vj
+        h[k + 1] = _norm(w)
+        lucky = abs(h[k + 1]) <= 1e-14 * beta
         if not lucky:
-            V.append(w / H[k + 1, k])
+            V.append(w / h[k + 1])
 
-        # Apply the accumulated Givens rotations, then create a new one.
-        for j in range(k):
-            temp = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
-            H[j + 1, k] = -np.conj(sn[j]) * H[j, k] + np.conj(cs[j]) * H[j + 1, k]
-            H[j, k] = temp
-        denom = np.sqrt(abs(H[k, k]) ** 2 + abs(H[k + 1, k]) ** 2)
-        if denom == 0.0:
-            cs[k], sn[k] = 1.0, 0.0
+        # QR of the (k + 2) x (k + 1) Hessenberg matrix, one column at a
+        # time: min ||beta e1 - H y|| is R y = beta Q^H e1.
+        if k == 0:
+            Q, R = scipy.linalg.qr(h[:, None])
         else:
-            cs[k] = np.conj(H[k, k]) / denom
-            sn[k] = np.conj(H[k + 1, k]) / denom
-        H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-        H[k + 1, k] = 0.0
-        g[k + 1] = -np.conj(sn[k]) * g[k]
-        g[k] = cs[k] * g[k]
-
-        # Form the candidate solution and measure the true residual.
+            Q, R = scipy.linalg.qr_insert(Q, R, np.zeros(k, dtype=dtype), k + 1,
+                                          which="row", check_finite=False)
+            Q, R = scipy.linalg.qr_insert(Q, R, h, k, which="col",
+                                          check_finite=False)
         try:
-            y = scipy.linalg.solve_triangular(H[: k + 1, : k + 1], g[: k + 1])
+            y = scipy.linalg.solve_triangular(R[: k + 1, : k + 1],
+                                              beta * Q[0, : k + 1].conj())
         except np.linalg.LinAlgError as exc:
             raise KrylovBreakdownError(
                 f"gmres: reduced Hessenberg matrix is singular ({exc})") from exc

@@ -1,10 +1,11 @@
 """Shared dense and sparse linear algebra kernels.
 
 Sparse matrices are ``scipy.sparse.csr_array`` instances in canonical form
-(sorted column indices, summed duplicates, no explicit zeros). This module
-owns their construction: assemblers hand ``csr_from_triplets`` coordinate
-arrays ``(rows, cols, vals)`` and get canonical CSR back, so no caller
-builds CSR index arrays itself.
+(sorted column indices, summed duplicates, no explicit zeros). The
+model-problem assemblers hand ``csr_from_triplets`` coordinate arrays
+``(rows, cols, vals)`` and get canonical CSR back; the later stages
+(overlap, local operators, coarse bases) build theirs from index arrays
+they already hold, in the dtype :func:`index_dtype` picks.
 Index arrays are int32 when every index and entry count of the matrix fits
 in it, else int64 (:func:`index_dtype`); that rule alone picks the dtype,
 so the sparse products of the pipeline never mix the two. Keys that

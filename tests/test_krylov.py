@@ -4,6 +4,8 @@ Condition numbers feeding the error envelopes are computed independently
 with numpy eigensolvers inside the tests.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,94 @@ class TestPcg:
         assert rep.final_relres == pytest.approx(true, rel=1e-12)
 
 
+def oracle_residuals(A, b, x0, M, side, steps):
+    """Minimal residuals over x0 + K_k, k = 1..steps, from a dense oracle.
+
+    The Krylov basis is orthonormalized by ``np.linalg.qr`` one column at
+    a time, and each minimizer is a ``lstsq`` solve over it: right and
+    none sides minimize ``||b - A x||``, the left side ``||M(b - A x)||``.
+    Returns the minimizing residual vectors, which are unique even when
+    the minimizers are not.
+    """
+    A = A.toarray()
+    prec = M.apply
+    r0 = b - A @ x0
+    t = prec(r0) if side == "left" else r0
+    op = {"left": lambda v: prec(A @ v), "right": lambda v: A @ prec(v),
+          "none": lambda v: A @ v}[side]
+    W = (t / np.linalg.norm(t))[:, None]
+    residuals = []
+    for k in range(1, steps + 1):
+        if k > 1:
+            W, _ = np.linalg.qr(np.column_stack([W, op(W[:, -1])]))
+        S = np.column_stack([prec(w) for w in W.T]) if side == "right" else W
+        AS = np.column_stack([op(w) for w in W.T])
+        y = np.linalg.lstsq(AS, t, rcond=None)[0]
+        r = b - A @ (x0 + S @ y)
+        residuals.append(prec(r) if side == "left" else r)
+    return residuals
+
+
+def minimizer_case(kind):
+    """A system, a one-level preconditioner and a start for the oracle."""
+    if kind == "poisson":
+        sys = discretize.poisson_2d_fd(10, 10)
+        dec = decompose.expand_overlap(
+            sys.A, decompose.cartesian_partition(sys.grid, 2, 2), 1)
+        M = schwarz.one_level(sys.A, dec, "ras")
+    else:
+        grid = discretize.StructuredGrid(2, nx=9, ny=9)
+        sys = discretize.helmholtz_2d(grid, omega=8.0, boundary="impedance")
+        # the impedance system includes boundary nodes: split by coordinates
+        half = (sys.coords >= 0.5).astype(int)
+        dec = decompose.expand_overlap(sys.A, half[:, 0] + 2 * half[:, 1], 1)
+        M = schwarz.one_level(sys.A, dec, "oras", p=8j, h=sys.h, dim=2)
+    x0 = np.linspace(0.0, 1.0, sys.F.shape[0]).astype(sys.F.dtype)
+    return sys, M, x0
+
+
 class TestGmres:
+    @pytest.mark.parametrize("side", ["right", "left", "none"])
+    @pytest.mark.parametrize("kind", ["poisson", "helmholtz-oras"])
+    def test_every_iterate_is_the_minimizer(self, kind, side):
+        sys, M, x0 = minimizer_case(kind)
+        x, rep = krylov.gmres(sys.A, sys.F, M, side=side, x0=x0, tol=1e-10,
+                              keep_iterates=True)
+        assert rep.iterations > 5
+        oracle = oracle_residuals(sys.A, sys.F, x0, M, side, rep.iterations)
+        prec = M.apply if side == "left" else (lambda v: v)
+        scale = np.linalg.norm(prec(sys.F - sys.A @ x0))
+        for xk, r_min in zip(rep.iterates, oracle):
+            r = prec(sys.F - sys.A @ xk)
+            assert np.linalg.norm(r - r_min) <= 1e-10 * scale
+        assert rep.converged
+
+    @pytest.mark.parametrize("side", ["right", "left", "none"])
+    def test_memory_follows_iterations_run(self, side):
+        # maxit = n: a Hessenberg array sized by maxit would take
+        # 2026 x 2025 doubles (33 MB) against bases of under 1.2 MB
+        sys = discretize.poisson_2d_fd(45, 45)
+        part = decompose.cartesian_partition(sys.grid, 3, 3)
+        M = schwarz.one_level(sys.A, decompose.expand_overlap(sys.A, part, 1), "ras")
+        n = sys.F.shape[0]
+        tracemalloc.start()
+        try:
+            x, rep = krylov.gmres(sys.A, sys.F, M, side=side, maxit=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        bases = (rep.iterations + 1) * n * sys.F.itemsize * (2 if side == "right" else 1)
+        assert peak <= 3 * bases
+
+    @pytest.mark.parametrize("zero", [lambda r: 0 * r, np.zeros_like],
+                             ids=["zero-times-r", "zeros_like"])
+    def test_zero_preconditioned_residual_raises_breakdown(self, zero):
+        sys = discretize.poisson_1d(10)
+        with pytest.raises(krylov.KrylovBreakdownError,
+                           match="preconditioned initial residual M r0 is zero"):
+            krylov.gmres(sys.A, sys.F, zero, side="left")
+
     def test_identity_one_iteration(self):
         A = identity_csr(4)
         b = np.array([1.0, 2.0, 3.0, 4.0])
