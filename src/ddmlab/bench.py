@@ -49,8 +49,6 @@ from . import analysis, coarse, decompose, discretize, krylov, schwarz
 
 SCHEMA_VERSION = 1
 
-_KSP = ("cg", "pcg", "gmres")
-
 
 class ScenarioError(RuntimeError):
     """A scenario failed; the message carries the scenario name."""
@@ -216,7 +214,7 @@ _SCENARIO = {
                  "robin_p": (_robin_p, None)}, {}),
     "coarse": ({"kind": (_COARSE_KINDS, "none")}, {}),
     "combinator": (coarse.COMBINATORS, "adef1"),
-    "solver": ({"ksp": (_KSP, "gmres"), "tol": (float, 1e-6, (">=", 0)),
+    "solver": ({"ksp": (krylov.METHODS, "gmres"), "tol": (float, 1e-6, (">=", 0)),
                 "maxit": (int, 200, (">=", 0)), "side": (krylov.SIDES, "right"),
                 "x0": (("zero", "deflated"), "zero")}, {}),
     "analysis": ({"spectrum": (bool, False), "bounds": (bool, False)}, {}),
@@ -836,7 +834,7 @@ _FIELD_FLAGS = {
     "--pu": (None, "pu", {"choices": decompose.PU_KINDS}),
     "--schwarz-method": ("schwarz", "variant", {"choices": schwarz.VARIANTS}),
     "--coarse-correction": (None, "combinator", {"choices": coarse.COMBINATORS}),
-    "--ksp": ("solver", "ksp", {"choices": _KSP}),
+    "--ksp": ("solver", "ksp", {"choices": krylov.METHODS}),
     "--ksp-rtol": ("solver", "tol", {"type": float}),
     "--ksp-maxit": ("solver", "maxit", {"type": int}),
     "--pc-side": ("solver", "side", {"choices": krylov.SIDES}),

@@ -28,9 +28,10 @@ weights). Its kernel is split off here, not in the eigensolver:
 weight, where it is definite, for both GenEO and
 ``analysis.fsl_constants``, and ``linalg.sym_gen_eig`` computes only the
 eigenpairs up to the threshold. One index pass over the weighted stacked
-rows locates every pencil entry: ``Decomposition.within`` of A and
-``Decomposition.locate`` of the element matrices. The dense pencils are
-then built one subdomain at a time, so only one dense pair is alive.
+rows finds every pencil entry: ``Decomposition.within`` gives the block
+diagonal of A on them as one CSR matrix, and ``Decomposition.locate``
+places the element-matrix entries. The dense pencils are then built one
+subdomain at a time, so only one dense pair is alive.
 The two pencil matrices differ only where the partition of unity and the
 subdomain boundary act; on a row where they are equal the pencil has
 eigenvalue 1, and every eigenvector below 1 is discrete-harmonic there.
@@ -295,12 +296,13 @@ def geneo_pencils(system, decomposition):
     Returns an iterator that yields ``(dofs, d, Nw, Bw)`` for every
     subdomain: the ascending global dofs of nonzero weight in ``s_j``,
     their weights, and the two restricted dense matrices. One index pass
-    over all subdomains runs at the call; each dense pair is then built
-    only when its subdomain is reached, by one scatter of the entries
-    ``(d_i a_ik) d_k`` gathered from A's rows and one ``np.bincount`` of
-    the element-matrix entries, which sums them in the order
-    ``discretize.neumann_matrix`` does. No stacked local operator and no
-    Neumann matrix on the unweighted dofs is formed.
+    over all subdomains runs at the call: ``Decomposition.within`` of A on
+    the weighted rows, its entries scaled to ``(d_i a_ik) d_k``. Each dense
+    pair is then built only when its subdomain is reached, ``Bw`` as the
+    dense diagonal block of that matrix and ``Nw`` by one ``np.bincount``
+    of the element-matrix entries, which sums them in the order
+    ``discretize.neumann_matrix`` does. No Neumann matrix on the
+    unweighted dofs is formed.
 
     Raises ``discretize.UnsupportedProblemError`` for a system without a
     mesh and ValueError when the system's DoF count is not the
@@ -321,19 +323,16 @@ def _pencil_index(system, decomposition):
     elements = subdomain_element_sets(system, dec)
     # positions count among the weighted rows wrows; subdomain j owns wstart[j]:wstart[j + 1]
     wrows = np.flatnonzero(dec.w != 0)
-    wblock, wdof, d = dec.row_block[wrows], dec.R.indices[wrows], dec.w[wrows]
+    wdof, d = dec.R.indices[wrows], dec.w[wrows]
     # intp, so the flat positions (row * size + col) below are int64 even
-    # where within and locate hand back int32 positions
+    # where locate hands back int32 positions
     wstart = np.searchsorted(wrows, dec.offsets)
     size = np.diff(wstart)
 
     # D_j A_j D_j: the entries of A at weighted rows and columns of one
     # subdomain; entry (i, k) is (d_i a_ik) d_k, as in the dense product
-    row, col, src = dec.within(system.A, wrows)
-    bvals = (d[row] * system.A.data[src]) * d[col]
-    start = wstart[wblock[row]]
-    bflat = (row - start) * size[wblock[row]] + (col - start)
-    bbound = np.searchsorted(row, wstart)
+    B = dec.within(system.A, wrows)
+    B.data = (np.repeat(d, np.diff(B.indptr)) * B.data) * d[B.indices]
 
     # N_j: the element-matrix entries at weighted dofs, in (subdomain,
     # element, a, b) order, as discretize.neumann_matrix adds them
@@ -353,15 +352,12 @@ def _pencil_index(system, decomposition):
 
     def pencil(j):
         m = size[j]
-        lo, hi = bbound[j], bbound[j + 1]
-        Bw = np.zeros(m * m, dtype=bvals.dtype)
-        Bw[bflat[lo:hi]] = bvals[lo:hi]
         lo, hi = nbound[j], nbound[j + 1]
         # bincount of no entries is an integer array
         Nw = np.bincount(nflat[lo:hi], nvals[lo:hi], minlength=m * m).astype(
             float, copy=False)
         lo, hi = wstart[j], wstart[j + 1]
-        return wdof[lo:hi], d[lo:hi], Nw.reshape(m, m), Bw.reshape(m, m)
+        return wdof[lo:hi], d[lo:hi], Nw.reshape(m, m), B[lo:hi, lo:hi].toarray()
 
     return touched, pencil
 
@@ -409,11 +405,7 @@ def geneo_space(system, decomposition, tau="auto"):
                 "H_j is 0, so the aspect ratio H_j / overlap_width is 0 and "
                 "its reciprocal infinite; pass a numeric tau"
             )
-        aspect = max(
-            decomposition.H[j] / decomposition.overlap_width
-            for j in range(decomposition.N)
-        )
-        tau = 1.0 / aspect
+        tau = 1.0 / (decomposition.H.max() / decomposition.overlap_width)
     tau = float(tau)
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau}")

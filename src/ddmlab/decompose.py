@@ -14,9 +14,9 @@ pattern is built per system. Index arrays follow ``linalg.index_dtype``.
 Decompositions are immutable: their index and weight arrays are
 read-only, and the partition-of-unity builders return updated copies.
 Stacked row r of subdomain ``row_block[r]`` has the ascending key
-``row_block[r] * n_dofs + R.indices[r]``; ``locate`` and ``within`` read
-every block ``R_i A R_i^T`` through these keys, with no product with R.
-The keys are int64 whatever the index dtype of R.
+``row_block[r] * n_dofs + R.indices[r]``; ``locate`` finds rows by these
+keys, and ``within`` the blocks ``R_i A R_i^T`` (as one CSR matrix), with
+no product with R. The keys are int64 whatever the index dtype of R.
 """
 
 from collections import defaultdict
@@ -114,15 +114,13 @@ class Decomposition:
         return at
 
     def within(self, A, rows=None):
-        """``(row, col, src)`` of the entries of sparse A within one subdomain.
+        """The blocks ``R_i A R_i^T`` of sparse A on the stacked ``rows``, as one CSR matrix.
 
-        The entry at stacked row ``row[k]`` and column ``col[k]``, both
-        counted within ``rows`` as in :meth:`locate`, is
-        ``csr_array(A).data[src[k]]``: these are the entries of the blocks
-        ``R_i A R_i^T``, row by row in A's storage order. ``row`` and ``col``
-        take R's index dtype and ``src`` A's. Only the int64 keys of one
-        search are formed at full length; the match is checked on the
-        key's two parts.
+        Row and column r are the r-th of ``rows``, counted as in :meth:`locate`;
+        each row holds A's entries in storage order, so the matrix is canonical
+        when ``csr_array(A)`` is. Its index arrays take R's index dtype (int64
+        if its entry count needs it). Only the int64 keys of one search are
+        formed at full length; the match is checked on the key's two parts.
         """
         A = sp.csr_array(A)
         if A.shape != (self.n_dofs, self.n_dofs):
@@ -140,14 +138,22 @@ class Decomposition:
         want += A.indices[src]
         at = self._search(want, rows)
         del want
-        pos = self.R.indptr.dtype
+        pos = np.promote_types(self.R.indptr.dtype, linalg.index_dtype(total))
         at = at.astype(pos)
         keep = dof[at] == A.indices[src]
         keep &= block[at] == np.repeat(block, counts)
+        # each full-length array goes once its kept part exists, so the
+        # search stays the peak
         row = np.repeat(np.arange(dof.size, dtype=pos), counts)[keep]
-        col = at[keep]
+        indices = at[keep]
         del at
-        return row, col, src[keep].astype(A.indptr.dtype, copy=False)
+        src = src[keep]
+        del keep
+        data = A.data[src]
+        del src
+        # rows ascend, so row r starts at the first kept entry of a row >= r
+        indptr = np.searchsorted(row, np.arange(dof.size + 1, dtype=pos)).astype(pos)
+        return sp.csr_array((data, indices, indptr), shape=(dof.size,) * 2)
 
     def _with_weights(self, w, pu_kind):
         return Decomposition(

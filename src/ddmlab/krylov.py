@@ -23,16 +23,17 @@ iteration, so its memory follows the iterations run, not ``maxit``.
 import numpy as np
 import scipy.linalg
 
+METHODS = ("cg", "pcg", "gmres")
 SIDES = ("left", "right", "none")
 
 
 class KrylovBreakdownError(RuntimeError):
     """Raised when a Krylov solver cannot continue.
 
-    CG and PCG raise it on a non-positive inner product, GMRES on a
-    preconditioner output holding NaN or Inf, on a zero preconditioned
-    initial residual, and on an exactly singular triangular factor of the
-    reduced Hessenberg matrix.
+    CG and PCG raise it on a non-positive inner product, GMRES on an
+    operator or preconditioner output holding NaN or Inf, on a zero
+    preconditioned initial residual, and on an exactly singular triangular
+    factor of the reduced Hessenberg matrix.
     """
 
 
@@ -47,7 +48,7 @@ class SolveReport:
     converged : bool
     diverged : bool
         Set by stationary drivers when the residual grows a factor 1e6
-        above its initial value.
+        above its initial value or is not finite.
     residual_history : ndarray
         Residual norms, entry 0 is ``||b - A x0||``. True residual norms
         for GMRES and stationary drivers, recursive ones for CG and PCG.
@@ -149,6 +150,19 @@ def as_preconditioner(M):
     raise TypeError(f"cannot interpret {type(M).__name__} as a preconditioner")
 
 
+def starting_point(matvec, b, x0):
+    """``(b, x0, r0)`` of a solve from ``x0``, zero when None.
+
+    The solve takes the dtype of ``b - A x0``, at least float: a complex
+    start on a real system makes the solve complex. ``x0`` is copied.
+    """
+    b = np.asarray(b)
+    x0 = np.zeros_like(b) if x0 is None else np.asarray(x0)
+    r0 = b - matvec(x0)
+    dtype = np.result_type(r0.dtype, float)
+    return b, x0.astype(dtype), r0.astype(dtype, copy=False)
+
+
 def _cast(v, dtype):
     """Copy ``v`` to ``dtype``; TypeError rather than drop an imaginary part."""
     return np.asarray(v).astype(dtype, casting="same_kind")
@@ -177,10 +191,7 @@ def pcg(A, b, M, x0=None, tol=1e-6, maxit=200, x_star=None, keep_iterates=False)
 def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
     matvec = as_operator(A)
     prec = as_preconditioner(M)
-    b = np.asarray(b, dtype=np.result_type(b, float))
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype, copy=True)
-
-    r = b - matvec(x)
+    b, x, r = starting_point(matvec, b, x0)
     bnorm = _norm(b) or 1.0
     history = [_norm(r)]
     energy = None if x_star is None else [_energy_error(matvec, x, x_star)]
@@ -237,9 +248,9 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     ``y`` solves ``R y = beta Q^H e1`` for the QR factors of the
     Hessenberg matrix, updated by a zero row and the new Arnoldi column.
     Raises TypeError if M returns complex values for a real system, and
-    KrylovBreakdownError if M returns NaN or Inf, if left preconditioning
-    maps r0 to zero, or if the triangular factor of the reduced
-    Hessenberg matrix is exactly singular.
+    KrylovBreakdownError if M, or A in r0 or an Arnoldi vector, returns NaN
+    or Inf, if left preconditioning maps r0 to zero, or if the triangular
+    factor of the reduced Hessenberg matrix is exactly singular.
     """
     if side not in SIDES:
         raise ValueError(f"unknown preconditioning side {side!r}")
@@ -254,20 +265,18 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
             raise KrylovBreakdownError("gmres: preconditioner returned NaN or Inf")
         return z
 
-    b = np.asarray(b)
-    x0 = np.zeros_like(b) if x0 is None else np.asarray(x0)
-    r0 = b - matvec(x0)
-    dtype = np.result_type(r0.dtype, float)
-    x0 = x0.astype(dtype)
-    r0 = r0.astype(dtype)
+    b, x0, r0 = starting_point(matvec, b, x0)
+    dtype = r0.dtype
     bnorm = _norm(b) or 1.0
 
     history = [_norm(r0)]
+    if not np.isfinite(history[0]):
+        raise KrylovBreakdownError("gmres: operator returned NaN or Inf")
     iterates = [] if keep_iterates else None
     if history[0] <= tol * bnorm:
         report = SolveReport("gmres", history, tol, bnorm, True,
                              iterates=iterates)
-        return x0.copy(), report
+        return x0, report
 
     t = prec(r0) if side == "left" else r0
     beta = _norm(t)
@@ -278,7 +287,7 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     V = [_cast(t / beta, dtype)]
     Z = [] if side == "right" else V
 
-    x = x0.copy()
+    x = x0
     converged = False
     for k in range(min(maxit, b.shape[0])):
         v = V[k]
@@ -295,6 +304,8 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
             h[j] = np.vdot(vj, w)
             w -= h[j] * vj
         h[k + 1] = _norm(w)
+        if not np.isfinite(h[k + 1]):
+            raise KrylovBreakdownError("gmres: operator returned NaN or Inf")
         lucky = abs(h[k + 1]) <= 1e-14 * beta
         if not lucky:
             V.append(w / h[k + 1])

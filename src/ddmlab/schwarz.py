@@ -20,10 +20,9 @@ or, for ``ROBIN_VARIANTS``, an extra Robin term on the artificial interface.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import discretize, linalg
-from .krylov import SolveReport, as_operator, as_preconditioner
+from .krylov import SolveReport, as_operator, as_preconditioner, starting_point
 
 VARIANTS = ("asm", "ras", "oras", "soras", "none")
 ROBIN_VARIANTS = ("oras", "soras")
@@ -42,30 +41,22 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
     stacked rows whose dof couples in the symmetrized pattern of A
     (``Decomposition.graph``) to a dof outside its subdomain; ``p``
     defaults to ``1/h`` and may be a scalar or a per-dof array (complex
-    values are allowed). B takes R's index dtype; its Dirichlet entries
-    arrive from ``within`` already in canonical CSR order, so B is built
-    from them with no triplet sort.
+    values are allowed). B takes R's index dtype; its Dirichlet part is
+    ``within(A)`` itself, made canonical by ``linalg.compress`` (a no-op
+    but for stored zeros when A is canonical).
     """
     if kind not in ("dirichlet", "robin"):
         raise ValueError(f"unknown local operator kind {kind!r}")
     if kind == "robin" and (h is None or dim is None):
         raise ValueError("robin local operators need the mesh width h and dim")
-    A = sp.csr_array(A)
-    dofs = decomposition.R.indices
-    rows, cols, src = decomposition.within(A)
-    vals = A.data[src]
-    del src
-    # rows ascend, and so do the columns within a row of a canonical A
-    indptr = np.searchsorted(rows, np.arange(dofs.size + 1, dtype=rows.dtype)).astype(cols.dtype)
-    del rows
-    B = linalg.compress(sp.csr_array((vals, cols, indptr), shape=(dofs.size,) * 2))
+    B = linalg.compress(decomposition.within(A))
     if kind == "robin":
-        graph = decomposition.graph
+        graph, dofs = decomposition.graph, decomposition.R.indices
         # a row is on the interface when its own subdomain holds fewer of
         # its dof's graph neighbours than the whole graph does
-        inside = np.bincount(decomposition.within(graph)[0], minlength=dofs.size)
+        inside = np.diff(decomposition.within(graph).indptr)
         interface = np.flatnonzero(inside < np.diff(graph.indptr)[dofs])
-        p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (A.shape[0],))
+        p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (decomposition.n_dofs,))
         shift = p_dof[dofs[interface]] * float(h) ** (dim - 2)
         B = linalg.compress(B + linalg.csr_from_triplets(
             dofs.size, dofs.size, interface, interface, shift))
@@ -152,25 +143,24 @@ def one_level(A, decomposition, variant, p=None, h=None, dim=None):
 def richardson(A, b, M, x0=None, tol=1e-6, maxit=200):
     """Stationary iteration ``x <- x + M(b - A x)``.
 
-    Returns ``(x, SolveReport)``; the report's ``diverged`` flag is set
-    when the residual grows a factor 1e6 above its initial value.
+    Returns ``(x, SolveReport)``; the report's ``diverged`` flag is set,
+    and the iteration ends, when the residual grows a factor 1e6 above its
+    initial value or is not finite. The solve takes the dtype of
+    ``b - A x0``, at least float (``krylov.starting_point``).
     """
     matvec = as_operator(A)
     prec = as_preconditioner(M)
-    b = np.asarray(b, dtype=np.result_type(b, float))
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype, copy=True)
-
-    r = b - matvec(x)
+    b, x, r = starting_point(matvec, b, x0)
     bnorm = float(np.linalg.norm(b)) or 1.0
     history = [float(np.linalg.norm(r))]
     converged = history[-1] <= tol * bnorm
-    diverged = False
+    diverged = not np.isfinite(history[-1])
     while not converged and not diverged and len(history) - 1 < maxit:
         x = x + prec(r)
         r = b - matvec(x)
         history.append(float(np.linalg.norm(r)))
         converged = history[-1] <= tol * bnorm
-        diverged = history[-1] >= 1e6 * history[0]
+        diverged = not np.isfinite(history[-1]) or history[-1] >= 1e6 * history[0]
     return x, SolveReport("richardson", history, tol, bnorm, converged,
                           diverged=diverged)
 

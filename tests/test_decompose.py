@@ -719,26 +719,28 @@ class TestStackedRowIndex:
             block = block[rows]
         C = (R @ A @ R.T).tocoo()
         keep = block[C.row] == block[C.col]
-        return C.row[keep], C.col[keep], C.data[keep]
+        return sp.csr_array((C.data[keep], (C.row[keep], C.col[keep])), shape=C.shape)
+
+    def assert_block_diagonal(self, W, A, dec, rows):
+        assert isinstance(W, sp.csr_array) and W.has_canonical_format
+        assert W.indices.dtype == W.indptr.dtype == dec.R.indices.dtype
+        ref = self.same_block_oracle(sp.csr_array(A), dec, rows)
+        assert W.shape == ref.shape
+        # entries compared as (row, col, value bytes): bitwise equal values
+        got, want = W.tocoo(), ref.tocoo()
+        assert entries(got.row, got.col, got.data) == entries(want.row, want.col, want.data)
 
     @pytest.mark.parametrize("case", CASES)
     def test_within_is_the_block_diagonal_of_the_triple_product(self, case):
         A, dec, rows = self.CASES[case]()
         np.testing.assert_array_equal(
             dec.row_block, np.repeat(np.arange(dec.N), np.diff(dec.offsets)))
-        row, col, src = dec.within(A, rows)
-        assert np.all(np.diff(row) >= 0)  # stacked-row order
-        # entries compared as (row, col, value bytes): bitwise equal values
-        assert entries(row, col, A.data[src]) == entries(*self.same_block_oracle(A, dec, rows))
+        self.assert_block_diagonal(dec.within(A, rows), A, dec, rows)
 
     def test_within_takes_any_sparse_format(self):
         A, dec, _ = _fem_graph(1)()
-        ref = dec.within(A)
-        for B in (sp.coo_array(A), sp.csc_matrix(A)):
-            row, col, src = dec.within(B)
-            np.testing.assert_array_equal(row, ref[0])
-            np.testing.assert_array_equal(col, ref[1])
-            np.testing.assert_array_equal(sp.csr_array(B).data[src], A.data[ref[2]])
+        for B in (A, sp.coo_array(A), sp.csc_matrix(A)):
+            self.assert_block_diagonal(dec.within(B), A, dec, None)
 
     def test_within_rejects_a_matrix_of_another_size(self):
         dec = decompose.expand_overlap(path_graph(6), np.repeat([0, 1], 3), 1)

@@ -328,6 +328,23 @@ class TestGmres:
         with pytest.raises(krylov.KrylovBreakdownError, match="NaN or Inf"):
             krylov.gmres(sys.A, sys.F, M, side=side, tol=1e-12)
 
+    @pytest.mark.parametrize("side", krylov.SIDES)
+    @pytest.mark.parametrize("where", ["matrix", "arnoldi"])
+    def test_nonfinite_operator_raises_breakdown(self, side, where):
+        sys = discretize.poisson_1d(8)
+        d = sys.A.diagonal()
+        if where == "matrix":
+            # b - A 0 is NaN already
+            A = sys.A.copy()
+            A.data[3] = np.nan
+        else:
+            # b - A 0 is finite, the first Arnoldi product is not; on the
+            # left the preconditioner's own check meets it first
+            A = lambda v: sys.A @ v if not v.any() else np.full_like(v, np.nan)
+        match = "preconditioner" if (where, side) == ("arnoldi", "left") else "operator"
+        with pytest.raises(krylov.KrylovBreakdownError, match=f"{match} returned NaN or Inf"):
+            krylov.gmres(A, sys.F, lambda r: r / d, side=side)
+
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_complex_preconditioner_on_real_system_raises(self, side):
         # casting M's output to the real basis would drop its imaginary
@@ -341,3 +358,20 @@ class TestGmres:
         x, rep = krylov.gmres(sys.A, b, M, side=side, tol=1e-10)
         assert rep.converged and x.dtype == complex
         assert np.linalg.norm(sys.F - sys.A @ x) <= 1e-9 * np.linalg.norm(sys.F)
+
+
+@pytest.mark.parametrize("method", ["cg", "pcg", "gmres", "richardson"])
+def test_complex_start_on_real_system_solves_in_complex(method):
+    # the solve takes the dtype of b - A x0: no imaginary part is dropped
+    sys = discretize.poisson_1d(8)
+    d = sys.A.diagonal()
+    x0 = np.full(sys.n, 1.0 + 1.0j)
+    M = lambda r: r / d
+    solve = {"cg": lambda: krylov.cg(sys.A, sys.F, x0=x0),
+             "pcg": lambda: krylov.pcg(sys.A, sys.F, M, x0=x0),
+             "gmres": lambda: krylov.gmres(sys.A, sys.F, M, x0=x0),
+             "richardson": lambda: schwarz.richardson(sys.A, sys.F, M, x0=x0, maxit=5)}
+    x, rep = solve[method]()
+    assert x.dtype == np.complex128
+    assert rep.residual_history[0] == np.linalg.norm(sys.F - sys.A @ x0)
+    np.testing.assert_array_equal(x0, 1.0 + 1.0j)

@@ -97,7 +97,7 @@ def scenarios(draw):
         "coarse": coarse_cfg,
         "combinator": draw(st.sampled_from(coarse.COMBINATORS)),
         # plain cg only runs without a preconditioner: draw it less often
-        "solver": {"ksp": draw(st.sampled_from(("gmres", "pcg") + bench._KSP)),
+        "solver": {"ksp": draw(st.sampled_from(("gmres", "pcg") + krylov.METHODS)),
                    "tol": draw(st.sampled_from([0.0, 1e-8, 1e-4])),
                    "maxit": draw(st.integers(0, 60)),
                    "side": draw(st.sampled_from(krylov.SIDES)),

@@ -135,6 +135,21 @@ class TestLocalOperators:
         got = np.column_stack([local_solve(B, dec, 0, e[:, j]) for j in range(4)])
         np.testing.assert_allclose(got, np.linalg.inv(A1), atol=1e-9)
 
+    def test_non_canonical_matrix_gives_a_canonical_operator(self):
+        # every entry split into two exact halves, columns unsorted within a row
+        sys = discretize.poisson_2d_fd(6, 6)
+        dec = decompose.expand_overlap(sys.A, decompose.cartesian_partition(sys.grid, 2, 2), 1)
+        A = sys.A.tocoo()
+        order = np.lexsort((-np.tile(A.col, 2), np.tile(A.row, 2)))
+        rows, cols = np.tile(A.row, 2)[order], np.tile(A.col, 2)[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=sys.n))])
+        split = sp.csr_array((np.tile(A.data / 2, 2)[order], cols, indptr), shape=A.shape)
+        assert not split.has_canonical_format
+        B, ref = schwarz.local_operator(split, dec), schwarz.local_operator(sys.A, dec)
+        assert B.has_canonical_format
+        for got, want in ((B.indptr, ref.indptr), (B.indices, ref.indices), (B.data, ref.data)):
+            np.testing.assert_array_equal(got, want)
+
     def test_robin_zero_parameter_matches_dirichlet(self):
         sys, dec = poisson_setup(7, 2, 1)
         D = schwarz.local_operator(sys.A, dec)
@@ -465,6 +480,21 @@ class TestRichardson:
         M = lambda r: -40.0 * F.solve(r)
         x, rep = schwarz.richardson(sys.A, sys.F, M, maxit=500)
         assert rep.diverged and not rep.converged
+
+    @pytest.mark.parametrize("where", ["preconditioner", "matrix"])
+    def test_nonfinite_residual_diverges(self, where):
+        sys = discretize.poisson_1d(8)
+        A, d = sys.A.copy(), sys.A.diagonal()
+        M = lambda r: r / d
+        if where == "preconditioner":
+            M = lambda r: r * np.nan
+        else:
+            A.data[3] = np.nan
+        x, rep = schwarz.richardson(A, sys.F, M, maxit=50)
+        assert rep.diverged and not rep.converged
+        # the first non-finite residual ends the iteration
+        assert rep.iterations == (1 if where == "preconditioner" else 0)
+        assert not np.isfinite(rep.residual_history[-1])
 
     def test_jacobi_rate_matches_spectral_radius(self):
         sys = discretize.poisson_1d(10)
