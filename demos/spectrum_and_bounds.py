@@ -20,7 +20,7 @@ def main():
     print(f"spectrum path={spec.path}  lambda_min={spec.lambda_min:.4f}  "
           f"lambda_max={spec.lambda_max:.4f}  kappa={spec.kappa:.2f}")
 
-    rec = analysis.coloring_bound_check(system.A, dec, M, spectrum=spec)
+    rec = analysis.coloring_bound_check(spec, dec.n_colors)
     print(f"coloring bound: lambda_max {rec.measured:.4f} <= "
           f"n_colors {rec.bound:.0f} + 1e-8 -> {rec.satisfied}")
 

@@ -184,22 +184,19 @@ def richardson_spectral_radius(A, M):
     return float(np.abs(np.linalg.eigvals(T)).max())
 
 
-def coloring_bound_check(A, decomposition, M_asm, spectrum=None):
-    """Check lambda_max(M_asm^-1 A) against the subdomain color count.
+def coloring_bound_check(spectrum, n_colors):
+    """lambda_max <= N_c for the additive symmetric variant.
 
     Subdomains split into N_c classes of pairwise non-interacting sets
     bound the largest eigenvalue of the additive preconditioned operator
-    by N_c.
+    M_asm^-1 A, whose spectrum is passed, by N_c.
     """
-    if spectrum is None:
-        spectrum = preconditioned_spectrum(A, M_asm)
-    nc = decomposition.n_colors
     measured = spectrum.lambda_max
-    return BoundRecord("coloring", nc, measured, measured <= nc + 1e-8,
-                       details={"n_colors": int(nc)})
+    return BoundRecord("coloring", n_colors, measured, measured <= n_colors + 1e-8,
+                       details={"n_colors": int(n_colors)})
 
 
-def fsl_constants(system, decomposition, local_blocks):
+def fsl_constants(system, decomposition, B):
     """Stable-splitting constants (tau_1, gamma_1, M_c, N_c).
 
     tau_1 is the worst (smallest) finite eigenvalue over subdomains of
@@ -211,23 +208,28 @@ def fsl_constants(system, decomposition, local_blocks):
     infinite eigenvalues. gamma_1 is the best (largest) eigenvalue of the
     full-size pencil (D_j A_jj D_j, B_j) with B_j the local solver blocks
     actually used by the preconditioner, which must be Hermitian positive
-    definite. M_c is the partition-of-unity multiplicity and N_c the color
-    count. ``system`` must be a finite element system (it needs a mesh,
-    else ``discretize.UnsupportedProblemError``) on the decomposition's
-    dofs, and ``local_blocks`` needs one entry per subdomain, else
-    ValueError.
+    definite, stacked in ``B`` as ``schwarz.local_operator`` stacks them.
+    M_c is the partition-of-unity multiplicity and N_c the color count.
+    ``system`` must be a finite element system (it needs a mesh, else
+    ``discretize.UnsupportedProblemError``) on the decomposition's dofs,
+    and ``B`` must have order ``offsets[-1]``, else ValueError.
     """
+    offsets = decomposition.offsets
+    if B.shape[0] != offsets[-1]:
+        raise ValueError(f"stacked local operator has order {B.shape[0]}, but the "
+                         f"decomposition stacks {offsets[-1]} local dofs")
     tau1 = np.inf
     gamma1 = 0.0
     pencils = coarse.geneo_pencils(system, decomposition)
-    dirichlet = schwarz.local_matrices(system.A, decomposition)
-    for (_, _, Nw, dad_w), D, Ajj, B in zip(
-            pencils, decomposition.weights, dirichlet, local_blocks, strict=True):
+    dirichlet = schwarz.local_operator(system.A, decomposition)
+    for (_, _, Nw, dad_w), D, a, b in zip(
+            pencils, decomposition.weights, offsets[:-1], offsets[1:], strict=True):
         low, _ = linalg.sym_gen_eig(Nw, dad_w)
         if len(low):
             tau1 = min(tau1, float(low[0]))
+        Ajj = dirichlet[a:b, a:b].toarray()
         dad = (D[:, None] * Ajj) * D[None, :]
-        high, _ = linalg.sym_gen_eig(dad, B)
+        high, _ = linalg.sym_gen_eig(dad, B[a:b, a:b].toarray())
         if len(high):
             gamma1 = max(gamma1, float(high[-1]))
     return tau1, gamma1, decomposition.max_multiplicity, decomposition.n_colors

@@ -9,7 +9,9 @@ the wrong type (integer fields take integral numbers only, number fields
 finite ones only, boolean fields JSON booleans only) and values below
 their field's bound (``overlap must be >= 0, got -1``). Then one ordered
 table of cross-field rules, ``_RULES``, rejects the method combinations
-the theory does not cover with the cause of the first row that holds.
+the theory does not cover, and a spectrum too large for the dense
+oracle, with the cause of the first row that holds, before anything is
+assembled.
 Every run produces a RunRecord dictionary whose scenario hash names the
 output directory, so any table cell can be traced back to the record
 that produced it. Its timings are the self seconds of nested spans keyed
@@ -225,11 +227,18 @@ def _terms(cfg):
     """The resolved fields the cross-field rules read, each by one short name."""
     problem, coarse_cfg, solver = cfg["problem"], cfg["coarse"], cfg["solver"]
     nx, ny = problem.get("nx", 0), problem.get("ny", 0)
+    nodes, impedance_nodes = nx * ny, (nx + 2) * (ny + 2)
+    # the order of A: a FEM system has the mesh's interior vertices
+    dofs = {"poisson_1d": problem.get("m"),
+            "fem_2d": (problem.get("cells_x", 1) - 1) * (problem.get("cells_y", 1) - 1),
+            }.get(problem["kind"],
+                  impedance_nodes if problem.get("boundary") == "impedance" else nodes)
     return types.SimpleNamespace(
         problem=problem["kind"], dim=1 if problem["kind"] == "poisson_1d" else 2,
         omega=problem.get("omega"), xi=problem.get("xi", 0.0),
         boundary=problem.get("boundary"),
-        nodes=nx * ny, impedance_nodes=(nx + 2) * (ny + 2),
+        nodes=nodes, impedance_nodes=impedance_nodes, dofs=dofs,
+        spectrum=cfg["analysis"]["spectrum"] or cfg["analysis"]["bounds"],
         p=cfg["partition"].get("p"), overlap=cfg["overlap"],
         variant=cfg["schwarz"]["variant"], robin_p=cfg["schwarz"]["robin_p"],
         coarse=coarse_cfg["kind"], H=coarse_cfg.get("H"),
@@ -299,6 +308,11 @@ _RULES = (
      "{ksp} with combinator {combinator!r} needs solver.x0 'deflated' (the "
      "start Q b): rbnn1 and rbnn2 have no +Q term, and CG converges with adef2 "
      "only from Q b"),
+    # analysis.preconditioned_spectrum would refuse it only after the solve
+    (lambda s: s.spectrum and s.dofs > analysis.DENSE_LIMIT,
+     f"dense spectral analysis is capped at n <= {analysis.DENSE_LIMIT}, got "
+     "{dofs}: analysis.spectrum and analysis.bounds assemble dense n x n "
+     "operators; turn them off or take a smaller problem"),
 )
 
 
@@ -425,8 +439,7 @@ def _bound_records(cfg, system, dec, M1, Q, tau, spectrum):
     if cfg["schwarz"]["variant"] == "asm":
         one_spec = (spectrum if cfg["coarse"]["kind"] == "none"
                     else analysis.preconditioned_spectrum(system.A, M1))
-        records.append(
-            analysis.coloring_bound_check(system.A, dec, M1, spectrum=one_spec))
+        records.append(analysis.coloring_bound_check(one_spec, dec.n_colors))
         if cfg["coarse"]["kind"] == "geneo":
             ad_spec = (spectrum if cfg["combinator"] == "ad"
                        else analysis.preconditioned_spectrum(
@@ -809,8 +822,7 @@ def _load_config(arg):
 # the accepted form of each flag that stands for a scenario section
 _FLAG_FORMS = {
     "--partitioner": "cartesian:PX[xPY] or graph:N[:seed]",
-    "--coarse": "none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo",
-    "--geneo-threshold": "a spectral threshold tau, or 'auto'",
+    "--coarse": "none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo[:tau=T]",
 }
 
 
@@ -870,11 +882,6 @@ def _apply_overrides(config, args):
         key, _, value = rest.partition("=")
         cfg["coarse"] = _flag_section("--coarse", args.coarse, "coarse",
                                       {"kind": kind, **({key: value} if rest else {})})
-    if args.geneo_threshold:
-        tau = args.geneo_threshold
-        # a switch of kind drops the old kind's keys, as in a suite sweep
-        cfg = merge_config(cfg, {"coarse": _flag_section(
-            "--geneo-threshold", tau, "coarse", {"kind": "geneo", "tau": tau})})
     for flag, (section, key, _) in _FIELD_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:

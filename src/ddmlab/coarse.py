@@ -182,8 +182,9 @@ def nicolaides_space(A, decomposition):
 
     Column i extends the subdomain's partition-of-unity weights by zero;
     together the columns reproduce the constant vector exactly. The basis
-    is one sparse array holding the stacked weights ``w`` at the rows
-    ``R.indices``.
+    is one sparse array that reads R's arrays as they are: the stacked
+    weights ``w`` at the rows ``R.indices``, column i spanning
+    ``offsets[i]:offsets[i + 1]``. Nothing here copies or writes them.
     """
     dec = decomposition
     weighted = np.bincount(dec.row_block, weights=dec.w != 0, minlength=dec.N)
@@ -193,7 +194,7 @@ def nicolaides_space(A, decomposition):
             f"subdomain {i} carries no partition-of-unity weight; "
             "its indicator column would vanish"
         )
-    Z = sp.csc_array((dec.w, (dec.R.indices, dec.row_block)), shape=(dec.n_dofs, dec.N))
+    Z = sp.csc_array((dec.w, dec.R.indices, dec.offsets), shape=(dec.n_dofs, dec.N))
     return CoarseSpace(Z, A, tag="nicolaides", owners=np.arange(dec.N))
 
 

@@ -505,7 +505,8 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
         from 0 to its maximum. A system with no DoF raises ValueError
         saying it has no unknowns.
     delta : int
-        Number of overlap layers (per side).
+        Number of overlap layers (per side); ValueError unless it is a
+        non-negative integer (a boolean is not one).
     coords : ndarray or None
         DoF coordinates; enables the bounding-box diameter statistic H_j.
     h : float or None
@@ -515,8 +516,9 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
         it (for instance the one :func:`greedy_graph_partition` read);
         built from A when None. The decomposition keeps it.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if (isinstance(delta, bool) or not isinstance(delta, (int, np.integer))
+            or delta < 0):
+        raise ValueError(f"delta must be a non-negative integer, got {delta!r}")
     n = A.shape[0]
     owner = np.asarray(owner)
     if owner.shape != (n,):

@@ -12,9 +12,12 @@ report therefore carries ``true_final_relres``, the true relative
 residual of the returned iterate, which costs CG and PCG one extra
 matvec at exit.
 
-Right-preconditioned GMRES keeps ``Z = M V`` beside its Arnoldi basis V,
-as flexible GMRES does: one apply of M per iteration, iterates
-``x0 + Z y``. A complex M needs a complex system (a complex ``b``).
+No preconditioner is ``M=None``; GMRES applies an M on one of the
+``SIDES``, left or right. Right-preconditioned GMRES keeps ``Z = M V``
+beside its Arnoldi basis V, as flexible GMRES does: one apply of M per
+iteration, iterates ``x0 + Z y``. A complex M needs a complex system (a
+complex ``b``): PCG and GMRES raise TypeError rather than drop its
+imaginary part or turn a real solve complex.
 GMRES takes ``y`` from a QR factorization of its Hessenberg matrix that
 ``scipy.linalg.qr_insert`` extends by one row and one column per
 iteration, so its memory follows the iterations run, not ``maxit``.
@@ -24,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 METHODS = ("cg", "pcg", "gmres")
-SIDES = ("left", "right", "none")
+SIDES = ("left", "right")
 
 
 class KrylovBreakdownError(RuntimeError):
@@ -163,9 +166,23 @@ def starting_point(matvec, b, x0):
     return b, x0.astype(dtype), r0.astype(dtype, copy=False)
 
 
+def castable(v, dtype):
+    """``v`` as an array, not copied; TypeError if it is complex and ``dtype`` real.
+
+    A preconditioner's output passes here before it enters a solve of
+    ``dtype``, so that no imaginary part is dropped and a real solve does
+    not turn complex unasked.
+    """
+    v = np.asarray(v)
+    if not np.can_cast(v.dtype, dtype, casting="same_kind"):
+        raise TypeError(f"preconditioner returned {v.dtype} values for a "
+                        f"{np.dtype(dtype)} solve; give a complex right-hand side")
+    return v
+
+
 def _cast(v, dtype):
     """Copy ``v`` to ``dtype``; TypeError rather than drop an imaginary part."""
-    return np.asarray(v).astype(dtype, casting="same_kind")
+    return castable(v, dtype).astype(dtype)
 
 
 def _norm(v):
@@ -184,7 +201,10 @@ def cg(A, b, x0=None, tol=1e-6, maxit=200, x_star=None, keep_iterates=False):
 
 
 def pcg(A, b, M, x0=None, tol=1e-6, maxit=200, x_star=None, keep_iterates=False):
-    """Preconditioned conjugate gradients; M applies the preconditioner."""
+    """Preconditioned conjugate gradients; M applies the preconditioner.
+
+    Raises TypeError if M returns complex values for a real system.
+    """
     return _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, "pcg")
 
 
@@ -197,7 +217,7 @@ def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
     energy = None if x_star is None else [_energy_error(matvec, x, x_star)]
     iterates = [] if keep_iterates else None
 
-    z = prec(r)
+    z = castable(prec(r), r.dtype)
     rz = np.vdot(r, z).real
     p = np.array(z, copy=True)
     converged = history[-1] <= tol * bnorm
@@ -224,7 +244,7 @@ def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
         converged = history[-1] <= tol * bnorm
         if converged:
             break
-        z = prec(r)
+        z = castable(prec(r), r.dtype)
         rz_new = np.vdot(r, z).real
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -241,9 +261,10 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
 
     ``side`` selects the preconditioning flavor: "right" (default) keeps
     the algorithm's residual equal to the true residual, "left" builds the
-    Krylov space on preconditioned residuals, "none" ignores M. The
-    reported history always contains true residual norms; convergence is
-    tested on the true relative residual for every side.
+    Krylov space on preconditioned residuals; ``M=None`` runs without a
+    preconditioner on either side. The reported history always contains
+    true residual norms; convergence is tested on the true relative
+    residual for every side.
     Right preconditioning applies M once per iteration (``Z = M V``).
     ``y`` solves ``R y = beta Q^H e1`` for the QR factors of the
     Hessenberg matrix, updated by a zero row and the new Arnoldi column.
@@ -256,7 +277,7 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
         raise ValueError(f"unknown preconditioning side {side!r}")
     matvec = as_operator(A)
     if M is None:
-        side = "none"
+        side = None  # plain Arnoldi: no apply, and Z is V
     apply_M = as_preconditioner(M)
 
     def prec(v):

@@ -22,7 +22,7 @@ or, for ``ROBIN_VARIANTS``, an extra Robin term on the artificial interface.
 import numpy as np
 
 from . import discretize, linalg
-from .krylov import SolveReport, as_operator, as_preconditioner, starting_point
+from .krylov import SolveReport, as_operator, as_preconditioner, castable, starting_point
 
 VARIANTS = ("asm", "ras", "oras", "soras", "none")
 ROBIN_VARIANTS = ("oras", "soras")
@@ -61,17 +61,6 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
         B = linalg.compress(B + linalg.csr_from_triplets(
             dofs.size, dofs.size, interface, interface, shift))
     return B
-
-
-def local_matrices(A, decomposition, kind="dirichlet", p=None, h=None,
-                   dim=None):
-    """Dense local subdomain blocks B_i, sliced one at a time from :func:`local_operator`.
-
-    Returns an iterator in subdomain order; arguments are checked at the call.
-    """
-    B = local_operator(A, decomposition, kind=kind, p=p, h=h, dim=dim)
-    offsets = decomposition.offsets
-    return (B[a:b, a:b].toarray() for a, b in zip(offsets[:-1], offsets[1:]))
 
 
 class OneLevelPreconditioner:
@@ -146,7 +135,8 @@ def richardson(A, b, M, x0=None, tol=1e-6, maxit=200):
     Returns ``(x, SolveReport)``; the report's ``diverged`` flag is set,
     and the iteration ends, when the residual grows a factor 1e6 above its
     initial value or is not finite. The solve takes the dtype of
-    ``b - A x0``, at least float (``krylov.starting_point``).
+    ``b - A x0``, at least float (``krylov.starting_point``); M returning
+    complex values for a real solve raises TypeError.
     """
     matvec = as_operator(A)
     prec = as_preconditioner(M)
@@ -156,7 +146,7 @@ def richardson(A, b, M, x0=None, tol=1e-6, maxit=200):
     converged = history[-1] <= tol * bnorm
     diverged = not np.isfinite(history[-1])
     while not converged and not diverged and len(history) - 1 < maxit:
-        x = x + prec(r)
+        x = x + castable(prec(r), x.dtype)
         r = b - matvec(x)
         history.append(float(np.linalg.norm(r)))
         converged = history[-1] <= tol * bnorm

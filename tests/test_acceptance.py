@@ -181,7 +181,7 @@ def test_coloring_upper_bound():
         dec = overlapped(system, part, delta)
         M1 = schwarz.one_level(system.A, dec, "asm")
         spec = analysis.preconditioned_spectrum(system.A, M1)
-        rec = analysis.coloring_bound_check(system.A, dec, M1, spectrum=spec)
+        rec = analysis.coloring_bound_check(spec, dec.n_colors)
         assert rec.satisfied, (rec, system.kind, dec.N)
         worst = max(worst, rec.measured - rec.bound)
     print(f"PASS coloring bound: {len(cases)} SPD configurations, "
@@ -201,9 +201,9 @@ def test_subdomain_eigenvalue_bounds():
         system = fem_poisson(cells)
         dec = overlapped(system, coordinate_partition(system, px, py), delta)
         p_robin = 1.0 / system.h
-        blocks = schwarz.local_matrices(system.A, dec, kind="robin",
-                                        p=p_robin, h=system.h, dim=2)
-        tau1, gamma1, m_c, n_c = analysis.fsl_constants(system, dec, blocks)
+        B = schwarz.local_operator(system.A, dec, kind="robin",
+                                   p=p_robin, h=system.h, dim=2)
+        tau1, gamma1, m_c, n_c = analysis.fsl_constants(system, dec, B)
         spec_asm = analysis.preconditioned_spectrum(
             system.A, schwarz.one_level(system.A, dec, "asm"))
         low = analysis.fsl_lower_bound_check(spec_asm, tau1, m_c)

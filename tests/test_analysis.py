@@ -113,7 +113,7 @@ class TestPreconditionedSpectrum:
         sys, dec = poisson_setup(8, 2, 1)
         M = schwarz.one_level(sys.A, dec, "asm")
         rep = analysis.preconditioned_spectrum(sys.A, M)
-        rep.records.append(analysis.coloring_bound_check(sys.A, dec, M, spectrum=rep))
+        rep.records.append(analysis.coloring_bound_check(rep, dec.n_colors))
         d = rep.to_dict()
         assert d["path"] == "spd"
         assert len(d["eigenvalues"]) == 8
@@ -192,7 +192,8 @@ class TestColoringBound:
         A = sp.block_diag(blocks, format="csr")
         dec = decompose.expand_overlap(A, np.repeat([0, 1, 2], 4), 0)
         M = schwarz.one_level(A, dec, "asm")
-        rec = analysis.coloring_bound_check(A, dec, M)
+        rec = analysis.coloring_bound_check(
+            analysis.preconditioned_spectrum(A, M), dec.n_colors)
         assert rec.name == "coloring"
         assert dec.n_colors == 1
         assert abs(rec.measured - 1.0) <= 1e-8
@@ -202,7 +203,8 @@ class TestColoringBound:
     def test_coupled_blocks_without_overlap(self):
         sys, dec = poisson_setup(12, 3, 0)
         M = schwarz.one_level(sys.A, dec, "asm")
-        rec = analysis.coloring_bound_check(sys.A, dec, M)
+        rec = analysis.coloring_bound_check(
+            analysis.preconditioned_spectrum(sys.A, M), dec.n_colors)
         # no overlap, but neighbors still couple through A
         assert rec.bound == dec.n_colors == 2
         assert rec.satisfied
@@ -210,7 +212,8 @@ class TestColoringBound:
     def test_chain_of_eight(self):
         sys, dec = poisson_setup(33, 8, 1)
         M = schwarz.one_level(sys.A, dec, "asm")
-        rec = analysis.coloring_bound_check(sys.A, dec, M)
+        rec = analysis.coloring_bound_check(
+            analysis.preconditioned_spectrum(sys.A, M), dec.n_colors)
         assert dec.n_colors <= 3
         assert rec.satisfied
 
@@ -219,23 +222,33 @@ class TestColoringBound:
         part = decompose.cartesian_partition(sys.grid, 3, 3)
         dec = decompose.expand_overlap(sys.A, part, 1)
         M = schwarz.one_level(sys.A, dec, "asm")
-        rec = analysis.coloring_bound_check(sys.A, dec, M)
+        rec = analysis.coloring_bound_check(
+            analysis.preconditioned_spectrum(sys.A, M), dec.n_colors)
         assert rec.satisfied
+
+    def test_closed_form_value(self):
+        rep = analysis.SpectrumReport(
+            eigenvalues=np.array([0.5, 3.0]), path="spd",
+            lambda_min=0.5, lambda_max=3.0, kappa=6.0)
+        rec = analysis.coloring_bound_check(rep, 3)
+        assert (rec.bound, rec.measured, rec.satisfied) == (3.0, 3.0, True)
+        assert rec.details == {"n_colors": 3}
+        assert not analysis.coloring_bound_check(rep, 2).satisfied
 
 
 class TestFslConstants:
     def test_single_subdomain_is_exactly_one(self):
         sys, dec = fem_setup(4, 1, 1, 0)
-        blocks = schwarz.local_matrices(sys.A, dec)
-        tau1, gamma1, mc, nc = analysis.fsl_constants(sys, dec, blocks)
+        B = schwarz.local_operator(sys.A, dec)
+        tau1, gamma1, mc, nc = analysis.fsl_constants(sys, dec, B)
         assert abs(tau1 - 1.0) <= 1e-8
         assert abs(gamma1 - 1.0) <= 1e-8
         assert mc == 1 and nc == 1
 
     def test_two_subdomain_bounds(self):
         sys, dec = fem_setup(8, 2, 1, 2)
-        blocks = schwarz.local_matrices(sys.A, dec, kind="robin", h=sys.h, dim=2)
-        tau1, gamma1, mc, nc = analysis.fsl_constants(sys, dec, blocks)
+        B = schwarz.local_operator(sys.A, dec, kind="robin", h=sys.h, dim=2)
+        tau1, gamma1, mc, nc = analysis.fsl_constants(sys, dec, B)
         assert tau1 > 0 and gamma1 > 0
 
         asm = analysis.preconditioned_spectrum(
@@ -252,12 +265,14 @@ class TestFslConstants:
 
 
     def test_counts_must_match_subdomains(self):
-        # A shorter or longer list of local blocks used to be truncated to
-        # the shortest by zip.
+        # the stacked operator must have one row per stacked local dof
         sys, dec = fem_setup(8, 2, 2, 1)
-        blocks = list(schwarz.local_matrices(sys.A, dec))
-        for bad in (blocks[:-1], blocks + blocks[:1]):
-            with pytest.raises(ValueError, match="argument 4 is (shorter|longer)"):
+        B = schwarz.local_operator(sys.A, dec)
+        n = dec.offsets[-1]
+        for bad in (B[:-1, :-1], sp.block_diag((B, [[1.0]]), format="csr")):
+            order = bad.shape[0]
+            with pytest.raises(ValueError, match=f"has order {order}, but the "
+                                                 f"decomposition stacks {n} local dofs"):
                 analysis.fsl_constants(sys, dec, bad)
 
 

@@ -5,6 +5,7 @@ run determinism, artifact layout, suite tables with reference rows, and
 the bundled configurations.
 """
 
+import argparse
 import copy
 import gc
 import hashlib
@@ -482,6 +483,42 @@ class TestConfig:
         cfg["problem"].update(xi=0.0, boundary="dirichlet")
         cfg["solver"]["ksp"] = ksp
         assert bench.resolve_scenario(cfg)["solver"]["ksp"] == ksp
+
+    def test_side_none_rejected(self):
+        # no preconditioner is schwarz variant 'none' with no coarse space
+        with pytest.raises(ValueError, match=re.escape(
+                "solver.side must be one of ['left', 'right'], got 'none'")):
+            bench.resolve_scenario(tiny_scenario(solver={"side": "none"}))
+
+    @pytest.mark.parametrize("problem", [
+        {"kind": "poisson_1d", "m": 7},
+        {"kind": "poisson_2d_fd", "nx": 4, "ny": 5},
+        {"kind": "fem_2d", "cells_x": 5, "cells_y": 3},
+        {"kind": "helmholtz_2d", "nx": 4, "ny": 5, "omega": 1.0},
+        {"kind": "helmholtz_2d", "nx": 4, "ny": 5, "omega": 1.0, "boundary": "impedance"},
+    ], ids=lambda p: p.get("boundary", p["kind"]))
+    def test_dofs_term_is_the_assembled_order(self, problem):
+        cfg = bench._section(tiny_scenario(problem=problem), bench._SCENARIO,
+                             "scenario", prefix="")
+        assert bench._terms(cfg).dofs == bench._build_system(cfg["problem"]).n
+
+    @pytest.mark.parametrize("analysis_cfg", [{"spectrum": True}, {"bounds": True}])
+    def test_dense_analysis_over_the_cap_rejected_before_assembly(self, analysis_cfg,
+                                                                   monkeypatch):
+        monkeypatch.setattr(bench, "_build_system", None)  # never reached
+        cfg = tiny_scenario(problem={"kind": "poisson_2d_fd", "nx": 50, "ny": 50},
+                            partition={"kind": "cartesian", "p": [2, 2]},
+                            schwarz={"variant": "asm"}, solver={"ksp": "pcg"},
+                            analysis=analysis_cfg)
+        with pytest.raises(bench.ScenarioError,
+                           match=r"capped at n <= 2000, got 2500"):
+            bench.run_scenario(cfg)
+        cfg["analysis"] = {}
+        bench.resolve_scenario(cfg)
+        cfg["problem"] = {"kind": "poisson_1d", "m": analysis.DENSE_LIMIT}
+        cfg["partition"] = {"kind": "cartesian", "p": [4]}
+        cfg["analysis"] = analysis_cfg
+        bench.resolve_scenario(cfg)
 
     def test_round_trip_is_identity(self):
         resolved = bench.resolve_scenario(tiny_scenario())
@@ -1002,7 +1039,7 @@ class TestArtifacts:
         assert sc["solver"]["tol"] == 1e-8
         assert sc["solver"]["maxit"] == 150
 
-    def test_geneo_threshold_flag_replaces_another_kind(self, tmp_path, capsys):
+    def test_coarse_geneo_tau_flag_replaces_another_kind(self, tmp_path, capsys):
         # switching the kind drops the grid's 'ratio', so the run fails on
         # the GenEO cause and not on a leftover key
         cfg_path = tmp_path / "grid.json"
@@ -1011,11 +1048,33 @@ class TestArtifacts:
             partition={"kind": "cartesian", "p": [2, 2]},
             coarse={"kind": "grid", "ratio": 3})))
         code = bench.main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
-                           "--geneo-threshold", "0.5"])
+                           "--coarse", "geneo:tau=0.5"])
         assert code == 1
         out = capsys.readouterr().out
         assert "GenEO needs the Neumann matrices" in out
         assert "unknown key" not in out
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--pc-side", "none"], "argument --pc-side: invalid choice: 'none'"),
+        (["--geneo-threshold", "0.4"], "unrecognized arguments: --geneo-threshold 0.4"),
+    ])
+    def test_removed_flag_forms_rejected(self, capsys, argv, cause):
+        with pytest.raises(SystemExit) as exit_:
+            bench.main(["run", "poisson_unit", *argv])
+        assert exit_.value.code == 2
+        assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, coarse_cfg", [
+        ("geneo", {"kind": "geneo", "tau": "auto"}),
+        ("geneo:tau=auto", {"kind": "geneo", "tau": "auto"}),
+        ("geneo:tau=0.4", {"kind": "geneo", "tau": 0.4}),
+    ])
+    def test_coarse_flag_sets_the_geneo_tau(self, value, coarse_cfg):
+        args = argparse.Namespace(command="run", partitioner=None, coarse=value,
+                                  **{flag[2:].replace("-", "_"): None
+                                     for flag in bench._FIELD_FLAGS})
+        cfg = bench._apply_overrides(bench.load_bundled("poisson_unit"), args)
+        assert bench.resolve_scenario(cfg)["coarse"] == coarse_cfg
 
     @pytest.mark.parametrize("flag, value, cause", [
         ("--partitioner", "graph:x", "partition.N must be an integer, got 'x'"),
@@ -1026,7 +1085,7 @@ class TestArtifacts:
          "partition.p[1] must be an integer, got ''"),
         ("--coarse", "grid:ratio", "coarse.ratio must be an integer, got ''"),
         ("--coarse", "grid:H=abc", "coarse.H must be a number, got 'abc'"),
-        ("--geneo-threshold", "abc", "coarse.tau must be a number, got 'abc'"),
+        ("--coarse", "geneo:tau=abc", "coarse.tau must be a number, got 'abc'"),
     ])
     def test_malformed_flag_names_itself(self, tmp_path, capsys, flag, value, cause):
         cfg_path = tmp_path / "tiny.json"
@@ -1035,8 +1094,8 @@ class TestArtifacts:
                            flag, value])
         assert code == 1
         form = {"--partitioner": "cartesian:PX[xPY] or graph:N[:seed]",
-                "--coarse": "none | nicolaides | grid:H=0.25 | grid:ratio=4 | geneo",
-                "--geneo-threshold": "a spectral threshold tau, or 'auto'"}[flag]
+                "--coarse": ("none | nicolaides | grid:H=0.25 | grid:ratio=4 | "
+                             "geneo[:tau=T]")}[flag]
         assert capsys.readouterr().out == (
             f"ddmlab: {flag} {value!r} is malformed ({cause}); use {form}\n")
 
@@ -1048,7 +1107,7 @@ class TestArtifacts:
         ("spectrum", tiny_scenario(analysis=[["bounds", True]]), [],
          "tiny", "analysis must be an object"),
         ("spectrum", [1, 2], ["--overlap", "2", "--partitioner", "graph:3",
-                              "--geneo-threshold", "auto"],
+                              "--coarse", "geneo:tau=auto"],
          "scenario", "scenario must be an object"),
     ])
     def test_flag_leaves_a_non_object_to_validation(self, tmp_path, capsys, command,

@@ -98,14 +98,15 @@ def dense_pencils(A, dec, neumann):
     """The per-subdomain oracle of geneo_pencils, one subdomain at a time.
 
     Zero-extends each Neumann matrix (:func:`neumann_oracle`) to the
-    overlapping set, scales the dense principal submatrix
-    (``schwarz.local_matrices``) by the weights on both sides, then
+    overlapping set, scales the dense principal submatrix of A by the
+    weights on both sides, then
     gathers the dofs of nonzero weight from both. Yields
     ``(s, D, Nloc, DAD, wd, Nw, Bw)``: the full-size pencil, the weighted
     positions and the restricted pencil.
     """
-    blocks = schwarz.local_matrices(A, dec)
-    for s, D, (N, dofs), Aj in zip(dec.sets, dec.weights, neumann, blocks):
+    Ad = A.toarray()
+    for s, D, (N, dofs) in zip(dec.sets, dec.weights, neumann):
+        Aj = Ad[np.ix_(s, s)]
         pos = np.searchsorted(s, dofs)
         Nloc = np.zeros(Aj.shape, dtype=np.asarray(N).dtype)
         Nloc[np.ix_(pos, pos)] = N

@@ -1,6 +1,7 @@
 """Oracle tests for partitions, overlap growth, and partitions of unity."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -473,6 +474,17 @@ class TestExpandOverlap:
         dec = decompose.expand_overlap(A, [0, 0, 1, 1], 1)
         assert list(dec.sets[0]) == [0, 1, 2]
         assert list(dec.sets[1]) == [1, 2, 3]
+
+    @pytest.mark.parametrize("delta", [-1, 1.5, 1.0, True, "2", None])
+    def test_delta_must_be_a_non_negative_integer(self, delta):
+        # 1.5 failed in range(), True was one layer, "2" failed comparing with 0
+        with pytest.raises(ValueError, match=re.escape(
+                f"delta must be a non-negative integer, got {delta!r}")):
+            decompose.expand_overlap(path_graph(4), [0, 0, 1, 1], delta)
+
+    def test_numpy_integer_delta_accepted(self):
+        dec = decompose.expand_overlap(path_graph(4), [0, 0, 1, 1], np.int64(1))
+        assert list(dec.sets[0]) == [0, 1, 2]
 
     def test_zero_overlap_identity(self):
         A = path_graph(6)

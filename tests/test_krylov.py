@@ -124,21 +124,32 @@ class TestPcg:
         assert rep.final_relres == pytest.approx(true, rel=1e-12)
 
 
+# GMRES on either side, and with M=None under the id "none"
+SIDES_AND_NONE = [*krylov.SIDES, pytest.param(None, id="none")]
+
+
+def gmres_on(A, b, M, side, **kwargs):
+    """``krylov.gmres`` with M on ``side``, or with M=None when side is None."""
+    if side is None:
+        return krylov.gmres(A, b, None, **kwargs)
+    return krylov.gmres(A, b, M, side=side, **kwargs)
+
+
 def oracle_residuals(A, b, x0, M, side, steps):
     """Minimal residuals over x0 + K_k, k = 1..steps, from a dense oracle.
 
     The Krylov basis is orthonormalized by ``np.linalg.qr`` one column at
-    a time, and each minimizer is a ``lstsq`` solve over it: right and
-    none sides minimize ``||b - A x||``, the left side ``||M(b - A x)||``.
-    Returns the minimizing residual vectors, which are unique even when
-    the minimizers are not.
+    a time, and each minimizer is a ``lstsq`` solve over it: the right
+    side and a side of None (no preconditioner) minimize ``||b - A x||``,
+    the left side ``||M(b - A x)||``. Returns the minimizing residual
+    vectors, which are unique even when the minimizers are not.
     """
     A = A.toarray()
-    prec = M.apply
+    prec = (lambda v: v) if side is None else M.apply
     r0 = b - A @ x0
     t = prec(r0) if side == "left" else r0
     op = {"left": lambda v: prec(A @ v), "right": lambda v: A @ prec(v),
-          "none": lambda v: A @ v}[side]
+          None: lambda v: A @ v}[side]
     W = (t / np.linalg.norm(t))[:, None]
     residuals = []
     for k in range(1, steps + 1):
@@ -171,12 +182,12 @@ def minimizer_case(kind):
 
 
 class TestGmres:
-    @pytest.mark.parametrize("side", ["right", "left", "none"])
+    @pytest.mark.parametrize("side", SIDES_AND_NONE)
     @pytest.mark.parametrize("kind", ["poisson", "helmholtz-oras"])
     def test_every_iterate_is_the_minimizer(self, kind, side):
         sys, M, x0 = minimizer_case(kind)
-        x, rep = krylov.gmres(sys.A, sys.F, M, side=side, x0=x0, tol=1e-10,
-                              keep_iterates=True)
+        x, rep = gmres_on(sys.A, sys.F, M, side, x0=x0, tol=1e-10,
+                          keep_iterates=True)
         assert rep.iterations > 5
         oracle = oracle_residuals(sys.A, sys.F, x0, M, side, rep.iterations)
         prec = M.apply if side == "left" else (lambda v: v)
@@ -186,7 +197,7 @@ class TestGmres:
             assert np.linalg.norm(r - r_min) <= 1e-10 * scale
         assert rep.converged
 
-    @pytest.mark.parametrize("side", ["right", "left", "none"])
+    @pytest.mark.parametrize("side", SIDES_AND_NONE)
     def test_memory_follows_iterations_run(self, side):
         # maxit = n: a Hessenberg array sized by maxit would take
         # 2026 x 2025 doubles (33 MB) against bases of under 1.2 MB
@@ -196,7 +207,7 @@ class TestGmres:
         n = sys.F.shape[0]
         tracemalloc.start()
         try:
-            x, rep = krylov.gmres(sys.A, sys.F, M, side=side, maxit=n)
+            x, rep = gmres_on(sys.A, sys.F, M, side, maxit=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -215,7 +226,7 @@ class TestGmres:
     def test_identity_one_iteration(self):
         A = identity_csr(4)
         b = np.array([1.0, 2.0, 3.0, 4.0])
-        x, rep = krylov.gmres(A, b, side="none")
+        x, rep = krylov.gmres(A, b)
         assert rep.iterations == 1 and rep.converged
         np.testing.assert_allclose(x, b, atol=1e-12)
 
@@ -228,7 +239,7 @@ class TestGmres:
 
     def test_monotone_history_and_true_residuals(self):
         sys = discretize.poisson_2d_fd(7, 7)
-        x, rep = krylov.gmres(sys.A, sys.F, side="none", tol=1e-8, keep_iterates=True)
+        x, rep = krylov.gmres(sys.A, sys.F, tol=1e-8, keep_iterates=True)
         h = rep.residual_history
         assert all(h[k + 1] <= h[k] + 1e-12 * h[0] for k in range(len(h) - 1))
         for k, xk in enumerate(rep.iterates):
@@ -270,7 +281,7 @@ class TestGmres:
 
     def test_maxit_flag(self):
         sys = discretize.poisson_2d_fd(10, 10)
-        x, rep = krylov.gmres(sys.A, sys.F, side="none", tol=1e-12, maxit=5)
+        x, rep = krylov.gmres(sys.A, sys.F, tol=1e-12, maxit=5)
         assert not rep.converged
         assert rep.iterations == 5
 
@@ -279,12 +290,20 @@ class TestGmres:
         with pytest.raises(ValueError):
             krylov.gmres(A, np.ones(3), side="middle")
 
+    @pytest.mark.parametrize("M", [None, lambda r: r], ids=["M=None", "M"])
+    def test_side_none_rejected(self, M):
+        # no preconditioner is M=None, not a side that ignores M
+        assert krylov.SIDES == ("left", "right")
+        with pytest.raises(ValueError, match="unknown preconditioning side 'none'"):
+            krylov.gmres(identity_csr(3), np.ones(3), M, side="none")
+
     @pytest.mark.parametrize("side, extra", [("right", 0), ("left", 1),
-                                             ("none", None)])
+                                             pytest.param(None, None, id="none-None")])
     def test_preconditioner_applies_per_iteration(self, side, extra):
         # right: one apply per iteration (Z = M V); left: one per
-        # iteration plus one for the initial residual; none: no apply.
-        # Every history entry is the true residual of its iterate.
+        # iteration plus one for the initial residual; M=None: no apply
+        # (the counting M is then used by no solve). Every history entry
+        # is the true residual of its iterate.
         sys = discretize.poisson_2d_fd(12, 12)
         part = decompose.cartesian_partition(sys.grid, 3, 3)
         M1 = schwarz.one_level(sys.A, decompose.expand_overlap(sys.A, part, 1), "asm")
@@ -295,8 +314,8 @@ class TestGmres:
             return M1.apply(r)
 
         x0 = np.linspace(0.0, 1.0, sys.F.shape[0])
-        x, rep = krylov.gmres(sys.A, sys.F, counting, side=side, x0=x0,
-                              tol=1e-8, keep_iterates=True)
+        x, rep = gmres_on(sys.A, sys.F, counting, side, x0=x0, tol=1e-8,
+                          keep_iterates=True)
         assert rep.converged and rep.iterations > 5
         assert len(calls) == (0 if extra is None else rep.iterations + extra)
         assert all(shape == sys.F.shape for shape in calls)
@@ -310,7 +329,7 @@ class TestGmres:
         # A e1 = 0: the first Arnoldi step leaves H = [[0], [0]]
         A = linalg.csr_from_triplets(2, 2, [0], [1], [1.0])
         with pytest.raises(krylov.KrylovBreakdownError, match="singular"):
-            krylov.gmres(A, np.array([1.0, 0.0]), side="none")
+            krylov.gmres(A, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -328,7 +347,7 @@ class TestGmres:
         with pytest.raises(krylov.KrylovBreakdownError, match="NaN or Inf"):
             krylov.gmres(sys.A, sys.F, M, side=side, tol=1e-12)
 
-    @pytest.mark.parametrize("side", krylov.SIDES)
+    @pytest.mark.parametrize("side", SIDES_AND_NONE)
     @pytest.mark.parametrize("where", ["matrix", "arnoldi"])
     def test_nonfinite_operator_raises_breakdown(self, side, where):
         sys = discretize.poisson_1d(8)
@@ -343,7 +362,7 @@ class TestGmres:
             A = lambda v: sys.A @ v if not v.any() else np.full_like(v, np.nan)
         match = "preconditioner" if (where, side) == ("arnoldi", "left") else "operator"
         with pytest.raises(krylov.KrylovBreakdownError, match=f"{match} returned NaN or Inf"):
-            krylov.gmres(A, sys.F, lambda r: r / d, side=side)
+            gmres_on(A, sys.F, lambda r: r / d, side)
 
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_complex_preconditioner_on_real_system_raises(self, side):
@@ -375,3 +394,23 @@ def test_complex_start_on_real_system_solves_in_complex(method):
     assert x.dtype == np.complex128
     assert rep.residual_history[0] == np.linalg.norm(sys.F - sys.A @ x0)
     np.testing.assert_array_equal(x0, 1.0 + 1.0j)
+
+
+@pytest.mark.parametrize("method", ["pcg", "richardson"])
+def test_complex_preconditioner_on_real_system_raises(method):
+    # as in GMRES: a complex M on a real system is an error, not a switch
+    # to complex arithmetic
+    sys = discretize.poisson_1d(8)
+    solve = {"pcg": lambda: krylov.pcg(sys.A, sys.F, lambda r: (1 + 1j) * r),
+             "richardson": lambda: schwarz.richardson(
+                 sys.A, sys.F, lambda r: (1e-3 + 1e-3j) * r)}
+    with pytest.raises(TypeError, match="complex128 values for a float64 solve"):
+        solve[method]()
+
+
+def test_castable_reads_the_dtype_without_a_copy():
+    z = np.ones(3)
+    assert krylov.castable(z, np.float64) is z
+    assert krylov.castable(z, np.complex128) is z
+    with pytest.raises(TypeError):
+        krylov.castable(z.astype(complex), np.float64)

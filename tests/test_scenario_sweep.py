@@ -220,6 +220,8 @@ TRIPS = [
                  id="pcg-adef1"),
     pytest.param(tiny(schwarz={"variant": "asm"}, coarse=NICOLAIDES, combinator="rbnn1"),
                  id="projection-needs-deflated-start"),
+    pytest.param(tiny(problem={"kind": "poisson_1d", "m": 2001}, analysis={"bounds": True}),
+                 id="dense-analysis-cap"),
 ]
 
 

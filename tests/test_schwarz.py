@@ -112,19 +112,14 @@ class TestLocalOperators:
             atol=1e-10
         )
 
-    def test_local_matrices_are_lazy_and_checked_at_the_call(self):
+    def test_local_operator_checks_its_arguments(self):
         sys, dec = poisson_setup(7, 2, 1)
-        with pytest.raises(ValueError):
-            schwarz.local_matrices(sys.A, dec, kind="neumann")
-        with pytest.raises(ValueError):
-            schwarz.local_matrices(sys.A, dec, kind="robin")
-        blocks = schwarz.local_matrices(sys.A, dec)
-        assert not isinstance(blocks, list)
-        Ad = sys.A.toarray()
-        got = list(blocks)
-        assert len(got) == dec.N
-        for s, B in zip(dec.sets, got):
-            np.testing.assert_array_equal(B, Ad[np.ix_(s, s)])
+        with pytest.raises(ValueError, match="unknown local operator kind 'neumann'"):
+            schwarz.local_operator(sys.A, dec, kind="neumann")
+        with pytest.raises(ValueError, match="need the mesh width h and dim"):
+            schwarz.local_operator(sys.A, dec, kind="robin")
+        with pytest.raises(ValueError, match="need the mesh width h and dim"):
+            schwarz.local_operator(sys.A, dec, kind="robin", h=sys.h)
 
     def test_dirichlet_blocks_are_principal_submatrices(self):
         sys, dec = poisson_setup(5, 2, 1)
@@ -134,6 +129,9 @@ class TestLocalOperators:
         e = np.eye(4)
         got = np.column_stack([local_solve(B, dec, 0, e[:, j]) for j in range(4)])
         np.testing.assert_allclose(got, np.linalg.inv(A1), atol=1e-9)
+        Ad = sys.A.toarray()
+        for s, a, b in zip(dec.sets, dec.offsets[:-1], dec.offsets[1:], strict=True):
+            np.testing.assert_array_equal(B[a:b, a:b].toarray(), Ad[np.ix_(s, s)])
 
     def test_non_canonical_matrix_gives_a_canonical_operator(self):
         # every entry split into two exact halves, columns unsorted within a row
@@ -215,12 +213,11 @@ class TestLocalOperators:
         if p == "per-dof":
             p = np.linspace(1.0, 2.0, sys.A.shape[0])
         B = schwarz.local_operator(sys.A, dec, kind="robin", p=p, h=sys.h, dim=2)
-        dense = schwarz.local_matrices(sys.A, dec, kind="robin", p=p, h=sys.h, dim=2)
         oracle = robin_blocks(sys.A, dec, p, 1.0)
-        for i, got in enumerate(dense):
+        assert len(oracle) == dec.N
+        for i, ref in enumerate(oracle):
             a, b = dec.offsets[i], dec.offsets[i + 1]
-            np.testing.assert_array_equal(got, oracle[i])
-            np.testing.assert_array_equal(B[a:b, a:b].toarray(), got)
+            np.testing.assert_array_equal(B[a:b, a:b].toarray(), ref)
             # nothing couples two subdomains
             assert B[a:b].nnz == B[a:b, a:b].nnz
 
