@@ -27,11 +27,11 @@ weights). Its kernel is split off here, not in the eigensolver:
 :func:`geneo_pencils` builds each pencil directly on the dofs of nonzero
 weight, where it is definite, for both GenEO and
 ``analysis.fsl_constants``, and ``linalg.sym_gen_eig`` computes only the
-eigenpairs up to the threshold. One index pass over the weighted stacked
-rows finds every pencil entry: ``Decomposition.within`` gives the block
-diagonal of A on them as one CSR matrix, and ``Decomposition.locate``
-places the element-matrix entries. The dense pencils are then built one
-subdomain at a time, so only one dense pair is alive.
+eigenpairs up to the threshold. The dense pencils are built one
+subdomain at a time, so only one dense pair is alive: one n-length table
+from DoF to position among the subdomain's weighted dofs places its
+element-matrix entries and the entries of A's rows, and no global lookup
+runs.
 The two pencil matrices differ only where the partition of unity and the
 subdomain boundary act; on a row where they are equal the pencil has
 eigenvalue 1, and every eigenvector below 1 is discrete-harmonic there.
@@ -296,14 +296,15 @@ def geneo_pencils(system, decomposition):
 
     Returns an iterator that yields ``(dofs, d, Nw, Bw)`` for every
     subdomain: the ascending global dofs of nonzero weight in ``s_j``,
-    their weights, and the two restricted dense matrices. One index pass
-    over all subdomains runs at the call: ``Decomposition.within`` of A on
-    the weighted rows, its entries scaled to ``(d_i a_ik) d_k``. Each dense
-    pair is then built only when its subdomain is reached, ``Bw`` as the
-    dense diagonal block of that matrix and ``Nw`` by one ``np.bincount``
-    of the element-matrix entries, which sums them in the order
-    ``discretize.neumann_matrix`` does. No Neumann matrix on the
-    unweighted dofs is formed.
+    their weights, and the two restricted dense matrices. The element
+    sets are found at the call; each dense pair is built only when its
+    subdomain is reached, through one n-length table from DoF to position
+    among the weighted dofs: ``Nw`` by one ``np.bincount`` of the
+    element-matrix entries, which sums them in the order
+    ``discretize.neumann_matrix`` does, and ``Bw`` from the stored entries
+    of A's weighted rows whose columns are weighted dofs of the subdomain,
+    scaled to ``(d_i a_ik) d_k``. No Neumann matrix on the unweighted dofs
+    is formed.
 
     Raises ``discretize.UnsupportedProblemError`` for a system without a
     mesh and ValueError when the system's DoF count is not the
@@ -314,51 +315,49 @@ def geneo_pencils(system, decomposition):
 
 
 def _pencil_index(system, decomposition):
-    """The index pass of :func:`geneo_pencils`.
+    """The element sets of :func:`geneo_pencils` and the function that builds each pencil.
 
     Returns ``(touched, pencil)``: whether each subdomain's element set
     touches any DoF, and the function that builds subdomain j's
-    ``(dofs, d, Nw, Bw)``.
+    ``(dofs, d, Nw, Bw)``. ``pencil(j)`` reads j's element entries and
+    A's rows through one n-length table from DoF to position among j's
+    weighted dofs, filled for j and reset before it returns.
     """
     dec = decomposition
     elements = subdomain_element_sets(system, dec)
-    # positions count among the weighted rows wrows; subdomain j owns wstart[j]:wstart[j + 1]
-    wrows = np.flatnonzero(dec.w != 0)
-    wdof, d = dec.R.indices[wrows], dec.w[wrows]
-    # intp, so the flat positions (row * size + col) below are int64 even
-    # where locate hands back int32 positions
-    wstart = np.searchsorted(wrows, dec.offsets)
-    size = np.diff(wstart)
+    A = sp.csr_array(system.A)
+    dmap = system.dof_of_vertex[system.mesh.triangles]
+    has_dof = (dmap >= 0).any(axis=1)
+    touched = np.array([has_dof[t].any() for t in elements], dtype=bool)
+    # -1 off the current subdomain's weighted dofs; the last entry stays -1
+    # and serves the dof -1 of an eliminated boundary vertex
+    table = np.full(dec.n_dofs + 1, -1)
 
-    # D_j A_j D_j: the entries of A at weighted rows and columns of one
-    # subdomain; entry (i, k) is (d_i a_ik) d_k, as in the dense product
-    B = dec.within(system.A, wrows)
-    B.data = (np.repeat(d, np.diff(B.indptr)) * B.data) * d[B.indices]
-
-    # N_j: the element-matrix entries at weighted dofs, in (subdomain,
-    # element, a, b) order, as discretize.neumann_matrix adds them
-    t = np.concatenate(elements)
-    ecount = [len(e) for e in elements]
-    eblock = np.repeat(np.arange(dec.N), ecount)
-    dof = system.dof_of_vertex[system.mesh.triangles[t]]
-    touched = np.bincount(eblock, weights=(dof >= 0).any(axis=1),
-                          minlength=dec.N) > 0
-    at = dec.locate(eblock[:, None], dof, wrows)
-    loc = at - wstart[eblock][:, None]
-    kept = (at[:, :, None] >= 0) & (at[:, None, :] >= 0)
-    nvals = system.element_matrices[t][kept]
-    nflat = ((loc * size[eblock][:, None])[:, :, None] + loc[:, None, :])[kept]
-    nbound = np.concatenate([[0], np.cumsum(kept.sum(axis=(1, 2)))])[
-        np.concatenate([[0], np.cumsum(ecount)])]
+    def dense(flat, vals, m):
+        # summed in entry order; bincount of no entries is an integer array
+        return np.bincount(flat, vals, minlength=m * m).astype(float, copy=False).reshape(m, m)
 
     def pencil(j):
-        m = size[j]
-        lo, hi = nbound[j], nbound[j + 1]
-        # bincount of no entries is an integer array
-        Nw = np.bincount(nflat[lo:hi], nvals[lo:hi], minlength=m * m).astype(
-            float, copy=False)
-        lo, hi = wstart[j], wstart[j + 1]
-        return wdof[lo:hi], d[lo:hi], Nw.reshape(m, m), B[lo:hi, lo:hi].toarray()
+        weighted = dec.weights[j] != 0
+        dofs, d = dec.sets[j][weighted], dec.weights[j][weighted]
+        m = d.size
+        table[dofs] = np.arange(m)
+        # N_j: the element-matrix entries at weighted dofs, in (element, a,
+        # b) order, as discretize.neumann_matrix adds them
+        loc = table[dmap[elements[j]]]
+        kept = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
+        Nw = dense((loc[:, :, None] * m + loc[:, None, :])[kept],
+                   system.element_matrices[elements[j]][kept], m)
+        # D_j A_j D_j: A's entries at weighted rows and columns of j; entry
+        # (i, k) is (d_i a_ik) d_k, as in the dense product
+        rows = A[dofs]
+        col = table[rows.indices]
+        table[dofs] = -1
+        row = np.repeat(np.arange(m), np.diff(rows.indptr))
+        kept = col >= 0
+        row, col = row[kept], col[kept]
+        Bw = dense(row * m + col, (d[row] * rows.data[kept]) * d[col], m)
+        return dofs, d, Nw, Bw
 
     return touched, pencil
 

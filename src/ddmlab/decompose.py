@@ -14,9 +14,10 @@ pattern is built per system. Index arrays follow ``linalg.index_dtype``.
 Decompositions are immutable: their index and weight arrays are
 read-only, and the partition-of-unity builders return updated copies.
 Stacked row r of subdomain ``row_block[r]`` has the ascending key
-``row_block[r] * n_dofs + R.indices[r]``; ``locate`` finds rows by these
-keys, and ``within`` the blocks ``R_i A R_i^T`` (as one CSR matrix), with
-no product with R. The keys are int64 whatever the index dtype of R.
+``row_block[r] * n_dofs + R.indices[r]``; ``within`` finds A's entries
+among the stacked rows by these keys and returns the blocks
+``R_i A R_i^T`` (as one CSR matrix), with no product with R. The keys are
+int64 whatever the index dtype of R.
 """
 
 from collections import defaultdict
@@ -89,44 +90,30 @@ class Decomposition:
     def max_multiplicity(self):
         return int(self.multiplicity.max())
 
-    def locate(self, blocks, dofs, rows=None):
-        """Position of each pair ``(blocks, dofs)`` among the stacked ``rows``, or -1.
-
-        ``rows`` is an ascending subset of the stacked rows, all of them when
-        None. A negative DoF, or one its subdomain holds in no row of ``rows``,
-        gets -1; DoFs must lie below ``n_dofs``. Positions take R's index dtype.
-        """
-        rows = slice(None) if rows is None else rows
-        blocks, dofs = np.asarray(blocks), np.asarray(dofs)
-        at = self._search(blocks.astype(np.int64) * self.n_dofs + dofs, rows)
-        at = at.astype(self.R.indptr.dtype)
-        # a pair matches where both parts do, so a negative DoF matches none
-        at[(self.R.indices[rows][at] != dofs) | (self.row_block[rows][at] != blocks)] = -1
-        return at
-
-    def _search(self, want, rows):
-        """Where each int64 key ``want`` sorts among the keys of ``rows``, clamped to the last."""
-        keys = self.row_block[rows].astype(np.int64)
+    def _search(self, want):
+        """Where each int64 key ``want`` sorts among the stacked keys, clamped to the last."""
+        keys = self.row_block.astype(np.int64)
         keys *= self.n_dofs
-        keys += self.R.indices[rows]
+        keys += self.R.indices
         at = np.asarray(np.searchsorted(keys, want))
         np.minimum(at, keys.size - 1, out=at)
         return at
 
-    def within(self, A, rows=None):
-        """The blocks ``R_i A R_i^T`` of sparse A on the stacked ``rows``, as one CSR matrix.
+    def within(self, A):
+        """The blocks ``R_i A R_i^T`` of sparse A, as one CSR matrix on the stacked rows.
 
-        Row and column r are the r-th of ``rows``, counted as in :meth:`locate`;
-        each row holds A's entries in storage order, so the matrix is canonical
-        when ``csr_array(A)`` is. Its index arrays take R's index dtype (int64
-        if its entry count needs it). Only the int64 keys of one search are
-        formed at full length; the match is checked on the key's two parts.
+        Row and column r are stacked row r; each row holds A's entries in
+        storage order, so the matrix is canonical when ``csr_array(A)`` is.
+        Its index arrays take R's index dtype (int64 if its entry count needs
+        it). Each entry of A's row ``R.indices[r]`` is found among the
+        stacked rows by one ``searchsorted`` of its int64 key; only these
+        keys are formed at full length, and the match is checked on the
+        key's two parts.
         """
         A = sp.csr_array(A)
         if A.shape != (self.n_dofs, self.n_dofs):
             raise ValueError(f"matrix of shape {A.shape} on a decomposition of {self.n_dofs} DoFs")
-        rows = slice(None) if rows is None else rows
-        dof, block = self.R.indices[rows], self.row_block[rows]
+        dof, block = self.R.indices, self.row_block
         starts = A.indptr[dof]
         counts = A.indptr[dof + 1] - starts
         total = int(counts.sum())
@@ -136,7 +123,7 @@ class Decomposition:
         src += np.arange(total, dtype=idx)
         want = np.repeat(block.astype(np.int64) * self.n_dofs, counts)
         want += A.indices[src]
-        at = self._search(want, rows)
+        at = self._search(want)
         del want
         pos = np.promote_types(self.R.indptr.dtype, linalg.index_dtype(total))
         at = at.astype(pos)

@@ -9,8 +9,8 @@ they already hold, in the dtype :func:`index_dtype` picks.
 Index arrays are int32 when every index and entry count of the matrix fits
 in it, else int64 (:func:`index_dtype`); that rule alone picks the dtype,
 so the sparse products of the pipeline never mix the two. Keys that
-combine two indices, such as ``Decomposition.locate``'s ``block * n +
-dof``, are always int64, since they can pass ``2**31`` when no matrix
+combine two indices, such as the ``block * n + dof`` keys of
+``Decomposition.within``, are always int64, since they can pass ``2**31`` when no matrix
 index does.
 Dense factorizations and the generalized symmetric eigensolver wrap
 LAPACK through scipy. A sparse matrix is factorized by SuperLU

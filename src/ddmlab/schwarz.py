@@ -41,14 +41,19 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
     stacked rows whose dof couples in the symmetrized pattern of A
     (``Decomposition.graph``) to a dof outside its subdomain; ``p``
     defaults to ``1/h`` and may be a scalar or a per-dof array (complex
-    values are allowed). B takes R's index dtype; its Dirichlet part is
-    ``within(A)`` itself, made canonical by ``linalg.compress`` (a no-op
-    but for stored zeros when A is canonical).
+    values are allowed); an array of another shape raises ValueError.
+    B takes R's index dtype; its Dirichlet part is ``within(A)`` itself,
+    made canonical by ``linalg.compress`` (a no-op but for stored zeros
+    when A is canonical).
     """
     if kind not in ("dirichlet", "robin"):
         raise ValueError(f"unknown local operator kind {kind!r}")
     if kind == "robin" and (h is None or dim is None):
         raise ValueError("robin local operators need the mesh width h and dim")
+    n = decomposition.n_dofs
+    if kind == "robin" and np.ndim(p) and np.shape(p) != (n,):
+        raise ValueError(f"robin parameter p has shape {np.shape(p)}; expected a scalar "
+                         f"or one value per dof, shape ({n},) for n_dofs = {n}")
     B = linalg.compress(decomposition.within(A))
     if kind == "robin":
         graph, dofs = decomposition.graph, decomposition.R.indices
@@ -56,7 +61,7 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
         # its dof's graph neighbours than the whole graph does
         inside = np.diff(decomposition.within(graph).indptr)
         interface = np.flatnonzero(inside < np.diff(graph.indptr)[dofs])
-        p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (decomposition.n_dofs,))
+        p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (n,))
         shift = p_dof[dofs[interface]] * float(h) ** (dim - 2)
         B = linalg.compress(B + linalg.csr_from_triplets(
             dofs.size, dofs.size, interface, interface, shift))

@@ -283,6 +283,32 @@ class TestPencils:
         np.testing.assert_array_equal(dofs, [4])
         assert not Nw.any() and Bw[0, 0] > 0
 
+    @pytest.mark.parametrize("pu", ["multiplicity", "boolean"])
+    @pytest.mark.parametrize("N", [20, 25])
+    def test_graph_partition_with_about_one_dof_per_subdomain(self, N, pu):
+        # FEM on 6x6 cells (25 dofs), overlap 1: with Boolean weights 13 of
+        # the 20 subdomains (15 of the 25) carry no weight and get 0 x 0
+        # pencils, though their element sets touch dofs
+        sys, dec = graph_setup(6, N, 0, 1, pu)
+        _, got = self.check(sys, dec)
+        empty = [j for j, (dofs, *_) in enumerate(got) if dofs.size == 0]
+        assert len(empty) == {"multiplicity": 0, "boolean": {20: 13, 25: 15}[N]}[pu]
+        touched, _ = coarse._pencil_index(sys, dec)
+        assert touched.all()
+        for j in empty:
+            for a in got[j][1:]:
+                assert a.dtype == np.float64 and a.size == 0
+
+    def test_pencils_do_not_depend_on_the_order_taken(self):
+        # each pencil fills the shared dof table and resets it, so taking
+        # them backwards, or one twice, builds the same bytes
+        sys, dec = graph_setup(14, 5, 2, 2, "boolean")
+        forward = list(coarse.geneo_pencils(sys, dec))
+        _, pencil = coarse._pencil_index(sys, dec)
+        for j in [4, 3, 3, 2, 1, 0]:
+            for a, b in zip(pencil(j), forward[j]):
+                assert_bitwise(a, b)
+
     def test_count_checked_at_the_call(self):
         # a system on other dofs than the decomposition's is rejected when
         # the pencils are asked for, before any is taken
@@ -295,8 +321,9 @@ class TestPencils:
 
     def test_first_pencil_holds_one_dense_pair(self):
         # The pencils are built one subdomain at a time: taking the first
-        # allocates about one dense pair (5 MB here) plus the index pass,
-        # not the nine subdomains' Neumann matrices at once (18 MB).
+        # allocates about one dense pair (5 MB here) plus the element sets
+        # and the dof table, not the nine subdomains' Neumann matrices at
+        # once (18 MB).
         sys, dec = fem_setup(60, 3, 3, 2)
         pairs = [2 * np.count_nonzero(w) ** 2 * 8 for w in dec.weights]
         neumann = sum(len(s) ** 2 * 8 for s in dec.sets)
@@ -573,20 +600,6 @@ class TestLeanSetup:
         for M in (sys.A, dec.R, B, robin, dec.graph, Z):
             assert M.indices.dtype == M.indptr.dtype == np.int32
         assert dec.row_block.dtype == np.int32
-
-    def test_locate_keys_are_int64(self):
-        # block * n_dofs + dof passes 2**31 from block 1 on once n_dofs
-        # does, while R's int32 indices still hold every DoF: the positions
-        # found must not change
-        sys = discretize.poisson_2d_fd(30, 30)
-        dec = decompose.expand_overlap(sys.A, decompose.cartesian_partition(sys.grid, 3, 3), 2)
-        assert dec.R.indices.dtype == np.int32
-        blocks = np.repeat(np.arange(dec.N), sys.n)
-        dofs = np.tile(np.arange(sys.n), dec.N)
-        at = dec.locate(blocks, dofs)
-        assert (at >= 0).sum() == dec.R.shape[0]
-        dec.n_dofs = 2**31 + 7
-        np.testing.assert_array_equal(dec.locate(blocks, dofs), at)
 
 
 class TestNicolaides:

@@ -678,15 +678,14 @@ class TestDecompositionUtilities:
 
 def _fd_cartesian():
     sys = discretize.poisson_2d_fd(12, 10)
-    dec = decompose.expand_overlap(sys.A, decompose.cartesian_partition(sys.grid, 3, 2), 1)
-    return sys.A, dec, None
+    return sys.A, decompose.expand_overlap(sys.A, decompose.cartesian_partition(sys.grid, 3, 2), 1)
 
 
 def _fem_graph(delta):
     def build():
         sys = discretize.diffusion_fem_2d(discretize.unit_square_mesh(10, 10), lambda xy: 1.0)
         part = decompose.greedy_graph_partition(sys.A, 5, seed=1)
-        return sys.A, decompose.expand_overlap(sys.A, part, delta), None
+        return sys.A, decompose.expand_overlap(sys.A, part, delta)
     return build
 
 
@@ -694,16 +693,7 @@ def _impedance_by_coordinates():
     grid = discretize.StructuredGrid(2, nx=9, ny=9)
     sys = discretize.helmholtz_2d(grid, omega=6.0, xi=0.0, boundary="impedance")
     cell = np.minimum((sys.coords * 3).astype(int), 2)
-    dec = decompose.expand_overlap(sys.A, cell[:, 0] + 3 * cell[:, 1], 1)
-    return sys.A, dec, None
-
-
-def _boolean_weighted_rows():
-    A, dec, _ = _fem_graph(2)()
-    dec = decompose.boolean_pu(dec)
-    rows = np.flatnonzero(dec.w != 0)
-    assert rows.size < dec.R.shape[0]
-    return A, dec, rows
+    return sys.A, decompose.expand_overlap(sys.A, cell[:, 0] + 3 * cell[:, 1], 1)
 
 
 def entries(row, col, vals):
@@ -712,31 +702,27 @@ def entries(row, col, vals):
 
 
 class TestStackedRowIndex:
-    """``row_block``, ``locate`` and ``within`` read the stacked rows one way."""
+    """``row_block`` and ``within`` read the stacked rows one way."""
 
     CASES = {
         "fd-cartesian": _fd_cartesian,
         "fem-graph-overlap0": _fem_graph(0),
         "fem-graph-overlap2": _fem_graph(2),
         "impedance-by-coordinates": _impedance_by_coordinates,
-        "boolean-weighted-rows": _boolean_weighted_rows,
     }
 
     @staticmethod
-    def same_block_oracle(A, dec, rows):
+    def same_block_oracle(A, dec):
         """Oracle: the entries of ``R A R^T`` whose row and column share a subdomain."""
-        R = dec.R if rows is None else dec.R[rows]
         block = np.repeat(np.arange(dec.N), np.diff(dec.offsets))
-        if rows is not None:
-            block = block[rows]
-        C = (R @ A @ R.T).tocoo()
+        C = (dec.R @ A @ dec.R.T).tocoo()
         keep = block[C.row] == block[C.col]
         return sp.csr_array((C.data[keep], (C.row[keep], C.col[keep])), shape=C.shape)
 
-    def assert_block_diagonal(self, W, A, dec, rows):
+    def assert_block_diagonal(self, W, A, dec):
         assert isinstance(W, sp.csr_array) and W.has_canonical_format
         assert W.indices.dtype == W.indptr.dtype == dec.R.indices.dtype
-        ref = self.same_block_oracle(sp.csr_array(A), dec, rows)
+        ref = self.same_block_oracle(sp.csr_array(A), dec)
         assert W.shape == ref.shape
         # entries compared as (row, col, value bytes): bitwise equal values
         got, want = W.tocoo(), ref.tocoo()
@@ -744,15 +730,15 @@ class TestStackedRowIndex:
 
     @pytest.mark.parametrize("case", CASES)
     def test_within_is_the_block_diagonal_of_the_triple_product(self, case):
-        A, dec, rows = self.CASES[case]()
+        A, dec = self.CASES[case]()
         np.testing.assert_array_equal(
             dec.row_block, np.repeat(np.arange(dec.N), np.diff(dec.offsets)))
-        self.assert_block_diagonal(dec.within(A, rows), A, dec, rows)
+        self.assert_block_diagonal(dec.within(A), A, dec)
 
     def test_within_takes_any_sparse_format(self):
-        A, dec, _ = _fem_graph(1)()
+        A, dec = _fem_graph(1)()
         for B in (A, sp.coo_array(A), sp.csc_matrix(A)):
-            self.assert_block_diagonal(dec.within(B), A, dec, None)
+            self.assert_block_diagonal(dec.within(B), A, dec)
 
     def test_within_rejects_a_matrix_of_another_size(self):
         dec = decompose.expand_overlap(path_graph(6), np.repeat([0, 1], 3), 1)
@@ -760,33 +746,14 @@ class TestStackedRowIndex:
             with pytest.raises(ValueError, match="shape"):
                 dec.within(path_graph(n))
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_locate_finds_every_row(self, case):
-        _, dec, rows = self.CASES[case]()
-        sub = np.arange(dec.R.shape[0]) if rows is None else rows
-        got = dec.locate(dec.row_block[sub], dec.R.indices[sub], rows)
-        np.testing.assert_array_equal(got, np.arange(sub.size))
-
-    def test_locate_rejects_negative_dofs(self):
-        # every subdomain holds every dof, so the key of (1, -1) equals the
-        # key of (0, n - 1), a stacked row that exists
-        A = path_graph(6)
-        dec = decompose.expand_overlap(A, np.repeat([0, 1], 3), 5)
-        assert dec.locate(0, 5) == 5
-        assert dec.locate(1, -1) == -1
-        np.testing.assert_array_equal(
-            dec.locate(np.array([[0], [1]]), np.array([[-1, 0, -2], [-1, 5, 0]])),
-            [[-1, 0, -1], [-1, 11, 6]])
-
-    def test_locate_rejects_dofs_outside_rows(self):
-        A = path_graph(6)
-        dec = decompose.boolean_pu(decompose.expand_overlap(A, np.repeat([0, 1], 3), 1))
-        assert dec.sets[0].tolist() == [0, 1, 2, 3] and dec.sets[1].tolist() == [2, 3, 4, 5]
-        # dof 4 lies outside subdomain 0
-        assert dec.locate(0, 4) == -1
-        # dofs 2 and 3 of subdomain 1 carry zero Boolean weight
-        rows = np.flatnonzero(dec.w != 0)
-        np.testing.assert_array_equal(dec.locate(1, np.arange(6), rows),
-                                      [-1, -1, -1, -1, 4, 5])
-        np.testing.assert_array_equal(dec.locate(0, np.arange(6), rows),
-                                      [0, 1, 2, 3, -1, -1])
+    def test_within_keys_are_int64(self):
+        # one subdomain per dof of a 46,400-dof path: the keys
+        # block * n_dofs + dof pass 2**31 from block 46,283 on, while R's
+        # int32 indices still hold every DoF, so int32 keys would wrap and
+        # miss the last blocks' entries
+        n = 46_400
+        A = discretize.poisson_1d(n).A
+        dec = decompose.expand_overlap(A, np.arange(n), 1)
+        assert dec.R.indices.dtype == dec.row_block.dtype == np.int32
+        assert (dec.N - 1) * n > 2**31
+        self.assert_block_diagonal(dec.within(A), A, dec)

@@ -71,8 +71,10 @@ def scenarios(draw):
     dim = 1 if problem["kind"] == "poisson_1d" else 2
     kind = draw(st.sampled_from(list(bench._PARTITION_KINDS)))
     if kind == "cartesian":
+        # one entry per axis, and in one draw of ten a wrong count of them
+        size = draw(st.sampled_from([dim] * 9 + [3 - dim, 3]))
         partition = {"kind": kind, "p": draw(st.lists(st.integers(1, 4),
-                                                      min_size=dim, max_size=dim))}
+                                                      min_size=size, max_size=size))}
     else:
         partition = {"kind": kind, "N": draw(st.integers(1, 12)),
                      "seed": draw(st.integers(0, 3))}
@@ -144,11 +146,24 @@ POINT_GENEO = {
 }
 
 
+def boolean_geneo(N):
+    """FEM on 6x6 cells (25 dofs), graph partition into N, Boolean PU, GenEO."""
+    return {"schema": 1, "name": f"boolean-geneo-{N}",
+            "problem": {"kind": "fem_2d", "cells_x": 6, "cells_y": 6},
+            "partition": {"kind": "graph", "N": N}, "overlap": 1, "pu": "boolean",
+            "schwarz": {"variant": "asm"}, "coarse": {"kind": "geneo", "tau": 0.5},
+            "solver": {"ksp": "gmres"}}
+
+
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(scenarios())
 @example((HELMHOLTZ_PCG, None))
 @example((POINT_GENEO, None))
 @example((NEUMANN_HELMHOLTZ, None))
+# N close to n: 13 of the 20 subdomains carry no weight and get empty GenEO
+# pencils, and GenEO keeps 13 columns; at N = n = 25 it runs in 10 iterations
+@example((boolean_geneo(20), None))
+@example((boolean_geneo(25), None))
 def test_drawn_scenario_is_rejected_runs_or_names_its_failure(drawn):
     config, out_of_range = drawn
     try:

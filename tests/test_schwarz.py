@@ -4,6 +4,8 @@ Dense reference applications are assembled inside the tests directly from
 the restriction/weight data, independent of the module under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -120,6 +122,17 @@ class TestLocalOperators:
             schwarz.local_operator(sys.A, dec, kind="robin")
         with pytest.raises(ValueError, match="need the mesh width h and dim"):
             schwarz.local_operator(sys.A, dec, kind="robin", h=sys.h)
+
+    @pytest.mark.parametrize("p", [np.ones(3), np.ones(37), np.ones((36, 1)), np.ones((6, 6))])
+    def test_robin_parameter_of_another_shape_is_named(self, p):
+        # it failed inside np.broadcast_to with "operands could not be
+        # broadcast together with remapped shapes"
+        sys = discretize.poisson_2d_fd(6, 6)
+        dec = decompose.expand_overlap(sys.A, decompose.cartesian_partition(sys.grid, 2, 2), 1)
+        shape = re.escape(f"robin parameter p has shape {p.shape}")
+        with pytest.raises(ValueError, match=f"{shape}.*n_dofs = 36"):
+            schwarz.local_operator(sys.A, dec, kind="robin", p=p, h=sys.h, dim=2)
+        schwarz.local_operator(sys.A, dec, kind="robin", p=np.ones(36), h=sys.h, dim=2)
 
     def test_dirichlet_blocks_are_principal_submatrices(self):
         sys, dec = poisson_setup(5, 2, 1)
