@@ -32,14 +32,17 @@ subdomain at a time, so only one dense pair is alive: one n-length table
 from DoF to position among the subdomain's weighted dofs places its
 element-matrix entries and the entries of A's rows, and no global lookup
 runs.
-The two pencil matrices differ only where the partition of unity and the
-subdomain boundary act; on a row where they are equal the pencil has
-eigenvalue 1, and every eigenvector below 1 is discrete-harmonic there.
-So for a threshold below 1 :func:`geneo_space` eliminates those rows and
-solves the Schur-complement pencil on the others: the GenEO
-eigenproblems "in the overlaps" of Spillane, Dolean, Hauret, Nataf,
-Pechstein & Scheichl (Numer. Math. 126, 2014). ``analysis.fsl_constants``
-keeps the full pencils.
+The two pencil matrices are proportional on many rows: equal inside the
+subdomain, and ``Nw[i] = c_i Bw[i]`` with ``c_i = Nw_ii / Bw_ii``
+inside each band of the overlap where the weights are constant (weight
+1/2 gives c = 4, weight 1/4 gives c = 16). Such a row adds only the
+eigenvalue ``c_i``, and every eigenvector for another eigenvalue has
+``(Bw phi)_i = 0`` there. So :func:`geneo_space` eliminates every row
+with ``c_i > tau``, found exactly on the sparse entries as each pencil
+is built, and solves the Schur-complement pencil on the others: the
+GenEO eigenproblems "in the overlaps" of Spillane, Dolean, Hauret,
+Nataf, Pechstein & Scheichl (Numer. Math. 126, 2014).
+``analysis.fsl_constants`` keeps the full pencils.
 """
 
 import numpy as np
@@ -318,10 +321,25 @@ def _pencil_index(system, decomposition):
     """The element sets of :func:`geneo_pencils` and the function that builds each pencil.
 
     Returns ``(touched, pencil)``: whether each subdomain's element set
-    touches any DoF, and the function that builds subdomain j's
-    ``(dofs, d, Nw, Bw)``. ``pencil(j)`` reads j's element entries and
-    A's rows through one n-length table from DoF to position among j's
-    weighted dofs, filled for j and reset before it returns.
+    touches any DoF, and the function that builds subdomain j's pencil.
+    ``pencil(j)`` reads j's element entries and A's weighted rows (off
+    ``A.indptr``) through one n-length table from DoF to position among
+    j's weighted dofs, filled for j and reset before it returns.
+
+    ``pencil(j)`` returns ``(dofs, d, Nw, Bw)`` in ascending dof order.
+    ``pencil(j, tau)`` returns ``(dofs, d, Nw, Bw, c)`` with the rows
+    ``J`` first, then the others, each in ascending dof order: ``J`` are
+    the rows where ``Nw[i] == c_i Bw[i]`` holds exactly with
+    ``c_i = Nw_ii / Bw_ii > tau`` (0 without a stored diagonal), the
+    dense ``(Nw == c[:, None] * Bw).all(1) & (c > tau)``, and ``c`` holds
+    their ``c_i``. The rule is decided in O(nnz) on the entries: the
+    element entries summed at each stored position of ``Bw`` and, where
+    ``Bw`` stores nothing (A's exact zeros are not stored), summing to
+    zero (:func:`_entry_sums`); it takes A without duplicate or stored
+    zero entries, as ``discretize`` builds it. Both matrices are then
+    scattered straight into that order, so each block that
+    :func:`_geneo_eig` reads is a slice. They are views of one buffer,
+    kept from call to call, that the next ``pencil(j, tau)`` overwrites.
     """
     dec = decomposition
     elements = subdomain_element_sets(system, dec)
@@ -332,34 +350,88 @@ def _pencil_index(system, decomposition):
     # -1 off the current subdomain's weighted dofs; the last entry stays -1
     # and serves the dof -1 of an eliminated boundary vertex
     table = np.full(dec.n_dofs + 1, -1)
+    # the flat m x m position table of _entry_sums, -1 between uses, and
+    # the dense pair of pencil(j, tau); both grow to the largest m asked for
+    slot = np.empty(0, dtype=np.int32)
+    pair = np.empty(0)
 
-    def dense(flat, vals, m):
+    def dense(keys, vals, m):
         # summed in entry order; bincount of no entries is an integer array
-        return np.bincount(flat, vals, minlength=m * m).astype(float, copy=False).reshape(m, m)
+        return np.bincount(keys, vals, minlength=m * m).astype(float, copy=False).reshape(m, m)
 
-    def pencil(j):
+    def pencil(j, tau=None):
+        nonlocal slot, pair
         weighted = dec.weights[j] != 0
         dofs, d = dec.sets[j][weighted], dec.weights[j][weighted]
         m = d.size
         table[dofs] = np.arange(m)
         # N_j: the element-matrix entries at weighted dofs, in (element, a,
-        # b) order, as discretize.neumann_matrix adds them
+        # b) order, as discretize.neumann_matrix adds them, keyed row * m + col
         loc = table[dmap[elements[j]]]
         kept = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
-        Nw = dense((loc[:, :, None] * m + loc[:, None, :])[kept],
-                   system.element_matrices[elements[j]][kept], m)
+        nkey = (loc[:, :, None] * m + loc[:, None, :])[kept]
+        nval = system.element_matrices[elements[j]][kept]
         # D_j A_j D_j: A's entries at weighted rows and columns of j; entry
         # (i, k) is (d_i a_ik) d_k, as in the dense product
-        rows = A[dofs]
-        col = table[rows.indices]
+        start, count = A.indptr[dofs], A.indptr[dofs + 1] - A.indptr[dofs]
+        brow = np.repeat(np.arange(m), count)
+        at = np.arange(brow.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        bcol = table[A.indices[at]]
         table[dofs] = -1
-        row = np.repeat(np.arange(m), np.diff(rows.indptr))
-        kept = col >= 0
-        row, col = row[kept], col[kept]
-        Bw = dense(row * m + col, (d[row] * rows.data[kept]) * d[col], m)
-        return dofs, d, Nw, Bw
+        kept_b = bcol >= 0
+        brow, bcol, at = brow[kept_b], bcol[kept_b], at[kept_b]
+        bval = (d[brow] * A.data[at]) * d[bcol]
+        if tau is None:
+            return dofs, d, dense(nkey, nval, m), dense(brow * m + bcol, bval, m)
+        if slot.size < m * m:
+            slot = np.full(m * m, -1, dtype=np.int32)
+            pair = np.empty(2 * m * m)
+        bsum, rkey, rsum = _entry_sums(slot, nkey, nval, brow * m + bcol)
+        # the rows J: Nw[i] == c_i Bw[i] on Bw's entries, no element entry
+        # summing to nonzero where Bw stores nothing, and c_i > tau
+        diag = brow == bcol
+        c = np.zeros(m)
+        c[brow[diag]] = bsum[diag] / bval[diag]
+        off = np.zeros(m, dtype=bool)
+        off[brow[bsum != c[brow] * bval]] = True
+        off[rkey // m] = True
+        inner = ~off & (c > tau)
+        order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+        pos = np.empty(m, dtype=np.intp)
+        pos[order] = np.arange(m)
+        # every position is written once, so both are bitwise the bincounts
+        # of pencil(j): no bincount sum is -0.0, and A stores no zeros
+        Nw, Bw = pair[:m * m], pair[m * m:2 * m * m]
+        pair[:2 * m * m] = 0.0
+        bkey = pos[brow] * m + pos[bcol]
+        Nw[bkey], Bw[bkey] = bsum, bval
+        Nw[pos[rkey // m] * m + pos[rkey % m]] = rsum
+        return (dofs[order], d[order], Nw.reshape(m, m), Bw.reshape(m, m),
+                c[order[:np.count_nonzero(inner)]])
 
     return touched, pencil
+
+
+def _entry_sums(slot, nkey, nval, bkey):
+    """Sum the values ``nval`` at the flat positions ``nkey``, in entry order.
+
+    Returns ``(bsum, rkey, rsum)``: the sums at the distinct positions
+    ``bkey`` (0 where no entry falls) and, at every other position whose
+    sum is not zero, the position and its sum. Each sum adds its entries
+    in their order, as ``np.bincount`` over all positions would. ``slot``
+    is a flat table over the positions that holds -1; it numbers each
+    position of ``bkey`` by its entry and each other position by one of
+    the entries that fall there, and is reset before this returns. The
+    cost is O(len(nkey) + len(bkey)).
+    """
+    slot[nkey] = np.arange(bkey.size, bkey.size + nkey.size)
+    slot[bkey] = np.arange(bkey.size)
+    at = slot[nkey]
+    slot[nkey] = -1
+    slot[bkey] = -1
+    nsum = np.bincount(at, nval, minlength=bkey.size)
+    rest = np.flatnonzero(nsum[bkey.size:])
+    return nsum[:bkey.size], nkey[rest], nsum[bkey.size + rest]
 
 
 def geneo_space(system, decomposition, tau="auto"):
@@ -371,15 +443,17 @@ def geneo_space(system, decomposition, tau="auto"):
     ``lambda <= tau``. The pencils are those of :func:`geneo_pencils`, on
     the dofs of nonzero weight, where they are definite, one subdomain at
     a time; each is solved by one subset eigensolve that computes just
-    the eigenpairs up to ``tau``. When ``tau < 1`` that eigensolve runs on
-    the pencil reduced to the rows where its two matrices differ, the
-    overlap and the subdomain boundary: the rows where they are equal
-    only add the eigenvalue 1, and the kept eigenvectors are extended to
-    them discrete-harmonically (:func:`_geneo_eig`). The kept pairs are
-    those of the full pencil, up to rounding. A subdomain whose element
-    set touches no DoF has no Neumann energy and is skipped. Selected vectors enter
-    the basis as ``R_j^T D_j phi``, grouped by subdomain in ascending
-    index and eigenvalue order.
+    the eigenpairs up to ``tau``. That eigensolve runs on the pencil
+    reduced to the rows where its two matrices are not proportional: a
+    row with ``Nw[i] == c_i Bw[i]`` and ``c_i = Nw_ii / Bw_ii > tau``
+    (the subdomain's interior, c = 1, and the interior of each overlap
+    band of constant weight) only adds the eigenvalue ``c_i``, and the
+    kept eigenvectors are extended to those rows by
+    ``phi_J = -B_JJ^(-1) B_JG phi_G`` (:func:`_geneo_eig`). The kept
+    pairs are those of the full pencil, up to rounding. A subdomain
+    whose element set touches no DoF has no Neumann energy and is
+    skipped. Selected vectors enter the basis as ``R_j^T D_j phi``,
+    grouped by subdomain in ascending index and eigenvalue order.
 
     ``tau="auto"`` picks the reciprocal of the worst subdomain aspect
     ratio (diameter over overlap width), which needs the decomposition's
@@ -413,10 +487,11 @@ def geneo_space(system, decomposition, tau="auto"):
     kept = []
     touched, pencil = _pencil_index(system, decomposition)
     for j in np.flatnonzero(touched):
-        dofs, d, Nw, Bw = pencil(j)
-        values, vectors = _geneo_eig(Nw, Bw, tau)
+        dofs, d, Nw, Bw, c = pencil(j, tau)
+        values, vectors = _geneo_eig(Nw, Bw, tau, c)
         if len(values):
-            kept.append((j, dofs, d[:, None] * vectors, values))
+            order = np.argsort(dofs)
+            kept.append((j, dofs[order], (d[:, None] * vectors)[order], values))
 
     if not kept:
         raise EmptyCoarseSpaceError(
@@ -435,43 +510,71 @@ def geneo_space(system, decomposition, tau="auto"):
                        eigenvalues=np.concatenate(values), tau=tau)
 
 
-def _geneo_eig(Nw, Bw, tau):
+def _geneo_eig(Nw, Bw, tau, c=None):
     """Eigenpairs of a real pencil ``(Nw, Bw)`` up to ``tau``, as ``linalg.sym_gen_eig``.
 
-    For ``tau < 1`` the rows ``I`` on which ``Nw`` and ``Bw`` are equal,
-    entry for entry (the same elements, summed in the same order), are
-    eliminated first. With ``K = Nw[I, I]`` (positive definite, a
-    principal submatrix of ``Bw``) and ``C = N_GI K^(-1) N_IG`` on the
-    other rows ``G``, the spectrum is that of the reduced pencil
-    ``(N_GG - C, B_GG - C)`` plus the eigenvalue 1 with multiplicity
-    ``|I|``. An eigenvector below 1 is discrete-harmonic on ``I``,
-    ``phi_I = -K^(-1) N_IG phi_G``, and this extension of a B-orthonormal
-    reduced eigenvector is B-orthonormal. So the pairs up to ``tau`` are
-    one ``linalg.sym_gen_eig`` of the reduced pencil, extended; ``C`` is
-    formed only on the rows of ``G`` coupled to ``I``, where it is not
-    zero. With ``tau >= 1`` or no equal row, the full pencil is solved.
+    The rows ``J`` where ``Nw[i] == c_i Bw[i]`` holds exactly, with
+    ``c_i = Nw_ii / Bw_ii > tau``, are eliminated first. Such a row adds
+    only the eigenvalue ``c_i``: an eigenvector for any other eigenvalue
+    has ``(Bw phi)_i = 0``. As both matrices are symmetric, two such rows
+    of different ``c`` are not coupled, so ``diag(c_J)`` commutes with
+    ``B_JJ``. With the Cholesky factor ``L`` of ``B_JJ`` and
+    ``W = L^(-1) B_JG`` on the other rows ``G``, the spectrum is that of
+    the reduced pencil ``(N_GG - W^T diag(c_J) W, B_GG - W^T W)`` plus
+    the ``c_i``, all above ``tau``. An eigenvector below ``tau`` is
+    ``phi_J = -B_JJ^(-1) B_JG phi_G`` on ``J``, and this extension of a
+    B-orthonormal reduced eigenvector is B-orthonormal. So the pairs up
+    to ``tau`` are one ``linalg.sym_gen_eig`` of the reduced pencil,
+    extended; the corrections are formed only on the rows of ``G``
+    coupled to ``J``, where they are not zero, the left one as
+    ``V^T V`` with ``V = diag(sqrt(c_J)) W``. When every ``c_i`` is 1 the
+    two corrections are one ``W^T W``. Without a row to eliminate the full
+    pencil is solved.
+
+    ``c`` holds ``c_J`` of a C-contiguous pencil whose rows ``J`` come
+    first, as ``pencil(j, tau)`` of :func:`_pencil_index` builds it; the
+    reduced pencil is formed in place, in its trailing block, and the
+    vectors are returned in that row order. Without ``c``, ``J`` is found
+    by comparing the dense matrices, the pencil is copied in that order,
+    and the vectors are in the order of the given rows.
     """
-    inner = (Nw == Bw).all(axis=1) if tau < 1 else None
-    if inner is None or not inner.any():
+    if c is None:
+        c = Nw.diagonal() / Bw.diagonal()
+        inner = (Nw == c[:, None] * Bw).all(axis=1) & (c > tau)
+        if not inner.any():
+            return linalg.sym_gen_eig(Nw, Bw, upper=tau)
+        order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+        block = np.ix_(order, order)
+        values, reduced = _geneo_eig(Nw[block], Bw[block], tau, c[inner])
+        vectors = np.empty_like(reduced)
+        vectors[order] = reduced
+        return values, vectors
+    k = c.size
+    if k == 0:
         return linalg.sym_gen_eig(Nw, Bw, upper=tau)
-    I, G = np.flatnonzero(inner), np.flatnonzero(~inner)
-    rows = Nw[I]
-    coupled = rows[:, G]
-    b = np.flatnonzero(coupled.any(axis=0))  # positions in G of the rows coupled to I
+    coupled = Bw[:k, k:]
+    b = np.flatnonzero(coupled.any(axis=0))  # positions in G of the rows coupled to J
     try:
-        L = scipy.linalg.cholesky(rows[:, I], lower=True, check_finite=False)
+        L = scipy.linalg.cholesky(Bw[:k, :k], lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise linalg.SingularMatrixError(f"generalized eigensolve failed: {exc}") from exc
     W = scipy.linalg.solve_triangular(L, coupled[:, b], lower=True, check_finite=False)
     C = W.T @ W
-    left, right = Nw[G][:, G], Bw[G][:, G]
-    for M in (left, right):
-        M[np.ix_(b, b)] -= C
-    values, reduced = linalg.sym_gen_eig(left, right, upper=tau)
+    if (c == 1).all():
+        S = C
+    else:
+        V = np.sqrt(c)[:, None] * W
+        S = V.T @ V
+    block = ((k + b)[:, None] * Nw.shape[0] + k + b).ravel()
+    Nw.reshape(-1)[block] -= S.ravel()
+    Bw.reshape(-1)[block] -= C.ravel()
+    values, reduced = linalg.sym_gen_eig(Nw[k:, k:], Bw[k:, k:], upper=tau)
     vectors = np.empty((Nw.shape[0], values.size))
-    vectors[G] = reduced
-    vectors[I] = -scipy.linalg.solve_triangular(L, W @ reduced[b], trans="T", lower=True,
-                                                check_finite=False)
+    if not values.size:
+        return values, vectors
+    vectors[k:] = reduced
+    vectors[:k] = -scipy.linalg.solve_triangular(L, W @ reduced[b], trans="T", lower=True,
+                                                 check_finite=False)
     return values, vectors
 
 

@@ -253,9 +253,11 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
     rng = np.random.default_rng(seed)
 
     seeds = [int(rng.integers(n))]
+    # dijkstra reads a float64 graph; convert the pattern once, not per call
+    hops = adj.astype(np.float64)
     while len(seeds) < N:
         # hop distance to the nearest seed, one multi-source BFS
-        dist = csgraph.dijkstra(adj, unweighted=True, indices=seeds, min_only=True)
+        dist = csgraph.dijkstra(hops, unweighted=True, indices=seeds, min_only=True)
         dist[np.isinf(dist)] = n + 1  # disconnected nodes are farthest
         nxt = int(np.argmax(dist))  # lowest index wins ties
         seeds.append(nxt)

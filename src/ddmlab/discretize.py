@@ -253,7 +253,9 @@ def diffusion_fem_2d(mesh, alpha, f=None):
     """
     nt = len(mesh.triangles)
     nv = len(mesh.vertices)
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    corners = mesh.vertices[mesh.triangles]
+    # only the callables are evaluated at the centroids
+    centroids = corners.mean(axis=1) if callable(alpha) or f is not None else None
     if callable(alpha):
         alpha_e = np.array([float(alpha(c)) for c in centroids])
     else:
@@ -264,7 +266,6 @@ def diffusion_fem_2d(mesh, alpha, f=None):
         raise ValueError("alpha must be positive everywhere")
 
     # all element stiffness blocks at once; J[e] has columns p1 - p0 and p2 - p0
-    corners = mesh.vertices[mesh.triangles]
     J = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2)
     areas = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]) / 2.0
     if np.any(areas < 1e-14):
@@ -290,8 +291,10 @@ def diffusion_fem_2d(mesh, alpha, f=None):
     dof_of_vertex = np.full(nv, -1, dtype=int)
     dof_of_vertex[interior] = np.arange(len(interior))
 
-    edges = mesh.vertices[mesh.triangles] - mesh.vertices[np.roll(mesh.triangles, 1, axis=1)]
-    h = float(np.sqrt((edges**2).sum(axis=2)).min())
+    # the shortest edge; the rounded square root is monotone, so taking it
+    # after the min gives the same h
+    edges = corners - np.roll(corners, 1, axis=1)
+    h = float(np.sqrt((edges**2).sum(axis=2).min()))
 
     return AssembledSystem(
         "diffusion_fem_2d",

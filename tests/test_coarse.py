@@ -402,6 +402,83 @@ def full_pencil_space(system, dec, tau):
                               eigenvalues=eigenvalues, tau=tau)
 
 
+def equal_rows_eig(Nw, Bw, tau):
+    """GenEO's reduction to the rows where Nw and Bw differ, before proportional rows.
+
+    For ``tau < 1`` it eliminates the rows where the two matrices are
+    equal (c = 1) and nothing else; otherwise it solves the full pencil.
+    Kept as the bitwise oracle of pencils whose only eliminated rows have
+    c = 1.
+    """
+    inner = (Nw == Bw).all(axis=1) if tau < 1 else None
+    if inner is None or not inner.any():
+        return linalg.sym_gen_eig(Nw, Bw, upper=tau)
+    I, G = np.flatnonzero(inner), np.flatnonzero(~inner)
+    rows = Nw[I]
+    coupled = rows[:, G]
+    b = np.flatnonzero(coupled.any(axis=0))
+    L = scipy.linalg.cholesky(rows[:, I], lower=True, check_finite=False)
+    W = scipy.linalg.solve_triangular(L, coupled[:, b], lower=True, check_finite=False)
+    C = W.T @ W
+    left, right = Nw[G][:, G], Bw[G][:, G]
+    for M in (left, right):
+        M[np.ix_(b, b)] -= C
+    values, reduced = linalg.sym_gen_eig(left, right, upper=tau)
+    vectors = np.empty((Nw.shape[0], values.size))
+    vectors[G] = reduced
+    vectors[I] = -scipy.linalg.solve_triangular(L, W @ reduced[b], trans="T", lower=True,
+                                                check_finite=False)
+    return values, vectors
+
+
+def assert_same_pairs(got, ref, Bw, tau):
+    """Two solves of one pencil up to tau agree below ``tau - 1e-9``.
+
+    Eigenvalues there agree to 1e-12 and their B-orthonormal vectors span
+    the same space; what either returns above is a cluster at tau.
+    """
+    (values, V), (rvalues, R) = got, ref
+    n = np.count_nonzero(rvalues < tau - 1e-9)
+    assert np.count_nonzero(values < tau - 1e-9) == n
+    np.testing.assert_allclose(values[:n], rvalues[:n], rtol=0, atol=1e-12 * max(tau, 1.0))
+    for v in (values[n:], rvalues[n:]):
+        assert np.all(np.abs(v - tau) <= 1e-9)
+    cosines = np.linalg.svd(R[:, :n].T @ Bw @ V[:, :n], compute_uv=False)
+    assert np.all(np.abs(cosines - 1.0) <= 1e-9)
+
+
+def assert_matches_full_space(cs, ref):
+    """Same columns per subdomain, eigenvalues to 1e-12, same span per subdomain."""
+    assert cs.raw_columns == ref.raw_columns and cs.m0 == ref.m0
+    np.testing.assert_array_equal(cs.owners, ref.owners)
+    scale = np.maximum(np.abs(ref.eigenvalues), 1.0)
+    assert np.all(np.abs(cs.eigenvalues - ref.eigenvalues) <= 1e-12 * scale)
+    Z, Zref = cs.Z.toarray(), ref.Z.toarray()
+    for j in np.unique(ref.owners):
+        Qa, _ = np.linalg.qr(Z[:, cs.owners == j])
+        Qb, _ = np.linalg.qr(Zref[:, ref.owners == j])
+        cosines = np.linalg.svd(Qa.T @ Qb, compute_uv=False)
+        assert 1.0 - cosines.min() <= 1e-9, j
+
+
+def dense_rule(Nw, Bw, tau):
+    """Rows where ``Nw[i] == c_i Bw[i]`` with ``c_i = Nw_ii / Bw_ii > tau``, and c."""
+    c = np.diag(Nw) / np.diag(Bw)
+    return (Nw == c[:, None] * Bw).all(axis=1) & (c > tau), c
+
+
+def fem_geneo_pass(seed):
+    """The GenEO setups of one benchmark pass: P1 FEM on 40 x 40 and 24 x 24
+    cells, unit coefficient, graph partitions N = 8 at partition seeds
+    8 seed to 8 seed + 7, overlap 2, multiplicity weights, tau 0.5."""
+    for cells in (40, 24):
+        mesh = discretize.unit_square_mesh(cells, cells)
+        sys = discretize.diffusion_fem_2d(mesh, np.ones(len(mesh.triangles)))
+        for p in range(8 * seed, 8 * seed + 8):
+            part = decompose.greedy_graph_partition(sys.A, 8, seed=p)
+            yield sys, decompose.expand_overlap(sys.A, part, 2, coords=sys.coords, h=sys.h)
+
+
 class TestOverlapReduction:
     """The GenEO pencils reduced to the rows where they differ, against the full solve."""
 
@@ -432,6 +509,99 @@ class TestOverlapReduction:
             cosines = np.linalg.svd(Qa.T @ Qb, compute_uv=False)
             assert 1.0 - cosines.min() <= 1e-9, j
 
+    @pytest.mark.parametrize("cells,N,seed,delta,pu,contrast,tau",
+                             [case for case in CASES if case[4] == "multiplicity"])
+    def test_constant_multiplicity_bands_are_eliminated(self, cells, N, seed, delta, pu,
+                                                        contrast, tau):
+        # weights 1/2 on both sides of a row give c = 4
+        sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
+        _, pencil = coarse._pencil_index(sys, dec)
+        assert any((pencil(j, tau)[4] == 4).any() for j in range(dec.N))
+        assert_matches_full_space(coarse.geneo_space(sys, dec, tau=tau),
+                                  full_pencil_space(sys, dec, tau))
+
+    @pytest.mark.parametrize("tau", [0.4, 0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("cells,N,seed,delta,pu,contrast",
+                             [case[:6] for case in CASES] + [(6, 20, 0, 1, "boolean", None)])
+    def test_rows_found_on_the_entries_follow_the_dense_rule(self, cells, N, seed, delta,
+                                                             pu, contrast, tau):
+        # pencil(j, tau) puts first exactly the rows of the dense rule, with
+        # their c, and scatters both matrices into that order bitwise; the
+        # last case holds 13 weightless subdomains, whose pencils are 0 x 0
+        sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
+        _, pencil = coarse._pencil_index(sys, dec)
+        for j in range(dec.N):
+            dofs, d, Nw, Bw = pencil(j)
+            inner, c = dense_rule(Nw, Bw, tau)
+            order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+            got = pencil(j, tau)
+            want = (dofs[order], d[order], Nw[np.ix_(order, order)],
+                    Bw[np.ix_(order, order)], c[inner])
+            for a, b in zip(got, want):
+                assert_bitwise(a, b)
+
+    def test_entry_missing_from_a_keeps_its_row(self):
+        # A stores no exact zeros. Dropping a coupling of an eliminated row
+        # from A leaves the Neumann entry there unmatched, and the row stays.
+        sys, dec = graph_setup(16, 6, 1, 2)
+        _, pencil = coarse._pencil_index(sys, dec)
+        dofs, d, Nw, Bw, c = pencil(0, 0.5)
+        assert c.size > 0
+        i = dofs[0]
+        k = next(k for k in sys.A[[i]].indices if k != i and k in dofs)
+        A = sys.A.tolil()
+        A[i, k] = A[k, i] = 0.0
+        sys.A = linalg.compress(A)
+        _, pencil = coarse._pencil_index(sys, dec)
+        kept = pencil(0, 0.5)
+        assert i not in kept[0][:kept[4].size]
+        inner, _ = dense_rule(*pencil(0)[2:], 0.5)
+        np.testing.assert_array_equal(np.sort(kept[0][:kept[4].size]), pencil(0)[0][inner])
+
+    @pytest.mark.parametrize("cells,N,seed,delta,pu,contrast,tau",
+                             [case for case in CASES if case[4] == "boolean"]
+                             + [(20, 6, 0, 1, "multiplicity", None, 0.5)])
+    def test_rows_of_c_one_only_match_the_equal_row_reduction_bitwise(
+            self, cells, N, seed, delta, pu, contrast, tau):
+        # Boolean weights leave only rows of c = 1 to eliminate, and so do
+        # two pencils of the multiplicity case: their pairs are bitwise
+        # those of the reduction to the rows where Nw and Bw differ
+        sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
+        _, pencil = coarse._pencil_index(sys, dec)
+        checked, columns, values = 0, [], []
+        for j, (dofs, d, Nw, Bw) in enumerate(coarse.geneo_pencils(sys, dec)):
+            c = pencil(j, tau)[4]
+            if c.size and (c == 1).all():
+                checked += 1
+                for got, want in zip(coarse._geneo_eig(Nw, Bw, tau), equal_rows_eig(Nw, Bw, tau)):
+                    assert_bitwise(got, want)
+            if pu == "boolean" and Nw.any():
+                lam, V = equal_rows_eig(Nw, Bw, tau)
+                block = np.zeros((dec.n_dofs, lam.size))
+                block[dofs] = d[:, None] * V
+                columns.append(block)
+                values.append(lam)
+        assert checked == (dec.N if pu == "boolean" else 2)
+        if pu == "boolean":
+            cs = coarse.geneo_space(sys, dec, tau=tau)
+            ref = coarse.CoarseSpace(np.hstack(columns), sys.A, tag="oracle",
+                                     eigenvalues=np.concatenate(values))
+            assert_bitwise(cs.Z.toarray(), ref.Z.toarray())
+            assert_bitwise(cs.eigenvalues, ref.eigenvalues)
+
+    def test_rows_left_over_one_benchmark_pass(self):
+        # 26,867 weighted rows in the 128 pencils of one pass at seed 0;
+        # the equal rows (c = 1) alone would leave 21,243
+        weighted = left = equal_left = 0
+        for sys, dec in fem_geneo_pass(0):
+            _, pencil = coarse._pencil_index(sys, dec)
+            for j in range(dec.N):
+                dofs, _, Nw, Bw, c = pencil(j, 0.5)
+                weighted += dofs.size
+                left += dofs.size - c.size
+                equal_left += dofs.size - np.count_nonzero(c == 1)
+        assert (weighted, left, equal_left) == (26867, 16851, 21243)
+
     def test_extension_is_a_b_orthonormal_eigenbasis(self):
         sys, dec = graph_setup(20, 6, 1, 2)
         for *_, Nw, Bw in coarse.geneo_pencils(sys, dec):
@@ -442,20 +612,37 @@ class TestOverlapReduction:
 
     @pytest.mark.parametrize("tau", [1.0, 2.0, 1e3])
     def test_tau_at_least_one_solves_the_full_pencil(self, tau):
+        # At tau >= 1 the rows of c = 1 stay; only rows of larger c (4 and
+        # about 9 here) are eliminated, and the pairs are the full
+        # pencil's. With no row of c > tau (tau = 1e3) the full pencil is
+        # solved, bitwise. The eigenvalue 1 of the c = 1 rows is a cluster
+        # at tau = 1 that rounding splits either way in either solve.
         sys, dec = graph_setup(16, 6, 1, 2)
-        for *_, Nw, Bw in coarse.geneo_pencils(sys, dec):
-            for got, ref in zip(coarse._geneo_eig(Nw, Bw, tau),
-                                linalg.sym_gen_eig(Nw, Bw, upper=tau)):
-                assert_bitwise(got, ref)
+        _, pencil = coarse._pencil_index(sys, dec)
+        eliminated = []
+        for j, (*_, Nw, Bw) in enumerate(coarse.geneo_pencils(sys, dec)):
+            c = pencil(j, tau)[4]
+            eliminated.extend(c)
+            got = coarse._geneo_eig(Nw, Bw, tau)
+            ref = linalg.sym_gen_eig(Nw, Bw, upper=tau)
+            if c.size == 0:
+                for a, b in zip(got, ref):
+                    assert_bitwise(a, b)
+            else:
+                assert_same_pairs(got, ref, Bw, tau)
+        assert all(v > 2 for v in eliminated)
+        assert (len(eliminated) > 0) == (tau < 1e3)
 
     def test_pencil_without_equal_rows_solves_the_full_pencil(self):
+        # a diagonal shift of Nw leaves no row a multiple of its row of Bw
         sys, dec = graph_setup(16, 6, 1, 2)
         *_, Nw, Bw = next(coarse.geneo_pencils(sys, dec))
-        Bw = 1.5 * Bw
-        assert not (Nw == Bw).all(axis=1).any()
-        for got, ref in zip(coarse._geneo_eig(Nw, Bw, 0.5),
-                            linalg.sym_gen_eig(Nw, Bw, upper=0.5)):
-            assert_bitwise(got, ref)
+        Nw = Nw + 1e-3 * np.diag(np.diag(Bw))
+        assert not dense_rule(Nw, Bw, 0.0)[0].any()
+        values, _ = ref = linalg.sym_gen_eig(Nw, Bw, upper=0.5)
+        assert values.size > 0
+        for got, want in zip(coarse._geneo_eig(Nw, Bw, 0.5), ref):
+            assert_bitwise(got, want)
 
     def test_equal_pencil_has_nothing_below_one(self):
         *_, Nw, Bw = next(coarse.geneo_pencils(*graph_setup(16, 6, 1, 2)))

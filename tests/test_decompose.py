@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -456,6 +457,28 @@ class TestGreedyGraphPartition:
             expect = loop_greedy_graph_partition(A, N, seed)
             assert [s.tolist() for s in core_sets(owner)] == [s.tolist() for s in expect]
 
+
+    @pytest.mark.parametrize("cells", [24, 40])
+    def test_seed_distances_read_one_float_pattern(self, cells, monkeypatch):
+        # every hop-distance search reads one float64 copy of the pattern;
+        # searching the Boolean pattern instead gives the same owners
+        mesh = discretize.unit_square_mesh(cells, cells)
+        A = discretize.diffusion_fem_2d(mesh, np.ones(len(mesh.triangles))).A
+        cases = [(N, seed) for N in (2, 8, 16) for seed in range(4)]
+        want = [decompose.greedy_graph_partition(A, N, seed=seed) for N, seed in cases]
+        dijkstra, graphs = csgraph.dijkstra, []
+
+        def on_boolean_pattern(graph, **kwargs):
+            graphs.append(graph)
+            return dijkstra(graph.astype(bool), **kwargs)
+
+        monkeypatch.setattr(csgraph, "dijkstra", on_boolean_pattern)
+        for (N, seed), owner in zip(cases, want):
+            graphs.clear()
+            got = decompose.greedy_graph_partition(A, N, seed=seed)
+            assert got.dtype == owner.dtype and got.tobytes() == owner.tobytes()
+            assert len(graphs) == N - 1 and all(g is graphs[0] for g in graphs)
+            assert graphs[0].dtype == np.float64
 
     @pytest.mark.parametrize("cells,N,seed", [(40, 16, 2), (40, 16, 3), (60, 32, 1)])
     def test_long_rebalance_matches_entry_by_entry_reference(self, cells, N, seed):

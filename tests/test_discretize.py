@@ -465,6 +465,36 @@ class TestMatchesEntryLoopsBitwise:
         assert_same_bits(discretize.unit_square_mesh(*cells).triangles,
                          loop_unit_square_mesh(*cells))
 
+    @pytest.mark.parametrize("cells,jitter", [((40, 40), False), ((24, 24), False),
+                                              ((13, 7), True)])
+    def test_diffusion_fem_2d_system(self, cells, jitter):
+        # The whole system as the scenario runner builds it, with one
+        # coefficient per element and the default load, on the meshes of the
+        # bundled configs and the benchmark: against the element loop, the
+        # shortest edge measured edge by edge, and the callable coefficient.
+        mesh = discretize.unit_square_mesh(*cells)
+        if jitter:
+            rng = np.random.default_rng(5)
+            inner = ~mesh.boundary
+            mesh.vertices[inner] += rng.uniform(-0.01, 0.01, (int(inner.sum()), 2))
+        alpha = np.ones(len(mesh.triangles))
+        sys = discretize.diffusion_fem_2d(mesh, alpha)
+        A, F, element_matrices = loop_diffusion_fem_2d(mesh, alpha)
+        assert_same_csr(sys.A, A)
+        assert_same_bits(sys.F, F)
+        assert_same_bits(sys.element_matrices, element_matrices)
+        edges = [mesh.vertices[tri[a]] - mesh.vertices[tri[a - 1]]
+                 for tri in mesh.triangles for a in range(3)]
+        assert sys.h == min(float(np.sqrt(e[0] ** 2 + e[1] ** 2)) for e in edges)
+        interior = np.flatnonzero(~mesh.boundary)
+        assert_same_bits(sys.coords, mesh.vertices[interior])
+        assert_same_bits(sys.dof_of_vertex[interior], np.arange(interior.size))
+        ref = discretize.diffusion_fem_2d(mesh, lambda c: 1.0)
+        assert_same_csr(sys.A, ref.A)
+        for name in ("F", "coords", "element_matrices", "dof_of_vertex"):
+            assert_same_bits(getattr(sys, name), getattr(ref, name))
+        assert sys.h == ref.h and sys.kind == ref.kind
+
     @pytest.mark.parametrize("cells", [(1, 1), (3, 2), (16, 16)])
     @pytest.mark.parametrize("jitter", [False, True])
     def test_diffusion_fem_2d(self, cells, jitter):
