@@ -302,19 +302,20 @@ def geneo_pencils(system, decomposition):
     their weights, and the two restricted dense matrices. The element
     sets are found at the call; each dense pair is built only when its
     subdomain is reached, through one n-length table from DoF to position
-    among the weighted dofs: ``Nw`` by one ``np.bincount`` of the
-    element-matrix entries, which sums them in the order
-    ``discretize.neumann_matrix`` does, and ``Bw`` from the stored entries
-    of A's weighted rows whose columns are weighted dofs of the subdomain,
-    scaled to ``(d_i a_ik) d_k``. No Neumann matrix on the unweighted dofs
-    is formed.
+    among the weighted dofs: each entry of ``Nw`` sums the element-matrix
+    entries that fall there in the order ``discretize.neumann_matrix``
+    adds them, and ``Bw`` holds the stored entries of A's weighted rows
+    whose columns are weighted dofs of the subdomain, scaled to
+    ``(d_i a_ik) d_k``. This is ``pencil(j, np.inf)`` of
+    :func:`_pencil_index`, which eliminates no row. No Neumann matrix on
+    the unweighted dofs is formed.
 
     Raises ``discretize.UnsupportedProblemError`` for a system without a
     mesh and ValueError when the system's DoF count is not the
     decomposition's.
     """
     _, pencil = _pencil_index(system, decomposition)
-    return map(pencil, range(decomposition.N))
+    return (pencil(j, np.inf)[:4] for j in range(decomposition.N))
 
 
 def _pencil_index(system, decomposition):
@@ -322,45 +323,40 @@ def _pencil_index(system, decomposition):
 
     Returns ``(touched, pencil)``: whether each subdomain's element set
     touches any DoF, and the function that builds subdomain j's pencil.
-    ``pencil(j)`` reads j's element entries and A's weighted rows (off
-    ``A.indptr``) through one n-length table from DoF to position among
-    j's weighted dofs, filled for j and reset before it returns.
+    ``pencil(j, tau)`` reads j's element entries and A's weighted rows
+    (off ``A.indptr``) through one n-length table from DoF to position
+    among j's weighted dofs, filled for j and reset before it returns.
 
-    ``pencil(j)`` returns ``(dofs, d, Nw, Bw)`` in ascending dof order.
-    ``pencil(j, tau)`` returns ``(dofs, d, Nw, Bw, c)`` with the rows
-    ``J`` first, then the others, each in ascending dof order: ``J`` are
-    the rows where ``Nw[i] == c_i Bw[i]`` holds exactly with
-    ``c_i = Nw_ii / Bw_ii > tau`` (0 without a stored diagonal), the
-    dense ``(Nw == c[:, None] * Bw).all(1) & (c > tau)``, and ``c`` holds
-    their ``c_i``. The rule is decided in O(nnz) on the entries: the
-    element entries summed at each stored position of ``Bw`` and, where
-    ``Bw`` stores nothing (A's exact zeros are not stored), summing to
-    zero (:func:`_entry_sums`); it takes A without duplicate or stored
-    zero entries, as ``discretize`` builds it. Both matrices are then
-    scattered straight into that order, so each block that
-    :func:`_geneo_eig` reads is a slice. They are views of one buffer,
-    kept from call to call, that the next ``pencil(j, tau)`` overwrites.
+    It returns ``(dofs, d, Nw, Bw, c)`` with the rows ``J`` first, then
+    the others, each in ascending dof order: ``J`` are the rows where
+    ``Nw[i] == c_i Bw[i]`` holds exactly with ``c_i = Nw_ii / Bw_ii > tau``
+    (0 without a stored diagonal), the dense
+    ``(Nw == c[:, None] * Bw).all(1) & (c > tau)``, and ``c`` holds their
+    ``c_i``; ``tau=np.inf`` selects no row. The rule is decided in O(nnz)
+    on the entries: the element entries summed at each stored position
+    of ``Bw`` and, where ``Bw`` stores nothing, summing to zero
+    (:func:`_entry_sums`). Both matrices are then written once per
+    position into a new dense pair in that order, so each block that
+    :func:`_geneo_eig` reads is a slice.
     """
     dec = decomposition
     elements = subdomain_element_sets(system, dec)
     A = sp.csr_array(system.A)
+    if not A.has_canonical_format:
+        # each position of Bw is written from one stored entry of A
+        A = A.copy()
+        A.sum_duplicates()
     dmap = system.dof_of_vertex[system.mesh.triangles]
     has_dof = (dmap >= 0).any(axis=1)
     touched = np.array([has_dof[t].any() for t in elements], dtype=bool)
     # -1 off the current subdomain's weighted dofs; the last entry stays -1
     # and serves the dof -1 of an eliminated boundary vertex
     table = np.full(dec.n_dofs + 1, -1)
-    # the flat m x m position table of _entry_sums, -1 between uses, and
-    # the dense pair of pencil(j, tau); both grow to the largest m asked for
-    slot = np.empty(0, dtype=np.int32)
-    pair = np.empty(0)
+    # the flat m x m position table of _entry_sums, -1 between uses
+    m_max = max((np.count_nonzero(w) for w in dec.weights), default=0)
+    slot = np.full(m_max * m_max, -1, dtype=np.int32)
 
-    def dense(keys, vals, m):
-        # summed in entry order; bincount of no entries is an integer array
-        return np.bincount(keys, vals, minlength=m * m).astype(float, copy=False).reshape(m, m)
-
-    def pencil(j, tau=None):
-        nonlocal slot, pair
+    def pencil(j, tau):
         weighted = dec.weights[j] != 0
         dofs, d = dec.sets[j][weighted], dec.weights[j][weighted]
         m = d.size
@@ -381,11 +377,6 @@ def _pencil_index(system, decomposition):
         kept_b = bcol >= 0
         brow, bcol, at = brow[kept_b], bcol[kept_b], at[kept_b]
         bval = (d[brow] * A.data[at]) * d[bcol]
-        if tau is None:
-            return dofs, d, dense(nkey, nval, m), dense(brow * m + bcol, bval, m)
-        if slot.size < m * m:
-            slot = np.full(m * m, -1, dtype=np.int32)
-            pair = np.empty(2 * m * m)
         bsum, rkey, rsum = _entry_sums(slot, nkey, nval, brow * m + bcol)
         # the rows J: Nw[i] == c_i Bw[i] on Bw's entries, no element entry
         # summing to nonzero where Bw stores nothing, and c_i > tau
@@ -399,15 +390,12 @@ def _pencil_index(system, decomposition):
         order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
         pos = np.empty(m, dtype=np.intp)
         pos[order] = np.arange(m)
-        # every position is written once, so both are bitwise the bincounts
-        # of pencil(j): no bincount sum is -0.0, and A stores no zeros
-        Nw, Bw = pair[:m * m], pair[m * m:2 * m * m]
-        pair[:2 * m * m] = 0.0
-        bkey = pos[brow] * m + pos[bcol]
-        Nw[bkey], Bw[bkey] = bsum, bval
-        Nw[pos[rkey // m] * m + pos[rkey % m]] = rsum
-        return (dofs[order], d[order], Nw.reshape(m, m), Bw.reshape(m, m),
-                c[order[:np.count_nonzero(inner)]])
+        # every position is written once, so each entry is the sum of its
+        # element entries in their order, as a bincount over all positions
+        Nw, Bw = np.zeros((2, m, m))
+        Nw[pos[brow], pos[bcol]], Bw[pos[brow], pos[bcol]] = bsum, bval
+        Nw[pos[rkey // m], pos[rkey % m]] = rsum
+        return dofs[order], d[order], Nw, Bw, c[order[:np.count_nonzero(inner)]]
 
     return touched, pencil
 
@@ -510,45 +498,31 @@ def geneo_space(system, decomposition, tau="auto"):
                        eigenvalues=np.concatenate(values), tau=tau)
 
 
-def _geneo_eig(Nw, Bw, tau, c=None):
+def _geneo_eig(Nw, Bw, tau, c):
     """Eigenpairs of a real pencil ``(Nw, Bw)`` up to ``tau``, as ``linalg.sym_gen_eig``.
 
-    The rows ``J`` where ``Nw[i] == c_i Bw[i]`` holds exactly, with
-    ``c_i = Nw_ii / Bw_ii > tau``, are eliminated first. Such a row adds
-    only the eigenvalue ``c_i``: an eigenvector for any other eigenvalue
-    has ``(Bw phi)_i = 0``. As both matrices are symmetric, two such rows
-    of different ``c`` are not coupled, so ``diag(c_J)`` commutes with
-    ``B_JJ``. With the Cholesky factor ``L`` of ``B_JJ`` and
-    ``W = L^(-1) B_JG`` on the other rows ``G``, the spectrum is that of
-    the reduced pencil ``(N_GG - W^T diag(c_J) W, B_GG - W^T W)`` plus
-    the ``c_i``, all above ``tau``. An eigenvector below ``tau`` is
+    The pencil's leading ``k = c.size`` rows ``J`` are those where
+    ``Nw[i] == c_i Bw[i]`` holds exactly, with ``c_i = Nw_ii / Bw_ii > tau``,
+    as ``pencil(j, tau)`` of :func:`_pencil_index` orders them, and they
+    are eliminated first. Such a row adds only the eigenvalue ``c_i``: an
+    eigenvector for any other eigenvalue has ``(Bw phi)_i = 0``. As both
+    matrices are symmetric, two such rows of different ``c`` are not
+    coupled, so ``diag(c_J)`` commutes with ``B_JJ``. With the Cholesky
+    factor ``L`` of ``B_JJ`` and ``W = L^(-1) B_JG`` on the other rows
+    ``G``, the spectrum is that of the reduced pencil
+    ``(N_GG - W^T diag(c_J) W, B_GG - W^T W)`` plus the ``c_i``, all
+    above ``tau``. An eigenvector below ``tau`` is
     ``phi_J = -B_JJ^(-1) B_JG phi_G`` on ``J``, and this extension of a
     B-orthonormal reduced eigenvector is B-orthonormal. So the pairs up
     to ``tau`` are one ``linalg.sym_gen_eig`` of the reduced pencil,
     extended; the corrections are formed only on the rows of ``G``
     coupled to ``J``, where they are not zero, the left one as
     ``V^T V`` with ``V = diag(sqrt(c_J)) W``. When every ``c_i`` is 1 the
-    two corrections are one ``W^T W``. Without a row to eliminate the full
-    pencil is solved.
-
-    ``c`` holds ``c_J`` of a C-contiguous pencil whose rows ``J`` come
-    first, as ``pencil(j, tau)`` of :func:`_pencil_index` builds it; the
-    reduced pencil is formed in place, in its trailing block, and the
-    vectors are returned in that row order. Without ``c``, ``J`` is found
-    by comparing the dense matrices, the pencil is copied in that order,
-    and the vectors are in the order of the given rows.
+    two corrections are one ``W^T W``. With ``k = 0`` the full pencil is
+    solved. The reduced pencil is formed in the trailing block, in place
+    for a C-contiguous pencil (of a copy otherwise), and the vectors are
+    returned in the pencil's row order.
     """
-    if c is None:
-        c = Nw.diagonal() / Bw.diagonal()
-        inner = (Nw == c[:, None] * Bw).all(axis=1) & (c > tau)
-        if not inner.any():
-            return linalg.sym_gen_eig(Nw, Bw, upper=tau)
-        order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
-        block = np.ix_(order, order)
-        values, reduced = _geneo_eig(Nw[block], Bw[block], tau, c[inner])
-        vectors = np.empty_like(reduced)
-        vectors[order] = reduced
-        return values, vectors
     k = c.size
     if k == 0:
         return linalg.sym_gen_eig(Nw, Bw, upper=tau)
@@ -565,6 +539,9 @@ def _geneo_eig(Nw, Bw, tau, c=None):
     else:
         V = np.sqrt(c)[:, None] * W
         S = V.T @ V
+    # flat positions need a C-contiguous pair, whose reshape(-1) is a view;
+    # pencil(j, tau)'s already is one and is reduced in place
+    Nw, Bw = np.ascontiguousarray(Nw), np.ascontiguousarray(Bw)
     block = ((k + b)[:, None] * Nw.shape[0] + k + b).ravel()
     Nw.reshape(-1)[block] -= S.ravel()
     Bw.reshape(-1)[block] -= C.ravel()
