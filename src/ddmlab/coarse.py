@@ -469,7 +469,7 @@ def geneo_space(system, decomposition, tau="auto"):
             )
         tau = 1.0 / (decomposition.H.max() / decomposition.overlap_width)
     tau = float(tau)
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"threshold must be positive, got {tau}")
 
     kept = []

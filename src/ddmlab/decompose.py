@@ -497,7 +497,8 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
         Number of overlap layers (per side); ValueError unless it is a
         non-negative integer (a boolean is not one).
     coords : ndarray or None
-        DoF coordinates; enables the bounding-box diameter statistic H_j.
+        DoF coordinates, one row per DoF (ValueError otherwise); enables
+        the bounding-box diameter statistic H_j.
     h : float or None
         Mesh unit; the overlap width statistic is delta * h.
     graph : scipy.sparse.csr_array or None
@@ -517,6 +518,8 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
     owner = owner.astype(np.intp)  # a private copy, frozen below
     if n == 0:
         raise ValueError("the system has no unknowns: there is nothing to decompose")
+    if coords is not None and len(coords) != n:
+        raise ValueError(f"coords has {len(coords)} rows, expected one per DoF ({n})")
     if owner.min() < 0:
         raise ValueError(f"owner holds negative label {owner.min()}")
     counts = np.bincount(owner)

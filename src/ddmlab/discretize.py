@@ -136,24 +136,40 @@ class AssembledSystem:
         return self.coords.shape[1]
 
 
-def _stencil_neighbors(ncx, ncy):
-    """Nodes of an ncx-by-ncy grid and their four 5-point-stencil neighbors.
+def _five_point(ncx, ncy, diag, sx, sy, ghosts=False):
+    """Five-point-stencil matrix on the nodes of an ncx-by-ncy grid.
 
-    Returns ``i``, the node indices ``ix + ncx * iy``, and for the
-    directions +x, -x, +y, -y (in that order) a pair ``(j, on)``: the
-    neighbor's index and whether that neighbor lies on the grid. The
-    indices take the index dtype of a five-point-stencil matrix on the
-    grid, so that its triplets need no cast.
+    Node ``ix + ncx * iy`` holds ``diag`` (a scalar or one value per node)
+    on the diagonal and ``-sx`` (``-sy``) toward each on-grid neighbor in
+    x (y). With ``ghosts``, a neighbor off the grid is a ghost node that
+    the impedance closure eliminates: the coupling toward the opposite
+    neighbor doubles. The closure's diagonal terms are the caller's.
     """
-    idx = linalg.index_dtype(5 * ncx * ncy)
-    ix, iy = np.meshgrid(np.arange(ncx, dtype=idx), np.arange(ncy, dtype=idx), indexing="xy")
-    ix, iy = ix.ravel(), iy.ravel()
-    neighbors = []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        jx, jy = ix + dx, iy + dy
-        on = (jx >= 0) & (jx < ncx) & (jy >= 0) & (jy < ncy)
-        neighbors.append((jx + ncx * jy, on))
-    return ix + ncx * iy, neighbors
+    n = ncx * ncy
+    idx = linalg.index_dtype(5 * n)
+    i = np.arange(n, dtype=idx)
+    ix, iy = i % ncx, i // ncx
+    # directions +x, -x, +y, -y: the nodes whose neighbor that way is on the grid
+    on = (ix < ncx - 1, ix > 0, iy < ncy - 1, iy > 0)
+    del ix, iy
+    # the diagonal, then one block of entries per direction: block d is
+    # ends[d]:ends[d + 1]; each part is freed once used, so that only the
+    # triplets and the matrix are alive together
+    rows = np.concatenate([i] + [i[o] for o in on])
+    del i
+    counts = [n] + [np.count_nonzero(o) for o in on]
+    ends = np.cumsum(counts)
+    vals = np.repeat(np.array([0.0, -sx, -sx, -sy, -sy], dtype=np.result_type(diag, float)),
+                     counts)
+    vals[:n] = diag
+    cols = rows.copy()
+    for d, step in enumerate((1, -1, ncx, -ncx)):
+        block = slice(ends[d], ends[d + 1])
+        cols[block] += step
+        if ghosts:
+            vals[block][~on[d ^ 1][on[d]]] *= 2.0
+    del on
+    return linalg.csr_from_triplets(n, n, rows, cols, vals)
 
 
 def _eval_rhs(f, coords):
@@ -179,13 +195,7 @@ def poisson_1d(m, f=None):
         raise ValueError("m must be >= 1")
     grid = StructuredGrid(1, m)
     s = 1.0 / grid.hx**2
-    i, neighbors = _stencil_neighbors(m, 1)
-    rows, cols, vals = [i], [i], [np.full(m, 2.0 * s)]
-    for j, on in neighbors[:2]:
-        rows.append(i[on])
-        cols.append(j[on])
-        vals.append(np.full(on.sum(), -s))
-    A = linalg.csr_from_triplets(m, m, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    A = _five_point(m, 1, 2.0 * s, s, 0.0)
     coords = grid.interior_coords()
     return AssembledSystem("poisson_fd_1d", A, _eval_rhs(f, coords), coords, grid.hx, grid=grid)
 
@@ -194,16 +204,7 @@ def poisson_2d_fd(nx, ny, f=None):
     """2D Poisson, 5-point stencil, homogeneous Dirichlet boundary eliminated."""
     grid = StructuredGrid(2, nx, ny)
     sx, sy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    i, neighbors = _stencil_neighbors(nx, ny)
-    # one array per triplet part, and each freed once used, so that only
-    # the triplets and the matrix are alive together
-    rows = np.concatenate([i] + [i[on] for _, on in neighbors])
-    cols = np.concatenate([i] + [j[on] for j, on in neighbors])
-    vals = np.repeat([2.0 * sx + 2.0 * sy, -sx, -sx, -sy, -sy],
-                     [len(i)] + [np.count_nonzero(on) for _, on in neighbors])
-    del i, neighbors
-    A = linalg.csr_from_triplets(grid.n_interior, grid.n_interior, rows, cols, vals)
-    del rows, cols, vals
+    A = _five_point(nx, ny, 2.0 * sx + 2.0 * sy, sx, sy)
     coords = grid.interior_coords()
     h = min(grid.hx, grid.hy)
     return AssembledSystem("poisson_fd_2d", A, _eval_rhs(f, coords), coords, h, grid=grid)
@@ -345,32 +346,19 @@ def helmholtz_2d(grid, omega, n=None, xi=0.0, boundary="dirichlet", f=None):
     dtype = complex if complex_path else float
     sx, sy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
 
-    i, neighbors = _stencil_neighbors(ncx, ncy)
     # float_power squares through libm pow, as scalar ``**`` does; the array
     # ``k**2`` multiplies and can differ from pow in the last bit
     diag = 2.0 * sx + 2.0 * sy - (np.float_power(k, 2) + (1j * xi if complex_path else 0.0))
-    rows, cols, vals = [], [], []
-    steps = ((sx, grid.hx), (sx, grid.hx), (sy, grid.hy), (sy, grid.hy))
-    for d, ((j, on), (s, hstep)) in enumerate(zip(neighbors, steps)):
-        rows.append(i[on])
-        cols.append(j[on])
-        vals.append(np.full(on.sum(), -s))
-        if boundary == "impedance":
-            # ghost elimination with du/dn = i k u: the opposite neighbor
-            # coefficient doubles and the diagonal picks up -2ik/h per
-            # eliminated side, subtracted in direction order (the term is
-            # purely imaginary, so only the imaginary part changes)
-            off = ~on
-            rows.append(i[off])
-            cols.append(neighbors[d ^ 1][0][off])
-            vals.append(np.full(off.sum(), -s))
+    if boundary == "impedance":
+        # ghost elimination with du/dn = i k u: the builder doubles the
+        # coupling opposite each ghost, and the diagonal picks up -2ik/h per
+        # eliminated side, subtracted in direction order +x, -x, +y, -y (the
+        # term is purely imaginary, so only the imaginary part changes)
+        iy, ix = np.divmod(np.arange(ncx * ncy), ncx)
+        for off, hstep in ((ix == ncx - 1, grid.hx), (ix == 0, grid.hx),
+                           (iy == ncy - 1, grid.hy), (iy == 0, grid.hy)):
             diag.imag[off] -= 2.0 * k[off] / hstep
-    ndof = ncx * ncy
-    A = linalg.csr_from_triplets(
-        ndof, ndof, np.concatenate(rows + [i]), np.concatenate(cols + [i]), np.concatenate(vals + [diag])
-    )
-    if not complex_path:
-        A = linalg.compress(A.astype(float))
+    A = _five_point(ncx, ncy, diag, sx, sy, ghosts=boundary == "impedance")
     h = min(grid.hx, grid.hy)
     return AssembledSystem("helmholtz_2d", A, _eval_rhs(f, coords).astype(dtype), coords, h,
                            grid=grid if boundary == "dirichlet" else None)

@@ -10,7 +10,9 @@ precision (on 1D Poisson with 1024 dofs and 32 subdomains, a recursive
 relative residual of 2.3e-13 against a true one of 4.7e-11). Every
 report therefore carries ``true_final_relres``, the true relative
 residual of the returned iterate, which costs CG and PCG one extra
-matvec at exit.
+matvec at exit. No driver keeps its iterates: iterate k is the same call
+with ``maxit=k``, whose history is the first k + 1 entries of the full
+run's, bit for bit.
 
 No preconditioner is ``M=None``; GMRES applies an M on one of the
 ``SIDES``, left or right. Right-preconditioned GMRES keeps ``Z = M V``
@@ -64,13 +66,13 @@ class SolveReport:
     energy_errors : ndarray or None
         ``sqrt((x_k - x*)^H A (x_k - x*))`` per iterate when a reference
         solution was supplied.
-    iterates : list of ndarray or None
-        Solution iterates (excluding x0) when requested.
+
+    The report holds no iterates; iterate k is the returned ``x`` of the
+    same solve run with ``maxit=k``.
     """
 
     def __init__(self, method, residual_history, rtol, bnorm, converged,
-                 diverged=False, energy_errors=None, iterates=None,
-                 true_residual=None):
+                 diverged=False, energy_errors=None, true_residual=None):
         self.method = method
         self.residual_history = np.asarray(residual_history, dtype=float)
         self.true_residual = float(
@@ -82,7 +84,6 @@ class SolveReport:
         self.energy_errors = (
             None if energy_errors is None else np.asarray(energy_errors, dtype=float)
         )
-        self.iterates = iterates
 
     @property
     def iterations(self):
@@ -195,27 +196,26 @@ def _energy_error(matvec, x, x_star):
     return float(np.sqrt(max(val, 0.0)))
 
 
-def cg(A, b, x0=None, tol=1e-6, maxit=200, x_star=None, keep_iterates=False):
+def cg(A, b, x0=None, tol=1e-6, maxit=200, x_star=None):
     """Conjugate gradients for symmetric positive definite systems."""
-    return _cg_loop(A, b, None, x0, tol, maxit, x_star, keep_iterates, "cg")
+    return _cg_loop(A, b, None, x0, tol, maxit, x_star, "cg")
 
 
-def pcg(A, b, M, x0=None, tol=1e-6, maxit=200, x_star=None, keep_iterates=False):
+def pcg(A, b, M, x0=None, tol=1e-6, maxit=200, x_star=None):
     """Preconditioned conjugate gradients; M applies the preconditioner.
 
     Raises TypeError if M returns complex values for a real system.
     """
-    return _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, "pcg")
+    return _cg_loop(A, b, M, x0, tol, maxit, x_star, "pcg")
 
 
-def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
+def _cg_loop(A, b, M, x0, tol, maxit, x_star, method):
     matvec = as_operator(A)
     prec = as_preconditioner(M)
     b, x, r = starting_point(matvec, b, x0)
     bnorm = _norm(b) or 1.0
     history = [_norm(r)]
     energy = None if x_star is None else [_energy_error(matvec, x, x_star)]
-    iterates = [] if keep_iterates else None
 
     z = castable(prec(r), r.dtype)
     rz = np.vdot(r, z).real
@@ -239,8 +239,6 @@ def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
         history.append(_norm(r))
         if energy is not None:
             energy.append(_energy_error(matvec, x, x_star))
-        if iterates is not None:
-            iterates.append(x.copy())
         converged = history[-1] <= tol * bnorm
         if converged:
             break
@@ -250,13 +248,11 @@ def _cg_loop(A, b, M, x0, tol, maxit, x_star, keep_iterates, method):
         rz = rz_new
 
     report = SolveReport(method, history, tol, bnorm, converged,
-                         energy_errors=energy, iterates=iterates,
-                         true_residual=_norm(b - matvec(x)))
+                         energy_errors=energy, true_residual=_norm(b - matvec(x)))
     return x, report
 
 
-def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
-          keep_iterates=False):
+def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200):
     """Full GMRES with modified Gram-Schmidt Arnoldi.
 
     ``side`` selects the preconditioning flavor: "right" (default) keeps
@@ -293,11 +289,8 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
     history = [_norm(r0)]
     if not np.isfinite(history[0]):
         raise KrylovBreakdownError("gmres: operator returned NaN or Inf")
-    iterates = [] if keep_iterates else None
     if history[0] <= tol * bnorm:
-        report = SolveReport("gmres", history, tol, bnorm, True,
-                             iterates=iterates)
-        return x0, report
+        return x0, SolveReport("gmres", history, tol, bnorm, True)
 
     t = prec(r0) if side == "left" else r0
     beta = _norm(t)
@@ -346,12 +339,9 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
         except np.linalg.LinAlgError as exc:
             raise KrylovBreakdownError(
                 f"gmres: reduced Hessenberg matrix is singular ({exc})") from exc
-        xk = x0 + np.asarray(Z[: k + 1]).T @ y
-        true_res = _norm(b - matvec(xk))
+        x = x0 + np.asarray(Z[: k + 1]).T @ y
+        true_res = _norm(b - matvec(x))
         history.append(true_res)
-        if iterates is not None:
-            iterates.append(xk)
-        x = xk
         if true_res <= tol * bnorm:
             converged = True
             break
@@ -359,7 +349,5 @@ def gmres(A, b, M=None, side="right", x0=None, tol=1e-6, maxit=200,
             # The Krylov space is invariant; nothing further can improve.
             break
 
-    report = SolveReport("gmres", history, tol, bnorm, converged,
-                         iterates=iterates)
-    return x, report
+    return x, SolveReport("gmres", history, tol, bnorm, converged)
 

@@ -163,7 +163,8 @@ def csr_from_triplets(nrows, ncols, rows, cols, vals):
     nrows, ncols : int
         Matrix dimensions.
     rows, cols : array_like of int, shape (nnz,)
-        Entry indices; they must lie in range.
+        Entry indices; they must lie in range. A non-empty float or
+        Boolean index array raises ValueError rather than be truncated.
     vals : array_like, shape (nnz,)
         Entry values; they must be finite.
 
@@ -174,18 +175,32 @@ def csr_from_triplets(nrows, ncols, rows, cols, vals):
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     vals = np.asarray(vals)
+    for name, ix in (("row", rows), ("column", cols)):
+        if ix.size and not np.issubdtype(ix.dtype, np.integer):
+            raise ValueError(f"triplet {name} indices must be integers, got dtype {ix.dtype}")
     if rows.size and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
         raise ValueError("triplet index out of range")
     _require_finite(vals, "triplet values")
     idx = index_dtype(nrows, ncols, rows.size)
     A = sp.coo_array((vals, (rows.astype(idx, copy=False), cols.astype(idx, copy=False))),
                      shape=(nrows, ncols)).tocsr()
-    return compress(A)
+    return _canonicalize(A)
 
 
 def compress(A):
-    """Return ``A`` as canonical CSR: sorted indices, summed duplicates, no stored zeros."""
+    """Return ``A`` as canonical CSR: sorted indices, summed duplicates, no stored zeros.
+
+    ``A`` itself is never written. A canonical CSR ``A`` comes back sharing
+    its arrays; any other is canonicalized in a copy.
+    """
     A = sp.csr_array(A)
+    if A.has_canonical_format and np.count_nonzero(A.data) == A.nnz:
+        return A
+    return _canonicalize(A.copy())
+
+
+def _canonicalize(A):
+    """Bring the CSR matrix ``A`` to canonical form in place; returns ``A``."""
     A.sum_duplicates()
     A.eliminate_zeros()
     A.sort_indices()

@@ -1388,6 +1388,11 @@ class TestGeneo:
             coarse.geneo_space(sys, dec, tau="auto")
         assert coarse.geneo_space(sys, dec, tau=0.5).m0 > 0
 
+    def test_nan_threshold_rejected(self):
+        sys, dec = fem_setup(8, 2, 2, 1)
+        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+            coarse.geneo_space(sys, dec, tau=float("nan"))
+
     def test_auto_threshold_of_point_subdomains_rejected(self):
         # one interior dof: H_j = 0 and the threshold 1 / 0 would be infinite
         sys, dec = fem_setup(2, 1, 1, 1)

@@ -539,6 +539,12 @@ class TestExpandOverlap:
         with pytest.raises(ValueError, match=match):
             decompose.expand_overlap(path_graph(4), owner, 1)
 
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_coords_of_another_length_rejected(self, rows):
+        coords = np.zeros((rows, 2))
+        with pytest.raises(ValueError, match=f"coords has {rows} rows, expected one per DoF \\(4\\)"):
+            decompose.expand_overlap(path_graph(4), [0, 0, 1, 1], 1, coords=coords)
+
     def test_system_without_unknowns_named(self):
         A = sp.csr_array((0, 0))
         with pytest.raises(ValueError, match="the system has no unknowns"):

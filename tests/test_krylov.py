@@ -5,6 +5,7 @@ with numpy eigensolvers inside the tests.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ def identity_csr(n):
 def energy_envelope(kappa, k):
     q = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
     return 2 * q**k
+
+
+def iterates(solve, rep):
+    """Iterates 1..K of ``solve()``, which ran K iterations: ``solve(maxit=k)``."""
+    return [solve(maxit=k)[0] for k in range(1, rep.iterations + 1)]
 
 
 class TestCg:
@@ -64,8 +70,9 @@ class TestCg:
 
     def test_residual_orthogonality(self):
         sys = discretize.poisson_1d(15)
-        x, rep = krylov.cg(sys.A, sys.F, tol=1e-10, keep_iterates=True)
-        xs = rep.iterates
+        solve = partial(krylov.cg, sys.A, sys.F, tol=1e-10)
+        x, rep = solve()
+        xs = iterates(solve, rep)
         rs = [sys.F - sys.A @ xk for xk in xs]
         for k in range(len(rs) - 1):
             assert abs(rs[k + 1] @ rs[k]) <= 1e-8 * np.linalg.norm(rs[0]) ** 2
@@ -186,13 +193,13 @@ class TestGmres:
     @pytest.mark.parametrize("kind", ["poisson", "helmholtz-oras"])
     def test_every_iterate_is_the_minimizer(self, kind, side):
         sys, M, x0 = minimizer_case(kind)
-        x, rep = gmres_on(sys.A, sys.F, M, side, x0=x0, tol=1e-10,
-                          keep_iterates=True)
+        solve = partial(gmres_on, sys.A, sys.F, M, side, x0=x0, tol=1e-10)
+        x, rep = solve()
         assert rep.iterations > 5
         oracle = oracle_residuals(sys.A, sys.F, x0, M, side, rep.iterations)
         prec = M.apply if side == "left" else (lambda v: v)
         scale = np.linalg.norm(prec(sys.F - sys.A @ x0))
-        for xk, r_min in zip(rep.iterates, oracle):
+        for xk, r_min in zip(iterates(solve, rep), oracle):
             r = prec(sys.F - sys.A @ xk)
             assert np.linalg.norm(r - r_min) <= 1e-10 * scale
         assert rep.converged
@@ -239,10 +246,11 @@ class TestGmres:
 
     def test_monotone_history_and_true_residuals(self):
         sys = discretize.poisson_2d_fd(7, 7)
-        x, rep = krylov.gmres(sys.A, sys.F, tol=1e-8, keep_iterates=True)
+        solve = partial(krylov.gmres, sys.A, sys.F, tol=1e-8)
+        x, rep = solve()
         h = rep.residual_history
         assert all(h[k + 1] <= h[k] + 1e-12 * h[0] for k in range(len(h) - 1))
-        for k, xk in enumerate(rep.iterates):
+        for k, xk in enumerate(iterates(solve, rep)):
             true = np.linalg.norm(sys.F - sys.A @ xk)
             assert abs(true - h[k + 1]) <= 1e-10 * max(true, h[0])
 
@@ -250,8 +258,9 @@ class TestGmres:
         sys = discretize.poisson_2d_fd(6, 6)
         d = sys.A.diagonal()
         M = lambda r: r / d
-        x, rep = krylov.gmres(sys.A, sys.F, M, side="right", tol=1e-9, keep_iterates=True)
-        for k, xk in enumerate(rep.iterates):
+        solve = partial(krylov.gmres, sys.A, sys.F, M, side="right", tol=1e-9)
+        x, rep = solve()
+        for k, xk in enumerate(iterates(solve, rep)):
             true = np.linalg.norm(sys.F - sys.A @ xk)
             assert abs(true - rep.residual_history[k + 1]) <= 1e-10 * max(true, rep.residual_history[0])
 
@@ -314,16 +323,17 @@ class TestGmres:
             return M1.apply(r)
 
         x0 = np.linspace(0.0, 1.0, sys.F.shape[0])
-        x, rep = gmres_on(sys.A, sys.F, counting, side, x0=x0, tol=1e-8,
-                          keep_iterates=True)
+        solve = partial(gmres_on, sys.A, sys.F, counting, side, x0=x0, tol=1e-8)
+        x, rep = solve()
         assert rep.converged and rep.iterations > 5
         assert len(calls) == (0 if extra is None else rep.iterations + extra)
         assert all(shape == sys.F.shape for shape in calls)
         h = rep.residual_history
         assert h[0] == np.linalg.norm(sys.F - sys.A @ x0)
-        for k, xk in enumerate(rep.iterates):
+        xs = iterates(solve, rep)
+        for k, xk in enumerate(xs):
             assert abs(np.linalg.norm(sys.F - sys.A @ xk) - h[k + 1]) <= 1e-13 * h[0]
-        np.testing.assert_array_equal(x, rep.iterates[-1])
+        np.testing.assert_array_equal(x, xs[-1])
 
     def test_singular_hessenberg_raises_breakdown(self):
         # A e1 = 0: the first Arnoldi step leaves H = [[0], [0]]
@@ -377,6 +387,39 @@ class TestGmres:
         x, rep = krylov.gmres(sys.A, b, M, side=side, tol=1e-10)
         assert rep.converged and x.dtype == complex
         assert np.linalg.norm(sys.F - sys.A @ x) <= 1e-9 * np.linalg.norm(sys.F)
+
+
+def assert_stopped_solves_are_prefixes(solve):
+    """Each ``solve(maxit=k)`` is the full ``solve()`` stopped at k, bit for bit."""
+    x, rep = solve()
+    assert rep.converged and rep.iterations > 5
+    full = rep.residual_history
+    for k in range(rep.iterations + 1):
+        xk, repk = solve(maxit=k)
+        assert repk.residual_history.tobytes() == full[: k + 1].tobytes()
+    assert xk.tobytes() == x.tobytes() and repk.converged
+
+
+class TestIterateIsTheSolveStoppedThere:
+    @pytest.mark.parametrize("method", ["cg", "pcg"])
+    def test_cg_and_pcg(self, method):
+        sys = discretize.poisson_2d_fd(10, 10)
+        dec = decompose.expand_overlap(
+            sys.A, decompose.cartesian_partition(sys.grid, 2, 2), 1)
+        M = schwarz.one_level(sys.A, dec, "asm")
+        x0 = np.linspace(0.0, 1.0, sys.n)
+        if method == "cg":
+            solve = partial(krylov.cg, sys.A, sys.F, x0=x0, tol=1e-10)
+        else:
+            solve = partial(krylov.pcg, sys.A, sys.F, M, x0=x0, tol=1e-10)
+        assert_stopped_solves_are_prefixes(solve)
+
+    @pytest.mark.parametrize("side", SIDES_AND_NONE)
+    @pytest.mark.parametrize("kind", ["poisson", "helmholtz-oras"])
+    def test_gmres(self, kind, side):
+        sys, M, x0 = minimizer_case(kind)
+        assert_stopped_solves_are_prefixes(
+            partial(gmres_on, sys.A, sys.F, M, side, x0=x0, tol=1e-10))
 
 
 @pytest.mark.parametrize("method", ["cg", "pcg", "gmres", "richardson"])

@@ -58,6 +58,16 @@ class TestCsrFromTriplets:
         with pytest.raises(ValueError):
             linalg.csr_from_triplets(2, 2, [0, 1], [0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("rows, cols, dtype", [
+        ([0.7, 1.2], [0, 1], "float64"),
+        ([True, False], [0, 1], "bool"),
+        ([0, 1], [0.0, 1.0], "float64"),
+    ])
+    def test_non_integer_indices_rejected(self, rows, cols, dtype):
+        # truncating 0.7 and 1.2 would give diag(1, 2); True and False would read as 1 and 0
+        with pytest.raises(ValueError, match=f"indices must be integers, got dtype {dtype}"):
+            linalg.csr_from_triplets(2, 2, rows, cols, [1.0, 2.0])
+
     def test_empty_arrays_give_zero_matrix(self):
         A = linalg.csr_from_triplets(2, 3, [], [], [])
         assert A.shape == (2, 3) and A.nnz == 0
@@ -69,6 +79,27 @@ class TestCsrFromTriplets:
     def test_column_indices_sorted_within_rows(self):
         A = linalg.csr_from_triplets(1, 4, [0, 0, 0], [3, 1, 2], [1.0, 2.0, 3.0])
         assert np.all(np.diff(A.indices) > 0)
+
+
+class TestCompress:
+    @pytest.mark.parametrize("cls", [sp.csr_array, sp.csr_matrix])
+    def test_argument_keeps_its_bytes(self, cls):
+        # row 0: unsorted columns and a stored zero; row 1: a duplicate
+        A = cls((np.array([1.0, 0.0, 2.0, 3.0, 4.0]), np.array([1, 0, 0, 1, 1]),
+                 np.array([0, 2, 5])), shape=(2, 2))
+        parts = ("data", "indices", "indptr")
+        before = [getattr(A, k).tobytes() for k in parts]
+        B = linalg.compress(A)
+        assert [getattr(A, k).tobytes() for k in parts] == before
+        np.testing.assert_array_equal(B.toarray(), [[0.0, 1.0], [2.0, 7.0]])
+        np.testing.assert_array_equal(B.indices, [1, 0, 1])
+        np.testing.assert_array_equal(B.indptr, [0, 1, 3])
+
+    def test_canonical_matrix_is_not_copied(self):
+        A = tridiag_fd(5)
+        B = linalg.compress(A)
+        for k in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(A, k), getattr(B, k))
 
 
 class TestFactorizations:
