@@ -28,21 +28,22 @@ weights). Its kernel is split off here, not in the eigensolver:
 weight, where it is definite, for both GenEO and
 ``analysis.fsl_constants``, and ``linalg.sym_gen_eig`` computes only the
 eigenpairs up to the threshold. The dense pencils are built one
-subdomain at a time, so only one dense pair is alive: one n-length table
-from DoF to position among the subdomain's weighted dofs places its
-element-matrix entries and the entries of A's rows, and no global lookup
-runs.
+subdomain at a time, in ascending dof order, so only one dense pair is
+alive: one n-length table from DoF to position among the subdomain's
+weighted dofs places its element-matrix entries and the entries of A's
+rows, and no global lookup runs.
 The two pencil matrices are proportional on many rows: equal inside the
 subdomain, and ``Nw[i] = c_i Bw[i]`` with ``c_i = Nw_ii / Bw_ii``
 inside each band of the overlap where the weights are constant (weight
 1/2 gives c = 4, weight 1/4 gives c = 16). Such a row adds only the
 eigenvalue ``c_i``, and every eigenvector for another eigenvalue has
-``(Bw phi)_i = 0`` there. So :func:`geneo_space` eliminates every row
-with ``c_i > tau``, found exactly on the sparse entries as each pencil
-is built, and solves the Schur-complement pencil on the others: the
-GenEO eigenproblems "in the overlaps" of Spillane, Dolean, Hauret,
-Nataf, Pechstein & Scheichl (Numer. Math. 126, 2014).
-``analysis.fsl_constants`` keeps the full pencils.
+``(Bw phi)_i = 0`` there. So the reduction :func:`_geneo_eig` that
+:func:`geneo_space` runs on each pencil finds every row with
+``c_i > tau`` by that dense rule, eliminates it, and solves the
+Schur-complement pencil on the others: the GenEO eigenproblems "in the
+overlaps" of Spillane, Dolean, Hauret, Nataf, Pechstein & Scheichl
+(Numer. Math. 126, 2014). ``analysis.fsl_constants`` keeps the full
+pencils.
 """
 
 import numpy as np
@@ -299,45 +300,33 @@ def geneo_pencils(system, decomposition):
 
     Returns an iterator that yields ``(dofs, d, Nw, Bw)`` for every
     subdomain: the ascending global dofs of nonzero weight in ``s_j``,
-    their weights, and the two restricted dense matrices. The element
-    sets are found at the call; each dense pair is built only when its
-    subdomain is reached, through one n-length table from DoF to position
-    among the weighted dofs: each entry of ``Nw`` sums the element-matrix
-    entries that fall there in the order ``discretize.neumann_matrix``
-    adds them, and ``Bw`` holds the stored entries of A's weighted rows
-    whose columns are weighted dofs of the subdomain, scaled to
-    ``(d_i a_ik) d_k``. This is ``pencil(j, np.inf)`` of
-    :func:`_pencil_index`, which eliminates no row. No Neumann matrix on
-    the unweighted dofs is formed.
+    their weights, and the two restricted dense matrices, with rows and
+    columns in that dof order. The element sets are found at the call;
+    each dense pair is built only when its subdomain is reached, through
+    one n-length table from DoF to position among the weighted dofs:
+    ``Nw`` by one ``np.bincount`` of the element-matrix entries, which
+    sums them in the order ``discretize.neumann_matrix`` does, and ``Bw``
+    from the stored entries of A's weighted rows whose columns are
+    weighted dofs of the subdomain, scaled to ``(d_i a_ik) d_k``. No
+    Neumann matrix on the unweighted dofs is formed.
 
     Raises ``discretize.UnsupportedProblemError`` for a system without a
     mesh and ValueError when the system's DoF count is not the
     decomposition's.
     """
     _, pencil = _pencil_index(system, decomposition)
-    return (pencil(j, np.inf)[:4] for j in range(decomposition.N))
+    return map(pencil, range(decomposition.N))
 
 
 def _pencil_index(system, decomposition):
     """The element sets of :func:`geneo_pencils` and the function that builds each pencil.
 
     Returns ``(touched, pencil)``: whether each subdomain's element set
-    touches any DoF, and the function that builds subdomain j's pencil.
-    ``pencil(j, tau)`` reads j's element entries and A's weighted rows
-    (off ``A.indptr``) through one n-length table from DoF to position
-    among j's weighted dofs, filled for j and reset before it returns.
-
-    It returns ``(dofs, d, Nw, Bw, c)`` with the rows ``J`` first, then
-    the others, each in ascending dof order: ``J`` are the rows where
-    ``Nw[i] == c_i Bw[i]`` holds exactly with ``c_i = Nw_ii / Bw_ii > tau``
-    (0 without a stored diagonal), the dense
-    ``(Nw == c[:, None] * Bw).all(1) & (c > tau)``, and ``c`` holds their
-    ``c_i``; ``tau=np.inf`` selects no row. The rule is decided in O(nnz)
-    on the entries: the element entries summed at each stored position
-    of ``Bw`` and, where ``Bw`` stores nothing, summing to zero
-    (:func:`_entry_sums`). Both matrices are then written once per
-    position into a new dense pair in that order, so each block that
-    :func:`_geneo_eig` reads is a slice.
+    touches any DoF, and the function that builds subdomain j's
+    ``(dofs, d, Nw, Bw)``. ``pencil(j)`` reads j's element entries and
+    A's weighted rows (off ``A.indptr``) through one n-length table from
+    DoF to position among j's weighted dofs, filled for j and reset
+    before it returns, and writes a new dense pair.
     """
     dec = decomposition
     elements = subdomain_element_sets(system, dec)
@@ -352,74 +341,34 @@ def _pencil_index(system, decomposition):
     # -1 off the current subdomain's weighted dofs; the last entry stays -1
     # and serves the dof -1 of an eliminated boundary vertex
     table = np.full(dec.n_dofs + 1, -1)
-    # the flat m x m position table of _entry_sums, -1 between uses
-    m_max = max((np.count_nonzero(w) for w in dec.weights), default=0)
-    slot = np.full(m_max * m_max, -1, dtype=np.int32)
 
-    def pencil(j, tau):
+    def pencil(j):
         weighted = dec.weights[j] != 0
         dofs, d = dec.sets[j][weighted], dec.weights[j][weighted]
         m = d.size
         table[dofs] = np.arange(m)
         # N_j: the element-matrix entries at weighted dofs, in (element, a,
-        # b) order, as discretize.neumann_matrix adds them, keyed row * m + col
+        # b) order, as discretize.neumann_matrix adds them; bincount of no
+        # entries is an integer array
         loc = table[dmap[elements[j]]]
         kept = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
-        nkey = (loc[:, :, None] * m + loc[:, None, :])[kept]
-        nval = system.element_matrices[elements[j]][kept]
+        Nw = np.bincount((loc[:, :, None] * m + loc[:, None, :])[kept],
+                         system.element_matrices[elements[j]][kept],
+                         minlength=m * m).astype(float, copy=False).reshape(m, m)
         # D_j A_j D_j: A's entries at weighted rows and columns of j; entry
         # (i, k) is (d_i a_ik) d_k, as in the dense product
         start, count = A.indptr[dofs], A.indptr[dofs + 1] - A.indptr[dofs]
-        brow = np.repeat(np.arange(m), count)
-        at = np.arange(brow.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        bcol = table[A.indices[at]]
+        row = np.repeat(np.arange(m), count)
+        at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        col = table[A.indices[at]]
         table[dofs] = -1
-        kept_b = bcol >= 0
-        brow, bcol, at = brow[kept_b], bcol[kept_b], at[kept_b]
-        bval = (d[brow] * A.data[at]) * d[bcol]
-        bsum, rkey, rsum = _entry_sums(slot, nkey, nval, brow * m + bcol)
-        # the rows J: Nw[i] == c_i Bw[i] on Bw's entries, no element entry
-        # summing to nonzero where Bw stores nothing, and c_i > tau
-        diag = brow == bcol
-        c = np.zeros(m)
-        c[brow[diag]] = bsum[diag] / bval[diag]
-        off = np.zeros(m, dtype=bool)
-        off[brow[bsum != c[brow] * bval]] = True
-        off[rkey // m] = True
-        inner = ~off & (c > tau)
-        order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
-        pos = np.empty(m, dtype=np.intp)
-        pos[order] = np.arange(m)
-        # every position is written once, so each entry is the sum of its
-        # element entries in their order, as a bincount over all positions
-        Nw, Bw = np.zeros((2, m, m))
-        Nw[pos[brow], pos[bcol]], Bw[pos[brow], pos[bcol]] = bsum, bval
-        Nw[pos[rkey // m], pos[rkey % m]] = rsum
-        return dofs[order], d[order], Nw, Bw, c[order[:np.count_nonzero(inner)]]
+        kept = col >= 0
+        row, col, at = row[kept], col[kept], at[kept]
+        Bw = np.zeros((m, m))
+        Bw[row, col] = (d[row] * A.data[at]) * d[col]
+        return dofs, d, Nw, Bw
 
     return touched, pencil
-
-
-def _entry_sums(slot, nkey, nval, bkey):
-    """Sum the values ``nval`` at the flat positions ``nkey``, in entry order.
-
-    Returns ``(bsum, rkey, rsum)``: the sums at the distinct positions
-    ``bkey`` (0 where no entry falls) and, at every other position whose
-    sum is not zero, the position and its sum. Each sum adds its entries
-    in their order, as ``np.bincount`` over all positions would. ``slot``
-    is a flat table over the positions that holds -1; it numbers each
-    position of ``bkey`` by its entry and each other position by one of
-    the entries that fall there, and is reset before this returns. The
-    cost is O(len(nkey) + len(bkey)).
-    """
-    slot[nkey] = np.arange(bkey.size, bkey.size + nkey.size)
-    slot[bkey] = np.arange(bkey.size)
-    at = slot[nkey]
-    slot[nkey] = -1
-    slot[bkey] = -1
-    nsum = np.bincount(at, nval, minlength=bkey.size)
-    rest = np.flatnonzero(nsum[bkey.size:])
-    return nsum[:bkey.size], nkey[rest], nsum[bkey.size + rest]
 
 
 def geneo_space(system, decomposition, tau="auto"):
@@ -431,14 +380,15 @@ def geneo_space(system, decomposition, tau="auto"):
     ``lambda <= tau``. The pencils are those of :func:`geneo_pencils`, on
     the dofs of nonzero weight, where they are definite, one subdomain at
     a time; each is solved by one subset eigensolve that computes just
-    the eigenpairs up to ``tau``. That eigensolve runs on the pencil
-    reduced to the rows where its two matrices are not proportional: a
+    the eigenpairs up to ``tau``. That eigensolve (:func:`_geneo_eig`)
+    finds and eliminates the rows where the pencil's two matrices are
+    proportional and runs on the pencil reduced to the others: a
     row with ``Nw[i] == c_i Bw[i]`` and ``c_i = Nw_ii / Bw_ii > tau``
     (the subdomain's interior, c = 1, and the interior of each overlap
     band of constant weight) only adds the eigenvalue ``c_i``, and the
     kept eigenvectors are extended to those rows by
-    ``phi_J = -B_JJ^(-1) B_JG phi_G`` (:func:`_geneo_eig`). The kept
-    pairs are those of the full pencil, up to rounding. A subdomain
+    ``phi_J = -B_JJ^(-1) B_JG phi_G``, in the pencil's dof order. The
+    kept pairs are those of the full pencil, up to rounding. A subdomain
     whose element set touches no DoF has no Neumann energy and is
     skipped. Selected vectors enter the basis as ``R_j^T D_j phi``,
     grouped by subdomain in ascending index and eigenvalue order.
@@ -475,11 +425,10 @@ def geneo_space(system, decomposition, tau="auto"):
     kept = []
     touched, pencil = _pencil_index(system, decomposition)
     for j in np.flatnonzero(touched):
-        dofs, d, Nw, Bw, c = pencil(j, tau)
-        values, vectors = _geneo_eig(Nw, Bw, tau, c)
+        dofs, d, Nw, Bw = pencil(j)
+        values, vectors = _geneo_eig(Nw, Bw, tau)
         if len(values):
-            order = np.argsort(dofs)
-            kept.append((j, dofs[order], (d[:, None] * vectors)[order], values))
+            kept.append((j, dofs, d[:, None] * vectors, values))
 
     if not kept:
         raise EmptyCoarseSpaceError(
@@ -498,13 +447,12 @@ def geneo_space(system, decomposition, tau="auto"):
                        eigenvalues=np.concatenate(values), tau=tau)
 
 
-def _geneo_eig(Nw, Bw, tau, c):
+def _geneo_eig(Nw, Bw, tau):
     """Eigenpairs of a real pencil ``(Nw, Bw)`` up to ``tau``, as ``linalg.sym_gen_eig``.
 
-    The pencil's leading ``k = c.size`` rows ``J`` are those where
-    ``Nw[i] == c_i Bw[i]`` holds exactly, with ``c_i = Nw_ii / Bw_ii > tau``,
-    as ``pencil(j, tau)`` of :func:`_pencil_index` orders them, and they
-    are eliminated first. Such a row adds only the eigenvalue ``c_i``: an
+    The rows ``J`` where ``Nw[i] == c_i Bw[i]`` holds exactly, with
+    ``c_i = Nw_ii / Bw_ii > tau`` (``c_i = 0`` where ``Bw_ii = 0``), are
+    eliminated first. Such a row adds only the eigenvalue ``c_i``: an
     eigenvector for any other eigenvalue has ``(Bw phi)_i = 0``. As both
     matrices are symmetric, two such rows of different ``c`` are not
     coupled, so ``diag(c_J)`` commutes with ``B_JJ``. With the Cholesky
@@ -518,18 +466,23 @@ def _geneo_eig(Nw, Bw, tau, c):
     extended; the corrections are formed only on the rows of ``G``
     coupled to ``J``, where they are not zero, the left one as
     ``V^T V`` with ``V = diag(sqrt(c_J)) W``. When every ``c_i`` is 1 the
-    two corrections are one ``W^T W``. With ``k = 0`` the full pencil is
-    solved. The reduced pencil is formed in the trailing block, in place
-    for a C-contiguous pencil (of a copy otherwise), and the vectors are
-    returned in the pencil's row order.
+    two corrections are one ``W^T W``. With no such row the full pencil
+    is solved. The blocks are gathered into new arrays, so the pencil is
+    left untouched whatever its memory layout, and the vectors are
+    returned in its row order.
     """
-    k = c.size
-    if k == 0:
+    bd = np.diag(Bw)
+    c = np.divide(np.diag(Nw), bd, out=np.zeros(bd.shape), where=bd != 0)
+    inner = (Nw == c[:, None] * Bw).all(axis=1) & (c > tau)
+    if not inner.any():
         return linalg.sym_gen_eig(Nw, Bw, upper=tau)
-    coupled = Bw[:k, k:]
+    J, G = np.flatnonzero(inner), np.flatnonzero(~inner)
+    c = c[J]
+    rows = Bw[J]
+    coupled = rows[:, G]
     b = np.flatnonzero(coupled.any(axis=0))  # positions in G of the rows coupled to J
     try:
-        L = scipy.linalg.cholesky(Bw[:k, :k], lower=True, check_finite=False)
+        L = scipy.linalg.cholesky(rows[:, J], lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise linalg.SingularMatrixError(f"generalized eigensolve failed: {exc}") from exc
     W = scipy.linalg.solve_triangular(L, coupled[:, b], lower=True, check_finite=False)
@@ -539,19 +492,16 @@ def _geneo_eig(Nw, Bw, tau, c):
     else:
         V = np.sqrt(c)[:, None] * W
         S = V.T @ V
-    # flat positions need a C-contiguous pair, whose reshape(-1) is a view;
-    # pencil(j, tau)'s already is one and is reduced in place
-    Nw, Bw = np.ascontiguousarray(Nw), np.ascontiguousarray(Bw)
-    block = ((k + b)[:, None] * Nw.shape[0] + k + b).ravel()
-    Nw.reshape(-1)[block] -= S.ravel()
-    Bw.reshape(-1)[block] -= C.ravel()
-    values, reduced = linalg.sym_gen_eig(Nw[k:, k:], Bw[k:, k:], upper=tau)
+    left, right = Nw[G][:, G], Bw[G][:, G]
+    left[np.ix_(b, b)] -= S
+    right[np.ix_(b, b)] -= C
+    values, reduced = linalg.sym_gen_eig(left, right, upper=tau)
     vectors = np.empty((Nw.shape[0], values.size))
     if not values.size:
         return values, vectors
-    vectors[k:] = reduced
-    vectors[:k] = -scipy.linalg.solve_triangular(L, W @ reduced[b], trans="T", lower=True,
-                                                 check_finite=False)
+    vectors[G] = reduced
+    vectors[J] = -scipy.linalg.solve_triangular(L, W @ reduced[b], trans="T", lower=True,
+                                                check_finite=False)
     return values, vectors
 
 

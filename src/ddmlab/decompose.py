@@ -38,7 +38,7 @@ __all__ = [
     "PU_KINDS",
 ]
 
-# partition-of-unity kinds, as ``Decomposition.pu_kind`` names them
+# partition-of-unity kinds, as ``multiplicity_pu`` and ``boolean_pu`` build them
 PU_KINDS = ("multiplicity", "boolean")
 
 
@@ -54,17 +54,18 @@ class Decomposition:
     ``weights[i]`` are read-only views of subdomain i's slices of
     ``R.indices`` and ``w``. ``owner`` (the partition the subdomains grew
     from) and ``row_block`` (the subdomain of each stacked row, in R's
-    index dtype) are read-only. ``graph`` is the Boolean symmetric pattern
-    of the matrix's off-diagonal couplings (:func:`expand_overlap`),
-    read-only too.
+    index dtype) are read-only, and so are the per-DoF ``multiplicity``
+    and the per-subdomain ``colors`` and diameters ``H``. ``graph`` is the
+    Boolean symmetric pattern of the matrix's off-diagonal couplings
+    (:func:`expand_overlap`), read-only too.
     """
 
     def __init__(self, n_dofs, owner, R, offsets, w, multiplicity,
-                 adjacency, colors, n_colors, H, overlap_width, pu_kind, graph):
+                 adjacency, colors, n_colors, H, overlap_width, graph):
         self.row_block = np.repeat(np.arange(len(offsets) - 1, dtype=R.indices.dtype),
                                    np.diff(offsets))
         for a in (owner, R.data, R.indices, R.indptr, offsets, w, self.row_block,
-                  graph.data, graph.indices, graph.indptr):
+                  multiplicity, colors, H, graph.data, graph.indices, graph.indptr):
             a.flags.writeable = False
         self.graph = graph
         self.n_dofs = n_dofs
@@ -80,7 +81,6 @@ class Decomposition:
         self.n_colors = n_colors
         self.H = H
         self.overlap_width = overlap_width
-        self.pu_kind = pu_kind
 
     @property
     def N(self):
@@ -142,11 +142,11 @@ class Decomposition:
         indptr = np.searchsorted(row, np.arange(dof.size + 1, dtype=pos)).astype(pos)
         return sp.csr_array((data, indices, indptr), shape=(dof.size,) * 2)
 
-    def _with_weights(self, w, pu_kind):
+    def _with_weights(self, w):
         return Decomposition(
             self.n_dofs, self.owner, self.R, self.offsets, w,
             self.multiplicity, self.adjacency, self.colors,
-            self.n_colors, self.H, self.overlap_width, pu_kind, self.graph,
+            self.n_colors, self.H, self.overlap_width, self.graph,
         )
 
 
@@ -577,14 +577,13 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
                       np.arange(S.nnz + 1, dtype=idx)), shape=(S.nnz, n))
     return Decomposition(
         n, owner, R, S.indptr, 1.0 / multiplicity[S.indices],
-        multiplicity, adjacency, colors, n_colors, H, overlap_width,
-        pu_kind="multiplicity", graph=graph,
+        multiplicity, adjacency, colors, n_colors, H, overlap_width, graph,
     )
 
 
 def multiplicity_pu(dec):
     """Partition of unity with weights 1/m_j, m_j the DoF multiplicity."""
-    return dec._with_weights(1.0 / dec.multiplicity[dec.R.indices], "multiplicity")
+    return dec._with_weights(1.0 / dec.multiplicity[dec.R.indices])
 
 
 def boolean_pu(dec):
@@ -594,4 +593,4 @@ def boolean_pu(dec):
     _, first = np.unique(dec.R.indices, return_index=True)
     w = np.zeros(dec.R.shape[0])
     w[first] = 1.0
-    return dec._with_weights(w, "boolean")
+    return dec._with_weights(w)

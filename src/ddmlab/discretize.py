@@ -61,10 +61,6 @@ class StructuredGrid:
         self.hx = 1.0 / (self.nx + 1)
         self.hy = 1.0 / (self.ny + 1) if dim == 2 else None
 
-    @property
-    def n_interior(self):
-        return self.nx if self.dim == 1 else self.nx * self.ny
-
     def interior_coords(self):
         if self.dim == 1:
             x = (np.arange(self.nx) + 1) * self.hx

@@ -316,7 +316,7 @@ class TestPencils:
         forward = list(coarse.geneo_pencils(sys, dec))
         _, pencil = coarse._pencil_index(sys, dec)
         for j in [4, 3, 3, 2, 1, 0]:
-            for a, b in zip(pencil(j, np.inf)[:4], forward[j]):
+            for a, b in zip(pencil(j), forward[j]):
                 assert_bitwise(a, b)
 
     def test_count_checked_at_the_call(self):
@@ -477,22 +477,11 @@ def dense_rule(Nw, Bw, tau):
     return (Nw == c[:, None] * Bw).all(axis=1) & (c > tau), c
 
 
-def dense_geneo_eig(Nw, Bw, tau):
-    """``coarse._geneo_eig`` of a pencil in any row order.
-
-    The rows of the dense rule are moved first in a copy, as
-    ``pencil(j, tau)`` orders them, and the vectors are moved back; a
-    pencil without such rows is solved as given.
-    """
-    inner, c = dense_rule(Nw, Bw, tau)
-    if not inner.any():
-        return coarse._geneo_eig(Nw, Bw, tau, c[:0])
-    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
-    block = np.ix_(order, order)
-    values, reduced = coarse._geneo_eig(Nw[block], Bw[block], tau, c[inner])
-    vectors = np.empty_like(reduced)
-    vectors[order] = reduced
-    return values, vectors
+def eliminated_c(pencils, tau):
+    """The c of the rows the dense rule eliminates, for each pencil."""
+    for *_, Nw, Bw in pencils:
+        inner, c = dense_rule(Nw, Bw, tau)
+        yield c[inner]
 
 
 def fem_geneo_pass(seed):
@@ -548,8 +537,7 @@ class TestOverlapReduction:
                                                         contrast, tau):
         # weights 1/2 on both sides of a row give c = 4
         sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
-        _, pencil = coarse._pencil_index(sys, dec)
-        assert any((pencil(j, tau)[4] == 4).any() for j in range(dec.N))
+        assert any((c == 4).any() for c in eliminated_c(coarse.geneo_pencils(sys, dec), tau))
         assert_matches_full_space(coarse.geneo_space(sys, dec, tau=tau),
                                   full_pencil_space(sys, dec, tau))
 
@@ -557,50 +545,60 @@ class TestOverlapReduction:
     def test_boolean_rows_of_c_one_half_are_eliminated(self, cells, N, seed, delta, pu,
                                                        contrast, tau):
         sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
-        _, pencil = coarse._pencil_index(sys, dec)
         # the first computes c = 1/2 + 2 ulp, which the rule takes as it is
-        assert any((np.abs(pencil(j, tau)[4] - 0.5) <= 1e-15).any() for j in range(dec.N))
+        assert any((np.abs(c - 0.5) <= 1e-15).any()
+                   for c in eliminated_c(coarse.geneo_pencils(sys, dec), tau))
 
     @pytest.mark.parametrize("tau", [0.4, 0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("cells,N,seed,delta,pu,contrast",
                              [case[:6] for case in CASES + HALF_ROWS]
                              + [(6, 20, 0, 1, "boolean", None)])
-    def test_rows_found_on_the_entries_follow_the_dense_rule(self, cells, N, seed, delta,
-                                                             pu, contrast, tau):
-        # pencil(j, tau) puts first exactly the rows of the dense rule, with
-        # their c, and scatters both matrices into that order bitwise; the
-        # last case holds 13 weightless subdomains, whose pencils are 0 x 0
+    def test_rows_found_on_the_entries_follow_the_dense_rule(self, monkeypatch, cells, N,
+                                                             seed, delta, pu, contrast, tau):
+        # _geneo_eig eliminates exactly the rows of the dense rule: the block
+        # it factors is B_JJ on those rows, bitwise, and the pencil it solves
+        # is on the other rows; the last case holds 13 weightless
+        # subdomains, whose pencils are 0 x 0
         sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
-        _, pencil = coarse._pencil_index(sys, dec)
-        for j in range(dec.N):
-            dofs, d, Nw, Bw, none = pencil(j, np.inf)
-            assert none.size == 0
-            inner, c = dense_rule(Nw, Bw, tau)
-            order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
-            got = pencil(j, tau)
-            want = (dofs[order], d[order], Nw[np.ix_(order, order)],
-                    Bw[np.ix_(order, order)], c[inner])
-            for a, b in zip(got, want):
-                assert_bitwise(a, b)
+        factored, solved = [], []
+        cholesky, sym_gen_eig = scipy.linalg.cholesky, linalg.sym_gen_eig
+
+        def factor(a, **kwargs):
+            factored.append(a.copy())
+            return cholesky(a, **kwargs)
+
+        def solve(left, right, **kwargs):
+            solved.append((left.shape, right.shape))
+            return sym_gen_eig(left, right, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", factor)
+        monkeypatch.setattr(linalg, "sym_gen_eig", solve)
+        for dofs, d, Nw, Bw in coarse.geneo_pencils(sys, dec):
+            inner, _ = dense_rule(Nw, Bw, tau)
+            factored.clear()
+            solved.clear()
+            coarse._geneo_eig(Nw, Bw, tau)
+            assert len(factored) == int(inner.any())
+            if inner.any():
+                assert_bitwise(factored[0], Bw[np.ix_(inner, inner)])
+            g = np.count_nonzero(~inner)
+            assert solved == [((g, g), (g, g))]
 
     def test_entry_missing_from_a_keeps_its_row(self):
         # A stores no exact zeros. Dropping a coupling of an eliminated row
         # from A leaves the Neumann entry there unmatched, and the row stays.
         sys, dec = graph_setup(16, 6, 1, 2)
-        _, pencil = coarse._pencil_index(sys, dec)
-        dofs, d, Nw, Bw, c = pencil(0, 0.5)
-        assert c.size > 0
-        i = dofs[0]
+        dofs, d, Nw, Bw = next(coarse.geneo_pencils(sys, dec))
+        inner, _ = dense_rule(Nw, Bw, 0.5)
+        assert inner.any()
+        i = dofs[inner][0]
         k = next(k for k in sys.A[[i]].indices if k != i and k in dofs)
         A = sys.A.tolil()
         A[i, k] = A[k, i] = 0.0
         sys.A = linalg.compress(A)
-        _, pencil = coarse._pencil_index(sys, dec)
-        kept = pencil(0, 0.5)
-        assert i not in kept[0][:kept[4].size]
-        dofs, _, Nw, Bw, _ = pencil(0, np.inf)
+        dofs, d, Nw, Bw = next(coarse.geneo_pencils(sys, dec))
         inner, _ = dense_rule(Nw, Bw, 0.5)
-        np.testing.assert_array_equal(np.sort(kept[0][:kept[4].size]), dofs[inner])
+        assert i not in dofs[inner]
 
     @pytest.mark.parametrize("cells,N,seed,delta,pu,contrast,tau",
                              [case for case in CASES if case[4] == "boolean"]
@@ -611,13 +609,13 @@ class TestOverlapReduction:
         # two pencils of the multiplicity case: their pairs are bitwise
         # those of the reduction to the rows where Nw and Bw differ
         sys, dec = graph_setup(cells, N, seed, delta, pu, contrast)
-        _, pencil = coarse._pencil_index(sys, dec)
         checked, columns, values = 0, [], []
-        for j, (dofs, d, Nw, Bw) in enumerate(coarse.geneo_pencils(sys, dec)):
-            c = pencil(j, tau)[4]
+        for dofs, d, Nw, Bw in coarse.geneo_pencils(sys, dec):
+            inner, c = dense_rule(Nw, Bw, tau)
+            c = c[inner]
             if c.size and (c == 1).all():
                 checked += 1
-                for got, want in zip(dense_geneo_eig(Nw, Bw, tau), equal_rows_eig(Nw, Bw, tau)):
+                for got, want in zip(coarse._geneo_eig(Nw, Bw, tau), equal_rows_eig(Nw, Bw, tau)):
                     assert_bitwise(got, want)
             if pu == "boolean" and Nw.any():
                 lam, V = equal_rows_eig(Nw, Bw, tau)
@@ -638,9 +636,8 @@ class TestOverlapReduction:
         # the equal rows (c = 1) alone would leave 21,243
         weighted = left = equal_left = 0
         for sys, dec in fem_geneo_pass(0):
-            _, pencil = coarse._pencil_index(sys, dec)
-            for j in range(dec.N):
-                dofs, _, Nw, Bw, c = pencil(j, 0.5)
+            pencils = list(coarse.geneo_pencils(sys, dec))
+            for (dofs, *_), c in zip(pencils, eliminated_c(pencils, 0.5)):
                 weighted += dofs.size
                 left += dofs.size - c.size
                 equal_left += dofs.size - np.count_nonzero(c == 1)
@@ -649,7 +646,7 @@ class TestOverlapReduction:
     def test_extension_is_a_b_orthonormal_eigenbasis(self):
         sys, dec = graph_setup(20, 6, 1, 2)
         for *_, Nw, Bw in coarse.geneo_pencils(sys, dec):
-            values, V = dense_geneo_eig(Nw, Bw, 0.5)
+            values, V = coarse._geneo_eig(Nw, Bw, 0.5)
             np.testing.assert_allclose(V.T @ Bw @ V, np.eye(len(values)), atol=1e-12)
             residual = Nw @ V - (Bw @ V) * values
             assert np.abs(residual).max(initial=0.0) <= 1e-11 * np.abs(Nw).max()
@@ -662,12 +659,12 @@ class TestOverlapReduction:
         # solved, bitwise. The eigenvalue 1 of the c = 1 rows is a cluster
         # at tau = 1 that rounding splits either way in either solve.
         sys, dec = graph_setup(16, 6, 1, 2)
-        _, pencil = coarse._pencil_index(sys, dec)
         eliminated = []
-        for j, (*_, Nw, Bw) in enumerate(coarse.geneo_pencils(sys, dec)):
-            c = pencil(j, tau)[4]
+        for *_, Nw, Bw in coarse.geneo_pencils(sys, dec):
+            inner, c = dense_rule(Nw, Bw, tau)
+            c = c[inner]
             eliminated.extend(c)
-            got = dense_geneo_eig(Nw, Bw, tau)
+            got = coarse._geneo_eig(Nw, Bw, tau)
             ref = linalg.sym_gen_eig(Nw, Bw, upper=tau)
             if c.size == 0:
                 for a, b in zip(got, ref):
@@ -685,25 +682,29 @@ class TestOverlapReduction:
         assert not dense_rule(Nw, Bw, 0.0)[0].any()
         values, _ = ref = linalg.sym_gen_eig(Nw, Bw, upper=0.5)
         assert values.size > 0
-        for got, want in zip(dense_geneo_eig(Nw, Bw, 0.5), ref):
+        for got, want in zip(coarse._geneo_eig(Nw, Bw, 0.5), ref):
             assert_bitwise(got, want)
 
     def test_pencil_of_any_memory_layout(self):
-        # a Fortran-ordered pencil is reduced in a C-ordered copy: the same
-        # pairs, bitwise, and its own entries untouched
+        # the reduction gathers its blocks into new arrays: a C-ordered and
+        # a Fortran-ordered pencil are both left untouched, and give the
+        # same pairs, bitwise
         sys, dec = graph_setup(16, 6, 1, 2)
-        _, pencil = coarse._pencil_index(sys, dec)
-        _, _, Nw, Bw, c = pencil(0, 0.5)
-        assert c.size > 0
-        NF, BF = np.asfortranarray(Nw), np.asfortranarray(Bw)
-        got = coarse._geneo_eig(NF, BF, 0.5, c)
-        np.testing.assert_array_equal(NF, Nw)
-        for a, b in zip(got, coarse._geneo_eig(Nw, Bw, 0.5, c)):
-            assert_bitwise(a, b)
+        *_, Nw, Bw = next(coarse.geneo_pencils(sys, dec))
+        assert dense_rule(Nw, Bw, 0.5)[0].any()
+        ref = coarse._geneo_eig(Nw.copy(), Bw.copy(), 0.5)
+        assert ref[0].size > 0
+        for order in "CF":
+            N, B = np.array(Nw, order=order), np.array(Bw, order=order)
+            got = coarse._geneo_eig(N, B, 0.5)
+            assert_bitwise(N, Nw)
+            assert_bitwise(B, Bw)
+            for a, b in zip(got, ref):
+                assert_bitwise(a, b)
 
     def test_equal_pencil_has_nothing_below_one(self):
         *_, Nw, Bw = next(coarse.geneo_pencils(*graph_setup(16, 6, 1, 2)))
-        values, vectors = dense_geneo_eig(Bw, Bw, 0.9)
+        values, vectors = coarse._geneo_eig(Bw, Bw, 0.9)
         assert values.shape == (0,) and vectors.shape == (len(Bw), 0)
 
 
@@ -719,7 +720,7 @@ def dense_geneo_basis(system, dec, tau):
     # basis replaced, from the same pencils and eigensolve
     columns = []
     for dofs, d, Nw, Bw in coarse.geneo_pencils(system, dec):
-        values, vectors = dense_geneo_eig(Nw, Bw, tau)
+        values, vectors = coarse._geneo_eig(Nw, Bw, tau)
         block = np.zeros((dec.n_dofs, len(values)))
         block[dofs] = d[:, None] * vectors
         columns.append(block)

@@ -700,7 +700,7 @@ class TestDecompositionUtilities:
         dec = decompose.expand_overlap(sys.A, part, 1)
         for d in (dec, decompose.multiplicity_pu(dec), decompose.boolean_pu(dec)):
             for arr in (d.weights[0], d.sets[0], d.w, d.offsets, d.row_block,
-                        d.R.indices, d.R.indptr, d.R.data):
+                        d.R.indices, d.R.indptr, d.R.data, d.multiplicity, d.colors, d.H):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
 
