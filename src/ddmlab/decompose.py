@@ -13,11 +13,11 @@ on, which the graph partitioner and the Robin interface read too: one
 pattern is built per system. Index arrays follow ``linalg.index_dtype``.
 Decompositions are immutable: their index and weight arrays are
 read-only, and the partition-of-unity builders return updated copies.
-Stacked row r of subdomain ``row_block[r]`` has the ascending key
-``row_block[r] * n_dofs + R.indices[r]``; ``within`` finds A's entries
-among the stacked rows by these keys and returns the blocks
-``R_i A R_i^T`` (as one CSR matrix), with no product with R. The keys are
-int64 whatever the index dtype of R.
+Stacked row r belongs to subdomain ``row_block[r]``; ``within`` returns
+the blocks ``R_i A R_i^T`` (as one CSR matrix), with no product with R:
+it maps the columns of A's rows ``sets[i]`` to subdomain i's stacked rows
+through one n-length table in R's index dtype, filled and reset per
+subdomain, so no key combines a subdomain and a DoF.
 """
 
 from collections import defaultdict
@@ -90,56 +90,53 @@ class Decomposition:
     def max_multiplicity(self):
         return int(self.multiplicity.max())
 
-    def _search(self, want):
-        """Where each int64 key ``want`` sorts among the stacked keys, clamped to the last."""
-        keys = self.row_block.astype(np.int64)
-        keys *= self.n_dofs
-        keys += self.R.indices
-        at = np.asarray(np.searchsorted(keys, want))
-        np.minimum(at, keys.size - 1, out=at)
-        return at
-
     def within(self, A):
         """The blocks ``R_i A R_i^T`` of sparse A, as one CSR matrix on the stacked rows.
 
         Row and column r are stacked row r; each row holds A's entries in
         storage order, so the matrix is canonical when ``csr_array(A)`` is.
         Its index arrays take R's index dtype (int64 if its entry count needs
-        it). Each entry of A's row ``R.indices[r]`` is found among the
-        stacked rows by one ``searchsorted`` of its int64 key; only these
-        keys are formed at full length, and the match is checked on the
-        key's two parts.
+        it). The entries of A's rows ``sets[i]`` form one contiguous slice
+        of the stacked entries, and their columns are mapped to stacked
+        rows through one n-length table, filled with subdomain i's rows
+        ``offsets[i]:offsets[i + 1]`` at ``sets[i]`` and reset after it; a
+        column outside ``sets[i]`` reads -1 and its entry is dropped.
         """
         A = sp.csr_array(A)
         if A.shape != (self.n_dofs, self.n_dofs):
             raise ValueError(f"matrix of shape {A.shape} on a decomposition of {self.n_dofs} DoFs")
-        dof, block = self.R.indices, self.row_block
+        dof = self.R.indices
         starts = A.indptr[dof]
         counts = A.indptr[dof + 1] - starts
         total = int(counts.sum())
         idx = linalg.index_dtype(total, A.nnz)
-        # the stored entries of A's row dof[r] are those of stacked row r
-        src = np.repeat(starts - (np.cumsum(counts, dtype=idx) - counts), counts)
-        src += np.arange(total, dtype=idx)
-        want = np.repeat(block.astype(np.int64) * self.n_dofs, counts)
-        want += A.indices[src]
-        at = self._search(want)
-        del want
         pos = np.promote_types(self.R.indptr.dtype, linalg.index_dtype(total))
-        at = at.astype(pos)
-        keep = dof[at] == A.indices[src]
-        keep &= block[at] == np.repeat(block, counts)
-        # each full-length array goes once its kept part exists, so the
-        # search stays the peak
-        row = np.repeat(np.arange(dof.size, dtype=pos), counts)[keep]
+        # stacked row r's entries are ptr[r]:ptr[r + 1], those of A's row dof[r]
+        ptr = np.zeros(dof.size + 1, dtype=pos)
+        np.cumsum(counts, out=ptr[1:])
+        src = np.repeat(starts - ptr[:-1].astype(idx, copy=False), counts)
+        del starts, counts
+        src += np.arange(total, dtype=idx)
+        # the column of each entry, then the stacked row it lands on, or -1
+        at = A.indices[src].astype(pos, copy=False)
+        table = np.full(self.n_dofs, -1, dtype=pos)
+        rows = np.arange(dof.size, dtype=pos)
+        offsets, first = self.offsets.tolist(), ptr[self.offsets].tolist()
+        for s, r0, r1, e0, e1 in zip(self.sets, offsets, offsets[1:], first, first[1:]):
+            table.put(s, rows[r0:r1])
+            # take buffers out in mode "raise", so out may alias the indices
+            table.take(at[e0:e1], out=at[e0:e1])
+            table.put(s, -1)
+        del table, rows
+        # each full-length array goes once its kept part exists
+        keep = at >= 0
         indices = at[keep]
         del at
-        src = src[keep]
-        del keep
-        data = A.data[src]
+        data = A.data[src[keep]]
         del src
-        # rows ascend, so row r starts at the first kept entry of a row >= r
-        indptr = np.searchsorted(row, np.arange(dof.size + 1, dtype=pos)).astype(pos)
+        kept = np.zeros(total + 1, dtype=pos)
+        np.cumsum(keep, out=kept[1:])
+        indptr = kept[ptr]
         return sp.csr_array((data, indices, indptr), shape=(dof.size,) * 2)
 
     def _with_weights(self, w):
@@ -157,6 +154,12 @@ def _check_count(name, value):
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return int(value)
+
+
+def _check_graph(graph, n):
+    """ValueError unless ``graph`` is None or of shape (n, n)."""
+    if graph is not None and graph.shape != (n, n):
+        raise ValueError(f"graph of shape {graph.shape} on a system of {n} DoFs")
 
 
 def _axis_labels(n, p, name):
@@ -224,7 +227,8 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
     regions. Raises ValueError unless N is an integer between 1 and the
     number of DoFs, or if a region ends up empty. ``graph`` is the
     symmetric pattern of A as :attr:`Decomposition.graph` holds it, built
-    from A when None; pass it to build the pattern once per system.
+    from A when None; pass it to build the pattern once per system. A
+    graph of another shape than A's raises ValueError.
 
     Growth walks Python adjacency lists. Each repair round starts with
     one component labelling of the edges inside regions and ends there
@@ -244,6 +248,7 @@ def greedy_graph_partition(A, N, seed=0, graph=None):
     N = _check_count("region count N", N)
     if N > n:
         raise ValueError(f"cannot grow {N} regions on {n} DoFs")
+    _check_graph(graph, n)
     adj = _symmetric_adjacency(A) if graph is None else graph
     # edge k of the graph runs from tail[k] to adj.indices[k]
     tail = np.repeat(np.arange(n), np.diff(adj.indptr))
@@ -504,7 +509,8 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
     graph : scipy.sparse.csr_array or None
         The symmetric pattern of A, as :attr:`Decomposition.graph` holds
         it (for instance the one :func:`greedy_graph_partition` read);
-        built from A when None. The decomposition keeps it.
+        built from A when None. The decomposition keeps it. ValueError
+        unless it is n x n.
     """
     if (isinstance(delta, bool) or not isinstance(delta, (int, np.integer))
             or delta < 0):
@@ -527,6 +533,7 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
         raise ValueError(f"owner leaves label {np.argmin(counts)} unused; "
                          f"labels must run from 0 to {len(counts) - 1}")
     N = len(counts)
+    _check_graph(graph, n)
     if graph is None:
         graph = _symmetric_adjacency(A)
     # membership S (N x n) grows one layer per product with the pattern

@@ -8,10 +8,11 @@ model-problem assemblers hand ``csr_from_triplets`` coordinate arrays
 they already hold, in the dtype :func:`index_dtype` picks.
 Index arrays are int32 when every index and entry count of the matrix fits
 in it, else int64 (:func:`index_dtype`); that rule alone picks the dtype,
-so the sparse products of the pipeline never mix the two. Keys that
-combine two indices, such as the ``block * n + dof`` keys of
-``Decomposition.within``, are always int64, since they can pass ``2**31`` when no matrix
-index does.
+so the sparse products of the pipeline never mix the two. A key that
+combines two indices can pass ``2**31`` when no matrix index does, so it
+does not follow the rule: the region-pair keys ``a * N + b`` of
+``greedy_graph_partition`` are int64. ``Decomposition.within`` forms no
+such key; it maps columns to stacked rows through a table in R's dtype.
 Dense factorizations and the generalized symmetric eigensolver wrap
 LAPACK through scipy. A sparse matrix is factorized by SuperLU
 (``scipy.sparse.linalg.splu``). A stack of independent diagonal blocks

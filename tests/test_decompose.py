@@ -366,6 +366,14 @@ class TestGreedyGraphPartition:
         with pytest.raises(ValueError, match="region count N must be a positive integer"):
             decompose.greedy_graph_partition(A, N, seed=0)
 
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_graph_of_another_shape_rejected(self, m):
+        # a numpy broadcast error before the graph's shape was checked
+        graph = decompose._symmetric_adjacency(path_graph(m))
+        with pytest.raises(ValueError, match=re.escape(
+                f"graph of shape ({m}, {m}) on a system of 6 DoFs")):
+            decompose.greedy_graph_partition(path_graph(6), 2, seed=0, graph=graph)
+
     def test_numpy_integer_count_accepted(self):
         a = decompose.greedy_graph_partition(path_graph(6), np.int64(2), seed=0)
         b = decompose.greedy_graph_partition(path_graph(6), 2, seed=0)
@@ -544,6 +552,14 @@ class TestExpandOverlap:
         coords = np.zeros((rows, 2))
         with pytest.raises(ValueError, match=f"coords has {rows} rows, expected one per DoF \\(4\\)"):
             decompose.expand_overlap(path_graph(4), [0, 0, 1, 1], 1, coords=coords)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_graph_of_another_shape_rejected(self, m):
+        # scipy's bare "inconsistent shapes" before the graph's shape was checked
+        graph = decompose._symmetric_adjacency(path_graph(m))
+        with pytest.raises(ValueError, match=re.escape(
+                f"graph of shape ({m}, {m}) on a system of 4 DoFs")):
+            decompose.expand_overlap(path_graph(4), [0, 0, 1, 1], 1, graph=graph)
 
     def test_system_without_unknowns_named(self):
         A = sp.csr_array((0, 0))
@@ -726,8 +742,43 @@ def _impedance_by_coordinates():
 
 
 def entries(row, col, vals):
-    """Sorted ``(row, col, value bytes)`` triplets."""
-    return sorted(zip(row.tolist(), col.tolist(), (v.tobytes() for v in vals)))
+    """The ``(row, col, value bytes)`` triplets, sorted, as rows, columns and bytes."""
+    vals = np.ascontiguousarray(vals)
+    raw = vals.view(np.uint8).reshape(len(vals), vals.itemsize)
+    order = np.lexsort((*raw.T[::-1], col, row))
+    return row[order].tolist(), col[order].tolist(), raw[order].tobytes()
+
+
+@st.composite
+def raw_systems(draw):
+    """A CSR matrix in raw storage order, an owner array and an overlap.
+
+    Entries keep their drawn order within a row, so columns come unsorted
+    and duplicated; zeros are stored, rows may be empty and so may the
+    whole matrix. Data is float, complex or Boolean, and the owner array
+    uses up to n labels, so subdomains of one DoF occur.
+    """
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["float", "complex", "bool"]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=4 * n))
+    values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-300, 1e300])
+    if kind == "bool":
+        data = np.array(draw(st.lists(st.booleans(), min_size=len(pairs),
+                                      max_size=len(pairs))), dtype=bool)
+    else:
+        data = np.array(draw(st.lists(values, min_size=len(pairs), max_size=len(pairs))))
+        if kind == "complex":
+            data = data + 1j * np.array(draw(st.lists(values, min_size=len(pairs),
+                                                      max_size=len(pairs))))
+    rows = np.array([r for r, _ in pairs], dtype=int)
+    cols = np.array([c for _, c in pairs], dtype=int)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    A = sp.csr_array((data[order], cols[order], indptr), shape=(n, n))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    owner = np.unique(labels, return_inverse=True)[1]
+    return A, owner, draw(st.integers(0, 2))
 
 
 class TestStackedRowIndex:
@@ -747,6 +798,26 @@ class TestStackedRowIndex:
         C = (dec.R @ A @ dec.R.T).tocoo()
         keep = block[C.row] == block[C.col]
         return sp.csr_array((C.data[keep], (C.row[keep], C.col[keep])), shape=C.shape)
+
+    @staticmethod
+    def storage_order_oracle(A, dec):
+        """Oracle: ``(data, indices, indptr)`` of the stacked blocks, entry by entry.
+
+        Subdomain by subdomain and DoF by DoF, A's stored entries of the
+        DoF's row are read in storage order, and an entry is kept, at the
+        stacked row of its column, when that column is in the subdomain.
+        """
+        data, indices, indptr = [], [], [0]
+        for i, dofs in enumerate(dec.sets):
+            local = {d: int(dec.offsets[i]) + k for k, d in enumerate(dofs.tolist())}
+            for d in dofs.tolist():
+                for k in range(A.indptr[d], A.indptr[d + 1]):
+                    col = int(A.indices[k])
+                    if col in local:
+                        indices.append(local[col])
+                        data.append(A.data[k])
+                indptr.append(len(indices))
+        return np.array(data, dtype=A.data.dtype), indices, indptr
 
     def assert_block_diagonal(self, W, A, dec):
         assert isinstance(W, sp.csr_array) and W.has_canonical_format
@@ -775,11 +846,47 @@ class TestStackedRowIndex:
             with pytest.raises(ValueError, match="shape"):
                 dec.within(path_graph(n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(raw_systems())
+    def test_within_keeps_storage_order_on_raw_input(self, system):
+        # unsorted and duplicate columns, stored zeros and empty rows; the
+        # triple-product oracle above sums and sorts, so it sees none of them
+        A, owner, delta = system
+        dec = decompose.expand_overlap(A, owner, delta)
+        W = dec.within(A)
+        data, indices, indptr = self.storage_order_oracle(A, dec)
+        assert W.shape == (dec.R.shape[0],) * 2
+        assert W.data.dtype == A.data.dtype
+        assert W.indices.dtype == W.indptr.dtype == dec.R.indices.dtype
+        assert W.data.tobytes() == data.tobytes()
+        assert W.indices.tolist() == indices
+        assert W.indptr.tolist() == indptr
+
+    def test_within_of_int64_restrictions(self):
+        # the same decomposition with int64 R: int64 index arrays, same entries
+        A, dec = _fem_graph(2)()
+        R = dec.R
+        R64 = sp.csr_array((R.data, R.indices.astype(np.int64), R.indptr.astype(np.int64)),
+                           shape=R.shape)
+        dec64 = decompose.Decomposition(
+            dec.n_dofs, dec.owner, R64, dec.offsets.astype(np.int64), dec.w,
+            dec.multiplicity, dec.adjacency, dec.colors, dec.n_colors, dec.H,
+            dec.overlap_width, dec.graph)
+        assert dec.R.indices.dtype == np.int32
+        for B in (A, dec.graph):
+            W, W64 = dec.within(B), dec64.within(B)
+            assert W64.indices.dtype == W64.indptr.dtype == np.int64
+            assert W64.data.dtype == W.data.dtype
+            assert W64.data.tobytes() == W.data.tobytes()
+            np.testing.assert_array_equal(W64.indices, W.indices)
+            np.testing.assert_array_equal(W64.indptr, W.indptr)
+
     def test_within_keys_are_int64(self):
-        # one subdomain per dof of a 46,400-dof path: the keys
-        # block * n_dofs + dof pass 2**31 from block 46,283 on, while R's
-        # int32 indices still hold every DoF, so int32 keys would wrap and
-        # miss the last blocks' entries
+        # one subdomain per dof of a 46,400-dof path. A key block * n_dofs +
+        # dof would pass 2**31 from block 46,283 on, while R's int32 indices
+        # still hold every DoF; within forms no such key, as its table holds
+        # stacked rows in R's dtype. It is also the most subdomains a path
+        # of this size can have, where within's per-subdomain loop costs most.
         n = 46_400
         A = discretize.poisson_1d(n).A
         dec = decompose.expand_overlap(A, np.arange(n), 1)
