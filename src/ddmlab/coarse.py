@@ -71,11 +71,11 @@ class CoarseSpace:
     (see :func:`_independent_columns`): of m candidates, a column is kept
     when its distance from the span of the columns kept before it exceeds
     about ``sqrt(m eps)`` times the largest column norm (1.2e-7 at
-    m = 64), and of exact copies, found as equal rows of ``Z^H Z``, the
-    lowest index is kept. The filter reads Z alone, never A, and never
-    densifies Z. The surviving columns keep their original values and
-    order, and per-column metadata (owning subdomain, generalized
-    eigenvalue) is filtered alongside.
+    m = 64), and of exact copies, found as rows of ``Z^H Z`` equal by
+    value (-0.0 equals 0.0), the lowest index is kept. The filter reads Z
+    alone, never A, and never densifies Z. The surviving columns keep
+    their original values and order, and per-column metadata (owning
+    subdomain, generalized eigenvalue) is filtered alongside.
     ``min_pivot`` is the smallest kept pivot over the largest squared
     column norm: how close the filter came to dropping a column.
 
@@ -142,19 +142,22 @@ def _independent_columns(Z):
     The Gram matrix ``G = Z^H Z`` of the canonical basis (float, row
     indices sorted, split entries summed) is formed by one sparse product,
     which sums entry (i, k) over column i's stored rows in storage order:
-    exact copies of a column give bitwise-equal rows of G. Of equal rows
+    exact copies of a column give rows of G equal by value, the rule of
+    ``np.unique(G, axis=0)``, under which -0.0 equals 0.0. Of equal rows
     only the lowest index is a candidate, so of equal columns the lowest
-    index is kept. LAPACK ``?pstrf`` then factorizes G on the candidates
-    with symmetric pivoting: step by step it takes the column whose
-    squared distance from the span of the columns already taken is
-    largest, and it stops at the first pivot at or below
-    ``m eps max diag(G)``, with ``m`` the number of columns. A column is
-    thus kept when its distance from the span of the columns kept before
-    it exceeds about ``sqrt(m eps)`` times the largest column norm
-    (1.2e-7 at m = 64). A column whose row of G equals an earlier one's
-    without being a copy lies within rounding of it, well below that
-    distance, so ``?pstrf`` would keep at most one of the two anyway. The
-    rule depends on Z alone, not on the operator, and Z is never
+    index is kept. The first row of each set is found in one pass, by a
+    dict keyed on the row's bytes, once adding 0.0 has mapped -0.0 to 0.0
+    (and left every other value as it was). LAPACK ``?pstrf`` then
+    factorizes G on the candidates with symmetric pivoting: step by step
+    it takes the column whose squared distance from the span of the
+    columns already taken is largest, and it stops at the first pivot at
+    or below ``m eps max diag(G)``, with ``m`` the number of columns. A
+    column is thus kept when its distance from the span of the columns
+    kept before it exceeds about ``sqrt(m eps)`` times the largest column
+    norm (1.2e-7 at m = 64). A column whose row of G equals an earlier
+    one's without being a copy lies within rounding of it, well below
+    that distance, so ``?pstrf`` would keep at most one of the two anyway.
+    The rule depends on Z alone, not on the operator, and Z is never
     densified: only the m x m Gram matrix is.
     """
     m = Z.shape[1]
@@ -167,8 +170,14 @@ def _independent_columns(Z):
         Z = Z.copy()
         Z.sum_duplicates()
     G = (Z.conj(copy=False).T @ Z).toarray()
-    cand = np.sort(np.unique(G, axis=0, return_index=True)[1])
-    G = G[np.ix_(cand, cand)]
+    # -0.0 + 0.0 is 0.0, so rows equal by value have equal bytes
+    G += 0.0
+    first = {}
+    for i, row in enumerate(G):
+        first.setdefault(row.tobytes(), i)
+    cand = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    if cand.size < m:
+        G = G[np.ix_(cand, cand)]
     scale = G.diagonal().real.max()
     pstrf, = scipy.linalg.lapack.get_lapack_funcs(("pstrf",), (G,))
     C, piv, rank, info = pstrf(G, tol=m * np.finfo(float).eps * scale,
@@ -281,8 +290,9 @@ def subdomain_element_sets(system, decomposition):
     t = np.concatenate([inside.row[full], np.tile(bare, dec.N)]).astype(np.intp)
     j = np.concatenate([inside.col[full], np.repeat(np.arange(dec.N), bare.size)])
     order = np.lexsort((t, j))
-    counts = np.bincount(j, minlength=dec.N)
-    return np.split(t[order], np.cumsum(counts)[:-1])
+    t = t[order]
+    ends = np.cumsum(np.bincount(j, minlength=dec.N)).tolist()
+    return [t[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def geneo_pencils(system, decomposition):

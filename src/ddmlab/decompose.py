@@ -73,8 +73,9 @@ class Decomposition:
         self.R = R
         self.offsets = offsets
         self.w = w
-        self.sets = np.split(R.indices, offsets[1:-1])
-        self.weights = np.split(w, offsets[1:-1])
+        bounds = list(zip(offsets.tolist(), offsets[1:].tolist()))
+        self.sets = [R.indices[a:b] for a, b in bounds]
+        self.weights = [w[a:b] for a, b in bounds]
         self.multiplicity = multiplicity
         self.adjacency = adjacency
         self.colors = colors
@@ -553,7 +554,8 @@ def expand_overlap(A, owner, delta, coords=None, h=None, graph=None):
     links.setdiag(False)
     links.eliminate_zeros()
     links.sort_indices()
-    adjacency = [a.tolist() for a in np.split(links.indices, links.indptr[1:-1])]
+    ptr, idx = links.indptr.tolist(), links.indices.tolist()
+    adjacency = [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
     # greedy first-fit coloring, ascending (degree, index) order
     order = sorted(range(N), key=lambda i: (len(adjacency[i]), i))

@@ -41,10 +41,24 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
     stacked rows whose dof couples in the symmetrized pattern of A
     (``Decomposition.graph``) to a dof outside its subdomain; ``p``
     defaults to ``1/h`` and may be a scalar or a per-dof array (complex
-    values are allowed); an array of another shape raises ValueError.
+    values are allowed); an array of another shape raises ValueError, and
+    a shift that is not finite raises ValueError.
     B takes R's index dtype; its Dirichlet part is ``within(A)`` itself,
     made canonical by ``linalg.compress`` (a no-op but for stored zeros
     when A is canonical).
+
+    The Robin term takes one of two paths, with the same result. When the
+    off-diagonal entries of ``linalg.compress(A)`` are exactly the graph's
+    edges (A is the matrix the decomposition grew on, or has its
+    pattern), a row of the Dirichlet block holds its stored diagonal and
+    its dof's graph neighbours inside the subdomain: the inside count is
+    the row's length minus its diagonal, and no second ``within`` runs.
+    If every interface row then stores a diagonal, the shift is added in
+    place on those diagonals, the block's data upcast to the shift's
+    dtype. Otherwise (a non-symmetric pattern, a graph from another
+    matrix) the inside count is read off ``within(graph)``; there, or
+    when an interface row stores no diagonal, B is summed with the
+    diagonal matrix of the shifts.
     """
     if kind not in ("dirichlet", "robin"):
         raise ValueError(f"unknown local operator kind {kind!r}")
@@ -57,14 +71,37 @@ def local_operator(A, decomposition, kind="dirichlet", p=None, h=None,
     B = linalg.compress(decomposition.within(A))
     if kind == "robin":
         graph, dofs = decomposition.graph, decomposition.R.indices
+        degree = np.diff(graph.indptr)
         # a row is on the interface when its own subdomain holds fewer of
         # its dof's graph neighbours than the whole graph does
-        inside = np.diff(decomposition.within(graph).indptr)
-        interface = np.flatnonzero(inside < np.diff(graph.indptr)[dofs])
+        C = linalg.compress(A)
+        rows = np.repeat(np.arange(n), np.diff(C.indptr))
+        off = C.indices != rows
+        if (np.count_nonzero(off) == graph.nnz
+                and np.array_equal(C.indices[off], graph.indices)
+                and np.array_equal(np.bincount(rows[off], minlength=n), degree)):
+            # A's off-diagonal entries are the graph's edges, so a row of B
+            # holds its dof's neighbours inside the subdomain and its diagonal
+            on_diag = B.indices == np.repeat(np.arange(dofs.size), np.diff(B.indptr))
+            stored = np.zeros(dofs.size, dtype=bool)
+            stored[B.indices[on_diag]] = True
+            inside = np.diff(B.indptr) - stored
+        else:
+            stored = None
+            inside = np.diff(decomposition.within(graph).indptr)
+        interface = np.flatnonzero(inside < degree[dofs])
         p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (n,))
         shift = p_dof[dofs[interface]] * float(h) ** (dim - 2)
-        B = linalg.compress(B + linalg.csr_from_triplets(
-            dofs.size, dofs.size, interface, interface, shift))
+        if not np.isfinite(shift).all():
+            raise ValueError("robin shift p * h**(dim - 2) contains NaN or Inf")
+        if stored is not None and stored[interface].all():
+            # add the shift on B's stored diagonals, as the sum below would
+            at = np.flatnonzero(on_diag)[np.cumsum(stored)[interface] - 1]
+            B.data = B.data.astype(np.result_type(B.dtype, shift.dtype), copy=False)
+            B.data[at] += shift
+        else:
+            B = B + linalg.csr_from_triplets(dofs.size, dofs.size, interface, interface, shift)
+        B = linalg.compress(B)
     return B
 
 

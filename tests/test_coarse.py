@@ -1017,6 +1017,19 @@ class TestCoarseSpaceMechanics:
                       sp.csc_array(Z * (1 + 2j))):
             keep, _ = coarse._independent_columns(basis)
             assert len(keep) == 2 and not {3, 4} & set(keep)
+        # A copy of b stores -0.0 where b stores +0.0: rows of Z^H Z are
+        # equal by value, as np.unique compares them, so of a, b and their
+        # copies, float or complex, only columns 0 and 1 are kept.
+        for scale in (1.0, 1 - 2j):
+            data = np.concatenate([a, b, a, np.r_[b[:6], -0.0, -0.0]]).astype(type(scale))
+            data[data != 0] *= scale
+            N = sp.csc_array((data, np.tile(np.arange(8), 4), np.arange(0, 33, 8)), shape=(8, 4))
+            assert N.has_canonical_format
+            assert np.signbit(N.data[N.data == 0].real).tolist() == [False, False, True, True]
+            keep, _ = coarse._independent_columns(N)
+            G = (N.conj().T @ N).toarray()
+            np.testing.assert_array_equal(keep, [0, 1])
+            np.testing.assert_array_equal(keep, np.sort(np.unique(G, axis=0, return_index=True)[1]))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_copies_found_whatever_the_summation_order(self, dtype):

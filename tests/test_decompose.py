@@ -714,9 +714,22 @@ class TestDecompositionUtilities:
         sys = discretize.poisson_2d_fd(6, 6)
         part = decompose.cartesian_partition(sys.grid, 2, 2)
         dec = decompose.expand_overlap(sys.A, part, 1)
-        for d in (dec, decompose.multiplicity_pu(dec), decompose.boolean_pu(dec)):
-            for arr in (d.weights[0], d.sets[0], d.w, d.offsets, d.row_block,
-                        d.R.indices, d.R.indptr, d.R.data, d.multiplicity, d.colors, d.H):
+        # one subdomain per dof and no overlap: one-dof sets
+        single = decompose.expand_overlap(sys.A, np.arange(36), 0)
+        for d in (dec, decompose.multiplicity_pu(dec), decompose.boolean_pu(dec), single,
+                  decompose.boolean_pu(single)):
+            # sets and weights are the pieces np.split cuts at the offsets,
+            # as views of R.indices and w
+            for pieces, whole in ((d.sets, d.R.indices), (d.weights, d.w)):
+                cut = np.split(whole, d.offsets[1:-1])
+                assert len(pieces) == len(cut) == d.N
+                for piece, ref in zip(pieces, cut):
+                    assert piece.dtype == ref.dtype
+                    np.testing.assert_array_equal(piece, ref)
+                    assert np.shares_memory(piece, whole)
+            for arr in (d.weights[0], d.sets[0], d.weights[-1], d.sets[-1], d.w, d.offsets,
+                        d.row_block, d.R.indices, d.R.indptr, d.R.data, d.multiplicity,
+                        d.colors, d.H):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
 

@@ -4,14 +4,16 @@ Dense reference applications are assembled inside the tests directly from
 the restriction/weight data, independent of the module under test.
 """
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from ddmlab import decompose, discretize, krylov, linalg, schwarz
+from ddmlab import bench, decompose, discretize, krylov, linalg, schwarz
 
 
 def poisson_setup(m, parts, delta):
@@ -88,6 +90,76 @@ def robin_blocks(A, dec, p, scale):
     return blocks
 
 
+def robin_by_graph(A, dec, p, h, dim):
+    """Oracle: the Robin operator with the interface counted on ``within(graph)``.
+
+    A row is on the interface when its subdomain holds fewer of its dof's
+    graph neighbours than the graph does; the shift is added as a sparse
+    sum with a diagonal matrix of the interface rows.
+    """
+    B = linalg.compress(dec.within(A))
+    dofs = dec.R.indices
+    inside = np.diff(dec.within(dec.graph).indptr)
+    interface = np.flatnonzero(inside < np.diff(dec.graph.indptr)[dofs])
+    p_dof = np.broadcast_to(np.asarray(1.0 / h if p is None else p), (dec.n_dofs,))
+    shift = p_dof[dofs[interface]] * float(h) ** (dim - 2)
+    return linalg.compress(B + linalg.csr_from_triplets(
+        dofs.size, dofs.size, interface, interface, shift))
+
+
+def bundled_oras_setup(name):
+    """The system and decomposition of a bundled_suites ORAS scenario, as bench builds them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.json"
+    cfg, = (c for c in json.loads(path.read_text())["bundled_suites"] if c["name"] == name)
+    cfg = bench.resolve_scenario(cfg)
+    sys = bench._build_system(cfg["problem"])
+    graph = decompose._symmetric_adjacency(sys.A)
+    part = bench._build_partition(sys, cfg["partition"], graph)
+    dec = decompose.expand_overlap(sys.A, part, cfg["overlap"], coords=sys.coords, h=sys.h,
+                                   graph=graph)
+    return sys.A, dec, complex(*cfg["schwarz"]["robin_p"]), sys.h, sys.dim
+
+
+def robin_case(name):
+    """``(A, dec, own p, h, dim, reads the graph)`` of a Robin fast-path comparison case."""
+    if name.startswith("bundled/"):
+        return (*bundled_oras_setup(name.removeprefix("bundled/")), False)
+    if name == "stored-zero":
+        # stored zeros at (8, 9) and (9, 8) couple nothing, in A's graph or in B
+        sys = discretize.poisson_2d_fd(6, 6)
+        A = sys.A.copy()
+        for i, j in ((8, 9), (9, 8)):
+            A.data[A.indptr[i] + np.flatnonzero(A.indices[A.indptr[i]:A.indptr[i + 1]] == j)] = 0.0
+        assert A.nnz == sys.A.nnz and A[8, 9] == A[9, 8] == 0
+        dec = decompose.expand_overlap(A, decompose.cartesian_partition(sys.grid, 2, 2), 1)
+        return A, dec, 3.0, sys.h, 2, False
+    if name == "lower-bidiagonal":
+        # A's off-diagonal entries are half the graph's edges
+        A = sp.csr_array(sp.diags([np.full(9, 2.0), np.full(8, -1.0)], [0, -1]))
+        return A, decompose.expand_overlap(A, np.repeat([0, 1, 2], 3), 1), 5.0, 0.5, 1, True
+    if name == "foreign-graph":
+        # the decomposition grew on a graph with as many edges as A's, but
+        # with edge 3-4 moved to 3-5: the graph, not A, sets the interface
+        sys = discretize.poisson_1d(9)
+        edges = [(i, i + 1) for i in range(8) if i != 3] + [(3, 5)]
+        i, j = np.array(edges).T
+        graph = sp.csr_array((np.ones(16, dtype=bool), (np.r_[i, j], np.r_[j, i])), shape=(9, 9))
+        dec = decompose.expand_overlap(sys.A, np.repeat([0, 1, 2], 3), 1, graph=graph)
+        return sys.A, dec, 2.0, sys.h, 1, True
+    if name == "zero-diagonal":
+        # dof 3, an interface row of subdomain 0, stores no diagonal
+        sys, dec = poisson_setup(9, 3, 1)
+        A = sys.A.tolil()
+        A[3, 3] = 0.0
+        A = sp.csr_array(A)
+        assert A.nnz == sys.A.nnz - 1
+        dec = decompose.expand_overlap(A, decompose.cartesian_partition(9, 3), 1)
+        return A, dec, 2.0, sys.h, 1, False
+    # cancelling: the shift p / h of every interface row is minus its diagonal
+    sys, dec = poisson_setup(9, 3, 1)
+    return sys.A, dec, -sys.A[0, 0] * sys.h, sys.h, 1, False
+
+
 def loop_apply(blocks, dec, variant, r):
     """Oracle: the one-level apply as a dense loop over subdomains."""
     if variant == "none":
@@ -122,6 +194,8 @@ class TestLocalOperators:
             schwarz.local_operator(sys.A, dec, kind="robin")
         with pytest.raises(ValueError, match="need the mesh width h and dim"):
             schwarz.local_operator(sys.A, dec, kind="robin", h=sys.h)
+        with pytest.raises(ValueError, match="robin shift .* contains NaN or Inf"):
+            schwarz.local_operator(sys.A, dec, kind="robin", p=np.inf, h=sys.h, dim=1)
 
     @pytest.mark.parametrize("p", [np.ones(3), np.ones(37), np.ones((36, 1)), np.ones((6, 6))])
     def test_robin_parameter_of_another_shape_is_named(self, p):
@@ -219,6 +293,33 @@ class TestLocalOperators:
         for i, ref in enumerate(robin_blocks(A, dec, p, 1.0 / h)):
             a, b = dec.offsets[i], dec.offsets[i + 1]
             np.testing.assert_array_equal(B[a:b, a:b].toarray(), ref)
+
+    @pytest.mark.parametrize("p", ["own", 2.5, 3.0 - 2.0j, "per-dof"])
+    @pytest.mark.parametrize("case", [
+        "bundled/k10-two", "bundled/k20-two", "bundled/k40-two",
+        "bundled/k10-one", "bundled/k20-one", "bundled/k40-one",
+        "stored-zero", "lower-bidiagonal", "foreign-graph", "zero-diagonal", "cancelling"])
+    def test_robin_interface_read_off_the_dirichlet_block(self, case, p, monkeypatch):
+        # Where A's off-diagonal entries are the graph's edges, each row of
+        # the Dirichlet block holds its diagonal and its inside neighbours,
+        # and the shift goes onto the stored diagonals; elsewhere the graph
+        # is read. Both give the bytes of the within(graph) count and sum.
+        A, dec, own, h, dim, reads_graph = robin_case(case)
+        if p == "own":
+            p = own
+        elif p == "per-dof":
+            p = np.linspace(1.0, 2.0, dec.n_dofs) * (1.0 - 0.5j)
+        ref = robin_by_graph(A, dec, p, h, dim)
+        within, read = decompose.Decomposition.within, []
+        monkeypatch.setattr(decompose.Decomposition, "within",
+                            lambda self, M: read.append(M is self.graph) or within(self, M))
+        B = schwarz.local_operator(A, dec, kind="robin", p=p, h=h, dim=dim)
+        assert any(read) == reads_graph
+        assert B.dtype == ref.dtype
+        assert B.indptr.dtype == ref.indptr.dtype and B.indices.dtype == ref.indices.dtype
+        np.testing.assert_array_equal(B.indptr, ref.indptr)
+        np.testing.assert_array_equal(B.indices, ref.indices)
+        assert B.data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("p", [2.5, 3.0 - 2.0j, "per-dof"])
     def test_stacked_operator_holds_the_dense_blocks(self, p):
